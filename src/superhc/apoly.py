@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScalarMatrix, invert
+from .linalg import ScalarMatrix, accumulate, invert
 
 Q = Fraction
 
@@ -54,12 +54,7 @@ class APoly:
     # -- ring operations -----------------------------------------------------
     def __add__(self, other: "APoly") -> "APoly":
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Q(0)) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        accumulate(out, other.terms)
         return APoly(self.n, out)
 
     def __neg__(self) -> "APoly":
@@ -159,12 +154,6 @@ class APoly:
     def truncate(self, d: int) -> "APoly":
         return APoly(self.n, {e: c for e, c in self.terms.items() if sum(e) <= d})
 
-    def homogeneous_part(self, d: int) -> "APoly":
-        return APoly(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def coefficient_vector(self, monomials: Sequence[Expvec]) -> Tuple:
-        return tuple(self.terms.get(e, Q(0)) for e in monomials)
-
     def pretty(self, names: Optional[Sequence[str]] = None) -> str:
         if not self.terms:
             return "0"
@@ -218,35 +207,3 @@ def change_to_basis(new_basis: Sequence[Sequence]) -> List[APoly]:
         images.append(APoly.linear([cinv.rows[j].get(i, Q(0)) for j in range(r)]))
     return images
 
-
-def linear_form_valuation(p: APoly, ell: Sequence) -> int:
-    """Largest j with ell^j dividing p (ell a linear form; inf -> degree+1).
-
-    Computed by an invertible linear change making ell a coordinate.
-    """
-    if not p.terms:
-        return 10**9
-    pivot = None
-    for i, c in enumerate(ell):
-        if c:
-            pivot = i
-            break
-    if pivot is None:
-        raise ValueError("zero linear form")
-    inv_pivot = Q(1) / ell[pivot]
-    images = []
-    for i in range(p.n):
-        if i != pivot:
-            images.append(APoly.variable(p.n, i))
-        else:
-            coeffs = [Q(0)] * p.n
-            coeffs[pivot] = inv_pivot
-            img = APoly.linear(coeffs)
-            for j, c in enumerate(ell):
-                if j != pivot and c:
-                    adj = [Q(0)] * p.n
-                    adj[j] = -c * inv_pivot
-                    img = img + APoly.linear(adj)
-            images.append(img)
-    q = p.substitute(images)
-    return min(e[pivot] for e in q.terms)

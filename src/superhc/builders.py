@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScalarMatrix, solve_membership
+from .linalg import ScalarMatrix, linear_solver
 from .liesuper import LieSuperalgebra, SuperVector
 
 Q = Fraction
@@ -33,10 +33,6 @@ def _matsub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _matadd(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _flatten(a: Mat) -> Tuple:
     return tuple(x for row in a for x in row)
 
@@ -53,7 +49,7 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence[Mat],
                         decomposition: Optional[dict] = None) -> LieSuperalgebra:
     """Lie superalgebra spanned by matrices, with the supertrace form."""
     mats = [_mat(m) for m in mats]
-    flat = [_flatten(m) for m in mats]
+    solve = linear_solver([_flatten(m) for m in mats])
     brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
     n = len(mats)
     for i in range(n):
@@ -62,9 +58,11 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence[Mat],
             br = _matsub(_matmul(mats[i], mats[j]),
                          tuple(tuple(sign * x for x in row)
                                for row in _matmul(mats[j], mats[i])))
-            coords = solve_membership(_flatten(br), flat)
-            if coords is None:
-                raise ValueError(f"matrices do not close under bracket at ({i},{j})")
+            try:
+                coords = solve(_flatten(br))
+            except ValueError:
+                raise ValueError(f"matrices do not close under bracket at ({i},{j})"
+                                 ) from None
             out = {k: c for k, c in enumerate(coords) if c}
             if out:
                 brackets[(i, j)] = out

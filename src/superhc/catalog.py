@@ -18,12 +18,12 @@ from . import builders
 from .harish import (InvariantBasis, IwasawaContext, filtered_subspace,
                      invariants_up_to_degree, poly_rank)
 from .linalg import rank as matrix_rank
-from .linalg import ScalarMatrix, span_basis
+from .linalg import ScalarMatrix, linear_solver, span_basis
 from .liesuper import LieSuperalgebra, SuperVector, centralizer
 from .pairs import (PairError, SymmetricPair, build_pair,
                     choose_positive_system, even_weyl_group, restricted_roots,
                     rho)
-from .rings import (ANISOTROPIC, ISOTROPIC, build_rank_one_model,
+from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
                     filtered_dimension, membership_J, odd_root_data)
 
 Q = Fraction
@@ -52,13 +52,14 @@ def verify_certificate(g: LieSuperalgebra) -> None:
     dense = [v.dense() for v in all_vecs]
     if len(span_basis(dense)) != len(all_vecs) or len(all_vecs) != g.dim:
         raise NoCertificate("declared decomposition is not a direct sum basis")
-    from .linalg import solve_membership
     for ideal in ideals:
-        span = [v.dense() for v in ideal]
+        solve = linear_solver([v.dense() for v in ideal])
         for x in basis:
             for v in ideal:
-                if solve_membership(g.bracket(x, v).dense(), span) is None:
-                    raise NoCertificate("declared ideal is not an ideal")
+                try:
+                    solve(g.bracket(x, v).dense())
+                except ValueError:
+                    raise NoCertificate("declared ideal is not an ideal") from None
         if g.form is not None:
             gram = ScalarMatrix.from_rows(
                 [[g.b(u, v) for v in ideal] for u in ideal])
@@ -89,11 +90,18 @@ def group_type_pair(g0: LieSuperalgebra, cartan_names: Sequence[str]
 
 
 class Analysis:
-    """A pair with all derived data: roots, rho, Weyl group, U(g), membership."""
+    """A pair with all derived data: roots, rho, Weyl group, U(g), membership.
+
+    model is the rank-one model the pair was built from, if any; name is the
+    entry name that reports of this analysis carry.
+    """
 
     def __init__(self, pair: SymmetricPair, direction: Optional[Sequence] = None,
-                 a_names: Optional[Sequence[str]] = None):
+                 a_names: Optional[Sequence[str]] = None,
+                 model: Optional[RankOneModel] = None, name: str = "explicit"):
         self.pair = pair
+        self.model = model
+        self.name = name
         self.system = restricted_roots(pair)
         choose_positive_system(self.system, direction)
         self.rho_triple = rho(self.system)
@@ -119,10 +127,8 @@ class CatalogEntry:
     def build(self, direction: Optional[Sequence] = None) -> Analysis:
         analysis = self._build()
         if direction is not None:
-            fresh = Analysis(analysis.pair, direction, analysis.a_names)
-            if hasattr(analysis, "model"):
-                fresh.model = analysis.model
-            return fresh
+            return Analysis(analysis.pair, direction, analysis.a_names,
+                            analysis.model, analysis.name)
         return analysis
 
 
@@ -130,9 +136,7 @@ def _rank_one_entry(q: int, iso: str) -> Callable[[], Analysis]:
     def build() -> Analysis:
         model = build_rank_one_model(q, iso, Q(0) if iso == ISOTROPIC else Q(1))
         names = ["h0", "Al"] if iso == ISOTROPIC else ["a"]
-        analysis = Analysis(model.pair, a_names=names)
-        analysis.model = model
-        return analysis
+        return Analysis(model.pair, a_names=names, model=model)
     return build
 
 
@@ -251,7 +255,7 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
         analysis = entry.build(direction)
     else:
         analysis = entry
-        name = getattr(entry, "name", "explicit")
+        name = entry.name
         if degree is None:
             degree = 3
     ctx = analysis.ctx

@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .catalog import (CATALOG, Analysis, roots_report, verify_main_theorem)
+from .catalog import (CATALOG, Analysis, CatalogEntry, roots_report,
+                      verify_main_theorem)
 from .harish import invariants_up_to_degree
 from .liesuper import verify_algebra
 from .pairs import PairError, build_pair
@@ -67,14 +68,18 @@ def _resolve_entry(name: str, direction):
     for coords in data["a_basis"]:
         vals = [scalar_from_string(x) for x in coords]
         a_vectors.append(g.vector({i: x for i, x in enumerate(vals) if x}))
-    pair = build_pair(g, a_vectors)
-    analysis = Analysis(pair, direction)
-    analysis.name = data.get("name", name)
+    analysis = Analysis(build_pair(g, a_vectors), direction,
+                        name=data.get("name", name))
+    entry = CatalogEntry(data.get("name", "explicit"), "explicit entry",
+                         data.get("default_degree", 3), lambda: analysis)
+    return entry, analysis
 
-    class _Entry:
-        name = data.get("name", "explicit")
-        default_degree = data.get("default_degree", 3)
-    return _Entry, analysis
+
+def _degree(args, entry) -> int:
+    degree = args.degree if args.degree is not None else entry.default_degree
+    if not isinstance(degree, int) or degree < 0:
+        raise InputError(f"degree must be a non-negative integer, got {degree!r}")
+    return degree
 
 
 def _parse_direction(arg: Optional[str]):
@@ -114,7 +119,7 @@ def cmd_roots(args) -> int:
 
 def cmd_invariants(args) -> int:
     entry, analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
-    degree = args.degree if args.degree is not None else entry.default_degree
+    degree = _degree(args, entry)
     basis = invariants_up_to_degree(analysis.ctx, degree)
     adapted = analysis.ctx.adapted
     out = {
@@ -202,7 +207,7 @@ def cmd_membership(args) -> int:
 
 def cmd_verify(args) -> int:
     entry, analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
-    degree = args.degree if args.degree is not None else entry.default_degree
+    degree = _degree(args, entry)
     seed = args.seed_local if getattr(args, "seed_local", None) is not None \
         else args.seed
     report = verify_main_theorem(analysis, degree=degree, seed=seed)
@@ -220,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Harish-Chandra toolkit for symmetric superpairs")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property sampling")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; all computations are pure and "
-                             "single-threaded at desk scale")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("catalog", help="catalog operations")
@@ -246,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "direction in a")
         p.add_argument("--seed", type=int, default=None, dest="seed_local",
                        help="seed for randomized property sampling")
-        p.add_argument("--threads", type=int, default=None, dest="threads_local",
-                       help="reserved; computations are single-threaded")
         if "degree" in extra:
             p.add_argument("--degree", type=int, default=None)
         if "element" in extra:

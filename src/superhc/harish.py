@@ -10,8 +10,6 @@ U(g) k is "some monomial contains a k index".
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
@@ -19,7 +17,7 @@ from .linalg import ScalarMatrix, linear_solver, nullspace
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, OrderNotIwasawa, SymElement, UEA, UEAElement,
-                  accumulate, sym_multiply)
+                  accumulate, supersymmetrise, sym_multiply)
 
 Q = Fraction
 
@@ -48,7 +46,8 @@ class IwasawaContext:
         self.k_len = len(k_basis)
         self._solve = linear_solver([v.dense() for v in vectors])
         self.rho = rho(system)[0]
-        self._gen_table = [self.to_adapted(pair.g.basis(i))
+        # the U(g) factor of each basis letter of the original algebra
+        self._gen_table = [self.uea.from_vector(self.to_adapted(pair.g.basis(i)))
                            for i in range(pair.g.dim)]
 
     # -- conversions ---------------------------------------------------------
@@ -69,25 +68,8 @@ class IwasawaContext:
 
     def beta_from_g(self, p: SymElement) -> UEAElement:
         """Supersymmetrisation of an S(g) element over the original basis."""
-        g = self.pair.g
-        acc: UEAElement = {}
-        for m, c in p.items():
-            n = len(m)
-            if n == 0:
-                accumulate(acc, self.uea.one(), c)
-                continue
-            inv = c / factorial(n)
-            odd_slots = [s for s in range(n) if g.parity[m[s]]]
-            for arr in permutations(range(n)):
-                sign = Q(1)
-                placed = [arr.index(s) for s in odd_slots]
-                for x in range(len(placed)):
-                    for y in range(x + 1, len(placed)):
-                        if placed[x] > placed[y]:
-                            sign = -sign
-                factors = [self._gen_table[m[arr[t]]] for t in range(n)]
-                accumulate(acc, self.uea.normal_form(factors), inv * sign)
-        return acc
+        return supersymmetrise(self.uea, p, self.pair.g.parity,
+                               self._gen_table.__getitem__)
 
     # -- the projection and its shift ----------------------------------------
     def project_to_a(self, u: UEAElement) -> APoly:

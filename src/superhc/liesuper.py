@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScalarMatrix, linear_solver, nullspace, rank, span_basis
+from .linalg import (ScalarMatrix, accumulate, linear_solver, nullspace, rank,
+                     span_basis)
 
 Q = Fraction
 
@@ -53,12 +54,7 @@ class SuperVector:
         if other.alg is not self.alg:
             raise MixedAlgebras("vectors live in different algebras")
         out = dict(self.c)
-        for i, x in other.c.items():
-            v = out.get(i, Q(0)) + x
-            if v:
-                out[i] = v
-            elif i in out:
-                del out[i]
+        accumulate(out, other.c)
         return SuperVector(self.alg, out)
 
     def __neg__(self):
@@ -158,16 +154,7 @@ class LieSuperalgebra:
         acc: Dict[int, object] = {}
         for i, xi in x.c.items():
             for j, yj in y.c.items():
-                out = self.bracket_indices(i, j)
-                if not out:
-                    continue
-                c = xi * yj
-                for k, v in out.items():
-                    w = acc.get(k, Q(0)) + c * v
-                    if w:
-                        acc[k] = w
-                    elif k in acc:
-                        del acc[k]
+                accumulate(acc, self.bracket_indices(i, j), xi * yj)
         return SuperVector(self, acc)
 
     # -- form and involution -------------------------------------------------
@@ -206,15 +193,6 @@ class LieSuperalgebra:
     def ad_matrix(self, x: SuperVector) -> ScalarMatrix:
         cols = [self.bracket(x, self.basis(j)).dense() for j in range(self.dim)]
         return ScalarMatrix.from_columns(cols)
-
-    def supertrace_on(self, m: ScalarMatrix, basis: Sequence[SuperVector],
-                      parities: Sequence[int]):
-        """Supertrace of an operator given in coordinates w.r.t. basis."""
-        s = Q(0)
-        for i, p in enumerate(parities):
-            d = m.rows[i].get(i, Q(0))
-            s = s + (d if p == 0 else -d)
-        return s
 
 
 # -- validation --------------------------------------------------------------
@@ -356,16 +334,6 @@ def derived_and_center(g: LieSuperalgebra
                for v in span_basis(images)]
     center = centralizer(g, g.basis_vectors(), g.basis_vectors())
     return derived, center
-
-
-def subspace_coords(vectors: Sequence[SuperVector]):
-    """Solver expressing ambient vectors in the span of the given ones."""
-    solve = linear_solver([v.dense() for v in vectors])
-
-    def expand(x: SuperVector):
-        return solve(x.dense())
-
-    return expand
 
 
 def change_basis(g: LieSuperalgebra, vectors: Sequence[SuperVector],

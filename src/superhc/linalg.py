@@ -26,6 +26,22 @@ class NotSemisimple(Exception):
     """A matrix has fewer eigenvectors than its dimension."""
 
 
+def accumulate(acc: dict, other: dict, coeff=Q(1)) -> None:
+    """acc += coeff * other for sparse dicts; entries that cancel are dropped."""
+    if not coeff:
+        return
+    for k, v in other.items():
+        w = coeff * v
+        if k in acc:
+            w = acc[k] + w
+            if not w:
+                del acc[k]
+                continue
+        elif not w:
+            continue
+        acc[k] = w
+
+
 class ScalarMatrix:
     """A rows x cols matrix with exact scalar entries, stored sparsely."""
 
@@ -91,12 +107,7 @@ class ScalarMatrix:
         for i in range(self.nrows):
             acc: Row = {}
             for k, a in self.rows[i].items():
-                for j, b in other.rows[k].items():
-                    v = acc.get(j, Q(0)) + a * b
-                    if v:
-                        acc[j] = v
-                    elif j in acc:
-                        del acc[j]
+                accumulate(acc, other.rows[k], a)
             out.rows[i] = acc
         return out
 
@@ -213,16 +224,37 @@ def solve_membership(v: Sequence, basis: Sequence[Sequence]):
 def linear_solver(basis: Sequence[Sequence]):
     """Return a function expressing vectors in the given basis.
 
-    The basis must be linearly independent; the solver raises ValueError on
-    vectors outside the span.
+    The basis is eliminated once, each row tagged with the combination of
+    basis vectors it stands for; a solve then only reduces its vector against
+    the stored pivots.  Raises ValueError on a dependent basis; the solver
+    raises ValueError on vectors outside the span.
     """
-    cols = list(basis)
+    n = len(basis[0]) if basis else 0
+    if any(len(b) != n for b in basis):
+        raise ValueError("vectors of unequal length")
+    rows: List[Row] = []
+    for j, b in enumerate(basis):
+        r: Row = {i: x for i, x in enumerate(b) if x}
+        r[n + j] = Q(1)
+        rows.append(r)
+    pivots = _echelonise(rows)
+    if any(p >= n for p in pivots):
+        raise ValueError("basis is linearly dependent")
 
     def solve(v):
-        c = solve_membership(v, cols)
-        if c is None:
+        if basis and len(v) != n:
+            raise ValueError("vectors of unequal length")
+        # pivot rows carry no foreign pivot column, so one sweep leaves the
+        # part of v outside the span in columns < n and minus its
+        # coordinates in the tag columns
+        residual: Row = {i: x for i, x in enumerate(v) if x}
+        for p, row in pivots.items():
+            c = residual.get(p)
+            if c:
+                accumulate(residual, row, -c)
+        if any(i < len(v) for i in residual):
             raise ValueError("vector outside span")
-        return c
+        return tuple(-residual.get(n + j, Q(0)) for j in range(len(basis)))
 
     return solve
 

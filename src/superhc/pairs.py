@@ -9,10 +9,10 @@ split as m + a with m the centraliser of a in k.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .linalg import (ScalarMatrix, invert, nullspace, rank, simultaneous_eigenspaces,
-                     span_basis)
+from .linalg import (ScalarMatrix, invert, linear_solver, nullspace, rank,
+                     simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
 
 Q = Fraction
@@ -71,14 +71,6 @@ class SymmetricPair:
         ev = sum(1 for v in self.p_basis if v.parity == 0)
         return ev, len(self.p_basis) - ev
 
-    def coroot(self, lam: Functional) -> SuperVector:
-        """A_lam in a, defined by b(A_lam, h) = lam(h) for h in a."""
-        coords = self.a_gram_inv.apply(list(lam))
-        v = self.g.zero()
-        for c, h in zip(coords, self.a_basis):
-            v = v + h.scale(c)
-        return v
-
     def coroot_coords(self, lam: Functional) -> Tuple:
         return self.a_gram_inv.apply(list(lam))
 
@@ -94,13 +86,14 @@ class SymmetricPair:
 def build_pair(g: LieSuperalgebra, a_vectors: Sequence[SuperVector]) -> SymmetricPair:
     """Validate an even Cartan subspace and assemble the pair."""
     k_basis, p_basis = theta_eigenspaces(g)
-    p_span = [v.dense() for v in p_basis]
-    from .linalg import solve_membership
+    in_p = linear_solver([v.dense() for v in p_basis])
     for v in a_vectors:
         if v.parity != 0:
             raise NotInEvenP("a must consist of even vectors")
-        if solve_membership(v.dense(), p_span) is None:
-            raise NotInEvenP("a must lie in p")
+        try:
+            in_p(v.dense())
+        except ValueError:
+            raise NotInEvenP("a must lie in p") from None
     for i, x in enumerate(a_vectors):
         for y in a_vectors[i:]:
             if g.bracket(x, y):
@@ -153,12 +146,6 @@ class RestrictedRootSystem:
 
     def even_roots(self) -> List[RestrictedRoot]:
         return [r for r in self.roots if r.m0 > 0]
-
-    def odd_roots(self) -> List[RestrictedRoot]:
-        return [r for r in self.roots if r.m1 > 0]
-
-    def root_set(self) -> Dict[Functional, RestrictedRoot]:
-        return {r.lam: r for r in self.roots}
 
     def n_basis(self) -> List[SuperVector]:
         out: List[SuperVector] = []
@@ -265,7 +252,6 @@ def rho(system: RestrictedRootSystem) -> Tuple[Functional, Functional, Functiona
     n = system.n_basis()
     if n:
         g = system.pair.g
-        from .linalg import linear_solver
         solve = linear_solver([v.dense() for v in n])
         pars = [v.parity for v in n]
         for i, h in enumerate(system.pair.a_basis):

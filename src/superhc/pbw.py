@@ -13,12 +13,13 @@ products cheap.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import factorial, prod
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .liesuper import LieSuperalgebra, MixedAlgebras, SuperVector
+from .linalg import accumulate
 
 Q = Fraction
 
@@ -32,17 +33,6 @@ class OrderNotIwasawa(Exception):
     """An Iwasawa block projection was requested without N<A<K blocks."""
 
 
-def accumulate(acc: dict, other: dict, coeff=Q(1)) -> None:
-    if not coeff:
-        return
-    for k, v in other.items():
-        w = acc.get(k, Q(0)) + coeff * v
-        if w:
-            acc[k] = w
-        elif k in acc:
-            del acc[k]
-
-
 def scale(u: dict, coeff) -> dict:
     if not coeff:
         return {}
@@ -53,10 +43,6 @@ def add(u: dict, v: dict) -> dict:
     out = dict(u)
     accumulate(out, v)
     return out
-
-
-def filtration_degree(u: UEAElement) -> int:
-    return max((len(m) for m in u), default=0)
 
 
 class UEA:
@@ -183,25 +169,7 @@ class UEA:
     # -- supersymmetrisation ------------------------------------------------
     def beta(self, p: SymElement) -> UEAElement:
         """The PBW section of S(g) -> U(g): Koszul-averaged products."""
-        acc: UEAElement = {}
-        par = self.parity
-        for m, c in p.items():
-            n = len(m)
-            if n == 0:
-                accumulate(acc, self.one(), c)
-                continue
-            inv = c / factorial(n)
-            odd_slots = [s for s in range(n) if par[m[s]]]
-            for arr in permutations(range(n)):
-                sign = Q(1)
-                placed = [arr.index(s) for s in odd_slots]
-                for a in range(len(placed)):
-                    for b in range(a + 1, len(placed)):
-                        if placed[a] > placed[b]:
-                            sign = -sign
-                word = tuple(m[arr[t]] for t in range(n))
-                accumulate(acc, self.normal_form_word(word), inv * sign)
-        return acc
+        return supersymmetrise(self, p, self.parity, self.generator)
 
     # -- Hopf structure -----------------------------------------------------
     def tensor_multiply(self, t1: TensorElement, t2: TensorElement) -> TensorElement:
@@ -229,12 +197,7 @@ class UEA:
             for i in m:
                 prim: TensorElement = {((i,), ()): Q(1), ((), (i,)): Q(1)}
                 t = self.tensor_multiply(t, prim)
-            for k, v in t.items():
-                w = acc.get(k, Q(0)) + c * v
-                if w:
-                    acc[k] = w
-                elif k in acc:
-                    del acc[k]
+            accumulate(acc, t, c)
         return acc
 
     def antipode(self, u: UEAElement) -> UEAElement:
@@ -292,6 +255,47 @@ class UEA:
     def graded_piece(self, u: UEAElement, d: int) -> SymElement:
         """Image of the degree-d part of u in gr_d U(g) = S^d(g)."""
         return {m: c for m, c in u.items() if len(m) == d}
+
+
+def supersymmetrise(uea: UEA, p: SymElement, parity: Sequence[int],
+                    factor: Callable[[int], UEAElement]) -> UEAElement:
+    """Koszul-averaged products of the letters of each monomial of p.
+
+    factor(i) is the element of U(g) standing for letter i, of parity
+    parity[i].  Only the distinct arrangements of a monomial's letters are
+    walked: each stands for prod(mult!) of the n! permutations, all with the
+    same Koszul sign (repeated letters are even, as odd squares vanish in
+    S(g)), and arrangements sharing a prefix share its partial product.
+    """
+    acc: UEAElement = {}
+    for m, c in p.items():
+        counts = Counter(m)
+        if any(parity[i] and k > 1 for i, k in counts.items()):
+            continue  # an odd square: the signed orderings cancel
+        weight = c * prod(map(factorial, counts.values())) / factorial(len(m))
+        letters = sorted(counts)
+
+        def walk(prefix: UEAElement, sign, todo: int, odd_left: List[int]):
+            if not todo:
+                accumulate(acc, prefix, sign * weight)
+                return
+            for i in letters:
+                if not counts[i]:
+                    continue
+                counts[i] -= 1
+                s, rest = sign, odd_left
+                if parity[i]:
+                    # i now precedes the odd letters still to be placed
+                    # that came before it in m
+                    pos = odd_left.index(i)
+                    if pos % 2:
+                        s = -s
+                    rest = odd_left[:pos] + odd_left[pos + 1:]
+                walk(uea.multiply(prefix, factor(i)), s, todo - 1, rest)
+                counts[i] += 1
+
+        walk(uea.one(), Q(1), len(m), [i for i in m if parity[i]])
+    return acc
 
 
 # -- the supercommutative algebra S(g) ---------------------------------------
@@ -361,12 +365,7 @@ def sym_adjoint_index(alg: LieSuperalgebra, i: int, p: SymElement) -> SymElement
 def sym_adjoint(alg: LieSuperalgebra, x: SuperVector, p: SymElement) -> SymElement:
     acc: SymElement = {}
     for i, c in x.c.items():
-        for m, v in sym_adjoint_index(alg, i, p).items():
-            w = acc.get(m, Q(0)) + c * v
-            if w:
-                acc[m] = w
-            elif m in acc:
-                del acc[m]
+        accumulate(acc, sym_adjoint_index(alg, i, p), c)
     return acc
 
 

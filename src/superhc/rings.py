@@ -14,7 +14,7 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly, change_to_basis, monomials_up_to
-from .linalg import ScalarMatrix, nullspace, span_basis
+from .linalg import ScalarMatrix, accumulate, linear_solver, nullspace
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
@@ -235,20 +235,21 @@ def _build_aniso_model(q: int, c) -> RankOneModel:
     odd_order = [V(i) for i in range(q)] + [VT(i) for i in range(q)] \
         + [W(i) for i in range(q)] + [WT(i) for i in range(q)]
 
-    flat_ops = [tuple(x for row in ops[n] for x in row) for n in op_names]
-    if len(span_basis(flat_ops)) != len(flat_ops):
-        raise InconsistentRelations("even-part operators are dependent")
-
-    from .linalg import solve_membership
+    try:
+        solve = linear_solver([tuple(x for row in ops[n] for x in row)
+                               for n in op_names])
+    except ValueError:
+        raise InconsistentRelations("even-part operators are dependent") from None
 
     def op_bracket(na, nb) -> Dict[int, object]:
         A, B = ops[na], ops[nb]
         n4 = 4 * q
         comm = [[sum((A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in range(n4)),
                      Q(0)) for j in range(n4)] for i in range(n4)]
-        coords = solve_membership(tuple(x for row in comm for x in row), flat_ops)
-        if coords is None:
-            raise InconsistentRelations("even part does not close")
+        try:
+            coords = solve(tuple(x for row in comm for x in row))
+        except ValueError:
+            raise InconsistentRelations("even part does not close") from None
         return {idx[op_names[t]]: v for t, v in enumerate(coords) if v}
 
     brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
@@ -406,9 +407,8 @@ def generators(model: RankOneModel,
         ia = g.index("a")
         W = _sum_of_products(g, [(g.index(f"w{j+1}"), g.index(f"wt{j+1}"))
                                  for j in range(q)])
-        p2 = sym_multiply(par, {(ia, ia): Q(1)}, {(): Q(1)})
-        for m, v in sym_multiply(par, W, {(): Q(2)}).items():
-            p2[m] = p2.get(m, Q(0)) + v
+        p2: SymElement = {(ia, ia): Q(1)}
+        accumulate(p2, W, Q(2))
         # coefficient of a^{2(q-k)+1} W^k is a_{2q+1,k} / k!; this is the
         # normalisation forced by k-invariance (checked below), which the
         # degree-(2q+1) invariant determines uniquely
@@ -417,12 +417,8 @@ def generators(model: RankOneModel,
             coeff = coefficient_aNk(2 * q + 1, k) / factorial(k)
             wk = sym_power(par, W, k)
             apow: SymElement = {tuple([ia] * (2 * (q - k) + 1)): coeff}
-            for m, v in sym_multiply(par, apow, wk).items():
-                p2q1[m] = p2q1.get(m, Q(0)) + v
-        out = [
-            {m: c for m, c in p2.items() if c},
-            {m: c for m, c in p2q1.items() if c},
-        ]
+            accumulate(p2q1, sym_multiply(par, apow, wk))
+        out = [p2, p2q1]
         checks = [g.basis(f"v{n+1}") for n in range(q)] \
             + [g.basis(f"vt{n+1}") for n in range(q)]
     else:
@@ -439,9 +435,8 @@ def generators(model: RankOneModel,
             for j in range(min(k, q) + 1):
                 head: SymElement = {
                     tuple([ih0] * (k - j) + [ial] * (ell - j)): Q(comb(k, j))}
-                for m, v in sym_multiply(par, head, sym_power(par, Z, j)).items():
-                    acc[m] = acc.get(m, Q(0)) + v
-            out.append({m: c for m, c in acc.items() if c})
+                accumulate(acc, sym_multiply(par, head, sym_power(par, Z, j)))
+            out.append(acc)
         checks = [g.basis(f"y{n+1}") for n in range(q)] \
             + [g.basis(f"yt{n+1}") for n in range(q)]
     for p in out:
@@ -460,7 +455,6 @@ def apoly_from_sym(pair: SymmetricPair, sym: SymElement) -> APoly:
     """
     g = pair.g
     r = pair.rank
-    from .linalg import linear_solver
     solve = linear_solver([v.dense() for v in pair.a_basis])
     out = APoly.zero(r)
     for m, c in sym.items():

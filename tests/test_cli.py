@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from superhc.builders import sl2
 from superhc.cli import main
 from superhc.serialization import algebra_to_json
@@ -164,3 +166,32 @@ def test_seed_flag_after_subcommand(capsys):
     code, out2, _ = run(capsys, "--seed", "9", "verify", "rank1-iso-q1",
                         "--degree", "2")
     assert out1 == out2
+
+
+def test_negative_degree_is_a_usage_error(capsys):
+    for command in ("verify", "invariants"):
+        code, out, err = run(capsys, command, "group-sl2", "--degree", "-1")
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_default_degree_of_explicit_entry_is_a_usage_error(
+        tmp_path, capsys):
+    from superhc.builders import double_with_flip
+    entry = {
+        "algebra": algebra_to_json(double_with_flip(sl2())),
+        "a_basis": [["0", "1", "0", "0", "-1", "0"]],
+        "default_degree": -2,
+    }
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "catalog", "list"])
+    assert exc.value.code == 2

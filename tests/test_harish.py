@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction as Q
 
 import pytest
@@ -8,8 +9,9 @@ from superhc.catalog import CATALOG
 from superhc.harish import (filtered_subspace, gamma_preimage,
                             gr_restriction, invariants_up_to_degree,
                             verify_exact_sequence)
-from superhc.pbw import OrderNotIwasawa, UEA
+from superhc.pbw import OrderNotIwasawa, UEA, accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
+from support import beta_of_vectors
 
 
 def test_project_unit_and_pure_a():
@@ -223,3 +225,66 @@ def test_gamma_preimage_roundtrip():
     assert ctx.hc_gamma(pre) == target
     # unreachable element (odd polynomial a) has no invariant preimage
     assert gamma_preimage(ctx, a, 2) is None
+
+
+def _oracle_monomials(parity, rng):
+    """Random S(g) monomials of degree <= 4, letters in random order.
+
+    Besides random draws (odd letters distinct), the list always holds an
+    even letter repeated, two distinct odd letters against basis order, and
+    an odd letter repeated, whose supersymmetrisation is zero.
+    """
+    dim = len(parity)
+    evens = [i for i in range(dim) if not parity[i]]
+    odds = [i for i in range(dim) if parity[i]]
+    monos = []
+    for degree in range(5):
+        for _ in range(3):
+            letters = []
+            while len(letters) < degree:
+                i = rng.randrange(dim)
+                if not (parity[i] and i in letters):
+                    letters.append(i)
+            monos.append(tuple(letters))
+    e, f = rng.choice(evens), rng.choice(evens)
+    monos.append((e, f, e, e))
+    if odds:
+        x = rng.choice(odds)
+        monos.append((x, e, e))
+        monos.append((x, e, x))
+    if len(odds) > 1:
+        x, y = sorted(rng.sample(odds, 2))
+        monos.append((y, e, x, e))
+    return monos
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_supersymmetrisation_matches_permutation_oracle(name):
+    # beta_of_vectors averages all n! orderings through ctx.word
+    analysis = CATALOG[name].build()
+    ctx = analysis.ctx
+    g = analysis.pair.g
+    rng = random.Random(zlib.crc32(name.encode()))
+    monos = _oracle_monomials(g.parity, rng)
+    for m in monos:
+        want = beta_of_vectors(ctx, [g.basis(i) for i in m])
+        assert ctx.beta_from_g({m: Q(1)}) == want, m
+    # linear in p, repeated letters weighted by the multiset count
+    coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in monos]
+    want = {}
+    for m, c in zip(monos, coeffs):
+        accumulate(want, beta_of_vectors(ctx, [g.basis(i) for i in m]), c)
+    p = {}
+    for m, c in zip(monos, coeffs):
+        p[m] = p.get(m, Q(0)) + c
+    assert ctx.beta_from_g(p) == want
+
+
+def test_uea_beta_matches_permutation_oracle_on_group_osp12():
+    ctx = CATALOG["group-osp12"].build().ctx
+    adapted = ctx.adapted
+    rng = random.Random(12)
+    for m in _oracle_monomials(adapted.parity, rng):
+        want = beta_of_vectors(ctx, [adapted.basis(i) for i in m])
+        assert ctx.uea.beta({m: Q(3, 2)}) == {k: Q(3, 2) * c
+                                              for k, c in want.items()}, m

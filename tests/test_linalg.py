@@ -3,11 +3,13 @@ from fractions import Fraction as Q
 
 import pytest
 
+import superhc.linalg as linalg
 from superhc.builders import sl2
 from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
-                            ScalarMatrix, char_poly, invert, nullspace, rank,
-                            rational_roots, simultaneous_eigenspaces,
-                            solve_membership, span_basis)
+                            ScalarMatrix, char_poly, invert, linear_solver,
+                            nullspace, rank, rational_roots,
+                            simultaneous_eigenspaces, solve_membership,
+                            span_basis)
 
 
 def test_nullspace_identity_is_trivial():
@@ -50,7 +52,7 @@ def test_solve_membership_trivial_cases():
     assert solve_membership((Q(0), Q(0), Q(1)), basis) is None
 
 
-def test_solve_membership_roundtrip_randomized():
+def _roundtrip_inputs():
     rng = random.Random(3)
     for _ in range(150):
         n, k = rng.randint(1, 7), rng.randint(1, 5)
@@ -59,11 +61,75 @@ def test_solve_membership_roundtrip_randomized():
         coeffs = [Q(rng.randint(-3, 3)) for _ in range(k)]
         v = tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0))
                   for i in range(n))
+        yield basis, coeffs, v
+
+
+def test_solve_membership_roundtrip_randomized():
+    for basis, _, v in _roundtrip_inputs():
+        n = len(v)
         sol = solve_membership(v, basis)
         assert sol is not None
         w = tuple(sum((c * b[i] for c, b in zip(sol, basis)), Q(0))
                   for i in range(n))
         assert w == v
+
+
+def test_linear_solver_roundtrip_randomized():
+    # the same inputs: an independent basis gives back the coefficients
+    # (coordinates are unique), a dependent one is rejected up front
+    independent = 0
+    for basis, coeffs, v in _roundtrip_inputs():
+        if rank(ScalarMatrix.from_rows(basis)) < len(basis):
+            with pytest.raises(ValueError):
+                linear_solver(basis)
+            continue
+        independent += 1
+        solve = linear_solver(basis)
+        assert solve(v) == tuple(coeffs)
+        assert solve(v) == solve_membership(v, basis)
+    assert independent > 50
+
+
+def test_linear_solver_outside_span_raises():
+    solve = linear_solver([(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(1))])
+    assert solve((Q(2), Q(-1), Q(3))) == (Q(2), Q(-1))
+    assert solve((Q(0),) * 3) == (Q(0), Q(0))
+    with pytest.raises(ValueError):
+        solve((Q(0), Q(0), Q(1)))
+    with pytest.raises(ValueError):
+        solve((Q(1), Q(0)))
+    empty = linear_solver([])
+    assert empty((Q(0), Q(0))) == ()
+    with pytest.raises(ValueError):
+        empty((Q(0), Q(1)))
+
+
+def test_linear_solver_rejects_dependent_basis():
+    with pytest.raises(ValueError):
+        linear_solver([(Q(1), Q(2)), (Q(2), Q(4))])
+    with pytest.raises(ValueError):
+        linear_solver([(Q(1), Q(0)), (Q(0), Q(0))])
+
+
+def test_linear_solver_eliminates_once(monkeypatch):
+    calls = []
+    original = linalg._echelonise
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_echelonise", counting)
+    basis = [(Q(1), Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(3), Q(0)),
+             (Q(2), Q(0), Q(1), Q(1))]
+    solve = linear_solver(basis)
+    rng = random.Random(5)
+    for _ in range(10):
+        coeffs = tuple(Q(rng.randint(-4, 4)) for _ in basis)
+        v = tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0))
+                  for i in range(4))
+        assert solve(v) == coeffs
+    assert calls == [3]
 
 
 def test_invert_and_char_poly():
