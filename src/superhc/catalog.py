@@ -15,16 +15,17 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
 from . import builders
-from .harish import (InvariantBasis, IwasawaContext, filtered_subspace,
-                     invariants_up_to_degree, poly_rank)
+from .harish import (InvariantBasis, IwasawaContext, invariants_up_to_degree,
+                     verify_exact_sequence)
 from .linalg import rank as matrix_rank
 from .linalg import ScalarMatrix, linear_solver, span_basis
 from .liesuper import LieSuperalgebra, SuperVector, centralizer
 from .pairs import (PairError, SymmetricPair, build_pair,
-                    choose_positive_system, even_weyl_group, restricted_roots,
-                    rho)
+                    centralizer_formula_holds, choose_positive_system,
+                    even_weyl_group, restricted_roots, rho)
 from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
-                    filtered_dimension, membership_J, odd_root_data)
+                    filtered_dimension, odd_root_data)
+from .scalars import scalar_to_string
 
 Q = Fraction
 
@@ -127,8 +128,9 @@ class CatalogEntry:
     def build(self, direction: Optional[Sequence] = None) -> Analysis:
         analysis = self._build()
         if direction is not None:
-            return Analysis(analysis.pair, direction, analysis.a_names,
-                            analysis.model, analysis.name)
+            analysis = Analysis(analysis.pair, direction, analysis.a_names,
+                                analysis.model)
+        analysis.name = self.name
         return analysis
 
 
@@ -174,7 +176,6 @@ def roots_report(analysis: Analysis, entry_name: str = "") -> dict:
     pair = analysis.pair
     data_by_lam = {d.lam: d for d in analysis.data}
     roots = []
-    from .scalars import scalar_to_string
     for root, pos in zip(system.roots, system.positive):
         row = {
             "lambda": [scalar_to_string(x) for x in root.lam],
@@ -215,13 +216,9 @@ def random_p0_vector(analysis: Analysis, rng: random.Random) -> SuperVector:
 
 
 def centdim_check(analysis: Analysis, rng: random.Random, samples: int = 20) -> bool:
-    g = analysis.pair.g
-    k1 = [v for v in analysis.pair.k_basis if v.parity == 1]
-    p1 = [v for v in analysis.pair.p_basis if v.parity == 1]
     for _ in range(samples):
-        x = random_p0_vector(analysis, rng)
-        if len(centralizer(g, [x], k1)) - len(centralizer(g, [x], p1)) \
-                != len(k1) - len(p1):
+        if not centralizer_formula_holds(analysis.pair,
+                                         random_p0_vector(analysis, rng)):
             return False
     return True
 
@@ -249,32 +246,22 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
     if isinstance(entry, str):
         entry = CATALOG[entry]
     if isinstance(entry, CatalogEntry):
-        name = entry.name
         if degree is None:
             degree = entry.default_degree
         analysis = entry.build(direction)
     else:
         analysis = entry
-        name = entry.name
         if degree is None:
             degree = 3
-    ctx = analysis.ctx
     weyl = analysis.weyl
     data = analysis.data
     r = analysis.rank
-    basis = invariants_up_to_degree(ctx, degree)
-    images = [ctx.hc_gamma(v) for v in basis.invariants]
-
-    rows = []
-    for d in range(degree + 1):
-        inv_d = filtered_subspace(basis.invariants, d)
-        ker_d = filtered_subspace(basis.companion, d)
-        img_d = poly_rank([ctx.hc_gamma(v) for v in inv_d])
-        rows.append({
-            "degree": d,
-            "dim_invariants": len(inv_d),
-            "dim_kernel": len(ker_d),
-            "dim_image": img_d,
+    basis = invariants_up_to_degree(analysis.ctx, degree)
+    seq = verify_exact_sequence(analysis.ctx, degree, basis, weyl, data)
+    rows = seq["rows"]
+    for row in rows:
+        d = row["degree"]
+        row.update({
             "dim_J": filtered_dimension("J", data, weyl, r, d),
             "dim_I": filtered_dimension("I", data, weyl, r, d),
             "dim_I_noweyl": filtered_dimension("I", data, weyl, r, d,
@@ -282,30 +269,21 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
             "dim_SW0": filtered_dimension("SW0", data, weyl, r, d),
         })
 
-    weyl_ok = all(
-        p.substitute_linear(w) == p for p in images for w in weyl.elements)
-    image_in_J = all(membership_J(p, data, weyl) for p in images)
-    kernel_ok = all(not ctx.hc_gamma(v).terms for v in basis.companion)
-    dims_match = rows[-1]["dim_image"] == rows[-1]["dim_J"]
-    dims_consistent = all(
-        row["dim_invariants"] == row["dim_kernel"] + row["dim_image"]
-        for row in rows)
-
     rng = random.Random(seed)
     mult_ok = multiplicativity_check(analysis, basis, rng, sample_pairs)
     cent_ok = centdim_check(analysis, rng, samples=5)
 
     report = {
-        "entry": name,
+        "entry": analysis.name,
         "degree": degree,
         "seed": seed,
         "rows": rows,
         "flags": {
-            "weyl_invariance": weyl_ok,
-            "image_in_J": image_in_J,
-            "kernel_vanishes": kernel_ok,
-            "dims_match": dims_match,
-            "dims_consistent": dims_consistent,
+            "weyl_invariance": seq["weyl_invariant"],
+            "image_in_J": seq["in_J"],
+            "kernel_vanishes": seq["kernel_maps_to_zero"],
+            "dims_match": rows[-1]["dim_image"] == rows[-1]["dim_J"],
+            "dims_consistent": seq["dims_consistent"],
             "multiplicativity_sample": mult_ok,
             "centralizer_dimension_formula": cent_ok,
         },

@@ -13,13 +13,14 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .catalog import (CATALOG, Analysis, CatalogEntry, roots_report,
-                      verify_main_theorem)
+from .catalog import (CATALOG, Analysis, CatalogEntry, NoCertificate,
+                      NotEvenType, roots_report, verify_main_theorem)
 from .harish import invariants_up_to_degree
-from .liesuper import verify_algebra
+from .liesuper import MissingForm, MissingInvolution, verify_algebra
 from .pairs import PairError, build_pair
-from .rings import (membership_I, membership_J, membership_conditions,
-                    weyl_conditions)
+from .pbw import OrderNotIwasawa, accumulate
+from .rings import (InconsistentRelations, membership_I, membership_J,
+                    membership_conditions, weyl_conditions)
 from .scalars import scalar_from_string, scalar_to_string
 from .serialization import (SchemaError, algebra_from_json, dumps_canonical,
                             poly_from_json, poly_to_json, uea_to_json)
@@ -64,13 +65,19 @@ def _resolve_entry(name: str, direction):
     violations = verify_algebra(g)
     if violations:
         raise InputError(f"algebra fails validation: {violations[:3]}")
+    a_basis = data["a_basis"]
+    if not isinstance(a_basis, list) or not all(
+            isinstance(coords, list) and len(coords) == g.dim
+            and all(isinstance(x, str) for x in coords) for coords in a_basis):
+        raise InputError(f"a_basis must be a list of coordinate lists of "
+                         f"{g.dim} scalar strings")
     a_vectors = []
-    for coords in data["a_basis"]:
+    for coords in a_basis:
         vals = [scalar_from_string(x) for x in coords]
         a_vectors.append(g.vector({i: x for i, x in enumerate(vals) if x}))
-    analysis = Analysis(build_pair(g, a_vectors), direction,
-                        name=data.get("name", name))
-    entry = CatalogEntry(data.get("name", "explicit"), "explicit entry",
+    entry_name = data.get("name", "explicit")
+    analysis = Analysis(build_pair(g, a_vectors), direction, name=entry_name)
+    entry = CatalogEntry(entry_name, "explicit entry",
                          data.get("default_degree", 3), lambda: analysis)
     return entry, analysis
 
@@ -149,7 +156,6 @@ def cmd_gamma(args) -> int:
     g = analysis.pair.g
     adapted = analysis.ctx.adapted
     elem = {}
-    from .pbw import accumulate
     for term in data["terms"]:
         unknown = set(term) - {"word", "coeff"}
         if unknown or "word" not in term or "coeff" not in term:
@@ -211,7 +217,6 @@ def cmd_verify(args) -> int:
     seed = args.seed_local if getattr(args, "seed_local", None) is not None \
         else args.seed
     report = verify_main_theorem(analysis, degree=degree, seed=seed)
-    report["entry"] = entry.name
     timing = report.pop("timing_seconds")
     if args.timing:
         sys.stderr.write(f"verify {entry.name}: {timing:.3f}s\n")
@@ -274,7 +279,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (InputError, SchemaError, PairError, ValueError) as exc:
+    except (InputError, SchemaError, PairError, ValueError, MissingInvolution,
+            MissingForm, NoCertificate, NotEvenType, OrderNotIwasawa,
+            InconsistentRelations) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -13,11 +13,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
-from .linalg import ScalarMatrix, linear_solver, nullspace
+from .linalg import (ScalarMatrix, linear_solver, nullspace, rank,
+                     solve_membership)
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, OrderNotIwasawa, SymElement, UEA, UEAElement,
                   accumulate, supersymmetrise, sym_multiply)
+from .rings import membership_J
 
 Q = Fraction
 
@@ -131,7 +133,17 @@ def _diagonal_weights(ctx: IwasawaContext, k_idx: List[int]):
 
 
 def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
-    """Solve ad(x) D = 0 for all x in the k basis, over PBW monomials <= d."""
+    """Solve ad(x) D = 0 for all x in the k basis, over PBW monomials <= d.
+
+    Ordering contract, on which the per-degree rows of verify_exact_sequence
+    rest: the invariants are the reduced-echelon kernel over the monomials
+    listed by degree, so each has a 1 at its own leading monomial, where
+    every other invariant has 0, and is supported on monomials of no higher
+    degree; the companion basis is again a reduced-echelon kernel over the
+    invariants in this order.  Both lists therefore run by non-decreasing
+    degree, and the degree <= e part of either span is spanned exactly by
+    its basis vectors of degree <= e.
+    """
     uea = ctx.uea
     monos = uea.monomials_up_to(d)
     k_idx = ctx.k_indices()
@@ -140,7 +152,6 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     for m in monos:
         if all(sum((w[i] for i in m), Q(0)) == 0 for w in diag.values()):
             kept.append(m)
-    pos = {m: t for t, m in enumerate(kept)}
     rows: Dict[Tuple[int, Monomial], Dict[int, object]] = {}
     for x in others:
         for t, m in enumerate(kept):
@@ -182,33 +193,13 @@ def _ideal_part(ctx: IwasawaContext, invariants: List[UEAElement]
     return out
 
 
-def filtered_subspace(vectors: List[UEAElement], d: int) -> List[UEAElement]:
-    """Basis of the part of span(vectors) lying in filtration degree <= d."""
-    rows: Dict[Monomial, Dict[int, object]] = {}
-    for t, v in enumerate(vectors):
-        for m, c in v.items():
-            if len(m) > d:
-                rows.setdefault(m, {})[t] = c
-    mat = ScalarMatrix(len(rows), len(vectors),
-                       [rows[m] for m in sorted(rows)])
-    out = []
-    for coords in nullspace(mat):
-        elem: UEAElement = {}
-        for t, c in enumerate(coords):
-            if c:
-                accumulate(elem, vectors[t], c)
-        out.append(elem)
-    return out
-
-
 def poly_rank(polys: Sequence[APoly]) -> int:
     monos = sorted({e for p in polys for e in p.terms})
     pos = {e: i for i, e in enumerate(monos)}
     rows = []
     for p in polys:
         rows.append({pos[e]: c for e, c in p.terms.items()})
-    from .linalg import rank as _rank
-    return _rank(ScalarMatrix(len(rows), len(monos), rows))
+    return rank(ScalarMatrix(len(rows), len(monos), rows))
 
 
 def verify_exact_sequence(ctx: IwasawaContext, d: int,
@@ -216,29 +207,41 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
                           weyl=None, data=None) -> dict:
     """Dimension bookkeeping for 0 -> ideal part -> invariants -> image -> 0.
 
-    When the Weyl group and the odd-root data are supplied, the report also
-    carries the weyl_invariant and in_J flags for the computed image.
+    Gamma is taken once per basis vector.  rows holds one row per degree
+    e <= d, read off the basis order of invariants_up_to_degree: the degree
+    <= e parts are spanned by the basis vectors of degree <= e, so Gamma of
+    the degree <= e invariants is spanned by the first dim_invariants
+    images.  The top-level dimensions are the degree-d row.  When the Weyl
+    group and the odd-root data are supplied, the report also carries the
+    weyl_invariant and in_J flags for the computed image.
     """
     if basis is None:
         basis = invariants_up_to_degree(ctx, d)
     images = [ctx.hc_gamma(v) for v in basis.invariants]
     kernel_ok = all(not ctx.hc_gamma(v).terms for v in basis.companion)
-    dim_inv = len(basis.invariants)
-    dim_ker = len(basis.companion)
-    dim_img = poly_rank(images)
+    inv_degrees = [max(map(len, v), default=0) for v in basis.invariants]
+    ker_degrees = [max(map(len, v), default=0) for v in basis.companion]
+    rows = []
+    for e in range(d + 1):
+        dim_inv = sum(1 for t in inv_degrees if t <= e)
+        rows.append({
+            "degree": e,
+            "dim_invariants": dim_inv,
+            "dim_kernel": sum(1 for t in ker_degrees if t <= e),
+            "dim_image": poly_rank(images[:dim_inv]),
+        })
     report = {
-        "degree": d,
-        "dim_invariants": dim_inv,
-        "dim_kernel": dim_ker,
-        "dim_image": dim_img,
+        **rows[-1],
+        "rows": rows,
         "kernel_maps_to_zero": kernel_ok,
-        "dims_consistent": dim_inv == dim_ker + dim_img,
+        "dims_consistent": all(
+            row["dim_invariants"] == row["dim_kernel"] + row["dim_image"]
+            for row in rows),
     }
     if weyl is not None:
         report["weyl_invariant"] = all(
             p.substitute_linear(w) == p for p in images for w in weyl.elements)
     if data is not None and weyl is not None:
-        from .rings import membership_J
         report["in_J"] = all(membership_J(p, data, weyl) for p in images)
     return report
 
@@ -251,7 +254,6 @@ def gamma_preimage(ctx: IwasawaContext, target: APoly, d: int,
     images = [ctx.hc_gamma(v) for v in basis.invariants]
     monos = sorted({e for p in images for e in p.terms} | set(target.terms))
     cols = [[p.terms.get(e, Q(0)) for e in monos] for p in images]
-    from .linalg import solve_membership
     coords = solve_membership([target.terms.get(e, Q(0)) for e in monos], cols)
     if coords is None:
         return None

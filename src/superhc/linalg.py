@@ -8,6 +8,7 @@ pivot thresholds, no rounding, ever.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Q = Fraction
@@ -341,7 +342,6 @@ def rational_roots(coeffs: List) -> Tuple[List[Tuple[Fraction, int]], int]:
     if zmult:
         roots.append((Q(0), zmult))
     while len(work) > 1:
-        from math import lcm
         scale = lcm(*[c.denominator for c in work]) if len(work) > 1 else 1
         ints = [int(c * scale) for c in work]
         lead, const = ints[0], ints[-1]

@@ -368,16 +368,20 @@ def iwasawa_check(pair: SymmetricPair, system: RestrictedRootSystem,
         for i, v in enumerate(samples[1:], start=1):
             acc = acc + v.scale(Q(i))
         samples.append(acc)
-    k1_basis = [v for v in pair.k_basis if v.parity == 1]
-    p1_basis = [v for v in pair.p_basis if v.parity == 1]
     for x in samples:
-        zk1 = len(centralizer(g, [x], k1_basis))
-        zp1 = len(centralizer(g, [x], p1_basis))
-        if zk1 - zp1 != len(k1_basis) - len(p1_basis):
+        if not centralizer_formula_holds(pair, x):
             report["violations"].append(
                 f"centralizer dimension formula fails at sample {x!r}")
     report["ok"] = not report["violations"]
     return report
+
+
+def centralizer_formula_holds(pair: SymmetricPair, x: SuperVector) -> bool:
+    """dim z_{k1}(x) - dim z_{p1}(x) = dim k1 - dim p1 at x in p0."""
+    k1 = [v for v in pair.k_basis if v.parity == 1]
+    p1 = [v for v in pair.p_basis if v.parity == 1]
+    return len(centralizer(pair.g, [x], k1)) \
+        - len(centralizer(pair.g, [x], p1)) == len(k1) - len(p1)
 
 
 def a_perp_in_p(pair: SymmetricPair) -> List[SuperVector]:

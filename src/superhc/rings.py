@@ -18,7 +18,7 @@ from .linalg import ScalarMatrix, accumulate, linear_solver, nullspace
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
-from .scalars import sqrt_scalar
+from .scalars import rational_sqrt, sqrt_scalar
 
 Q = Fraction
 
@@ -323,7 +323,6 @@ def _build_aniso_model(q: int, c) -> RankOneModel:
         theta.rows[i][i] = Q(-1) if n == "a" or n[0] == "w" else Q(1)
 
     sqrt_ctx = None
-    from .scalars import rational_sqrt
     if rational_sqrt(Q(c)) is None:
         num = c.numerator * c.denominator
         sqrt_ctx = num  # sqrt(c) = sqrt(num)/denominator

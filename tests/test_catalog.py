@@ -122,3 +122,11 @@ def test_verify_exact_sequence_with_flags():
                                    data=analysis.data)
     assert report["weyl_invariant"] is True
     assert report["in_J"] is True
+
+
+def test_built_analysis_reports_carry_the_entry_name():
+    analysis = CATALOG["group-sl2"].build()
+    assert analysis.name == "group-sl2"
+    assert verify_main_theorem(analysis, degree=1)["entry"] == "group-sl2"
+    flipped = CATALOG["rank1-iso-q1"].build(direction=(Q(-1), Q(0)))
+    assert flipped.name == "rank1-iso-q1"

@@ -191,6 +191,47 @@ def test_negative_default_degree_of_explicit_entry_is_a_usage_error(
     assert out == "" and err.startswith("error:")
 
 
+def _sl2_double_entry(**fields):
+    from superhc.builders import double_with_flip
+    entry = {"algebra": algebra_to_json(double_with_flip(sl2())),
+             "a_basis": [["0", "1", "0", "0", "-1", "0"]]}
+    entry.update(fields)
+    return entry
+
+
+@pytest.mark.parametrize("command", ["roots", "verify"])
+@pytest.mark.parametrize("entry", [
+    _sl2_double_entry(a_basis=5),
+    _sl2_double_entry(a_basis=[5]),
+    _sl2_double_entry(a_basis="010010"),
+    _sl2_double_entry(a_basis=[[0, 1, 0, 0, -1, 0]]),
+    _sl2_double_entry(a_basis=[["0", "1"]]),
+    _sl2_double_entry(a_basis=[["0"] * 6]),
+    {"algebra": algebra_to_json(sl2()), "a_basis": [["0", "1", "0"]]},
+    _sl2_double_entry(algebra=dict(_sl2_double_entry()["algebra"],
+                                   form=None)),
+], ids=["a_basis-int", "a_basis-list-of-int", "a_basis-string",
+        "a_basis-int-coords", "a_basis-short", "a_basis-zero",
+        "no-involution", "no-form"])
+def test_malformed_explicit_entry_is_a_usage_error(tmp_path, capsys, command,
+                                                   entry):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    extra = ["--degree", "1"] if command == "verify" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_explicit_entry_without_name_reports_explicit(tmp_path, capsys):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(_sl2_double_entry()), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--degree", "1")
+    assert code == 0
+    assert json.loads(out)["entry"] == "explicit"
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "catalog", "list"])

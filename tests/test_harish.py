@@ -6,8 +6,8 @@ import pytest
 
 from superhc.apoly import APoly
 from superhc.catalog import CATALOG
-from superhc.harish import (filtered_subspace, gamma_preimage,
-                            gr_restriction, invariants_up_to_degree,
+from superhc.harish import (gamma_preimage, gr_restriction,
+                            invariants_up_to_degree, poly_rank,
                             verify_exact_sequence)
 from superhc.pbw import OrderNotIwasawa, UEA, accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
@@ -206,13 +206,23 @@ def test_weyl_invariance_of_images():
                 assert p.substitute_linear(w) == p
 
 
-def test_filtered_subspace():
-    analysis = CATALOG["rank1-aniso-q1"].build()
-    basis = invariants_up_to_degree(analysis.ctx, 3)
-    for d in range(4):
-        sub = filtered_subspace(basis.invariants, d)
-        for v in sub:
-            assert max((len(m) for m in v), default=0) <= d
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_exact_sequence_rows_match_independent_runs(name):
+    """Each per-degree row equals a fresh computation at that degree."""
+    entry = CATALOG[name]
+    ctx = entry.build().ctx
+    top = entry.default_degree
+    rows = verify_exact_sequence(ctx, top)["rows"]
+    assert [row["degree"] for row in rows] == list(range(top + 1))
+    for e in range(top + 1):
+        basis = invariants_up_to_degree(ctx, e)
+        assert rows[e] == {
+            "degree": e,
+            "dim_invariants": len(basis.invariants),
+            "dim_kernel": len(basis.companion),
+            "dim_image": poly_rank([ctx.hc_gamma(v)
+                                    for v in basis.invariants]),
+        }
 
 
 def test_gamma_preimage_roundtrip():
