@@ -232,8 +232,7 @@ def multiplicativity_check(analysis: Analysis, basis: InvariantBasis,
     for _ in range(pairs):
         u = basis.invariants[rng.randrange(len(basis.invariants))]
         v = basis.invariants[rng.randrange(len(basis.invariants))]
-        prod = ctx.uea.multiply(u, v)
-        if ctx.hc_gamma(prod) != ctx.hc_gamma(u) * ctx.hc_gamma(v):
+        if ctx.gamma_of_product(u, v) != ctx.hc_gamma(u) * ctx.hc_gamma(v):
             return False
     return True
 

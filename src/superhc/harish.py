@@ -94,6 +94,22 @@ class IwasawaContext:
         """The rho-shifted projection: Gamma(u)(mu) = u_a(mu + rho)."""
         return self.project_to_a(u).shift(self.rho)
 
+    def gamma_of_product(self, u: UEAElement, v: UEAElement) -> APoly:
+        """Gamma(u v) without forming u v.
+
+        Left monomials starting in n lie in n U(g) and right monomials ending
+        in k lie in U(g) k, so those pairs are skipped; every other pair is
+        straightened by project_word, which keeps only the pure-a part.
+        """
+        lo, hi = self.n_len, self.n_len + self.rank
+        left = [(m, c) for m, c in u.items() if not (m and m[0] < lo)]
+        right = [(m, c) for m, c in v.items() if not (m and m[-1] >= hi)]
+        acc: UEAElement = {}
+        for m1, c1 in left:
+            for m2, c2 in right:
+                accumulate(acc, self.uea.project_word(m1 + m2), c1 * c2)
+        return self.hc_gamma(acc)
+
     def gamma_of_sym(self, p: SymElement) -> APoly:
         return self.hc_gamma(self.beta_from_g(p))
 
@@ -300,10 +316,5 @@ def gr_restriction(pair: SymmetricPair, p: SymElement) -> APoly:
                 e = [0] * rank_a
                 for t in mono:
                     e[t] += 1
-                key = tuple(e)
-                w = acc.get(key, Q(0)) + v
-                if w:
-                    acc[key] = w
-                elif key in acc:
-                    del acc[key]
+                accumulate(acc, {tuple(e): v})
     return APoly(rank_a, acc)

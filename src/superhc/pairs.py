@@ -227,6 +227,10 @@ def choose_positive_system(system: RestrictedRootSystem,
     if direction is None:
         direction = default_direction(system)
     direction = tuple(direction)
+    rank = system.pair.rank
+    if len(direction) != rank:
+        raise PairError(f"direction of length {len(direction)} given "
+                        f"for a pair of rank {rank}")
     flags = []
     for root in system.roots:
         v = _pair_lam_d(root.lam, direction)

@@ -8,7 +8,8 @@ same encoding but multiply supercommutatively.  The straightening rule is
     xi xi = (1/2) [xi, xi]                  (xi odd)
 
 applied at the leftmost violation; two-sided memoisation makes repeated
-products cheap.
+products cheap.  With N < A < K blocks, project_word applies the same rule
+but drops every word that cannot reach the pure-A part.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .liesuper import LieSuperalgebra, MixedAlgebras, SuperVector
 from .linalg import accumulate
 
 Q = Fraction
+# shared by every straightening step; Fractions are immutable
+_ONE, _MINUS_ONE, _HALF = Q(1), Q(-1), Q(1, 2)
 
 Monomial = Tuple[int, ...]
 UEAElement = Dict[Monomial, object]
@@ -56,8 +59,8 @@ class UEA:
 
     def __init__(self, alg: LieSuperalgebra, blocks: Optional[Sequence[str]] = None):
         # all operations are pure; the only mutable state is the normal-form
-        # memo, which tolerates concurrent reads with a single writer (use
-        # one UEA per thread otherwise)
+        # and projection memos, which tolerate concurrent reads with a single
+        # writer (use one UEA per thread otherwise)
         self.alg = alg
         self.parity = alg.parity
         self.dim = alg.dim
@@ -69,7 +72,10 @@ class UEA:
             tags = [order.get(t) for t in self.blocks]
             if None in tags or tags != sorted(tags):
                 raise OrderNotIwasawa("blocks must be N* A* K* in basis order")
+            self._lo_a = self.blocks.count("N")
+            self._lo_k = self._lo_a + self.blocks.count("A")
         self._memo: Dict[Monomial, UEAElement] = {}
+        self._proj_memo: Dict[Monomial, UEAElement] = {}
 
     # -- basics -------------------------------------------------------------
     def mono_parity(self, m: Monomial) -> int:
@@ -88,6 +94,32 @@ class UEA:
         return {(i,): c for i, c in x.c.items()}
 
     # -- straightening ------------------------------------------------------
+    def _rewrite(self, word: Monomial, strategy: str = "leftmost"
+                 ) -> Optional[List[Tuple[Monomial, object]]]:
+        """One straightening step at the first violation the strategy meets.
+
+        Returns the words, with coefficients, that sum to word in U(g), or
+        None when word is already a PBW monomial.
+        """
+        par = self.parity
+        n = len(word)
+        idx = range(n - 1) if strategy == "leftmost" else range(n - 2, -1, -1)
+        for pos in idx:
+            a, b = word[pos], word[pos + 1]
+            if a > b or (a == b and par[a]):
+                break
+        else:
+            return None
+        head, tail = word[:pos], word[pos + 2:]
+        if a == b:
+            return [(head + (k,) + tail, _HALF * c)
+                    for k, c in self.alg.bracket_indices(a, a).items()]
+        out = [(head + (b, a) + tail,
+                _MINUS_ONE if par[a] and par[b] else _ONE)]
+        out.extend((head + (k,) + tail, c)
+                   for k, c in self.alg.bracket_indices(a, b).items())
+        return out
+
     def normal_form_word(self, word: Iterable[int], strategy: str = "leftmost"
                          ) -> UEAElement:
         word = tuple(word)
@@ -96,34 +128,43 @@ class UEA:
             hit = self._memo.get(word)
             if hit is not None:
                 return hit
-        par = self.parity
-        n = len(word)
-        pos = -1
-        idx = range(n - 1) if strategy == "leftmost" else range(n - 2, -1, -1)
-        for i in idx:
-            a, b = word[i], word[i + 1]
-            if a > b or (a == b and par[a]):
-                pos = i
-                break
-        if pos < 0:
-            res: UEAElement = {word: Q(1)}
+        steps = self._rewrite(word, strategy)
+        if steps is None:
+            res: UEAElement = {word: _ONE}
         else:
-            a, b = word[pos], word[pos + 1]
-            head, tail = word[:pos], word[pos + 2:]
             res = {}
-            if a == b:
-                for k, c in self.alg.bracket_indices(a, a).items():
-                    accumulate(res, self.normal_form_word(head + (k,) + tail,
-                                                          strategy), Q(1, 2) * c)
-            else:
-                sign = Q(-1) if par[a] and par[b] else Q(1)
-                accumulate(res, self.normal_form_word(head + (b, a) + tail,
-                                                      strategy), sign)
-                for k, c in self.alg.bracket_indices(a, b).items():
-                    accumulate(res, self.normal_form_word(head + (k,) + tail,
-                                                          strategy), c)
+            for w, c in steps:
+                accumulate(res, self.normal_form_word(w, strategy), c)
         if memo:
             self._memo[word] = res
+        return res
+
+    def project_word(self, word: Iterable[int]) -> UEAElement:
+        """The pure-A part of normal_form_word(word), straightening only what
+        can reach it.
+
+        In the order N < A < K a word whose first letter is in N lies in
+        n U(g), and one whose last letter is in K lies in U(g) k; both project
+        to 0, so they are dropped at every step, and a PBW monomial that is
+        not dropped is pure A.
+        """
+        if self.blocks is None:
+            raise OrderNotIwasawa("projection needs N<A<K blocks")
+        word = tuple(word)
+        hit = self._proj_memo.get(word)
+        if hit is not None:
+            return hit
+        if word and (word[0] < self._lo_a or word[-1] >= self._lo_k):
+            res: UEAElement = {}
+        else:
+            steps = self._rewrite(word)
+            if steps is None:
+                res = {word: _ONE}
+            else:
+                res = {}
+                for w, c in steps:
+                    accumulate(res, self.project_word(w), c)
+        self._proj_memo[word] = res
         return res
 
     def normal_form(self, factors: Sequence[SuperVector]) -> UEAElement:

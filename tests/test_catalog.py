@@ -65,6 +65,24 @@ def test_verify_main_theorem_group_gl12():
     assert last["dim_SW0"] > last["dim_J"]
 
 
+@pytest.mark.parametrize("name, degree", [("group-osp12", 6),
+                                          ("group-sl2", 6)])
+def test_verify_main_theorem_at_stretch_degree(name, degree):
+    assert verify_main_theorem(name, degree=degree)["ok"]
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "open J encoding: rings.membership_conditions demands that the odd part "
+    "B(u) be divisible by u^q, which Gamma(beta(P5)) = a(a^2-1)(a^2-4) "
+    "fails at q = 2; image_in_J is the only failing flag"))
+def test_verify_main_theorem_rank1_aniso_q2_degree_5():
+    report = verify_main_theorem("rank1-aniso-q2", degree=5)
+    failing = [k for k, v in report["flags"].items() if not v]
+    if failing not in ([], ["image_in_J"]):
+        pytest.fail(f"flags other than image_in_J fail: {failing}")
+    assert report["ok"]
+
+
 def test_planted_wrong_multiplicity_is_detected():
     # tampering with an odd multiplicity changes the predicted ring
     # dimensions, so dims_match fails

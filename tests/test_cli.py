@@ -159,6 +159,19 @@ def test_roots_with_direction_flag(capsys):
     assert positives == [["-2"]]
 
 
+@pytest.mark.parametrize("argv, given, rank", [
+    (["roots", "group-sl2", "--direction", "1,2"], 2, 1),
+    (["verify", "group-gl12", "--direction=-1"], 1, 3),
+], ids=["roots-too-many", "verify-too-few"])
+def test_direction_of_the_wrong_length_is_a_usage_error(capsys, argv, given,
+                                                        rank):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"length {given}" in err and f"rank {rank}" in err
+
+
 def test_seed_flag_after_subcommand(capsys):
     code, out1, _ = run(capsys, "verify", "rank1-iso-q1", "--degree", "2",
                         "--seed", "9")

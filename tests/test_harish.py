@@ -1,8 +1,10 @@
 import random
 import zlib
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superhc.apoly import APoly
 from superhc.catalog import CATALOG
@@ -25,6 +27,8 @@ def test_project_unit_and_pure_a():
 def test_project_requires_iwasawa_blocks():
     from superhc.builders import sl2
     u = UEA(sl2())
+    with pytest.raises(OrderNotIwasawa):
+        u.project_word((0,))
     with pytest.raises(OrderNotIwasawa):
         UEA(sl2(), blocks=["K", "A", "N"])  # wrong order
     # blockless context cannot project: simulated via missing blocks
@@ -298,3 +302,57 @@ def test_uea_beta_matches_permutation_oracle_on_group_osp12():
         want = beta_of_vectors(ctx, [adapted.basis(i) for i in m])
         assert ctx.uea.beta({m: Q(3, 2)}) == {k: Q(3, 2) * c
                                               for k, c in want.items()}, m
+
+
+# -- the projection-only product against the full product ---------------------
+
+@lru_cache(maxsize=None)
+def _oracle_context(name):
+    ctx = CATALOG[name].build().ctx
+    return ctx, invariants_up_to_degree(ctx, 2).invariants
+
+
+def _combination(data, elements):
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(elements),
+                                max_size=len(elements)))
+    out = {}
+    for c, elem in zip(coeffs, elements):
+        accumulate(out, elem, Q(c))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gamma_of_product_matches_full_product(name, data):
+    ctx, invariants = _oracle_context(name)
+    u = _combination(data, invariants)
+    v = _combination(data, invariants)
+    assert ctx.gamma_of_product(u, v) == ctx.hc_gamma(ctx.uea.multiply(u, v))
+    # the same with up to three degree <= 2 PBW monomials added to each
+    # factor, so that neither is k-invariant
+    monomials = st.sampled_from(ctx.uea.monomials_up_to(2))
+    for w in (u, v):
+        extra = data.draw(st.lists(monomials, max_size=3, unique=True))
+        accumulate(w, _combination(data, [{m: Q(1)} for m in extra]))
+    assert ctx.gamma_of_product(u, v) == ctx.hc_gamma(ctx.uea.multiply(u, v))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_project_word_is_pure_a_part_of_normal_form(name, data):
+    # random words of length <= 6, half of them with an odd letter repeated
+    ctx, _ = _oracle_context(name)
+    parity = ctx.adapted.parity
+    letters = st.integers(0, len(parity) - 1)
+    word = data.draw(st.lists(letters, max_size=4))
+    odds = [i for i, p in enumerate(parity) if p]
+    if odds and data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(odds))
+        for _ in range(2):
+            word.insert(data.draw(st.integers(0, len(word))), x)
+    lo, hi = ctx.n_len, ctx.n_len + ctx.rank
+    want = {m: c for m, c in ctx.uea.normal_form_word(word).items()
+            if all(lo <= i < hi for i in m)}
+    assert ctx.uea.project_word(word) == want

@@ -7,7 +7,8 @@ from superhc.catalog import CATALOG
 from superhc.linalg import ScalarMatrix, solve_membership
 from superhc.liesuper import LieSuperalgebra
 from superhc.pairs import (CentralizerTooLarge, DirectionOnWall, NotAbelian,
-                           NotInEvenP, build_pair, choose_positive_system,
+                           NotInEvenP, PairError, build_pair,
+                           choose_positive_system,
                            even_weyl_group, iwasawa_check, restricted_roots,
                            rho, weyl_acts_on_functional)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
@@ -104,6 +105,16 @@ def test_direction_on_wall():
     system = restricted_roots(pair)
     with pytest.raises(DirectionOnWall):
         choose_positive_system(system, direction=(Q(0),))
+
+
+@pytest.mark.parametrize("direction", [(), (Q(1), Q(2))])
+def test_direction_of_the_wrong_length(direction):
+    pair, _ = group_pair(sl2)
+    system = restricted_roots(pair)
+    with pytest.raises(PairError, match="rank 1") as exc:
+        choose_positive_system(system, direction=direction)
+    assert not isinstance(exc.value, DirectionOnWall)
+    assert system.positive is None
 
 
 def test_rho_empty_system_is_zero():
