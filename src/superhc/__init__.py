@@ -12,8 +12,8 @@ from .builders import (double_with_flip, gl11, gl12, matrix_superalgebra,
 from .catalog import (CATALOG, Analysis, NoCertificate, NotEvenType,
                       group_type_pair, roots_report, verify_certificate,
                       verify_main_theorem)
-from .harish import (InvariantBasis, IwasawaContext, gamma_preimage,
-                     gr_restriction, invariants_up_to_degree,
+from .harish import (InvariantBasis, IwasawaContext, OrderNotIwasawa,
+                     gamma_preimage, gr_restriction, invariants_up_to_degree,
                      verify_exact_sequence)
 from .liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                        MissingInvolution, SuperVector, centralizer,
@@ -27,7 +27,7 @@ from .pairs import (CentralizerTooLarge, DegenerateFormOnA, DirectionOnWall,
                     SymmetricPair, WeylGroup, a_perp_in_p, build_pair,
                     choose_positive_system, even_weyl_group, iwasawa_check,
                     restricted_roots, rho)
-from .pbw import UEA, OrderNotIwasawa, SymElement, UEAElement
+from .pbw import UEA, SymElement, UEAElement
 from .rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass, InconsistentRelations,
                     NotInSA, OddRootDatum, RankOneModel, apoly_from_sym,
                     build_rank_one_model,

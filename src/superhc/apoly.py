@@ -151,9 +151,6 @@ class APoly:
             s = s + v
         return s
 
-    def truncate(self, d: int) -> "APoly":
-        return APoly(self.n, {e: c for e, c in self.terms.items() if sum(e) <= d})
-
     def pretty(self, names: Optional[Sequence[str]] = None) -> str:
         if not self.terms:
             return "0"

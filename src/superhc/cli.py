@@ -15,12 +15,12 @@ from typing import List, Optional
 
 from .catalog import (CATALOG, Analysis, CatalogEntry, NoCertificate,
                       NotEvenType, roots_report, verify_main_theorem)
-from .harish import invariants_up_to_degree
+from .harish import OrderNotIwasawa, invariants_up_to_degree
 from .liesuper import MissingForm, MissingInvolution, verify_algebra
 from .pairs import PairError, build_pair
-from .pbw import OrderNotIwasawa, accumulate
-from .rings import (InconsistentRelations, membership_I, membership_J,
-                    membership_conditions, weyl_conditions)
+from .pbw import accumulate
+from .rings import (InconsistentRelations, membership_conditions,
+                    weyl_conditions)
 from .scalars import scalar_from_string, scalar_to_string
 from .serialization import (SchemaError, algebra_from_json, dumps_canonical,
                             poly_from_json, poly_to_json, uea_to_json)
@@ -55,6 +55,8 @@ def _resolve_entry(name: str, direction):
     except InputError:
         raise InputError(f"unknown entry {name!r} "
                          f"(catalog: {sorted(CATALOG)}) and not a readable file")
+    if not isinstance(data, dict):
+        raise InputError("explicit entry must be a JSON object")
     for key in ("algebra", "a_basis"):
         if key not in data:
             raise InputError(f"explicit entry needs field {key!r}")
@@ -76,6 +78,8 @@ def _resolve_entry(name: str, direction):
         vals = [scalar_from_string(x) for x in coords]
         a_vectors.append(g.vector({i: x for i, x in enumerate(vals) if x}))
     entry_name = data.get("name", "explicit")
+    if not isinstance(entry_name, str):
+        raise InputError(f"entry name must be a string, got {entry_name!r}")
     analysis = Analysis(build_pair(g, a_vectors), direction, name=entry_name)
     entry = CatalogEntry(entry_name, "explicit entry",
                          data.get("default_degree", 3), lambda: analysis)
@@ -84,7 +88,7 @@ def _resolve_entry(name: str, direction):
 
 def _degree(args, entry) -> int:
     degree = args.degree if args.degree is not None else entry.default_degree
-    if not isinstance(degree, int) or degree < 0:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
         raise InputError(f"degree must be a non-negative integer, got {degree!r}")
     return degree
 
@@ -92,7 +96,10 @@ def _degree(args, entry) -> int:
 def _parse_direction(arg: Optional[str]):
     if arg is None:
         return None
-    return [scalar_from_string(x) for x in arg.split(",")]
+    direction = [scalar_from_string(x) for x in arg.split(",")]
+    if not all(isinstance(x, Fraction) for x in direction):
+        raise InputError(f"direction must have rational coordinates, got {arg!r}")
+    return direction
 
 
 def cmd_catalog(args) -> int:
@@ -133,7 +140,7 @@ def cmd_invariants(args) -> int:
         "entry": entry.name,
         "degree": degree,
         "adapted_basis": list(adapted.names),
-        "blocks": list(analysis.ctx.uea.blocks),
+        "blocks": analysis.ctx.blocks,
         "dim_invariants": len(basis.invariants),
         "dim_ideal_part": len(basis.companion),
         "invariants": [uea_to_json(v) for v in basis.invariants],
@@ -148,7 +155,7 @@ def cmd_invariants(args) -> int:
 def cmd_gamma(args) -> int:
     entry, analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
     data = _load_json_arg(args.element)
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise InputError('element JSON needs {"terms": [{"word": [...], "coeff": "..."}]}')
     unknown = set(data) - {"terms"}
     if unknown:
@@ -157,11 +164,13 @@ def cmd_gamma(args) -> int:
     adapted = analysis.ctx.adapted
     elem = {}
     for term in data["terms"]:
-        unknown = set(term) - {"word", "coeff"}
-        if unknown or "word" not in term or "coeff" not in term:
+        if not isinstance(term, dict) or set(term) != {"word", "coeff"}:
             raise InputError("element terms need exactly 'word' and 'coeff'")
+        word = term["word"]
+        if not isinstance(word, list) or not all(isinstance(n, str) for n in word):
+            raise InputError(f"a word is a list of generator names, got {word!r}")
         factors = []
-        for name in term["word"]:
+        for name in word:
             if name in g._index:
                 factors.append(g.basis(name))
             elif name in adapted._index:
@@ -184,11 +193,7 @@ def cmd_gamma(args) -> int:
 def cmd_membership(args) -> int:
     entry, analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
     poly = poly_from_json(_load_json_arg(args.poly), analysis.a_names)
-    if args.ring == "J":
-        verdict = membership_J(poly, analysis.data, analysis.weyl)
-    else:
-        verdict = membership_I(poly, analysis.data, analysis.weyl,
-                               include_weyl=not args.no_weyl)
+    # the conditions membership_I and membership_J test, computed once
     conditions = {}
     for datum in analysis.data:
         if datum.gated:
@@ -202,13 +207,13 @@ def cmd_membership(args) -> int:
         "entry": entry.name,
         "ring": args.ring,
         "poly": poly_to_json(poly, analysis.a_names),
-        "member": verdict,
+        "member": not conditions,
         "violated_conditions": conditions,
         "gated_roots": [[scalar_to_string(x) for x in d.lam]
                         for d in analysis.data if d.gated],
     }
     sys.stdout.write(dumps_canonical(out))
-    return EXIT_OK if verdict else EXIT_FAIL
+    return EXIT_FAIL if conditions else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -17,15 +17,23 @@ from .linalg import (ScalarMatrix, linear_solver, nullspace, rank,
                      solve_membership)
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
-from .pbw import (Monomial, OrderNotIwasawa, SymElement, UEA, UEAElement,
-                  accumulate, supersymmetrise, sym_multiply)
+from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
+                  supersymmetrise, sym_multiply)
 from .rings import membership_J
 
 Q = Fraction
 
 
+class OrderNotIwasawa(Exception):
+    """A projection onto U(a) was asked of something not in n < a < k order."""
+
+
 class IwasawaContext:
-    """A pair with a positive system, rebased to the n < a < k PBW order."""
+    """A pair with a positive system, rebased to the n < a < k PBW order.
+
+    The basis lists n at indices below lo_a, a from lo_a to lo_k and k from
+    lo_k on; every projection onto U(a) reads these two bounds.
+    """
 
     def __init__(self, pair: SymmetricPair, system: RestrictedRootSystem):
         if system.positive is None:
@@ -39,13 +47,15 @@ class IwasawaContext:
         names = [f"n{i}" for i in range(len(n_basis))] \
             + [f"a{i}" for i in range(len(a_basis))] \
             + [f"k{i}" for i in range(len(k_basis))]
-        blocks = ["N"] * len(n_basis) + ["A"] * len(a_basis) + ["K"] * len(k_basis)
+        self.blocks = ["N"] * len(n_basis) + ["A"] * len(a_basis) \
+            + ["K"] * len(k_basis)
         self.adapted = change_basis(pair.g, vectors, names)
-        self.uea = UEA(self.adapted, blocks)
+        self.uea = UEA(self.adapted)
         self.vectors = vectors
         self.n_len = len(n_basis)
         self.rank = len(a_basis)
-        self.k_len = len(k_basis)
+        self.lo_a, self.lo_k = self.n_len, self.n_len + self.rank
+        self._proj_memo: Dict[Monomial, UEAElement] = {}
         self._solve = linear_solver([v.dense() for v in vectors])
         self.rho = rho(system)[0]
         # the U(g) factor of each basis letter of the original algebra
@@ -58,10 +68,10 @@ class IwasawaContext:
         return SuperVector(self.adapted, {i: c for i, c in enumerate(coords) if c})
 
     def k_indices(self) -> List[int]:
-        return list(range(self.n_len + self.rank, self.adapted.dim))
+        return list(range(self.lo_k, self.adapted.dim))
 
     def a_index(self, i: int) -> int:
-        return self.n_len + i
+        return self.lo_a + i
 
     def word(self, factors: Sequence[SuperVector]) -> UEAElement:
         """Normal form of a product of elements of the original algebra."""
@@ -76,9 +86,7 @@ class IwasawaContext:
     # -- the projection and its shift ----------------------------------------
     def project_to_a(self, u: UEAElement) -> APoly:
         """The pure-a part of u; u minus it lies in n U(g) + U(g) k."""
-        if self.uea.blocks is None:
-            raise OrderNotIwasawa("context lost its Iwasawa blocks")
-        lo, hi = self.n_len, self.n_len + self.rank
+        lo, hi = self.lo_a, self.lo_k
         terms: Dict[Tuple[int, ...], object] = {}
         for m, c in u.items():
             if all(lo <= i < hi for i in m):
@@ -89,6 +97,32 @@ class IwasawaContext:
             elif not (m[0] < lo or m[-1] >= hi):
                 raise OrderNotIwasawa("monomial escapes n U(g) + U(g) k")
         return APoly(self.rank, terms)
+
+    def project_word(self, word: Sequence[int]) -> UEAElement:
+        """The pure-a part of uea.normal_form_word(word), straightening only
+        what can reach it.
+
+        In the order n < a < k a word whose first letter is in n lies in
+        n U(g), and one whose last letter is in k lies in U(g) k; both project
+        to 0, so they are dropped at every step, and a PBW monomial that is
+        not dropped is pure a.
+        """
+        word = tuple(word)
+        hit = self._proj_memo.get(word)
+        if hit is not None:
+            return hit
+        if word and (word[0] < self.lo_a or word[-1] >= self.lo_k):
+            res: UEAElement = {}
+        else:
+            steps = self.uea.rewrite(word)
+            if steps is None:
+                res = {word: Q(1)}
+            else:
+                res = {}
+                for w, c in steps:
+                    accumulate(res, self.project_word(w), c)
+        self._proj_memo[word] = res
+        return res
 
     def hc_gamma(self, u: UEAElement) -> APoly:
         """The rho-shifted projection: Gamma(u)(mu) = u_a(mu + rho)."""
@@ -101,13 +135,13 @@ class IwasawaContext:
         in k lie in U(g) k, so those pairs are skipped; every other pair is
         straightened by project_word, which keeps only the pure-a part.
         """
-        lo, hi = self.n_len, self.n_len + self.rank
+        lo, hi = self.lo_a, self.lo_k
         left = [(m, c) for m, c in u.items() if not (m and m[0] < lo)]
         right = [(m, c) for m, c in v.items() if not (m and m[-1] >= hi)]
         acc: UEAElement = {}
         for m1, c1 in left:
             for m2, c2 in right:
-                accumulate(acc, self.uea.project_word(m1 + m2), c1 * c2)
+                accumulate(acc, self.project_word(m1 + m2), c1 * c2)
         return self.hc_gamma(acc)
 
     def gamma_of_sym(self, p: SymElement) -> APoly:
@@ -191,7 +225,7 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
 def _ideal_part(ctx: IwasawaContext, invariants: List[UEAElement]
                 ) -> List[UEAElement]:
     """Combinations of the invariants supported on monomials with a k index."""
-    lo_k = ctx.n_len + ctx.rank
+    lo_k = ctx.lo_k
     rows: Dict[Monomial, Dict[int, object]] = {}
     for t, inv in enumerate(invariants):
         for m, c in inv.items():

@@ -180,8 +180,17 @@ def scalar_to_string(x: ScalarLike) -> str:
 
 
 def scalar_from_string(s: str) -> ScalarLike:
-    """Parse the canonical form produced by :func:`scalar_to_string`."""
-    s = s.strip().replace(" ", "")
+    """Parse the canonical form produced by :func:`scalar_to_string`; raise
+    ValueError on anything else, a non-string or zero denominator included."""
+    if not isinstance(s, str):
+        raise ValueError(f"scalar must be a string, got {s!r}")
+    try:
+        return _parse_scalar(s.strip().replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {s!r}") from None
+
+
+def _parse_scalar(s: str) -> ScalarLike:
     if "sqrt" not in s:
         return Q(s)
     # split  A+B*sqrt(c)  /  A-B*sqrt(c)  at the sign before the B term

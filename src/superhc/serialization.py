@@ -35,13 +35,21 @@ def _expect_keys(obj: dict, required: Sequence[str], optional: Sequence[str] = (
         raise SchemaError(f"missing fields: {sorted(missing)}")
 
 
+def _expect(obj, kind: type, what: str):
+    """obj, if it is a kind (a bool is not an int here); else SchemaError."""
+    if not isinstance(obj, kind) or isinstance(obj, bool):
+        raise SchemaError(f"{what} must be {kind.__name__}, got {obj!r}")
+    return obj
+
+
 def _matrix_to_json(m: ScalarMatrix) -> List[List[str]]:
     return [[scalar_to_string(m.entry(i, j)) for j in range(m.ncols)]
             for i in range(m.nrows)]
 
 
 def _matrix_from_json(rows: List[List[str]], dim: int) -> ScalarMatrix:
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+    if len(_expect(rows, list, "matrix")) != dim \
+            or any(len(_expect(r, list, "matrix row")) != dim for r in rows):
         raise SchemaError("matrix has wrong shape")
     return ScalarMatrix.from_rows(
         [[scalar_from_string(x) for x in row] for row in rows])
@@ -52,7 +60,7 @@ def _vector_to_json(v: SuperVector) -> List[str]:
 
 
 def _vector_from_json(coords: List[str], g: LieSuperalgebra) -> SuperVector:
-    if len(coords) != g.dim:
+    if len(_expect(coords, list, "vector")) != g.dim:
         raise SchemaError("vector has wrong length")
     vals = [scalar_from_string(x) for x in coords]
     return SuperVector(g, {i: x for i, x in enumerate(vals) if x})
@@ -85,23 +93,23 @@ def algebra_to_json(g: LieSuperalgebra) -> dict:
 def algebra_from_json(data: dict) -> LieSuperalgebra:
     _expect_keys(data, ["basis", "brackets"], ["form", "theta", "decomposition"])
     names, parity = [], []
-    for entry in data["basis"]:
+    for entry in _expect(data["basis"], list, "basis"):
         _expect_keys(entry, ["name", "parity"])
-        if entry["parity"] not in (0, 1):
+        if _expect(entry["parity"], int, "parity") not in (0, 1):
             raise SchemaError(f"bad parity {entry['parity']!r}")
-        names.append(entry["name"])
+        names.append(_expect(entry["name"], str, "basis name"))
         parity.append(entry["parity"])
     dim = len(names)
     brackets: Dict = {}
-    for entry in data["brackets"]:
+    for entry in _expect(data["brackets"], list, "brackets"):
         _expect_keys(entry, ["i", "j", "out"])
-        i, j = entry["i"], entry["j"]
+        i, j = _expect(entry["i"], int, "i"), _expect(entry["j"], int, "j")
         if not (0 <= i < dim and 0 <= j < dim):
             raise SchemaError(f"bracket index out of range: ({i}, {j})")
         out = {}
-        for term in entry["out"]:
+        for term in _expect(entry["out"], list, "bracket output"):
             _expect_keys(term, ["k", "coeff"])
-            if not 0 <= term["k"] < dim:
+            if not 0 <= _expect(term["k"], int, "k") < dim:
                 raise SchemaError(f"output index out of range: {term['k']}")
             out[term["k"]] = scalar_from_string(term["coeff"])
         if (i, j) in brackets:
@@ -117,9 +125,11 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
         dec = data["decomposition"]
         _expect_keys(dec, ["center", "ideals"])
         g.decomposition = {
-            "center": [_vector_from_json(v, g) for v in dec["center"]],
-            "ideals": [[_vector_from_json(v, g) for v in ideal]
-                       for ideal in dec["ideals"]],
+            "center": [_vector_from_json(v, g)
+                       for v in _expect(dec["center"], list, "center")],
+            "ideals": [[_vector_from_json(v, g)
+                        for v in _expect(ideal, list, "ideal")]
+                       for ideal in _expect(dec["ideals"], list, "ideals")],
         }
     return g
 
@@ -131,9 +141,10 @@ def uea_to_json(u: UEAElement) -> list:
 
 def uea_from_json(data: list) -> UEAElement:
     out: UEAElement = {}
-    for entry in data:
+    for entry in _expect(data, list, "element"):
         _expect_keys(entry, ["monomial", "coeff"])
-        m = tuple(entry["monomial"])
+        m = tuple(_expect(i, int, "monomial index")
+                  for i in _expect(entry["monomial"], list, "monomial"))
         out[m] = out.get(m, Q(0)) + scalar_from_string(entry["coeff"])
     return {m: c for m, c in out.items() if c}
 
@@ -150,13 +161,13 @@ def poly_from_json(data: dict, names: Sequence[str]) -> APoly:
     _expect_keys(data, ["terms"])
     pos = {n: i for i, n in enumerate(names)}
     out = APoly.zero(len(names))
-    for entry in data["terms"]:
+    for entry in _expect(data["terms"], list, "terms"):
         _expect_keys(entry, ["exps", "coeff"])
         e = [0] * len(names)
-        for n, k in entry["exps"].items():
+        for n, k in _expect(entry["exps"], dict, "exps").items():
             if n not in pos:
                 raise SchemaError(f"unknown variable {n!r} (have {list(names)})")
-            if not isinstance(k, int) or k < 0:
+            if _expect(k, int, "exponent") < 0:
                 raise SchemaError(f"bad exponent {k!r}")
             e[pos[n]] = k
         out = out + APoly(len(names), {tuple(e): scalar_from_string(entry["coeff"])})

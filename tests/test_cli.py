@@ -192,16 +192,18 @@ def test_negative_degree_is_a_usage_error(capsys):
 def test_negative_default_degree_of_explicit_entry_is_a_usage_error(
         tmp_path, capsys):
     from superhc.builders import double_with_flip
-    entry = {
-        "algebra": algebra_to_json(double_with_flip(sl2())),
-        "a_basis": [["0", "1", "0", "0", "-1", "0"]],
-        "default_degree": -2,
-    }
-    path = tmp_path / "entry.json"
-    path.write_text(json.dumps(entry), encoding="utf-8")
-    code, out, err = run(capsys, "invariants", str(path))
-    assert code == 2
-    assert out == "" and err.startswith("error:")
+    # JSON true is not the degree 1 either
+    for degree in (-2, True):
+        entry = {
+            "algebra": algebra_to_json(double_with_flip(sl2())),
+            "a_basis": [["0", "1", "0", "0", "-1", "0"]],
+            "default_degree": degree,
+        }
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        code, out, err = run(capsys, "invariants", str(path))
+        assert code == 2, degree
+        assert out == "" and err.startswith("error:")
 
 
 def _sl2_double_entry(**fields):
@@ -209,6 +211,12 @@ def _sl2_double_entry(**fields):
     entry = {"algebra": algebra_to_json(double_with_flip(sl2())),
              "a_basis": [["0", "1", "0", "0", "-1", "0"]]}
     entry.update(fields)
+    return entry
+
+
+def _with_algebra_field(edit):
+    entry = _sl2_double_entry()
+    edit(entry["algebra"])
     return entry
 
 
@@ -223,9 +231,18 @@ def _sl2_double_entry(**fields):
     {"algebra": algebra_to_json(sl2()), "a_basis": [["0", "1", "0"]]},
     _sl2_double_entry(algebra=dict(_sl2_double_entry()["algebra"],
                                    form=None)),
+    _with_algebra_field(lambda a: a["form"][0].__setitem__(0, 1)),
+    _with_algebra_field(lambda a: a["form"][0].__setitem__(0, "1/0")),
+    _with_algebra_field(lambda a: a["brackets"][0].__setitem__("i", "0")),
+    _with_algebra_field(lambda a: a["basis"][0].__setitem__("name", ["x"])),
+    _with_algebra_field(lambda a: a["basis"][0].__setitem__("parity", True)),
+    _sl2_double_entry(name=["x"]),
+    5,
 ], ids=["a_basis-int", "a_basis-list-of-int", "a_basis-string",
         "a_basis-int-coords", "a_basis-short", "a_basis-zero",
-        "no-involution", "no-form"])
+        "no-involution", "no-form", "form-int", "form-zero-denominator",
+        "bracket-index-string", "basis-name-list", "parity-bool",
+        "name-list", "entry-int"])
 def test_malformed_explicit_entry_is_a_usage_error(tmp_path, capsys, command,
                                                    entry):
     path = tmp_path / "entry.json"
@@ -249,3 +266,32 @@ def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "catalog", "list"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "rank1-aniso-q1", "--element", '{"terms": 5}'],
+    ["gamma", "rank1-aniso-q1", "--element", '{"terms": [5]}'],
+    ["gamma", "rank1-aniso-q1", "--element",
+     '{"terms": [{"word": 5, "coeff": "1"}]}'],
+    ["gamma", "group-sl2", "--element",
+     '{"terms": [{"word": [["e.l"]], "coeff": "1"}]}'],
+    ["gamma", "rank1-aniso-q1", "--element",
+     '{"terms": [{"word": ["a"], "coeff": 1}]}'],
+    ["membership", "rank1-aniso-q1", "--ring", "J", "--poly", '{"terms": 5}'],
+    ["membership", "rank1-aniso-q1", "--ring", "J", "--poly",
+     '{"terms": [{"exps": 5, "coeff": "1"}]}'],
+    ["membership", "rank1-aniso-q1", "--ring", "J", "--poly",
+     '{"terms": [{"exps": {"a": 1}, "coeff": 1}]}'],
+    ["membership", "rank1-aniso-q1", "--ring", "J", "--poly",
+     '{"terms": [{"exps": {"a": true}, "coeff": "1"}]}'],
+    ["roots", "group-sl2", "--direction", "1+1*sqrt(2)"],
+    ["roots", "group-sl2", "--direction", "1/0"],
+], ids=["terms-int", "term-int", "word-int", "word-of-lists", "coeff-int",
+        "poly-terms-int", "exps-int", "poly-coeff-int", "exponent-bool",
+        "direction-irrational", "direction-zero-denominator"])
+def test_malformed_json_argument_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+

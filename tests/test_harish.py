@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from superhc.apoly import APoly
 from superhc.catalog import CATALOG
-from superhc.harish import (gamma_preimage, gr_restriction,
-                            invariants_up_to_degree, poly_rank,
-                            verify_exact_sequence)
-from superhc.pbw import OrderNotIwasawa, UEA, accumulate
+from superhc.harish import (IwasawaContext, OrderNotIwasawa, gamma_preimage,
+                            gr_restriction, invariants_up_to_degree,
+                            poly_rank, verify_exact_sequence)
+from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
 from support import beta_of_vectors
 
@@ -24,23 +24,17 @@ def test_project_unit_and_pure_a():
     assert ctx.project_to_a(h) == APoly.variable(1, 0)
 
 
-def test_project_requires_iwasawa_blocks():
-    from superhc.builders import sl2
-    u = UEA(sl2())
+def test_projection_refuses_what_is_not_in_iwasawa_order():
+    # no positive system yet: there is no n, so no n < a < k order
+    from superhc.pairs import restricted_roots
+    pair = CATALOG["group-sl2"].build().pair
     with pytest.raises(OrderNotIwasawa):
-        u.project_word((0,))
+        IwasawaContext(pair, restricted_roots(pair))
+    # a word that is not a PBW monomial: a letter of a before one of n
+    ctx = CATALOG["group-sl2"].build().ctx
+    assert ctx.n_len and ctx.rank
     with pytest.raises(OrderNotIwasawa):
-        UEA(sl2(), blocks=["K", "A", "N"])  # wrong order
-    # blockless context cannot project: simulated via missing blocks
-    analysis = CATALOG["group-sl2"].build()
-    ctx = analysis.ctx
-    ctx_uea_blocks = ctx.uea.blocks
-    try:
-        ctx.uea.blocks = None
-        with pytest.raises(OrderNotIwasawa):
-            ctx.project_to_a(ctx.uea.one())
-    finally:
-        ctx.uea.blocks = ctx_uea_blocks
+        ctx.project_to_a({(ctx.a_index(0), 0): Q(1)})
 
 
 def test_project_and_gamma_rank_one_p2():
@@ -355,4 +349,4 @@ def test_project_word_is_pure_a_part_of_normal_form(name, data):
     lo, hi = ctx.n_len, ctx.n_len + ctx.rank
     want = {m: c for m, c in ctx.uea.normal_form_word(word).items()
             if all(lo <= i < hi for i in m)}
-    assert ctx.uea.project_word(word) == want
+    assert ctx.project_word(word) == want

@@ -3,8 +3,7 @@ from fractions import Fraction as Q
 from math import comb
 
 from superhc.builders import osp12, sl2
-from superhc.pbw import (UEA, accumulate, add, scale, sym_adjoint,
-                         sym_multiply, sym_monomials_up_to)
+from superhc.pbw import UEA, accumulate, sym_adjoint, sym_multiply
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
 from superhc.serialization import uea_from_json, uea_to_json
 from superhc.serialization import dumps_canonical
@@ -65,8 +64,8 @@ def test_multiply_defining_relation():
     for i in range(g.dim):
         for j in range(g.dim):
             sign = Q(-1) if g.parity[i] and g.parity[j] else Q(1)
-            lhs = add(u.multiply(u.generator(i), u.generator(j)),
-                      scale(u.multiply(u.generator(j), u.generator(i)), -sign))
+            lhs = u.multiply(u.generator(i), u.generator(j))
+            accumulate(lhs, u.multiply(u.generator(j), u.generator(i)), -sign)
             rhs = {}
             for k, c in g.bracket_indices(i, j).items():
                 rhs[(k,)] = c
@@ -104,8 +103,9 @@ def test_beta_two_letters_vs_direct_definition():
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             sign = Q(-1) if g.parity[i] and g.parity[j] else Q(1)
-            direct = add(scale(u.normal_form_word((i, j)), Q(1, 2)),
-                         scale(u.normal_form_word((j, i)), Q(1, 2) * sign))
+            direct = {}
+            accumulate(direct, u.normal_form_word((i, j)), Q(1, 2))
+            accumulate(direct, u.normal_form_word((j, i)), Q(1, 2) * sign)
             assert u.beta({(i, j): Q(1)}) == direct
 
 
@@ -115,7 +115,8 @@ def test_beta_is_filtered_section():
     u = UEA(g)
     for m in u.monomials_up_to(3):
         b = u.beta({m: Q(1)})
-        assert u.graded_piece(b, len(m)) == {m: Q(1)}
+        top = {w: c for w, c in b.items() if len(w) == len(m)}
+        assert top == {m: Q(1)}
 
 
 def test_adjoint_unit_and_degree_one():
@@ -161,96 +162,6 @@ def test_adjoint_rank_one_paper_identity():
     assert lhs == u.beta(rhs_sym)
     # and the S(g)-level identity ad(y_n)(Z) = A_lam z_n itself
     assert sym_adjoint(g, y1, Z) == rhs_sym
-
-
-def test_coproduct_unit_and_primitives():
-    g = osp12()
-    u = UEA(g)
-    assert u.coproduct(u.one()) == {((), ()): Q(1)}
-    for i in range(g.dim):
-        assert u.coproduct(u.generator(i)) == {((i,), ()): Q(1),
-                                               ((), (i,)): Q(1)}
-
-
-def test_coproduct_of_product_is_product_of_coproducts():
-    g = osp12()
-    u = UEA(g)
-    rng = random.Random(10)
-    for _ in range(25):
-        a = random_element(u, rng, max_len=2, terms=2)
-        b = random_element(u, rng, max_len=2, terms=2)
-        assert u.coproduct(u.multiply(a, b)) \
-            == u.tensor_multiply(u.coproduct(a), u.coproduct(b))
-
-
-def test_coproduct_two_letters_expansion():
-    # Delta(xy) = Delta(x)Delta(y): four terms with the Koszul sign
-    g = osp12()
-    u = UEA(g)
-    ix, iy = g.index("x"), g.index("y")
-    lhs = u.coproduct(u.normal_form_word((ix, iy)))
-    rhs = u.tensor_multiply(u.coproduct(u.generator(ix)),
-                            u.coproduct(u.generator(iy)))
-    assert lhs == rhs
-
-
-def test_coassociativity():
-    g = osp12()
-    u = UEA(g)
-    rng = random.Random(12)
-    # (Delta (x) id) Delta = (id (x) Delta) Delta, checked by flattening
-    for _ in range(10):
-        a = random_element(u, rng, max_len=3, terms=2)
-        t = u.coproduct(a)
-        left, right = {}, {}
-        for (m1, m2), c in t.items():
-            for (m1a, m1b), c1 in u.coproduct({m1: Q(1)}).items():
-                key = (m1a, m1b, m2)
-                left[key] = left.get(key, Q(0)) + c * c1
-            for (m2a, m2b), c2 in u.coproduct({m2: Q(1)}).items():
-                key = (m1, m2a, m2b)
-                right[key] = right.get(key, Q(0)) + c * c2
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        assert left == right
-
-
-def test_antipode_basics():
-    g = osp12()
-    u = UEA(g)
-    assert u.antipode(u.one()) == u.one()
-    for i in range(g.dim):
-        assert u.antipode(u.generator(i)) == {(i,): Q(-1)}
-
-
-def test_antipode_two_letters():
-    # S(xy) = (-1)^{|x||y|} y x as a normal form
-    g = osp12()
-    u = UEA(g)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            sign = Q(-1) if g.parity[i] and g.parity[j] else Q(1)
-            lhs = u.antipode(u.normal_form_word((i, j)))
-            rhs = {}
-            for m, c in u.normal_form_word((j, i)).items():
-                rhs[m] = sign * c
-            # S(xy) = S of each normal-form monomial; compare via S(x)S(y)
-            direct = u.multiply(u.antipode(u.generator(j)),
-                                u.antipode(u.generator(i)))
-            direct = {m: sign * c for m, c in direct.items()}
-            assert lhs == direct
-
-
-def test_hopf_antipode_axiom_random():
-    g = osp12()
-    u = UEA(g)
-    rng = random.Random(13)
-    for _ in range(30):
-        a = random_element(u, rng, max_len=3, terms=2)
-        assert u.antipode_axiom_defect(a) == {}
-        assert u.counit(u.one()) == Q(1)
-        for i in range(g.dim):
-            assert u.counit(u.generator(i)) == 0
 
 
 def test_pbw_dimension_formula():

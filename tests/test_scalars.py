@@ -74,3 +74,10 @@ def test_canonical_strings():
     assert scalar_to_string(Q(4)) == "4"
     assert scalar_to_string(quad(Q(1, 2), Q(-3, 4), 5)) == "1/2-3/4*sqrt(5)"
     assert scalar_from_string("1/2+1/3*sqrt(7)") == quad(Q(1, 2), Q(1, 3), 7)
+
+
+@pytest.mark.parametrize("text", [1, None, ["1"], "1/0", "1/0+1*sqrt(2)",
+                                  "1+1/0*sqrt(2)", "x", ""])
+def test_scalar_from_string_rejects_with_value_error(text):
+    with pytest.raises(ValueError):
+        scalar_from_string(text)

@@ -33,14 +33,17 @@ def test_loader_rejects_unknown_fields():
 
 
 def test_loader_rejects_bad_indices_and_parities():
-    data = algebra_to_json(gl12())
-    data["brackets"][0]["i"] = 99
-    with pytest.raises(SchemaError):
-        algebra_from_json(data)
-    data = algebra_to_json(gl12())
-    data["basis"][0]["parity"] = 2
-    with pytest.raises(SchemaError):
-        algebra_from_json(data)
+    # a JSON string or bool is not an index or a parity
+    for i in (99, "0", True):
+        data = algebra_to_json(gl12())
+        data["brackets"][0]["i"] = i
+        with pytest.raises(SchemaError):
+            algebra_from_json(data)
+    for parity in (2, True):
+        data = algebra_to_json(gl12())
+        data["basis"][0]["parity"] = parity
+        with pytest.raises(SchemaError):
+            algebra_from_json(data)
 
 
 def test_loader_keeps_redundant_bracket_entries_for_validation():
