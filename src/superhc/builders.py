@@ -1,7 +1,8 @@
 """Concrete algebras: matrix superalgebras and the doubling construction.
 
 Structure constants are never typed in by hand; they are computed from
-explicit matrices, so closure and the Jacobi identity hold by construction
+explicit sparse matrices (here, and for the anisotropic rank-one models of
+rings.py), so closure and the Jacobi identity hold by construction
 and the full validation scan acts as a regression test rather than an act
 of faith.
 """
@@ -11,55 +12,54 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScalarMatrix, linear_solver
+from .linalg import ScalarMatrix, accumulate, linear_solver
 from .liesuper import LieSuperalgebra, SuperVector
 
 Q = Fraction
 
-Mat = Tuple[Tuple[Fraction, ...], ...]
+
+def supercommutator(x: ScalarMatrix, y: ScalarMatrix, both_odd: bool
+                    ) -> ScalarMatrix:
+    """[x, y] = xy - (-1)^{|x||y|} yx of two homogeneous supermatrices."""
+    out = x.mul(y)
+    for i, row in enumerate(y.mul(x).rows):
+        accumulate(out.rows[i], row, Q(1) if both_odd else Q(-1))
+    return out
 
 
-def _mat(rows) -> Mat:
-    return tuple(tuple(Q(x) for x in r) for r in rows)
-
-
-def _matmul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Q(0))
-                       for j in range(n)) for i in range(n))
-
-
-def _matsub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _flatten(a: Mat) -> Tuple:
-    return tuple(x for row in a for x in row)
-
-
-def supertrace(a: Mat, space_parity: Sequence[int]) -> Fraction:
+def _supertrace_of_product(x: ScalarMatrix, y: ScalarMatrix,
+                           space_parity: Sequence[int]) -> Fraction:
     s = Q(0)
-    for i, p in enumerate(space_parity):
-        s = s + (a[i][i] if p == 0 else -a[i][i])
+    for i, row in enumerate(x.rows):
+        for k, a in row.items():
+            b = y.rows[k].get(i)
+            if b:
+                s = s - a * b if space_parity[i] else s + a * b
     return s
 
 
-def matrix_superalgebra(names: Sequence[str], mats: Sequence[Mat],
+def matrix_superalgebra(names: Sequence[str], mats: Sequence,
                         parities: Sequence[int], space_parity: Sequence[int],
                         decomposition: Optional[dict] = None) -> LieSuperalgebra:
-    """Lie superalgebra spanned by matrices, with the supertrace form."""
-    mats = [_mat(m) for m in mats]
-    solve = linear_solver([_flatten(m) for m in mats])
+    """Lie superalgebra spanned by matrices, with the supertrace form.
+
+    mats are ScalarMatrix objects or dense row sequences.
+    """
+    mats = [m if isinstance(m, ScalarMatrix) else ScalarMatrix.from_rows(m)
+            for m in mats]
+
+    def flat(m: ScalarMatrix) -> Tuple:
+        return tuple(x for row in m.dense() for x in row)
+
+    solve = linear_solver([flat(m) for m in mats])
     brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
     n = len(mats)
     for i in range(n):
         for j in range(i, n):
-            sign = Q(-1) if parities[i] and parities[j] else Q(1)
-            br = _matsub(_matmul(mats[i], mats[j]),
-                         tuple(tuple(sign * x for x in row)
-                               for row in _matmul(mats[j], mats[i])))
+            br = supercommutator(mats[i], mats[j],
+                                 bool(parities[i] and parities[j]))
             try:
-                coords = solve(_flatten(br))
+                coords = solve(flat(br))
             except ValueError:
                 raise ValueError(f"matrices do not close under bracket at ({i},{j})"
                                  ) from None
@@ -67,20 +67,20 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence[Mat],
             if out:
                 brackets[(i, j)] = out
     form = ScalarMatrix.from_rows(
-        [[supertrace(_matmul(a, b), space_parity) for b in mats] for a in mats])
-    g = LieSuperalgebra(names, parities, brackets, form=form,
-                        decomposition=decomposition)
-    return g
+        [[_supertrace_of_product(a, b, space_parity) for b in mats] for a in mats])
+    return LieSuperalgebra(names, parities, brackets, form=form,
+                           decomposition=decomposition)
 
 
-def _unit(n: int, i: int, j: int) -> Mat:
-    return tuple(tuple(Q(1) if (r, c) == (i, j) else Q(0) for c in range(n))
-                 for r in range(n))
+def _unit(n: int, i: int, j: int) -> ScalarMatrix:
+    m = ScalarMatrix(n, n)
+    m.rows[i][j] = Q(1)
+    return m
 
 
 def sl2() -> LieSuperalgebra:
     e, f = _unit(2, 0, 1), _unit(2, 1, 0)
-    h = _mat([[1, 0], [0, -1]])
+    h = [[1, 0], [0, -1]]
     g = matrix_superalgebra(["e", "h", "f"], [e, h, f], [0, 0, 0], [0, 0])
     g.decomposition = {"center": [], "ideals": [[g.basis(i) for i in range(3)]]}
     return g
@@ -88,18 +88,19 @@ def sl2() -> LieSuperalgebra:
 
 def osp12() -> LieSuperalgebra:
     """osp(1|2) inside gl(1|2): even sl(2) plus two odd weight vectors."""
-    h = _mat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
+    h = [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
     e = _unit(3, 1, 2)
     f = _unit(3, 2, 1)
-    x = _mat([[0, 0, 1], [-1, 0, 0], [0, 0, 0]])   # weight +1
-    y = _mat([[0, 1, 0], [0, 0, 0], [1, 0, 0]])    # weight -1
+    x = [[0, 0, 1], [-1, 0, 0], [0, 0, 0]]   # weight +1
+    y = [[0, 1, 0], [0, 0, 0], [1, 0, 0]]    # weight -1
     g = matrix_superalgebra(["e", "h", "f", "x", "y"], [e, h, f, x, y],
                             [0, 0, 0, 1, 1], [0, 1, 1])
     g.decomposition = {"center": [], "ideals": [[g.basis(i) for i in range(5)]]}
     return g
 
 
-def _gl_super(p: int, q: int) -> Tuple[List[str], List[Mat], List[int], List[int]]:
+def _gl_super(p: int, q: int
+              ) -> Tuple[List[str], List[ScalarMatrix], List[int], List[int]]:
     n = p + q
     sp = [0] * p + [1] * q
     names, mats, par = [], [], []

@@ -281,7 +281,9 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
             "weyl_invariance": seq["weyl_invariant"],
             "image_in_J": seq["in_J"],
             "kernel_vanishes": seq["kernel_maps_to_zero"],
-            "dims_match": rows[-1]["dim_image"] == rows[-1]["dim_J"],
+            # gr J = I(a) is filtered: every row, not just the top one
+            "dims_match": all(row["dim_image"] == row["dim_J"] == row["dim_I"]
+                              for row in rows),
             "dims_consistent": seq["dims_consistent"],
             "multiplicativity_sample": mult_ok,
             "centralizer_dimension_formula": cent_ok,

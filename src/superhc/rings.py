@@ -14,6 +14,7 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly, change_to_basis, monomials_up_to
+from .builders import matrix_superalgebra, supercommutator
 from .linalg import ScalarMatrix, accumulate, linear_solver, nullspace
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
@@ -121,7 +122,7 @@ def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
 # -- rank-one models -----------------------------------------------------------
 
 class RankOneModel:
-    """An abstract algebra realising the bracket relations of one odd root."""
+    """The algebra of one odd root with its pair: osp(2|2q) or an abstract model."""
 
     def __init__(self, algebra: LieSuperalgebra, q: int, iso_class: str, c,
                  pair: SymmetricPair):
@@ -149,51 +150,14 @@ class RankOneModel:
         return self.named("Al")
 
 
-def _aniso_odd_ops(q: int):
-    """Operator matrices of the even part on (v, vt, w, wt) coordinates."""
-    dim = 4 * q
-
-    def unit(i, j):
-        m = [[Q(0)] * dim for _ in range(dim)]
-        m[i][j] = Q(1)
-        return m
-
-    def addm(a, b):
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    V, VT, W, WT = 0, q, 2 * q, 3 * q
-    ops: Dict[str, list] = {}
-    for i in range(q):
-        for j in range(i, q):
-            m = [[Q(0)] * dim for _ in range(dim)]
-            for (blk_in, blk_out) in ((VT, V), (WT, W)):
-                m = addm(m, unit(blk_out + i, blk_in + j))
-                m = addm(m, unit(blk_out + j, blk_in + i))
-            ops[f"M{i+1}{j+1}"] = m
-    for i in range(q):
-        for j in range(q):
-            m = [[Q(0)] * dim for _ in range(dim)]
-            m[V + i][V + j] = Q(-1)
-            m[W + i][W + j] = Q(-1)
-            m[VT + j][VT + i] = Q(1)
-            m[WT + j][WT + i] = Q(1)
-            ops[f"N{i+1}{j+1}"] = m
-    for i in range(q):
-        for j in range(i, q):
-            m = [[Q(0)] * dim for _ in range(dim)]
-            for (blk_in, blk_out) in ((V, VT), (W, WT)):
-                m[blk_out + i][blk_in + j] = Q(-1)
-                m[blk_out + j][blk_in + i] = m[blk_out + j][blk_in + i] - Q(1)
-            ops[f"Mt{i+1}{j+1}"] = m
-    return ops
-
-
 def build_rank_one_model(q: int, iso: str, c=Q(1)) -> RankOneModel:
-    """Synthesise the model algebra for one odd root from its relations.
+    """The model algebra for one odd root.
 
-    Anisotropic models use the normalised generators (integer structure
-    constants; only the form depends on c).  The Jacobi identity and all
-    form axioms are re-verified by the caller through verify_algebra.
+    Anisotropic models are osp(2|2q) built from supermatrices, with the
+    normalised generators (integer structure constants; only the form
+    depends on c).  Isotropic models are typed from their relations.  The
+    Jacobi identity and all form axioms are re-verified by the caller
+    through verify_algebra.
     """
     c = c if not isinstance(c, int) else Q(c)
     if iso == ISOTROPIC:
@@ -219,115 +183,48 @@ def _set_bracket(brackets, parity, i, j, out: Dict[int, object]):
 
 
 def _build_aniso_model(q: int, c) -> RankOneModel:
-    ops = _aniso_odd_ops(q)
-    op_names = list(ops)
-    names = op_names + [f"v{i+1}" for i in range(q)] + [f"vt{i+1}" for i in range(q)] \
-        + ["a"] + [f"w{i+1}" for i in range(q)] + [f"wt{i+1}" for i in range(q)]
-    nm0 = len(op_names)
-    parity = [0] * nm0 + [1] * (2 * q) + [0] + [1] * (2 * q)
-    dim = len(names)
-    idx = {n: i for i, n in enumerate(names)}
-    V = lambda i: idx[f"v{i+1}"]
-    VT = lambda i: idx[f"vt{i+1}"]
-    W = lambda i: idx[f"w{i+1}"]
-    WT = lambda i: idx[f"wt{i+1}"]
-    ia = idx["a"]
-    odd_order = [V(i) for i in range(q)] + [VT(i) for i in range(q)] \
-        + [W(i) for i in range(q)] + [WT(i) for i in range(q)]
+    """osp(2|2q) on C^{2|2q} with basis (e0, e1 | u_1..u_q, ut_1..ut_q).
 
-    try:
-        solve = linear_solver([tuple(x for row in ops[n] for x in row)
-                               for n in op_names])
-    except ValueError:
-        raise InconsistentRelations("even-part operators are dependent") from None
+    theta swaps e0 and e1, so a = E00 - E11 spans the Cartan subspace.  The
+    supertrace gives b(a, a) = 2, and the form is rescaled to b = str/(2c)
+    so that <lam, lam> = c for the root lam(a) = 1 of v and vt.
+    """
+    n = 2 + 2 * q
+    half = Q(1, 2)
 
-    def op_bracket(na, nb) -> Dict[int, object]:
-        A, B = ops[na], ops[nb]
-        n4 = 4 * q
-        comm = [[sum((A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in range(n4)),
-                     Q(0)) for j in range(n4)] for i in range(n4)]
-        try:
-            coords = solve(tuple(x for row in comm for x in row))
-        except ValueError:
-            raise InconsistentRelations("even part does not close") from None
-        return {idx[op_names[t]]: v for t, v in enumerate(coords) if v}
+    def mat(entries: Dict[Tuple[int, int], object]) -> ScalarMatrix:
+        m = ScalarMatrix(n, n)
+        for (r, col), x in entries.items():
+            m.rows[r][col] = Q(x)
+        return m
 
-    brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
-    for s, na in enumerate(op_names):
-        for nb in op_names[s + 1:]:
-            _set_bracket(brackets, parity, idx[na], idx[nb], op_bracket(na, nb))
-        mat = ops[na]
-        for col, j in enumerate(odd_order):
-            out = {odd_order[rw]: mat[rw][col] for rw in range(4 * q) if mat[rw][col]}
-            _set_bracket(brackets, parity, idx[na], j, out)
-
-    for i in range(q):
-        _set_bracket(brackets, parity, ia, V(i), {W(i): Q(1)})
-        _set_bracket(brackets, parity, ia, W(i), {V(i): Q(1)})
-        _set_bracket(brackets, parity, ia, VT(i), {WT(i): Q(1)})
-        _set_bracket(brackets, parity, ia, WT(i), {VT(i): Q(1)})
-
-    for i in range(q):
-        for j in range(q):
-            mname, nname, mtname = f"M{min(i,j)+1}{max(i,j)+1}", f"N{i+1}{j+1}", \
-                f"Mt{min(i,j)+1}{max(i,j)+1}"
-            if j >= i:
-                _set_bracket(brackets, parity, V(i), V(j), {idx[mname]: Q(1)})
-                _set_bracket(brackets, parity, VT(i), VT(j), {idx[mtname]: Q(1)})
-                _set_bracket(brackets, parity, W(i), W(j), {idx[mname]: Q(-1)})
-                _set_bracket(brackets, parity, WT(i), WT(j), {idx[mtname]: Q(-1)})
-            _set_bracket(brackets, parity, V(i), VT(j), {idx[nname]: Q(1)})
-            _set_bracket(brackets, parity, W(i), WT(j), {idx[nname]: Q(-1)})
-            _set_bracket(brackets, parity, V(i), WT(j),
-                         {ia: Q(-1)} if i == j else {})
-            _set_bracket(brackets, parity, VT(i), W(j),
-                         {ia: Q(1)} if i == j else {})
-            _set_bracket(brackets, parity, V(i), W(j), {})
-            _set_bracket(brackets, parity, VT(i), WT(j), {})
-
-    cinv = Q(1) / c
-    form = ScalarMatrix(dim, dim)
-    form.rows[ia][ia] = cinv
-    for i in range(q):
-        form.rows[V(i)][VT(i)] = cinv
-        form.rows[VT(i)][V(i)] = -cinv
-        form.rows[W(i)][WT(i)] = -cinv
-        form.rows[WT(i)][W(i)] = cinv
-
-    # b on the even part via invariance: b([v_i, v_j], Y) = -b(v_i, op_Y(v_j))
-    def b_odd(i1, i2):
-        return form.rows[i1].get(i2, Q(0))
-
-    defining = {}
-    for i in range(q):
-        for j in range(i, q):
-            defining[f"M{i+1}{j+1}"] = (V(i), V(j))
-            defining[f"Mt{i+1}{j+1}"] = (VT(i), VT(j))
-        for j in range(q):
-            defining[f"N{i+1}{j+1}"] = (V(i), VT(j))
-    pos_in_odd = {g_idx: t for t, g_idx in enumerate(odd_order)}
-    for na in op_names:
-        s_idx, t_idx = defining[na]
-        for nb in op_names:
-            mat = ops[nb]
-            col = pos_in_odd[t_idx]
-            val = Q(0)
-            for rw in range(4 * q):
-                if mat[rw][col]:
-                    val = val - b_odd(s_idx, odd_order[rw]) * mat[rw][col]
-            if val:
-                form.rows[idx[na]][idx[nb]] = val
-
-    theta = ScalarMatrix(dim, dim)
-    for n, i in idx.items():
-        theta.rows[i][i] = Q(-1) if n == "a" or n[0] == "w" else Q(1)
-
-    sqrt_ctx = None
+    v = [mat({(2 + i, 0): 1, (2 + i, 1): 1, (0, 2 + q + i): 1, (1, 2 + q + i): 1})
+         for i in range(q)]
+    vt = [mat({(2 + q + i, 0): half, (2 + q + i, 1): half,
+               (0, 2 + i): -half, (1, 2 + i): -half}) for i in range(q)]
+    a = mat({(0, 0): 1, (1, 1): -1})
+    mats: Dict[str, ScalarMatrix] = {}
+    for left, right, label in ((v, v, "M"), (v, vt, "N"), (vt, vt, "Mt")):
+        for i in range(q):
+            for j in range(i if left is right else 0, q):
+                mats[f"{label}{i+1}{j+1}"] = supercommutator(left[i], right[j], True)
+    n_even = len(mats)
+    mats.update({f"v{i+1}": x for i, x in enumerate(v)})
+    mats.update({f"vt{i+1}": x for i, x in enumerate(vt)})
+    mats["a"] = a
+    mats.update({f"w{i+1}": supercommutator(a, x, False) for i, x in enumerate(v)})
+    mats.update({f"wt{i+1}": supercommutator(a, x, False)
+                 for i, x in enumerate(vt)})
+    parity = [0] * n_even + [1] * (2 * q) + [0] + [1] * (2 * q)
+    g = matrix_superalgebra(list(mats), list(mats.values()), parity,
+                            [0, 0] + [1] * (2 * q))
+    g.form = ScalarMatrix(g.dim, g.dim, [{j: x / (2 * c) for j, x in row.items()}
+                                         for row in g.form.rows])
+    g.theta = ScalarMatrix(g.dim, g.dim)
+    for i, name in enumerate(g.names):
+        g.theta.rows[i][i] = Q(-1) if name == "a" or name[0] == "w" else Q(1)
     if rational_sqrt(Q(c)) is None:
-        num = c.numerator * c.denominator
-        sqrt_ctx = num  # sqrt(c) = sqrt(num)/denominator
-    g = LieSuperalgebra(names, parity, brackets, form=form, theta=theta,
-                        sqrt_context=sqrt_ctx)
+        g.sqrt_context = c.numerator * c.denominator  # sqrt(c) = sqrt(num)/den
     g.decomposition = {"center": [], "ideals": [g.basis_vectors()]}
     pair = build_pair(g, [g.basis("a")])
     return RankOneModel(g, q, ANISOTROPIC, c, pair)

@@ -8,6 +8,7 @@ no floating point anywhere; arithmetic is exact by construction.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -190,17 +191,17 @@ def scalar_from_string(s: str) -> ScalarLike:
         raise ValueError(f"zero denominator in scalar {s!r}") from None
 
 
+_RATIONAL = "[+-]?[0-9]+(?:/[0-9]+)?"
+# p/q, or p/q+r/s*sqrt(c): the sign in front of r/s is part of that rational
+_SCALAR = re.compile(
+    rf"({_RATIONAL})(?:((?=[+-]){_RATIONAL})\*sqrt\(([+-]?[0-9]+)\))?")
+
+
 def _parse_scalar(s: str) -> ScalarLike:
-    if "sqrt" not in s:
-        return Q(s)
-    # split  A+B*sqrt(c)  /  A-B*sqrt(c)  at the sign before the B term
-    star = s.index("*sqrt(")
-    c = int(s[star + len("*sqrt("):-1])
-    cut = max(s.rfind("+", 1, star), s.rfind("-", 1, star))
-    if cut <= 0:
+    m = _SCALAR.fullmatch(s)
+    if m is None:
         raise ValueError(f"bad scalar string {s!r}")
-    head, tail = s[:cut], s[cut:star]
-    b = Q(tail[1:])
-    if tail[0] == "-":
-        b = -b
-    return quad(Q(head), b, c)
+    head, tail, c = m.groups()
+    if tail is None:
+        return Q(head)
+    return quad(Q(head), Q(tail), int(c))

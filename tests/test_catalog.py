@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from superhc import catalog
 from superhc.builders import gl11, gl12, osp12, sl2
 from superhc.catalog import (CATALOG, NoCertificate, NotEvenType,
                              group_type_pair, roots_report,
@@ -96,6 +97,22 @@ def test_planted_wrong_multiplicity_is_detected():
     dim_img = report["rows"][-1]["dim_image"]
     dim_j_bad = filtered_dimension("J", [bad], analysis.weyl, 1, 3)
     assert dim_img != dim_j_bad
+
+
+def test_dims_match_checks_every_row(monkeypatch):
+    # gr J = I(a) is a filtered statement, so a wrong dim_J below the top
+    # row must fail dims_match even when the top row agrees
+    real = catalog.filtered_dimension
+
+    def off_at_degree_zero(kind, data, weyl, rank, d, **kwargs):
+        dim = real(kind, data, weyl, rank, d, **kwargs)
+        return dim + 1 if kind == "J" and d == 0 else dim
+
+    monkeypatch.setattr(catalog, "filtered_dimension", off_at_degree_zero)
+    report = verify_main_theorem("rank1-aniso-q1", degree=2)
+    top = report["rows"][-1]
+    assert top["dim_image"] == top["dim_J"] == top["dim_I"]
+    assert not report["flags"]["dims_match"]
 
 
 def test_report_determinism():

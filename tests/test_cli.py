@@ -284,10 +284,13 @@ def test_threads_flag_is_gone(capsys):
      '{"terms": [{"exps": {"a": 1}, "coeff": 1}]}'],
     ["membership", "rank1-aniso-q1", "--ring", "J", "--poly",
      '{"terms": [{"exps": {"a": true}, "coeff": "1"}]}'],
+    ["membership", "rank1-aniso-q1", "--ring", "J", "--poly",
+     '{"terms": [{"exps": {"a": 1}, "coeff": "1e9"}]}'],
     ["roots", "group-sl2", "--direction", "1+1*sqrt(2)"],
     ["roots", "group-sl2", "--direction", "1/0"],
 ], ids=["terms-int", "term-int", "word-int", "word-of-lists", "coeff-int",
         "poly-terms-int", "exps-int", "poly-coeff-int", "exponent-bool",
+        "poly-coeff-exponent-notation",
         "direction-irrational", "direction-zero-denominator"])
 def test_malformed_json_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,7 +1,8 @@
 """osp(2|2q) from supermatrices: an independent check of the rank-one images.
 
-The rank-one anisotropic models of superhc.rings are synthesised from
-bracket relations.  Here the same symmetric pair is realised concretely:
+The rank-one anisotropic models of superhc.rings are built from explicit
+supermatrices in the model's basis (v, vt, a, w, wt).  Here the same
+symmetric pair is realised independently, in a basis found by nullspaces:
 
 * g = osp(2|2q), the supermatrices of size (2|2q) preserving the form that
   is [[0,1],[1,0]] on the even basis vectors e0, e1 and symplectic on the

@@ -104,6 +104,36 @@ def test_rank_one_nonsquare_c_opens_quadratic_context():
     assert g.bracket(yt1, z1) == model.coroot_vector()
 
 
+@pytest.mark.parametrize("c", [Q(1), Q(2), Q(1, 3)])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_aniso_model_from_supermatrices_has_the_rank_one_relations(q, c):
+    g = build_rank_one_model(q, ANISOTROPIC, c).algebra
+    x = g.basis
+    br = g.bracket
+    a = x("a")
+    for i in range(1, q + 1):
+        v, vt, w, wt = x(f"v{i}"), x(f"vt{i}"), x(f"w{i}"), x(f"wt{i}")
+        assert (br(a, v), br(a, vt), br(a, w), br(a, wt)) == (w, wt, v, vt)
+        for j in range(1, q + 1):
+            vj, vtj, wj, wtj = x(f"v{j}"), x(f"vt{j}"), x(f"w{j}"), x(f"wt{j}")
+            delta = a if i == j else g.zero()
+            assert br(v, wtj) == -delta
+            assert br(vt, wj) == delta
+            assert not br(v, wj) and not br(vt, wtj)
+            lo, hi = min(i, j), max(i, j)
+            m, n, mt = x(f"M{lo}{hi}"), x(f"N{i}{j}"), x(f"Mt{lo}{hi}")
+            assert (br(v, vj), br(v, vtj), br(vt, vtj)) == (m, n, mt)
+            assert (br(w, wj), br(w, wtj), br(wt, wtj)) == (-m, -n, -mt)
+        assert g.b(a, a) == g.b(v, vt) == -g.b(w, wt) == 1 / c
+    minus = [n for i, n in enumerate(g.names) if g.theta.rows[i] == {i: Q(-1)}]
+    plus = [n for i, n in enumerate(g.names) if g.theta.rows[i] == {i: Q(1)}]
+    assert minus == ["a"] + [f"w{i}" for i in range(1, q + 1)] \
+        + [f"wt{i}" for i in range(1, q + 1)]
+    assert len(plus) == g.dim - len(minus)
+    if q <= 2:
+        assert verify_algebra(g) == []
+
+
 # -- generators -----------------------------------------------------------------
 
 def test_generators_q1_closed_form():

@@ -77,7 +77,9 @@ def test_canonical_strings():
 
 
 @pytest.mark.parametrize("text", [1, None, ["1"], "1/0", "1/0+1*sqrt(2)",
-                                  "1+1/0*sqrt(2)", "x", ""])
+                                  "1+1/0*sqrt(2)", "x", "", "1e2", "1E2",
+                                  "1.5", "1_000", "1e3000000",
+                                  "1/2+1.5*sqrt(2)", "1+1*sqrt(1_0)"])
 def test_scalar_from_string_rejects_with_value_error(text):
     with pytest.raises(ValueError):
         scalar_from_string(text)
