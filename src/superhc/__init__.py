@@ -20,8 +20,8 @@ from .liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                        change_basis, derived_and_center, theta_eigenspaces,
                        verify_algebra)
 from .linalg import (CommutationFailure, IrrationalSpectrum, NotSemisimple,
-                     ScalarMatrix, nullspace, rank, simultaneous_eigenspaces,
-                     solve_membership)
+                     ScalarMatrix, kernel, nullspace, rank,
+                     simultaneous_eigenspaces, solve_membership)
 from .pairs import (CentralizerTooLarge, DegenerateFormOnA, DirectionOnWall,
                     NotAbelian, NotInEvenP, RestrictedRootSystem,
                     SymmetricPair, WeylGroup, a_perp_in_p, build_pair,
@@ -29,11 +29,10 @@ from .pairs import (CentralizerTooLarge, DegenerateFormOnA, DirectionOnWall,
                     restricted_roots, rho)
 from .pbw import UEA, SymElement, UEAElement
 from .rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass, InconsistentRelations,
-                    NotInSA, OddRootDatum, RankOneModel, apoly_from_sym,
-                    build_rank_one_model,
+                    OddRootDatum, RankOneModel, build_rank_one_model,
                     coefficient_aNk, filtered_dimension, generators,
                     membership_I, membership_I_lambda, membership_J,
-                    membership_J_lambda, odd_root_data)
+                    membership_J_lambda, odd_root_data, ring_conditions)
 from .scalars import (ContextMismatch, Quad, quad, scalar_from_string,
                       scalar_to_string, sqrt_scalar)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 from . import builders
@@ -24,10 +25,12 @@ from .pairs import (PairError, SymmetricPair, build_pair,
                     centralizer_formula_holds, choose_positive_system,
                     even_weyl_group, restricted_roots, rho)
 from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
-                    filtered_dimension, odd_root_data)
+                    odd_root_data, ring_conditions, ring_degrees)
 from .scalars import scalar_to_string
 
 Q = Fraction
+
+SAMPLES = 5  # draws of each randomized check in verify_main_theorem
 
 
 class NotEvenType(Exception):
@@ -119,34 +122,30 @@ class Analysis:
 
 class CatalogEntry:
     def __init__(self, name: str, description: str, default_degree: int,
-                 build: Callable[[], Analysis]):
+                 build: Callable[[Optional[Sequence]], Analysis]):
         self.name = name
         self.description = description
         self.default_degree = default_degree
         self._build = build
 
     def build(self, direction: Optional[Sequence] = None) -> Analysis:
-        analysis = self._build()
-        if direction is not None:
-            analysis = Analysis(analysis.pair, direction, analysis.a_names,
-                                analysis.model)
+        analysis = self._build(direction)
         analysis.name = self.name
         return analysis
 
 
-def _rank_one_entry(q: int, iso: str) -> Callable[[], Analysis]:
-    def build() -> Analysis:
+def _rank_one_entry(q: int, iso: str) -> Callable[[Optional[Sequence]], Analysis]:
+    def build(direction: Optional[Sequence]) -> Analysis:
         model = build_rank_one_model(q, iso, Q(0) if iso == ISOTROPIC else Q(1))
         names = ["h0", "Al"] if iso == ISOTROPIC else ["a"]
-        return Analysis(model.pair, a_names=names, model=model)
+        return Analysis(model.pair, direction, a_names=names, model=model)
     return build
 
 
 def _group_entry(maker: Callable[[], LieSuperalgebra], cartan: Sequence[str]
-                 ) -> Callable[[], Analysis]:
-    def build() -> Analysis:
-        pair = group_type_pair(maker(), cartan)
-        return Analysis(pair)
+                 ) -> Callable[[Optional[Sequence]], Analysis]:
+    def build(direction: Optional[Sequence]) -> Analysis:
+        return Analysis(group_type_pair(maker(), cartan), direction)
     return build
 
 
@@ -215,8 +214,8 @@ def random_p0_vector(analysis: Analysis, rng: random.Random) -> SuperVector:
     return v
 
 
-def centdim_check(analysis: Analysis, rng: random.Random, samples: int = 20) -> bool:
-    for _ in range(samples):
+def centdim_check(analysis: Analysis, rng: random.Random) -> bool:
+    for _ in range(SAMPLES):
         if not centralizer_formula_holds(analysis.pair,
                                          random_p0_vector(analysis, rng)):
             return False
@@ -224,12 +223,12 @@ def centdim_check(analysis: Analysis, rng: random.Random, samples: int = 20) -> 
 
 
 def multiplicativity_check(analysis: Analysis, basis: InvariantBasis,
-                           rng: random.Random, pairs: int) -> bool:
+                           rng: random.Random) -> bool:
     """Gamma(D D') = Gamma(D) Gamma(D') on sampled invariant pairs."""
     ctx = analysis.ctx
     if not basis.invariants:
         return True
-    for _ in range(pairs):
+    for _ in range(SAMPLES):
         u = basis.invariants[rng.randrange(len(basis.invariants))]
         v = basis.invariants[rng.randrange(len(basis.invariants))]
         if ctx.gamma_of_product(u, v) != ctx.hc_gamma(u) * ctx.hc_gamma(v):
@@ -239,8 +238,12 @@ def multiplicativity_check(analysis: Analysis, basis: InvariantBasis,
 
 def verify_main_theorem(entry, degree: Optional[int] = None,
                         direction: Optional[Sequence] = None,
-                        seed: int = 0, sample_pairs: int = 5) -> dict:
-    """Run the full pipeline and fill the per-degree verification report."""
+                        seed: int = 0) -> dict:
+    """Run the full pipeline and fill the per-degree verification report.
+
+    Each ring column is one kernel at the top degree (rings.ring_degrees);
+    its row at degree e counts the basis vectors of degree <= e.
+    """
     t0 = time.monotonic()
     if isinstance(entry, str):
         entry = CATALOG[entry]
@@ -258,19 +261,19 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
     basis = invariants_up_to_degree(analysis.ctx, degree)
     seq = verify_exact_sequence(analysis.ctx, degree, basis, weyl, data)
     rows = seq["rows"]
+    columns = {"dim_J": ("J", True), "dim_I": ("I", True),
+               "dim_I_noweyl": ("I", False), "dim_SW0": ("SW0", True)}
+    degrees = {col: ring_degrees(partial(ring_conditions, ring=ring, data=data,
+                                         weyl=weyl, include_weyl=include_weyl),
+                                 r, degree)
+               for col, (ring, include_weyl) in columns.items()}
     for row in rows:
-        d = row["degree"]
-        row.update({
-            "dim_J": filtered_dimension("J", data, weyl, r, d),
-            "dim_I": filtered_dimension("I", data, weyl, r, d),
-            "dim_I_noweyl": filtered_dimension("I", data, weyl, r, d,
-                                               include_weyl=False),
-            "dim_SW0": filtered_dimension("SW0", data, weyl, r, d),
-        })
+        row.update({col: sum(1 for t in degs if t <= row["degree"])
+                    for col, degs in degrees.items()})
 
     rng = random.Random(seed)
-    mult_ok = multiplicativity_check(analysis, basis, rng, sample_pairs)
-    cent_ok = centdim_check(analysis, rng, samples=5)
+    mult_ok = multiplicativity_check(analysis, basis, rng)
+    cent_ok = centdim_check(analysis, rng)
 
     report = {
         "entry": analysis.name,

@@ -19,8 +19,7 @@ from .harish import OrderNotIwasawa, invariants_up_to_degree
 from .liesuper import MissingForm, MissingInvolution, verify_algebra
 from .pairs import PairError, build_pair
 from .pbw import accumulate
-from .rings import (InconsistentRelations, membership_conditions,
-                    weyl_conditions)
+from .rings import InconsistentRelations, ring_conditions
 from .scalars import scalar_from_string, scalar_to_string
 from .serialization import (SchemaError, algebra_from_json, dumps_canonical,
                             poly_from_json, poly_to_json, uea_to_json)
@@ -30,6 +29,10 @@ Q = Fraction
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# membership substitutes into each term, at a cost that grows steeply with
+# its degree; 64 is 8 times the highest degree any test or benchmark asks
+MAX_POLY_DEGREE = 64
 
 
 class InputError(Exception):
@@ -82,7 +85,7 @@ def _resolve_entry(name: str, direction):
         raise InputError(f"entry name must be a string, got {entry_name!r}")
     analysis = Analysis(build_pair(g, a_vectors), direction, name=entry_name)
     entry = CatalogEntry(entry_name, "explicit entry",
-                         data.get("default_degree", 3), lambda: analysis)
+                         data.get("default_degree", 3), lambda _: analysis)
     return entry, analysis
 
 
@@ -193,16 +196,12 @@ def cmd_gamma(args) -> int:
 def cmd_membership(args) -> int:
     entry, analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
     poly = poly_from_json(_load_json_arg(args.poly), analysis.a_names)
-    # the conditions membership_I and membership_J test, computed once
-    conditions = {}
-    for datum in analysis.data:
-        if datum.gated:
-            continue
-        for key, val in membership_conditions(poly, datum, args.ring).items():
-            conditions[str(key)] = scalar_to_string(val)
-    if args.ring == "J" or not args.no_weyl:
-        for key, val in weyl_conditions(poly, analysis.weyl).items():
-            conditions[str(key)] = scalar_to_string(val)
+    if poly.degree() > MAX_POLY_DEGREE:
+        raise InputError(f"membership takes polynomials of degree at most "
+                         f"{MAX_POLY_DEGREE}, got {poly.degree()}")
+    conditions = {str(key): scalar_to_string(val) for key, val in ring_conditions(
+        poly, args.ring, analysis.data, analysis.weyl,
+        include_weyl=args.ring == "J" or not args.no_weyl).items()}
     out = {
         "entry": entry.name,
         "ring": args.ring,

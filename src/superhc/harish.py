@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
-from .linalg import (ScalarMatrix, linear_solver, nullspace, rank,
-                     solve_membership)
+from .linalg import kernel, last_nonzero, linear_solver, solve_membership
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
@@ -202,22 +201,11 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     for m in monos:
         if all(sum((w[i] for i in m), Q(0)) == 0 for w in diag.values()):
             kept.append(m)
-    rows: Dict[Tuple[int, Monomial], Dict[int, object]] = {}
-    for x in others:
-        for t, m in enumerate(kept):
-            img = uea.adjoint_index(x, {m: Q(1)})
-            for mt, c in img.items():
-                rows.setdefault((x, mt), {})[t] = c
-    mat = ScalarMatrix(len(rows), len(kept),
-                       [rows[k] for k in sorted(rows, key=repr)])
-    kern = nullspace(mat)
-    invariants = []
-    for coords in kern:
-        elem: UEAElement = {}
-        for t, c in enumerate(coords):
-            if c:
-                elem[kept[t]] = c
-        invariants.append(elem)
+    kern = kernel({(x, mt): c for x in others
+                   for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}
+                  for m in kept)
+    invariants = [{kept[t]: c for t, c in enumerate(coords) if c}
+                  for coords in kern]
     companion = _ideal_part(ctx, invariants)
     return InvariantBasis(d, invariants, companion)
 
@@ -226,30 +214,19 @@ def _ideal_part(ctx: IwasawaContext, invariants: List[UEAElement]
                 ) -> List[UEAElement]:
     """Combinations of the invariants supported on monomials with a k index."""
     lo_k = ctx.lo_k
-    rows: Dict[Monomial, Dict[int, object]] = {}
-    for t, inv in enumerate(invariants):
-        for m, c in inv.items():
-            if not any(i >= lo_k for i in m):
-                rows.setdefault(m, {})[t] = c
-    mat = ScalarMatrix(len(rows), len(invariants),
-                       [rows[m] for m in sorted(rows)])
     out = []
-    for coords in nullspace(mat):
+    for coords in kernel({m: c for m, c in inv.items()
+                          if not any(i >= lo_k for i in m)}
+                         for inv in invariants):
         elem: UEAElement = {}
         for t, c in enumerate(coords):
-            if c:
-                accumulate(elem, invariants[t], c)
+            accumulate(elem, invariants[t], c)
         out.append(elem)
     return out
 
 
 def poly_rank(polys: Sequence[APoly]) -> int:
-    monos = sorted({e for p in polys for e in p.terms})
-    pos = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for p in polys:
-        rows.append({pos[e]: c for e, c in p.terms.items()})
-    return rank(ScalarMatrix(len(rows), len(monos), rows))
+    return len(polys) - len(kernel(p.terms for p in polys))
 
 
 def verify_exact_sequence(ctx: IwasawaContext, d: int,
@@ -260,8 +237,11 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
     Gamma is taken once per basis vector.  rows holds one row per degree
     e <= d, read off the basis order of invariants_up_to_degree: the degree
     <= e parts are spanned by the basis vectors of degree <= e, so Gamma of
-    the degree <= e invariants is spanned by the first dim_invariants
-    images.  The top-level dimensions are the degree-d row.  When the Weyl
+    the degree <= e invariants is spanned by the first n = dim_invariants
+    images.  One kernel holds the relations among all the images; those
+    among the first n are spanned by the relations whose last nonzero entry
+    lies before n (linalg.last_nonzero), so dim_image is n minus their
+    number.  The top-level dimensions are the degree-d row.  When the Weyl
     group and the odd-root data are supplied, the report also carries the
     weyl_invariant and in_J flags for the computed image.
     """
@@ -271,6 +251,7 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
     kernel_ok = all(not ctx.hc_gamma(v).terms for v in basis.companion)
     inv_degrees = [max(map(len, v), default=0) for v in basis.invariants]
     ker_degrees = [max(map(len, v), default=0) for v in basis.companion]
+    relation_ends = [last_nonzero(v) for v in kernel(p.terms for p in images)]
     rows = []
     for e in range(d + 1):
         dim_inv = sum(1 for t in inv_degrees if t <= e)
@@ -278,7 +259,7 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
             "degree": e,
             "dim_invariants": dim_inv,
             "dim_kernel": sum(1 for t in ker_degrees if t <= e),
-            "dim_image": poly_rank(images[:dim_inv]),
+            "dim_image": dim_inv - sum(1 for t in relation_ends if t < dim_inv),
         })
     report = {
         **rows[-1],

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (ScalarMatrix, accumulate, linear_solver, nullspace, rank,
-                     span_basis)
+from .linalg import (ScalarMatrix, accumulate, kernel, linear_solver, nullspace,
+                     rank, span_basis)
 
 Q = Fraction
 
@@ -301,24 +301,10 @@ def centralizer(g: LieSuperalgebra, gens: Sequence[SuperVector],
     for s in gens:
         if s.alg is not g:
             raise MixedAlgebras("centralizer generators from another algebra")
-    if not within:
-        return []
-    rows = []
-    for s in gens:
-        images = [g.bracket(s, w) for w in within]
-        for t in range(g.dim):
-            row = {j: img.c[t] for j, img in enumerate(images) if t in img.c}
-            if row:
-                rows.append(row)
-    kern = nullspace(ScalarMatrix(len(rows), len(within), rows))
-    out = []
-    for coords in kern:
-        v = g.zero()
-        for j, c in enumerate(coords):
-            if c:
-                v = v + within[j].scale(c)
-        out.append(v)
-    return out
+    kern = kernel({(i, t): x for i, s in enumerate(gens)
+                   for t, x in g.bracket(s, w).c.items()} for w in within)
+    return [sum((w.scale(c) for w, c in zip(within, coords) if c), g.zero())
+            for coords in kern]
 
 
 def derived_and_center(g: LieSuperalgebra

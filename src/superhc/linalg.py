@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
 Row = Dict[int, object]
@@ -193,6 +193,36 @@ def nullspace(m: ScalarMatrix) -> List[Tuple]:
                 v[p] = -row[f]
         basis.append(tuple(v))
     return basis
+
+
+def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Tuple]:
+    """The nullspace basis of the matrix whose j-th column is the j-th dict.
+
+    Columns are sparse maps from any hashable output coordinate to a scalar
+    and are consumed one at a time, so a generator never holds them all.
+    Rows are listed in repr order of their coordinates; the reduced echelon
+    basis does not depend on the row order, only the elimination cost does.
+    """
+    rows: Dict[Hashable, Row] = {}
+    ncols = 0
+    for j, col in enumerate(columns):
+        for key, x in col.items():
+            if x:
+                rows.setdefault(key, {})[j] = x
+        ncols = j + 1
+    return nullspace(ScalarMatrix(len(rows), ncols,
+                                  [rows[k] for k in sorted(rows, key=repr)]))
+
+
+def last_nonzero(v: Sequence) -> int:
+    """Index of the last nonzero entry of v.
+
+    On the basis nullspace returns this is the vector's own free column, so
+    the last indices are distinct: a combination of basis vectors ends where
+    its latest member ends, and the kernel vectors supported on the first n
+    coordinates are spanned by the basis vectors whose last index is below n.
+    """
+    return max(j for j, x in enumerate(v) if x)
 
 
 def solve_membership(v: Sequence, basis: Sequence[Sequence]):
@@ -381,7 +411,7 @@ def _restriction(m: ScalarMatrix, basis: List[Tuple]) -> ScalarMatrix:
     return ScalarMatrix.from_columns(cols)
 
 
-def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix], check_commute: bool = True,
+def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
                              ) -> List[Tuple[Tuple, List[Tuple]]]:
     """Joint eigenspace decomposition of a commuting family.
 
@@ -395,11 +425,10 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix], check_commute: bool = T
     for m in ms:
         if m.nrows != n or m.ncols != n:
             raise ValueError("matrices must be square of equal size")
-    if check_commute:
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                if ms[i].mul(ms[j]) != ms[j].mul(ms[i]):
-                    raise CommutationFailure(f"matrices {i} and {j} do not commute")
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            if ms[i].mul(ms[j]) != ms[j].mul(ms[i]):
+                raise CommutationFailure(f"matrices {i} and {j} do not commute")
 
     blocks: List[Tuple[Tuple, List[Tuple]]] = [
         ((), [tuple(Q(1) if k == i else Q(0) for k in range(n)) for i in range(n)])]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import (ScalarMatrix, invert, linear_solver, nullspace, rank,
+from .linalg import (ScalarMatrix, invert, kernel, linear_solver, rank,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
 
@@ -171,7 +171,7 @@ def restricted_roots(pair: SymmetricPair) -> RestrictedRootSystem:
     """Joint eigenspace decomposition of g under ad(a)."""
     g = pair.g
     mats = [g.ad_matrix(h) for h in pair.a_basis]
-    blocks = simultaneous_eigenspaces(mats, check_commute=True)
+    blocks = simultaneous_eigenspaces(mats)
     roots: List[RestrictedRoot] = []
     zero_space: List[Tuple] = []
     for values, basis in blocks:
@@ -397,16 +397,7 @@ def a_perp_in_p(pair: SymmetricPair) -> List[SuperVector]:
     g = pair.g
     p_even = [v for v in pair.p_basis if v.parity == 0]
     p_odd = [v for v in pair.p_basis if v.parity == 1]
-    rows = []
-    for h in pair.a_basis:
-        row = {j: g.b(h, w) for j, w in enumerate(p_even)}
-        rows.append({j: v for j, v in row.items() if v})
-    kern = nullspace(ScalarMatrix(len(rows), len(p_even), rows))
-    out = []
-    for coords in kern:
-        v = g.zero()
-        for j, c in enumerate(coords):
-            if c:
-                v = v + p_even[j].scale(c)
-        out.append(v)
-    return out + p_odd
+    kern = kernel({i: g.b(h, w) for i, h in enumerate(pair.a_basis)}
+                  for w in p_even)
+    return [sum((w.scale(c) for w, c in zip(p_even, coords) if c), g.zero())
+            for coords in kern] + p_odd

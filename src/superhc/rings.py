@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly, change_to_basis, monomials_up_to
 from .builders import matrix_superalgebra, supercommutator
-from .linalg import ScalarMatrix, accumulate, linear_solver, nullspace
+from .linalg import ScalarMatrix, accumulate, kernel, last_nonzero
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
@@ -32,10 +32,6 @@ class BadIsoClass(Exception):
 
 
 class InconsistentRelations(Exception):
-    pass
-
-
-class NotInSA(Exception):
     pass
 
 
@@ -96,8 +92,7 @@ def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
             iso = ANISOTROPIC
             a_coords = tuple(x / c for x in A_coords)
             h0_coords = None
-            rows = [{j: lam[j] for j in range(r) if lam[j]}]
-            a_perp = [tuple(v) for v in nullspace(ScalarMatrix(1, r, rows))]
+            a_perp = kernel({0: x} for x in lam)
         else:
             iso = ISOTROPIC
             a_coords = None
@@ -108,12 +103,8 @@ def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
             h0_coords = tuple(x - Q(1, 2) * bhh * y for x, y in zip(h, A_coords))
             if bform(h0_coords, h0_coords) != 0:
                 raise InconsistentRelations("h0 normalisation failed")
-            rows = [{j: lam[j] for j in range(r) if lam[j]},
-                    {j: bform(h0_coords,
-                              tuple(Q(1) if t == j else Q(0) for t in range(r)))
-                     for j in range(r)}]
-            rows = [{j: v for j, v in row.items() if v} for row in rows]
-            a_perp = [tuple(v) for v in nullspace(ScalarMatrix(2, r, rows))]
+            a_perp = kernel({0: lam[j], 1: bform(h0_coords, tuple(
+                Q(1) if t == j else Q(0) for t in range(r)))} for j in range(r))
         data.append(OddRootDatum(lam, q, iso, c, A_coords, a_coords,
                                  h0_coords, a_perp, gated))
     return data
@@ -344,27 +335,6 @@ def generators(model: RankOneModel,
 
 # -- membership conditions ------------------------------------------------------
 
-def apoly_from_sym(pair: SymmetricPair, sym: SymElement) -> APoly:
-    """Convert an S(g) element supported on the Cartan subspace to an APoly.
-
-    Raises NotInSA when some generator in the support lies outside a.
-    """
-    g = pair.g
-    r = pair.rank
-    solve = linear_solver([v.dense() for v in pair.a_basis])
-    out = APoly.zero(r)
-    for m, c in sym.items():
-        term = APoly.const(r, c)
-        for i in m:
-            try:
-                coords = solve(g.basis(i).dense())
-            except ValueError:
-                raise NotInSA(f"generator {g.names[i]} is not in a")
-            term = term * APoly.linear(list(coords))
-        out = out + term
-    return out
-
-
 def _aniso_adapted(p: APoly, datum: OddRootDatum) -> APoly:
     """Rewrite p in coordinates (a, complement of A_lam in a)."""
     basis = [list(datum.a_coords)] + [list(v) for v in datum.a_perp]
@@ -453,43 +423,45 @@ def weyl_conditions(p: APoly, weyl: WeylGroup) -> Dict:
     return out
 
 
-def membership_I(p: APoly, data: Sequence[OddRootDatum], weyl: WeylGroup,
-                 include_weyl: bool = True) -> bool:
-    if include_weyl and weyl_conditions(p, weyl):
-        return False
-    return all(membership_I_lambda(p, d) for d in data if not d.gated)
+def ring_conditions(p: APoly, ring: str, data: Sequence[OddRootDatum],
+                    weyl: WeylGroup, include_weyl: bool = True) -> Dict:
+    """The linear conditions whose joint vanishing puts p in a ring.
+
+    ring is "I" (I(a)), "J" (J(a)) or "SW0" (S(a)^W0): every ring asks for
+    W0-invariance, and I and J add the conditions of each odd root.
+    include_weyl=False drops the W0 conditions.
+    """
+    out = weyl_conditions(p, weyl) if include_weyl else {}
+    if ring != "SW0":
+        for datum in data:
+            out.update(membership_conditions(p, datum, ring))
+    return out
+
+
+def membership_I(p: APoly, data: Sequence[OddRootDatum], weyl: WeylGroup) -> bool:
+    return not ring_conditions(p, "I", data, weyl)
 
 
 def membership_J(p: APoly, data: Sequence[OddRootDatum], weyl: WeylGroup) -> bool:
-    if weyl_conditions(p, weyl):
-        return False
-    return all(membership_J_lambda(p, d) for d in data if not d.gated)
+    return not ring_conditions(p, "J", data, weyl)
+
+
+def ring_degrees(conditions: Callable[[APoly], Dict], rank: int, d: int
+                 ) -> List[int]:
+    """The degree of each basis vector of {p : conditions(p) = {}, deg p <= d}.
+
+    The basis is the kernel of the conditions over monomials_up_to, which
+    lists monomials by degree, and each vector's degree is that of its last
+    nonzero monomial (linalg.last_nonzero): so the degree <= e part of the
+    space has dimension #{degrees <= e} for every e <= d.
+    """
+    monos = monomials_up_to(rank, d)
+    return [sum(monos[last_nonzero(v)])
+            for v in kernel(conditions(APoly(rank, {e: Q(1)})) for e in monos)]
 
 
 def filtered_dimension(kind: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
-                       rank: int, d: int, include_weyl: bool = True) -> int:
-    """dim of the degree <= d part of I(a), J(a) or S(a)^W0.
-
-    Imposes the linear membership conditions on a generic polynomial of
-    degree <= d and counts the solution space.
-    """
-    monos = monomials_up_to(rank, d)
-    cols = {}
-    for t, e in enumerate(monos):
-        p = APoly(rank, {e: Q(1)})
-        cond: Dict = {}
-        if kind in ("I", "J") or kind == "SW0":
-            if include_weyl or kind in ("J", "SW0"):
-                cond.update(weyl_conditions(p, weyl))
-        if kind in ("I", "J"):
-            for datum in data:
-                cond.update(membership_conditions(p, datum, kind))
-        cols[t] = cond
-    slots = sorted({s for c in cols.values() for s in c}, key=repr)
-    slot_pos = {s: i for i, s in enumerate(slots)}
-    rows: List[Dict[int, object]] = [dict() for _ in slots]
-    for t, cond in cols.items():
-        for s, v in cond.items():
-            rows[slot_pos[s]][t] = v
-    kern = nullspace(ScalarMatrix(len(rows), len(monos), rows))
-    return len(kern)
+                       rank: int, d: int) -> int:
+    """dim of the degree <= d part of I(a), J(a) or S(a)^W0."""
+    return len(ring_degrees(lambda p: ring_conditions(p, kind, data, weyl),
+                            rank, d))

@@ -8,7 +8,9 @@ from superhc.catalog import (CATALOG, NoCertificate, NotEvenType,
                              group_type_pair, roots_report,
                              verify_certificate, verify_main_theorem)
 from superhc.pairs import restricted_roots
-from superhc.rings import filtered_dimension, OddRootDatum
+from superhc.apoly import APoly, monomials_up_to
+from superhc.linalg import kernel
+from superhc.rings import filtered_dimension, OddRootDatum, ring_conditions
 from superhc.serialization import dumps_canonical
 
 
@@ -101,18 +103,57 @@ def test_planted_wrong_multiplicity_is_detected():
 
 def test_dims_match_checks_every_row(monkeypatch):
     # gr J = I(a) is a filtered statement, so a wrong dim_J below the top
-    # row must fail dims_match even when the top row agrees
-    real = catalog.filtered_dimension
+    # row must fail dims_match even when the top row agrees: J's degree-2
+    # basis vector is reported at degree 0, which leaves the top row alone
+    real = catalog.ring_degrees
 
-    def off_at_degree_zero(kind, data, weyl, rank, d, **kwargs):
-        dim = real(kind, data, weyl, rank, d, **kwargs)
-        return dim + 1 if kind == "J" and d == 0 else dim
+    def j_vector_moved_to_degree_zero(conditions, rank, d):
+        degrees = real(conditions, rank, d)
+        if conditions.keywords["ring"] != "J":
+            return degrees
+        assert degrees == [0, 2]
+        return [0, 0]
 
-    monkeypatch.setattr(catalog, "filtered_dimension", off_at_degree_zero)
+    monkeypatch.setattr(catalog, "ring_degrees", j_vector_moved_to_degree_zero)
     report = verify_main_theorem("rank1-aniso-q1", degree=2)
     top = report["rows"][-1]
     assert top["dim_image"] == top["dim_J"] == top["dim_I"]
+    assert report["rows"][0]["dim_J"] == 2
     assert not report["flags"]["dims_match"]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_ring_rows_match_independent_runs(name):
+    """Each ring column of each row equals a fresh kernel at that degree."""
+    entry = CATALOG[name]
+    analysis = entry.build()
+    r = analysis.rank
+    top = entry.default_degree
+    rows = verify_main_theorem(analysis, degree=top)["rows"]
+    assert [row["degree"] for row in rows] == list(range(top + 1))
+    columns = {"dim_J": ("J", True), "dim_I": ("I", True),
+               "dim_I_noweyl": ("I", False), "dim_SW0": ("SW0", True)}
+    for row in rows:
+        for col, (ring, include_weyl) in columns.items():
+            fresh = kernel(ring_conditions(APoly(r, {e: Q(1)}), ring,
+                                           analysis.data, analysis.weyl,
+                                           include_weyl)
+                           for e in monomials_up_to(r, row["degree"]))
+            assert row[col] == len(fresh), (col, row["degree"])
+
+
+def test_direction_builds_the_analysis_once(monkeypatch):
+    calls = []
+    real = catalog.restricted_roots
+
+    def counted(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(catalog, "restricted_roots", counted)
+    analysis = CATALOG["group-gl12"].build([1, 3, 9])
+    assert len(calls) == 1
+    assert analysis.system.direction == (Q(1), Q(3), Q(9))
 
 
 def test_report_determinism():

@@ -107,6 +107,22 @@ def test_membership_command_positive(capsys):
     assert json.loads(out)["member"] is True
 
 
+@pytest.mark.parametrize("exps, codes", [
+    ({"a0": 64}, (0, 1)),
+    ({"a0": 65}, (2,)),
+    ({"a0": 33, "a1": 32}, (2,)),
+], ids=["degree-64", "degree-65", "total-degree-65"])
+def test_membership_poly_degree_is_bounded(capsys, exps, codes):
+    poly = json.dumps({"terms": [{"exps": exps, "coeff": "1"}]})
+    code, out, err = run(capsys, "membership", "group-gl12",
+                         "--poly", poly, "--ring", "J")
+    assert code in codes
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert json.loads(out)["member"] is (code == 0)
+
+
 def test_gamma_command(capsys):
     elem = json.dumps({"terms": [{"word": ["a", "a"], "coeff": "1"}]})
     code, out, _ = run(capsys, "gamma", "rank1-aniso-q1", "--element", elem)

@@ -1,0 +1,53 @@
+"""CLI output against the benchmark's reference captures.
+
+perfbench/reference.json holds the SHA-256 of the stdout of every verify job
+the benchmark runs, and the membership verdicts on the rank-one generator
+images.  A change that alters those bytes or verdicts fails here, in the
+ordinary test run, instead of only in the benchmark's correctness check.
+The file is only read.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from superhc.catalog import CATALOG
+from superhc.cli import main
+from superhc.rings import membership_I, membership_J
+from superhc.serialization import poly_from_json
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+    .read_text(encoding="utf-8"))
+
+VERIFY_AT_SEED_0 = sorted(key.rsplit(":", 1)[0] for key in REFERENCE["verify"]
+                          if key.endswith(":0"))
+
+
+@pytest.mark.parametrize("job", VERIFY_AT_SEED_0)
+def test_verify_stdout_matches_reference(capsys, job):
+    entry, degree = job.split(":")
+    code = main(["verify", entry, "--degree", degree, "--seed", "0"])
+    out = capsys.readouterr().out
+    want = REFERENCE["verify"][f"{job}:0"]
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
+
+
+def test_membership_verdicts_match_reference():
+    analyses = {}
+    verdicts = {}
+    for key in REFERENCE["membership"]:
+        entry, i, ring = key.split(":")
+        if entry not in analyses:
+            analyses[entry] = CATALOG[entry].build()
+        an = analyses[entry]
+        p = poly_from_json(REFERENCE["gamma_of_sym"][f"{entry}:{i}"]["gamma"],
+                           an.a_names)
+        member = membership_J if ring == "J" else membership_I
+        verdicts[key] = member(p, an.data, an.weyl)
+    assert len(verdicts) == 34
+    assert verdicts == {key: row["member"]
+                        for key, row in REFERENCE["membership"].items()}

@@ -396,15 +396,3 @@ def test_odd_root_datum_fields():
     lam = datum2.lam
     h0 = datum2.h0_coords
     assert sum((x * y for x, y in zip(lam, h0)), Q(0)) == Q(1)
-
-
-def test_apoly_from_sym_and_not_in_sa():
-    from superhc.rings import NotInSA, apoly_from_sym
-    analysis = CATALOG["rank1-aniso-q1"].build()
-    g = analysis.pair.g
-    ia = g.index("a")
-    p = apoly_from_sym(analysis.pair, {(ia, ia): Q(2), (): Q(-1)})
-    a = APoly.variable(1, 0)
-    assert p == (a * a).scale(Q(2)) - APoly.const(1, Q(1))
-    with pytest.raises(NotInSA):
-        apoly_from_sym(analysis.pair, {(g.index("w1"),): Q(1)})
