@@ -12,9 +12,9 @@ from .builders import (double_with_flip, gl11, gl12, matrix_superalgebra,
 from .catalog import (CATALOG, Analysis, NoCertificate, NotEvenType,
                       group_type_pair, roots_report, verify_certificate,
                       verify_main_theorem)
-from .harish import (InvariantBasis, IwasawaContext, OrderNotIwasawa,
-                     gamma_preimage, gr_restriction, invariants_up_to_degree,
-                     verify_exact_sequence)
+from .harish import (GeneratorsMissK, InvariantBasis, IwasawaContext,
+                     OrderNotIwasawa, gamma_preimage, gr_restriction,
+                     invariants_up_to_degree, verify_exact_sequence)
 from .liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                        MissingInvolution, SuperVector, centralizer,
                        change_basis, derived_and_center, theta_eigenspaces,

@@ -141,16 +141,6 @@ class APoly:
                         del out[key]
         return APoly(self.n, out)
 
-    def evaluate(self, point: Sequence):
-        s = Q(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    v = v * point[i]
-            s = s + v
-        return s
-
     def pretty(self, names: Optional[Sequence[str]] = None) -> str:
         if not self.terms:
             return "0"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
-from .linalg import kernel, last_nonzero, linear_solver, solve_membership
+from .linalg import Row, kernel, last_nonzero, linear_solver, solve_membership
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
@@ -25,6 +25,10 @@ Q = Fraction
 
 class OrderNotIwasawa(Exception):
     """A projection onto U(a) was asked of something not in n < a < k order."""
+
+
+class GeneratorsMissK(Exception):
+    """The letters chosen to generate k generate a proper subalgebra."""
 
 
 class IwasawaContext:
@@ -60,6 +64,16 @@ class IwasawaContext:
         # the U(g) factor of each basis letter of the original algebra
         self._gen_table = [self.uea.from_vector(self.to_adapted(pair.g.basis(i)))
                            for i in range(pair.g.dim)]
+        # ad-weights of the k letters acting diagonally, and the other
+        # letters that together with them generate k
+        self.k_diagonal, others = _diagonal_weights(self.adapted, self.k_indices())
+        self.k_generators = _k_generators(self.adapted, list(self.k_diagonal),
+                                          others)
+        closure: Dict[int, Row] = {}
+        _close(self.adapted, closure, [], [*self.k_diagonal, *self.k_generators])
+        if len(closure) != len(k_basis):
+            raise GeneratorsMissK(f"letters generate {len(closure)} of "
+                                  f"dim k = {len(k_basis)}")
 
     # -- conversions ---------------------------------------------------------
     def to_adapted(self, v: SuperVector) -> SuperVector:
@@ -159,9 +173,8 @@ class InvariantBasis:
         self.companion = companion
 
 
-def _diagonal_weights(ctx: IwasawaContext, k_idx: List[int]):
+def _diagonal_weights(alg, k_idx: List[int]):
     """Split k indices into (diagonal ad action, other); weights per index."""
-    alg = ctx.adapted
     diag: Dict[int, List] = {}
     others: List[int] = []
     for x in k_idx:
@@ -181,8 +194,50 @@ def _diagonal_weights(ctx: IwasawaContext, k_idx: List[int]):
     return diag, others
 
 
+def _close(alg, span: Dict[int, Row], elems: List[SuperVector],
+           letters: Sequence[int]) -> None:
+    """Grow span (echelon rows by leading index) and elems, the vectors it
+    was built from, to the subalgebra generated by elems and letters."""
+    todo: List[Row] = [{x: Q(1)} for x in letters]
+    while todo:
+        r = dict(todo.pop())
+        for p in sorted(span):
+            if p in r:
+                accumulate(r, span[p], -r[p])
+        if not r:
+            continue
+        lead = min(r)
+        span[lead] = {j: a / r[lead] for j, a in r.items()}
+        v = SuperVector(alg, r)
+        elems.append(v)
+        todo.extend(alg.bracket(v, w).c for w in elems)
+
+
+def _k_generators(alg, diag: List[int], others: List[int]) -> List[int]:
+    """The letters of others, odd first, outside the subalgebra generated by
+    diag and the letters kept before them.
+
+    D is k-invariant iff ad x D = 0 for x in a generating set of k, because
+    ad is a homomorphism; the weight filter already imposes the diagonal
+    letters, so invariants need adjoint rows only for these.
+    """
+    span: Dict[int, Row] = {}
+    elems: List[SuperVector] = []
+    _close(alg, span, elems, diag)
+    kept: List[int] = []
+    for x in sorted(others, key=lambda i: -alg.parity[i]):
+        dim = len(span)
+        _close(alg, span, elems, [x])
+        if len(span) > dim:
+            kept.append(x)
+    return kept
+
+
 def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
-    """Solve ad(x) D = 0 for all x in the k basis, over PBW monomials <= d.
+    """Solve ad(x) D = 0 for generators x of k, over PBW monomials <= d.
+
+    The diagonal letters of k act on monomials by weights, so they only
+    select the weight-zero monomials; ctx.k_generators supply the rows.
 
     Ordering contract, on which the per-degree rows of verify_exact_sequence
     rest: the invariants are the reduced-echelon kernel over the monomials
@@ -194,14 +249,11 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     its basis vectors of degree <= e.
     """
     uea = ctx.uea
-    monos = uea.monomials_up_to(d)
-    k_idx = ctx.k_indices()
-    diag, others = _diagonal_weights(ctx, k_idx)
     kept: List[Monomial] = []
-    for m in monos:
-        if all(sum((w[i] for i in m), Q(0)) == 0 for w in diag.values()):
+    for m in uea.monomials_up_to(d):
+        if all(sum((w[i] for i in m), Q(0)) == 0 for w in ctx.k_diagonal.values()):
             kept.append(m)
-    kern = kernel({(x, mt): c for x in others
+    kern = kernel({(x, mt): c for x in ctx.k_generators
                    for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}
                   for m in kept)
     invariants = [{kept[t]: c for t, c in enumerate(coords) if c}

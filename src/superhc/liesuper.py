@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (ScalarMatrix, accumulate, kernel, linear_solver, nullspace,
+from .linalg import (ScalarMatrix, accumulate, eigenspace, kernel, linear_solver,
                      rank, span_basis)
 
 Q = Fraction
@@ -277,19 +277,10 @@ def theta_eigenspaces(g: LieSuperalgebra) -> Tuple[List[SuperVector], List[Super
     """(k, p): the +1 and -1 eigenspaces of theta, as echelon bases."""
     if g.theta is None:
         raise MissingInvolution("theta_eigenspaces needs an involution")
-    plus_rows, minus_rows = [], []
-    ident = ScalarMatrix.identity(g.dim)
-    for shift, sink in ((Q(-1), plus_rows), (Q(1), minus_rows)):
-        m = ScalarMatrix(g.dim, g.dim, [dict(r) for r in g.theta.rows])
-        for i in range(g.dim):
-            v = m.rows[i].get(i, Q(0)) + shift
-            if v:
-                m.rows[i][i] = v
-            elif i in m.rows[i]:
-                del m.rows[i][i]
-        sink.extend(nullspace(m))
-    k = [SuperVector(g, {i: x for i, x in enumerate(v) if x}) for v in plus_rows]
-    p = [SuperVector(g, {i: x for i, x in enumerate(v) if x}) for v in minus_rows]
+    k = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
+         for v in eigenspace(g.theta, Q(1))]
+    p = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
+         for v in eigenspace(g.theta, Q(-1))]
     if len(k) + len(p) != g.dim:
         raise ValueError("theta is not diagonalisable with eigenvalues +-1")
     return k, p

@@ -129,10 +129,13 @@ def _echelonise(rows: List[Row]):
 
     Returns a dict pivot_column -> row, where each row has a unit pivot,
     contains no other pivot column, and every stored row is reduced against
-    every other (full RREF, maintained incrementally).
+    every other (full RREF, maintained incrementally).  Rows are taken
+    sparsest first (a stable sort, so ties keep the caller's order): the
+    reduced echelon form for a fixed column order does not depend on the row
+    order, but fill-in, and with it the cost, does.
     """
     pivots: Dict[int, Row] = {}
-    for raw in rows:
+    for raw in sorted(rows, key=len):
         r = dict(raw)
         # fully reduce the incoming row against all existing pivots; pivot
         # rows contain no foreign pivot columns, so one sweep suffices
@@ -200,8 +203,8 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Tuple]:
 
     Columns are sparse maps from any hashable output coordinate to a scalar
     and are consumed one at a time, so a generator never holds them all.
-    Rows are listed in repr order of their coordinates; the reduced echelon
-    basis does not depend on the row order, only the elimination cost does.
+    Rows are listed in repr order of their coordinates, which breaks the
+    ties of _echelonise's sparsest-first order.
     """
     rows: Dict[Hashable, Row] = {}
     ncols = 0
@@ -212,6 +215,17 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Tuple]:
         ncols = j + 1
     return nullspace(ScalarMatrix(len(rows), ncols,
                                   [rows[k] for k in sorted(rows, key=repr)]))
+
+
+def eigenspace(m: ScalarMatrix, ev) -> List[Tuple]:
+    """The nullspace basis of m - ev * I, through kernel over its columns."""
+    cols: List[Row] = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j, a in row.items():
+            cols[j][i] = a
+    for j, col in enumerate(cols):
+        col[j] = col.get(j, Q(0)) - ev
+    return kernel(cols)
 
 
 def last_nonzero(v: Sequence) -> int:
@@ -442,15 +456,7 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
                     "characteristic factor of degree %d does not split" % remainder)
             dim_found = 0
             for ev, _mult in roots:
-                shifted = ScalarMatrix(restr.nrows, restr.ncols,
-                                       [dict(r) for r in restr.rows])
-                for i in range(restr.nrows):
-                    v = shifted.rows[i].get(i, Q(0)) - ev
-                    if v:
-                        shifted.rows[i][i] = v
-                    elif i in shifted.rows[i]:
-                        del shifted.rows[i][i]
-                kern = nullspace(shifted)
+                kern = eigenspace(restr, ev)
                 if not kern:
                     continue
                 lifted = []

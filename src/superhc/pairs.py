@@ -67,10 +67,6 @@ class SymmetricPair:
         ev = sum(1 for v in self.k_basis if v.parity == 0)
         return ev, len(self.k_basis) - ev
 
-    def p_dims(self) -> Tuple[int, int]:
-        ev = sum(1 for v in self.p_basis if v.parity == 0)
-        return ev, len(self.p_basis) - ev
-
     def coroot_coords(self, lam: Functional) -> Tuple:
         return self.a_gram_inv.apply(list(lam))
 
@@ -331,11 +327,6 @@ def even_weyl_group(system: RestrictedRootSystem) -> WeylGroup:
         frontier = nxt
     ordered = sorted(elements)
     return WeylGroup(ordered, gens)
-
-
-def weyl_acts_on_functional(w: Tuple[Tuple, ...], lam: Functional) -> Functional:
-    r = len(lam)
-    return tuple(sum((w[i][j] * lam[j] for j in range(r)), Q(0)) for i in range(r))
 
 
 def iwasawa_check(pair: SymmetricPair, system: RestrictedRootSystem,

@@ -267,21 +267,3 @@ def sym_adjoint(alg: LieSuperalgebra, x: SuperVector, p: SymElement) -> SymEleme
     for i, c in x.c.items():
         accumulate(acc, sym_adjoint_index(alg, i, p), c)
     return acc
-
-
-def sym_monomials_up_to(parity: Sequence[int], indices: Sequence[int], d: int
-                        ) -> List[Monomial]:
-    """Supercommutative monomials of degree <= d in the given generators."""
-    out: List[Monomial] = []
-
-    def gen(prefix: Monomial, start: int, length: int):
-        if length == 0:
-            out.append(prefix)
-            return
-        for pos in range(start, len(indices)):
-            i = indices[pos]
-            gen(prefix + (i,), pos + 1 if parity[i] else pos, length - 1)
-
-    for length in range(d + 1):
-        gen((), 0, length)
-    return out

@@ -5,8 +5,68 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 from superhc.apoly import APoly
+from superhc.harish import _ideal_part
+from superhc.linalg import kernel
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import accumulate
+
+
+def sym_monomials_up_to(parity, indices, d):
+    """Supercommutative monomials of degree <= d in the given generators."""
+    out = []
+
+    def gen(prefix, start, length):
+        if length == 0:
+            out.append(prefix)
+            return
+        for pos in range(start, len(indices)):
+            i = indices[pos]
+            gen(prefix + (i,), pos + 1 if parity[i] else pos, length - 1)
+
+    for length in range(d + 1):
+        gen((), 0, length)
+    return out
+
+
+def p_dims(pair):
+    """(even, odd) dimensions of p."""
+    ev = sum(1 for v in pair.p_basis if v.parity == 0)
+    return ev, len(pair.p_basis) - ev
+
+
+def evaluate(poly, point):
+    """The value of an APoly at a point."""
+    s = Q(0)
+    for e, c in poly.terms.items():
+        v = c
+        for i, k in enumerate(e):
+            for _ in range(k):
+                v = v * point[i]
+        s = s + v
+    return s
+
+
+def weyl_acts_on_functional(w, lam):
+    r = len(lam)
+    return tuple(sum((w[i][j] * lam[j] for j in range(r)), Q(0))
+                 for i in range(r))
+
+
+def invariants_from_all_letters(ctx, d):
+    """(invariants, companion) as invariants_up_to_degree computes them, but
+    with an adjoint row for every non-diagonal letter of k rather than only
+    for the generators ctx.k_generators: the slow path it is checked by."""
+    uea = ctx.uea
+    weights = ctx.k_diagonal.values()
+    letters = [x for x in ctx.k_indices() if x not in ctx.k_diagonal]
+    kept = [m for m in uea.monomials_up_to(d)
+            if all(sum((w[i] for i in m), Q(0)) == 0 for w in weights)]
+    kern = kernel({(x, mt): c for x in letters
+                   for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}
+                  for m in kept)
+    invariants = [{kept[t]: c for t, c in enumerate(coords) if c}
+                  for coords in kern]
+    return invariants, _ideal_part(ctx, invariants)
 
 
 def beta_of_vectors(ctx, factors):

@@ -6,14 +6,18 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superhc import harish
 from superhc.apoly import APoly
 from superhc.catalog import CATALOG
-from superhc.harish import (IwasawaContext, OrderNotIwasawa, gamma_preimage,
-                            gr_restriction, invariants_up_to_degree,
-                            poly_rank, verify_exact_sequence)
+from superhc.harish import (GeneratorsMissK, IwasawaContext, OrderNotIwasawa,
+                            gamma_preimage, gr_restriction,
+                            invariants_up_to_degree, poly_rank,
+                            verify_exact_sequence)
+from superhc.linalg import span_basis
+from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
-from support import beta_of_vectors
+from support import beta_of_vectors, invariants_from_all_letters
 
 
 def test_project_unit_and_pure_a():
@@ -221,6 +225,56 @@ def test_exact_sequence_rows_match_independent_runs(name):
             "dim_image": poly_rank([ctx.hc_gamma(v)
                                     for v in basis.invariants]),
         }
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_generator_rows_match_all_letter_rows(name):
+    """Rows for a generating set of k give the same bases, to the byte, as
+    rows for every non-diagonal letter of k."""
+    entry = CATALOG[name]
+    ctx = entry.build().ctx
+    basis = invariants_up_to_degree(ctx, entry.default_degree)
+    invariants, companion = invariants_from_all_letters(ctx,
+                                                        entry.default_degree)
+    assert basis.invariants == invariants
+    assert basis.companion == companion
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_diagonal_letters_and_generators_generate_k(name):
+    # dense oracle: bracket the span with itself until its rank stops growing
+    ctx = CATALOG[name].build().ctx
+    alg = ctx.adapted
+    k = set(ctx.k_indices())
+    letters = [*ctx.k_diagonal, *ctx.k_generators]
+    assert set(letters) <= k and len(set(letters)) == len(letters)
+    span = span_basis([alg.basis(x).dense() for x in letters])
+    while True:
+        vecs = [SuperVector(alg, {i: c for i, c in enumerate(v) if c})
+                for v in span]
+        grown = span_basis(span + [alg.bracket(u, w).dense()
+                                   for u in vecs for w in vecs])
+        if len(grown) == len(span):
+            break
+        span = grown
+    assert len(span) == len(k)
+    assert all(i in k for v in span for i, c in enumerate(v) if c)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_generating_set_missing_a_letter_raises(name, monkeypatch):
+    # without its last generator the letters generate a proper subalgebra,
+    # whose annihilator would hold extra "invariants"
+    chosen = harish._k_generators
+    monkeypatch.setattr(harish, "_k_generators",
+                        lambda *args: chosen(*args)[:-1])
+    with pytest.raises(GeneratorsMissK):
+        CATALOG[name].build()
+
+
+def test_invariants_at_stretch_degree_group_osp12_8():
+    basis = invariants_up_to_degree(CATALOG["group-osp12"].build().ctx, 8)
+    assert (len(basis.invariants), len(basis.companion)) == (45, 40)
 
 
 def test_gamma_preimage_roundtrip():

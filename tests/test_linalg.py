@@ -2,12 +2,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import superhc.linalg as linalg
 from superhc.builders import sl2
 from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
-                            ScalarMatrix, char_poly, invert, linear_solver,
-                            nullspace, rank, rational_roots,
+                            ScalarMatrix, char_poly, invert, kernel,
+                            linear_solver, nullspace, rank, rational_roots,
                             simultaneous_eigenspaces, solve_membership,
                             span_basis)
 
@@ -43,6 +44,46 @@ def test_rank_nullity_randomized():
         assert rank(mat) + len(kern) == n
         for v in kern:
             assert not any(mat.apply(v))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A small sparse rational matrix as (ncols, rows) and a row order."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                         max_size=ncols), max_size=7))
+    rows = [{j: x for j, x in r.items() if x} for r in rows]
+    return ncols, rows, draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_matrices())
+def test_row_order_cannot_change_a_result(case):
+    # _echelonise takes rows sparsest first, ties in the caller's order; the
+    # reduced echelon form, and every result read off it, must not depend
+    # on the order the rows come in
+    ncols, rows, order = case
+    shuffled = [rows[i] for i in order]
+    mat = ScalarMatrix(len(rows), ncols, rows)
+    other = ScalarMatrix(len(rows), ncols, shuffled)
+    assert nullspace(other) == nullspace(mat)
+    assert rank(other) == rank(mat)
+    dense = [tuple(r.get(j, Q(0)) for j in range(ncols)) for r in rows]
+    assert span_basis([dense[i] for i in order]) == span_basis(dense)
+    columns = [{i: r[j] for i, r in enumerate(rows) if j in r}
+               for j in range(ncols)]
+    assert kernel(columns) == nullspace(mat)
+    # a basis given in another order has the same coordinates, reordered
+    if rank(mat) < len(rows):
+        with pytest.raises(ValueError):
+            linear_solver([dense[i] for i in order])
+        return
+    v = tuple(sum((Q(t + 1) * b[j] for t, b in enumerate(dense)), Q(0))
+              for j in range(ncols))
+    coords = linear_solver(dense)(v)
+    assert linear_solver([dense[i] for i in order])(v) \
+        == tuple(coords[i] for i in order)
 
 
 def test_solve_membership_trivial_cases():

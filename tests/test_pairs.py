@@ -10,8 +10,9 @@ from superhc.pairs import (CentralizerTooLarge, DirectionOnWall, NotAbelian,
                            NotInEvenP, PairError, build_pair,
                            choose_positive_system,
                            even_weyl_group, iwasawa_check, restricted_roots,
-                           rho, weyl_acts_on_functional)
+                           rho)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
+from support import weyl_acts_on_functional
 
 
 def group_pair(g0_maker, cartan="h"):

@@ -39,9 +39,9 @@ from superhc.linalg import ScalarMatrix, nullspace, span_basis
 from superhc.liesuper import verify_algebra
 from superhc.pairs import (build_pair, choose_positive_system,
                            restricted_roots, rho)
-from superhc.pbw import sym_adjoint_index, sym_monomials_up_to
+from superhc.pbw import sym_adjoint_index
 from superhc.rings import generators
-from support import anticenter_product
+from support import anticenter_product, evaluate, sym_monomials_up_to
 
 A = APoly.variable(1, 0)
 
@@ -309,8 +309,8 @@ def test_natural_representation_rejects_the_stated_identity(q):
     assert real.beta_action(p2, v_k) == {w: (1 - 2 * q) * c
                                          for w, c in v_k.items()}
     # mu_low = -1, so Gamma is read at mu_low - rho = q - 1
-    assert (A * A - const(q * q)).evaluate([q - 1]) == 1 - 2 * q
+    assert evaluate(A * A - const(q * q), [q - 1]) == 1 - 2 * q
     p_odd = real.normalised_invariant(2 * q + 1)
     assert real.beta_action(p_odd, v_k) == {}
-    assert anticenter_product(q).evaluate([q - 1]) == 0
-    assert stated_identity(q).evaluate([q - 1]) == {1: 1, 2: -9}[q]
+    assert evaluate(anticenter_product(q), [q - 1]) == 0
+    assert evaluate(stated_identity(q), [q - 1]) == {1: 1, 2: -9}[q]

@@ -1,8 +1,8 @@
 """CLI output against the benchmark's reference captures.
 
-perfbench/reference.json holds the SHA-256 of the stdout of every verify job
-the benchmark runs, and the membership verdicts on the rank-one generator
-images.  A change that alters those bytes or verdicts fails here, in the
+perfbench/reference.json holds the SHA-256 of the stdout of every verify and
+invariants job the benchmark runs, and the membership verdicts on the
+rank-one generator images.  A change that alters those bytes or verdicts fails here, in the
 ordinary test run, instead of only in the benchmark's correctness check.
 The file is only read.
 """
@@ -32,6 +32,15 @@ def test_verify_stdout_matches_reference(capsys, job):
     code = main(["verify", entry, "--degree", degree, "--seed", "0"])
     out = capsys.readouterr().out
     want = REFERENCE["verify"][f"{job}:0"]
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
+
+
+def test_invariants_stretch_stdout_matches_reference(capsys):
+    # the top of the group-gl12 ladder, a stretch degree for the invariants
+    code = main(["invariants", "group-gl12", "--degree", "4"])
+    out = capsys.readouterr().out
+    want = REFERENCE["invariants"]["group-gl12:4"]
     assert code == want["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
 

@@ -43,7 +43,8 @@ def test_component_of_a_L2_is_not_invariant():
     # this is the precise point where the stated generator-image identity
     # breaks down
     from superhc.linalg import solve_membership
-    from superhc.pbw import sym_adjoint, sym_monomials_up_to
+    from superhc.pbw import sym_adjoint
+    from support import sym_monomials_up_to
     analysis = CATALOG["rank1-aniso-q1"].build()
     g = analysis.pair.g
     ctx = analysis.ctx

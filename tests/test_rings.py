@@ -160,7 +160,7 @@ def test_generators_degree_2q_plus_1_is_the_unique_invariant():
     # brute-force oracle: the degree-(2q+1) invariant space of S(p) is
     # one-dimensional and spanned by the returned generator
     from superhc.linalg import ScalarMatrix, nullspace
-    from superhc.pbw import sym_monomials_up_to
+    from support import sym_monomials_up_to
     for q in (1, 2):
         model = build_rank_one_model(q, ANISOTROPIC, Q(1))
         g = model.algebra
