@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScalarMatrix, accumulate, invert
+from .linalg import accumulate, linear_solver
 
 Q = Fraction
 
@@ -183,14 +183,10 @@ def change_to_basis(new_basis: Sequence[Sequence]) -> List[APoly]:
     new_basis[j] is the coordinate tuple of the j-th new basis vector of a
     over the old basis.  Returns images such that substituting them into a
     polynomial in the old h_i yields the same function written in the new
-    variables c_j.
+    variables c_j.  Raises ValueError if new_basis is not a basis.
     """
     r = len(new_basis)
-    cmat = ScalarMatrix.from_columns([list(v) for v in new_basis])
-    cinv = invert(cmat)
-    images = []
-    for i in range(r):
-        # h_i = sum_j (C^{-1})_{j i} c_j
-        images.append(APoly.linear([cinv.rows[j].get(i, Q(0)) for j in range(r)]))
-    return images
-
+    solve = linear_solver(new_basis)
+    # h_i = sum_j (C^{-1})_{j i} c_j, and column i of C^{-1} solves C x = e_i
+    return [APoly.linear(solve([Q(1) if t == i else Q(0) for t in range(r)]))
+            for i in range(r)]

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
-from .linalg import Row, kernel, last_nonzero, linear_solver, solve_membership
+from .linalg import (Echelon, Row, kernel, last_nonzero, linear_solver,
+                     solve_membership)
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
@@ -69,8 +70,9 @@ class IwasawaContext:
         self.k_diagonal, others = _diagonal_weights(self.adapted, self.k_indices())
         self.k_generators = _k_generators(self.adapted, list(self.k_diagonal),
                                           others)
-        closure: Dict[int, Row] = {}
-        _close(self.adapted, closure, [], [*self.k_diagonal, *self.k_generators])
+        closure: List[SuperVector] = []
+        _close(self.adapted, Echelon(), closure,
+               [*self.k_diagonal, *self.k_generators])
         if len(closure) != len(k_basis):
             raise GeneratorsMissK(f"letters generate {len(closure)} of "
                                   f"dim k = {len(k_basis)}")
@@ -194,23 +196,17 @@ def _diagonal_weights(alg, k_idx: List[int]):
     return diag, others
 
 
-def _close(alg, span: Dict[int, Row], elems: List[SuperVector],
+def _close(alg, span: Echelon, elems: List[SuperVector],
            letters: Sequence[int]) -> None:
-    """Grow span (echelon rows by leading index) and elems, the vectors it
-    was built from, to the subalgebra generated by elems and letters."""
+    """Grow elems, a basis of the span, to the subalgebra generated by elems
+    and letters; span keeps the echelon form of elems."""
     todo: List[Row] = [{x: Q(1)} for x in letters]
     while todo:
-        r = dict(todo.pop())
-        for p in sorted(span):
-            if p in r:
-                accumulate(r, span[p], -r[p])
-        if not r:
-            continue
-        lead = min(r)
-        span[lead] = {j: a / r[lead] for j, a in r.items()}
-        v = SuperVector(alg, r)
-        elems.append(v)
-        todo.extend(alg.bracket(v, w).c for w in elems)
+        r = todo.pop()
+        if span.insert(r):
+            v = SuperVector(alg, r)
+            elems.append(v)
+            todo.extend(alg.bracket(v, w).c for w in elems)
 
 
 def _k_generators(alg, diag: List[int], others: List[int]) -> List[int]:
@@ -221,14 +217,14 @@ def _k_generators(alg, diag: List[int], others: List[int]) -> List[int]:
     ad is a homomorphism; the weight filter already imposes the diagonal
     letters, so invariants need adjoint rows only for these.
     """
-    span: Dict[int, Row] = {}
+    span = Echelon()
     elems: List[SuperVector] = []
     _close(alg, span, elems, diag)
     kept: List[int] = []
     for x in sorted(others, key=lambda i: -alg.parity[i]):
-        dim = len(span)
+        dim = len(elems)
         _close(alg, span, elems, [x])
-        if len(span) > dim:
+        if len(elems) > dim:
             kept.append(x)
     return kept
 

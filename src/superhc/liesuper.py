@@ -278,9 +278,9 @@ def theta_eigenspaces(g: LieSuperalgebra) -> Tuple[List[SuperVector], List[Super
     if g.theta is None:
         raise MissingInvolution("theta_eigenspaces needs an involution")
     k = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
-         for v in eigenspace(g.theta, Q(1))]
+         for v in eigenspace([g.theta], [Q(1)])]
     p = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
-         for v in eigenspace(g.theta, Q(-1))]
+         for v in eigenspace([g.theta], [Q(-1)])]
     if len(k) + len(p) != g.dim:
         raise ValueError("theta is not diagonalisable with eigenvalues +-1")
     return k, p

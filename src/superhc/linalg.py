@@ -91,16 +91,6 @@ class ScalarMatrix:
         return [[self.rows[i].get(j, Q(0)) for j in range(self.ncols)]
                 for i in range(self.nrows)]
 
-    def apply(self, vec: Sequence) -> Tuple:
-        out = []
-        for i in range(self.nrows):
-            s = Q(0)
-            for j, a in self.rows[i].items():
-                if vec[j]:
-                    s = s + a * vec[j]
-            out.append(s)
-        return tuple(out)
-
     def mul(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -124,59 +114,75 @@ class ScalarMatrix:
                      tuple(tuple(sorted(r.items())) for r in self.rows)))
 
 
-def _echelonise(rows: List[Row]):
-    """Reduce sparse rows to (unordered) reduced echelon form.
+class Echelon:
+    """The reduced echelon rows of a growing subspace, keyed by pivot column.
 
-    Returns a dict pivot_column -> row, where each row has a unit pivot,
-    contains no other pivot column, and every stored row is reduced against
-    every other (full RREF, maintained incrementally).  Rows are taken
-    sparsest first (a stable sort, so ties keep the caller's order): the
-    reduced echelon form for a fixed column order does not depend on the row
-    order, but fill-in, and with it the cost, does.
+    Each stored row has a unit entry at its pivot, its leading column, and
+    no entry in any other pivot column (full RREF, kept incrementally).
     """
-    pivots: Dict[int, Row] = {}
-    for raw in sorted(rows, key=len):
-        r = dict(raw)
-        # fully reduce the incoming row against all existing pivots; pivot
-        # rows contain no foreign pivot columns, so one sweep suffices
-        while True:
-            hit = [c for c in r if c in pivots]
-            if not hit:
-                break
-            for c in hit:
-                coef = r.pop(c)
-                if not coef:
-                    continue
-                for j, a in pivots[c].items():
-                    if j == c:
-                        continue
-                    v = r.get(j, Q(0)) - coef * a
-                    if v:
-                        r[j] = v
-                    elif j in r:
-                        del r[j]
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: Dict[int, Row] = {}
+
+    @staticmethod
+    def _eliminate(r: Row, c, prow: Row) -> None:
+        """r -= r[c] * prow, for prow with a unit entry at c: clears column c."""
+        coef = r.pop(c)
+        for j, a in prow.items():
+            if j != c:
+                w = coef * a
+                # comparing finds a cancellation more cheaply than subtracting
+                if j not in r:
+                    r[j] = -w
+                elif r[j] != w:
+                    r[j] = r[j] - w
+                else:
+                    del r[j]
+
+    def reduce(self, row: Row) -> Row:
+        """row minus its components along the stored rows, as a new row.
+
+        Stored rows carry no foreign pivot column, so one sweep over the
+        pivots hit by row leaves no pivot column behind.
+        """
+        # an explicit zero left in the copy could become a pivot
+        r = {j: x for j, x in row.items() if x}
+        for c in [c for c in r if c in self.rows]:
+            self._eliminate(r, c, self.rows[c])
+        return r
+
+    def insert(self, row: Row) -> bool:
+        """Add row to the span; False if it lay in the span already."""
+        r = self.reduce(row)
         if not r:
-            continue
+            return False
         lead = min(r)
         inv = Q(1) / r[lead]
         r = {j: a * inv for j, a in r.items()}
-        for prow in pivots.values():
+        for prow in self.rows.values():
             if lead in prow:
-                c = prow.pop(lead)
-                for j, a in r.items():
-                    if j == lead:
-                        continue
-                    v = prow.get(j, Q(0)) - c * a
-                    if v:
-                        prow[j] = v
-                    elif j in prow:
-                        del prow[j]
-        pivots[lead] = r
-    return pivots
+                self._eliminate(prow, lead, r)
+        self.rows[lead] = r
+        return True
+
+
+def _echelonise(rows: List[Row]) -> Echelon:
+    """The reduced echelon form of the span of sparse rows.
+
+    Rows are taken sparsest first (a stable sort, so ties keep the caller's
+    order): the reduced echelon form for a fixed column order does not
+    depend on the row order, but fill-in, and with it the cost, does.
+    """
+    ech = Echelon()
+    for r in sorted(rows, key=len):
+        ech.insert(r)
+    return ech
 
 
 def rank(m: ScalarMatrix) -> int:
-    return len(_echelonise(m.rows))
+    return len(_echelonise(m.rows).rows)
 
 
 def nullspace(m: ScalarMatrix) -> List[Tuple]:
@@ -185,7 +191,7 @@ def nullspace(m: ScalarMatrix) -> List[Tuple]:
     The basis is the reduced echelon one: each vector has a 1 in its free
     column and zeros in the other free columns, so output is deterministic.
     """
-    pivots = _echelonise(m.rows)
+    pivots = _echelonise(m.rows).rows
     free = [j for j in range(m.ncols) if j not in pivots]
     basis = []
     for f in free:
@@ -217,14 +223,21 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Tuple]:
                                   [rows[k] for k in sorted(rows, key=repr)]))
 
 
-def eigenspace(m: ScalarMatrix, ev) -> List[Tuple]:
-    """The nullspace basis of m - ev * I, through kernel over its columns."""
-    cols: List[Row] = [{} for _ in range(m.ncols)]
-    for i, row in enumerate(m.rows):
-        for j, a in row.items():
-            cols[j][i] = a
-    for j, col in enumerate(cols):
-        col[j] = col.get(j, Q(0)) - ev
+def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Tuple]:
+    """The joint eigenspace {v : m v = ev v for each m, ev in zip(ms, values)}.
+
+    It is the kernel of the stacked matrices m - ev * I, taken over their
+    columns; row t * n + i is row i of the t-th matrix.
+    """
+    n = ms[0].ncols
+    cols: List[Row] = [{} for _ in range(n)]
+    for t, (m, ev) in enumerate(zip(ms, values)):
+        for i, row in enumerate(m.rows):
+            for j, a in row.items():
+                cols[j][t * n + i] = a
+        if ev:
+            for j, col in enumerate(cols):
+                col[t * n + j] = col.get(t * n + j, 0) - ev
     return kernel(cols)
 
 
@@ -240,30 +253,20 @@ def last_nonzero(v: Sequence) -> int:
 
 
 def solve_membership(v: Sequence, basis: Sequence[Sequence]):
-    """Coordinates of v in the span of basis, or None if v is not in it."""
-    if not basis:
-        return () if not any(v) else None
+    """Coordinates of v in the span of basis, or None if v is not in it.
+
+    v is in the span iff some vector of the kernel of the columns
+    (basis | v) ends at v's column (last_nonzero); minus its other entries
+    are then the coordinates, zero on the basis vectors that are free.
+    """
     n = len(v)
     if any(len(b) != n for b in basis):
         raise ValueError("vectors of unequal length")
-    # augmented system: columns are basis vectors, last column is v
-    rows: List[Row] = []
-    for i in range(n):
-        r: Row = {}
-        for j, b in enumerate(basis):
-            if b[i]:
-                r[j] = b[i]
-        if v[i]:
-            r[len(basis)] = v[i]
-        if r:
-            rows.append(r)
-    pivots = _echelonise(rows)
-    if len(basis) in pivots:
-        return None
-    coords = [Q(0)] * len(basis)
-    for p, row in pivots.items():
-        coords[p] = row.get(len(basis), Q(0))
-    return tuple(coords)
+    k = len(basis)
+    for w in kernel(dict(enumerate(u)) for u in [*basis, v]):
+        if last_nonzero(w) == k:
+            return tuple(-x for x in w[:k])
+    return None
 
 
 def linear_solver(basis: Sequence[Sequence]):
@@ -271,7 +274,7 @@ def linear_solver(basis: Sequence[Sequence]):
 
     The basis is eliminated once, each row tagged with the combination of
     basis vectors it stands for; a solve then only reduces its vector against
-    the stored pivots.  Raises ValueError on a dependent basis; the solver
+    the stored rows.  Raises ValueError on a dependent basis; the solver
     raises ValueError on vectors outside the span.
     """
     n = len(basis[0]) if basis else 0
@@ -282,46 +285,21 @@ def linear_solver(basis: Sequence[Sequence]):
         r: Row = {i: x for i, x in enumerate(b) if x}
         r[n + j] = Q(1)
         rows.append(r)
-    pivots = _echelonise(rows)
-    if any(p >= n for p in pivots):
+    ech = _echelonise(rows)
+    if any(p >= n for p in ech.rows):
         raise ValueError("basis is linearly dependent")
 
     def solve(v):
         if basis and len(v) != n:
             raise ValueError("vectors of unequal length")
-        # pivot rows carry no foreign pivot column, so one sweep leaves the
-        # part of v outside the span in columns < n and minus its
-        # coordinates in the tag columns
-        residual: Row = {i: x for i, x in enumerate(v) if x}
-        for p, row in pivots.items():
-            c = residual.get(p)
-            if c:
-                accumulate(residual, row, -c)
+        # what is left in columns < n is the part of v outside the span; the
+        # tag columns hold minus its coordinates
+        residual = ech.reduce(dict(enumerate(v)))
         if any(i < len(v) for i in residual):
             raise ValueError("vector outside span")
         return tuple(-residual.get(n + j, Q(0)) for j in range(len(basis)))
 
     return solve
-
-
-def invert(m: ScalarMatrix) -> ScalarMatrix:
-    if m.nrows != m.ncols:
-        raise ValueError("not square")
-    n = m.nrows
-    rows: List[Row] = []
-    for i in range(n):
-        r = dict(m.rows[i])
-        r[n + i] = Q(1)
-        rows.append(r)
-    pivots = _echelonise(rows)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise ValueError("singular matrix")
-    inv = ScalarMatrix(n, n)
-    for p, row in pivots.items():
-        for j, a in row.items():
-            if j >= n:
-                inv.rows[p][j - n] = a
-    return inv
 
 
 def char_poly(m: ScalarMatrix) -> List:
@@ -336,16 +314,11 @@ def char_poly(m: ScalarMatrix) -> List:
     mk = ScalarMatrix.identity(n)
     for k in range(1, n + 1):
         mk = m.mul(mk)
-        tr = sum((mk.rows[i].get(i, Q(0)) for i in range(n)), Q(0))
-        ck = -tr / k
+        ck = -sum((row[i] for i, row in enumerate(mk.rows) if i in row), Q(0)) / k
         coeffs.append(ck)
-        if k < n:
-            for i in range(n):
-                v = mk.rows[i].get(i, Q(0)) + ck
-                if v:
-                    mk.rows[i][i] = v
-                elif i in mk.rows[i]:
-                    del mk.rows[i][i]
+        if k < n and ck:
+            for i, row in enumerate(mk.rows):
+                accumulate(row, {i: ck})
     return coeffs
 
 
@@ -419,19 +392,16 @@ def rational_roots(coeffs: List) -> Tuple[List[Tuple[Fraction, int]], int]:
     return roots, len(work) - 1
 
 
-def _restriction(m: ScalarMatrix, basis: List[Tuple]) -> ScalarMatrix:
-    solve = linear_solver(basis)
-    cols = [solve(m.apply(b)) for b in basis]
-    return ScalarMatrix.from_columns(cols)
-
-
 def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
                              ) -> List[Tuple[Tuple, List[Tuple]]]:
     """Joint eigenspace decomposition of a commuting family.
 
     Returns a list of (eigenvalue-tuple, basis-of-subspace) pairs covering
-    the whole ambient space.  Raises CommutationFailure, IrrationalSpectrum
-    or NotSemisimple when the decomposition does not exist over the scalars.
+    the whole ambient space: one pair per tuple of rational eigenvalues
+    with a nonzero joint eigenspace, the first matrix's value varying
+    slowest.  Each basis is the kernel of the stacked family, every matrix
+    shifted by its value.  Raises CommutationFailure, IrrationalSpectrum or
+    NotSemisimple when the decomposition does not exist over the scalars.
     """
     if not ms:
         raise ValueError("empty matrix list")
@@ -443,36 +413,27 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
         for j in range(i + 1, len(ms)):
             if ms[i].mul(ms[j]) != ms[j].mul(ms[i]):
                 raise CommutationFailure(f"matrices {i} and {j} do not commute")
-
     blocks: List[Tuple[Tuple, List[Tuple]]] = [
         ((), [tuple(Q(1) if k == i else Q(0) for k in range(n)) for i in range(n)])]
-    for m in ms:
-        refined: List[Tuple[Tuple, List[Tuple]]] = []
-        for values, basis in blocks:
-            restr = _restriction(m, basis)
-            roots, remainder = rational_roots(char_poly(restr))
-            if remainder:
-                raise IrrationalSpectrum(
-                    "characteristic factor of degree %d does not split" % remainder)
-            dim_found = 0
+    for t, m in enumerate(ms):
+        roots, remainder = rational_roots(char_poly(m))
+        if remainder:
+            raise IrrationalSpectrum(
+                "characteristic factor of degree %d does not split" % remainder)
+        refined = []
+        for prefix, block in blocks:
+            # the eigenspaces of m inside a block fill at most the block
+            found = 0
             for ev, _mult in roots:
-                kern = eigenspace(restr, ev)
-                if not kern:
-                    continue
-                lifted = []
-                for coords in kern:
-                    vec = [Q(0)] * n
-                    for j, c in enumerate(coords):
-                        if c:
-                            for t in range(n):
-                                if basis[j][t]:
-                                    vec[t] += c * basis[j][t]
-                    lifted.append(tuple(vec))
-                dim_found += len(lifted)
-                refined.append((values + (ev,), lifted))
-            if dim_found != len(basis):
-                raise NotSemisimple("eigenvectors do not span; matrix not semisimple")
+                if found == len(block):
+                    break
+                basis = eigenspace(ms[:t + 1], prefix + (ev,))
+                if basis:
+                    refined.append((prefix + (ev,), basis))
+                    found += len(basis)
         blocks = refined
+    if sum(len(b) for _, b in blocks) != n:
+        raise NotSemisimple("eigenvectors do not span; matrix not semisimple")
     return blocks
 
 
@@ -486,7 +447,7 @@ def span_basis(vectors: Sequence[Sequence]) -> List[Tuple]:
         r = {j: x for j, x in enumerate(v) if x}
         if r:
             rows.append(r)
-    pivots = _echelonise(rows)
+    pivots = _echelonise(rows).rows
     out = []
     for p in sorted(pivots):
         row = pivots[p]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import (ScalarMatrix, invert, kernel, linear_solver, rank,
+from .linalg import (ScalarMatrix, kernel, linear_solver,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
 
@@ -53,11 +53,12 @@ class SymmetricPair:
         self.k_basis = k_basis
         self.p_basis = p_basis
         self.a_basis = a_basis
-        self.a_gram = ScalarMatrix.from_rows(
-            [[g.b(x, y) for y in a_basis] for x in a_basis])
-        if rank(self.a_gram) != len(a_basis):
-            raise DegenerateFormOnA("b restricted to a is degenerate")
-        self.a_gram_inv = invert(self.a_gram)
+        gram = [[g.b(x, y) for y in a_basis] for x in a_basis]
+        self.a_gram = ScalarMatrix.from_rows(gram)
+        try:
+            self._coroot_solve = linear_solver(list(zip(*gram)))
+        except ValueError:
+            raise DegenerateFormOnA("b restricted to a is degenerate") from None
 
     @property
     def rank(self) -> int:
@@ -68,11 +69,12 @@ class SymmetricPair:
         return ev, len(self.k_basis) - ev
 
     def coroot_coords(self, lam: Functional) -> Tuple:
-        return self.a_gram_inv.apply(list(lam))
+        """Coordinates of A_lam, the vector of a with b(A_lam, .) = lam."""
+        return self._coroot_solve(lam)
 
     def dual_pairing(self, lam: Functional, mu: Functional):
         """The form on a* induced by b: <lam, mu> = lam(A_mu)."""
-        coords = self.a_gram_inv.apply(list(mu))
+        coords = self.coroot_coords(mu)
         s = Q(0)
         for li, ci in zip(lam, coords):
             s = s + li * ci
@@ -284,7 +286,7 @@ def _reflection_matrix(system: RestrictedRootSystem, alpha: Functional
     norm = pair.dual_pairing(alpha, alpha)
     if norm == 0:
         raise PairError(f"even root {alpha} is isotropic; no reflection")
-    galpha = pair.a_gram_inv.apply(list(alpha))
+    galpha = pair.coroot_coords(alpha)
     r = pair.rank
     rows = []
     for i in range(r):

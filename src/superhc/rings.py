@@ -41,7 +41,7 @@ class OddRootDatum:
     """Everything the membership tests need to know about one odd root."""
 
     __slots__ = ("lam", "q", "iso_class", "c", "a_coords", "A_coords",
-                 "h0_coords", "a_perp", "gated", "rank")
+                 "h0_coords", "a_perp", "gated", "rank", "images")
 
     def __init__(self, lam: Tuple, q: int, iso_class: str, c,
                  A_coords: Tuple, a_coords: Optional[Tuple],
@@ -57,6 +57,10 @@ class OddRootDatum:
         self.a_perp = a_perp          # basis of the complement inside a
         self.gated = gated            # 2*lam is a root: explicit model refused
         self.rank = len(lam)
+        # substituting these rewrites a polynomial in adapted coordinates:
+        # (a, perp) if anisotropic, (A_lam, h0, perp) if isotropic
+        head = [a_coords] if iso_class == ANISOTROPIC else [A_coords, h0_coords]
+        self.images = change_to_basis([*head, *a_perp])
 
 
 def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
@@ -335,12 +339,6 @@ def generators(model: RankOneModel,
 
 # -- membership conditions ------------------------------------------------------
 
-def _aniso_adapted(p: APoly, datum: OddRootDatum) -> APoly:
-    """Rewrite p in coordinates (a, complement of A_lam in a)."""
-    basis = [list(datum.a_coords)] + [list(v) for v in datum.a_perp]
-    return p.substitute(change_to_basis(basis))
-
-
 def _group_by_perp(p: APoly):
     """Split an adapted polynomial into {perp-exponents: coeffs in var 0}."""
     groups: Dict[Tuple, Dict[int, object]] = {}
@@ -375,18 +373,17 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
     if datum.iso_class == ISOTROPIC:
         # common domain of the operators A_lam^{-j} d^j along lam, j = 1..q;
         # here I and J coincide, so the ring argument is ignored
-        images = change_to_basis(_iso_basis(datum))
         deriv = p
         for j in range(1, datum.q + 1):
             deriv = deriv.directional_derivative(datum.lam)
             if not deriv.terms:
                 break
-            adapted = deriv.substitute(images)
+            adapted = deriv.substitute(datum.images)
             for e, c in adapted.terms.items():
                 if e[0] < j:
                     out[("iso", datum.lam, j, e)] = c
         return out
-    adapted = _aniso_adapted(p, datum)
+    adapted = p.substitute(datum.images)
     if ring == "I":
         for e, c in adapted.terms.items():
             if e[0] % 2 == 1 and e[0] < 2 * datum.q + 1:
@@ -398,12 +395,6 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
                 if t < datum.q:
                     out[("J", datum.lam, key, t)] = c
     return out
-
-
-def _iso_basis(datum: OddRootDatum) -> List[List]:
-    """Adapted basis (A_lam, h0, perp) for divisibility bookkeeping."""
-    return [list(datum.A_coords), list(datum.h0_coords)] \
-        + [list(v) for v in datum.a_perp]
 
 
 def membership_I_lambda(p: APoly, datum: OddRootDatum) -> bool:

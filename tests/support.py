@@ -34,6 +34,12 @@ def p_dims(pair):
     return ev, len(pair.p_basis) - ev
 
 
+def apply(m, vec):
+    """The product of a ScalarMatrix with a coordinate tuple."""
+    return tuple(sum((a * vec[j] for j, a in row.items()), Q(0))
+                 for row in m.rows)
+
+
 def evaluate(poly, point):
     """The value of an APoly at a point."""
     s = Q(0)

@@ -23,8 +23,7 @@ from superhc.liesuper import centralizer, verify_algebra
 from superhc.linalg import solve_membership
 from superhc.pairs import iwasawa_check
 from superhc.rings import (OddRootDatum, filtered_dimension, generators,
-                           membership_I_lambda, membership_J,
-                           membership_J_lambda)
+                           membership_I_lambda, membership_J)
 from superhc.serialization import algebra_to_json
 from support import anticenter_product
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superhc.linalg as linalg
+from superhc.apoly import APoly, change_to_basis
 from superhc.builders import sl2
 from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
-                            ScalarMatrix, char_poly, invert, kernel,
+                            NotSemisimple, ScalarMatrix, char_poly, kernel,
                             linear_solver, nullspace, rank, rational_roots,
                             simultaneous_eigenspaces, solve_membership,
                             span_basis)
+from support import apply
 
 
 def test_nullspace_identity_is_trivial():
@@ -28,7 +30,7 @@ def test_nullspace_rank_one():
     assert len(kern) == 1
     # oracle: direct multiplication annihilates the kernel vector
     v = kern[0]
-    assert not any(m.apply(v))
+    assert not any(apply(m, v))
     assert v[0] * Q(1) + v[1] * Q(2) == 0
 
 
@@ -43,7 +45,7 @@ def test_rank_nullity_randomized():
         kern = nullspace(mat)
         assert rank(mat) + len(kern) == n
         for v in kern:
-            assert not any(mat.apply(v))
+            assert not any(apply(mat, v))
 
 
 @st.composite
@@ -173,12 +175,34 @@ def test_linear_solver_eliminates_once(monkeypatch):
     assert calls == [3]
 
 
-def test_invert_and_char_poly():
+def test_char_poly():
     m = ScalarMatrix.from_rows([[2, 1], [1, 1]])
-    inv = invert(m)
-    assert m.mul(inv) == ScalarMatrix.identity(2)
     # char poly of [[2,1],[1,1]] is x^2 - 3x + 1
     assert char_poly(m) == [Q(1), Q(-3), Q(1)]
+
+
+def test_change_to_basis_rewrites_each_new_basis_vector_as_its_variable():
+    # the linear function with coefficients B[j] over the old variables is
+    # the j-th new variable; change_to_basis solves against B once per call
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        r = rng.randint(1, 4)
+        basis = [tuple(Q(rng.randint(-3, 3)) for _ in range(r)) for _ in range(r)]
+        if rank(ScalarMatrix.from_rows(basis)) < r:
+            continue
+        images = change_to_basis(basis)
+        for j in range(r):
+            assert APoly.linear(basis[j]).substitute(images) \
+                == APoly.variable(r, j)
+        checked += 1
+
+
+def test_change_to_basis_rejects_a_singular_basis():
+    with pytest.raises(ValueError):
+        change_to_basis([(Q(1), Q(2)), (Q(2), Q(4))])
+    with pytest.raises(ValueError):
+        change_to_basis([(Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0))])
 
 
 def test_rational_roots_full_split():
@@ -216,7 +240,7 @@ def test_simultaneous_eigenspaces_sl2_cartan():
     for values, basis in blocks:
         assert len(basis) == 1
         v = basis[0]
-        assert m.apply(v) == tuple(values[0] * x for x in v)
+        assert apply(m, v) == tuple(values[0] * x for x in v)
 
 
 def test_commutation_failure():
@@ -224,6 +248,12 @@ def test_commutation_failure():
     b = ScalarMatrix.from_rows([[0, 0], [1, 0]])
     with pytest.raises(CommutationFailure):
         simultaneous_eigenspaces([a, b])
+
+
+def test_not_semisimple():
+    m = ScalarMatrix.from_rows([[1, 1], [0, 1]])  # a Jordan block
+    with pytest.raises(NotSemisimple):
+        simultaneous_eigenspaces([m])
 
 
 def test_irrational_spectrum():
@@ -251,3 +281,43 @@ def test_simultaneous_eigenspaces_dimensions_fill_space():
         assert sum(len(b) for _, b in blocks) == n
         tuples = [v for v, _ in blocks]
         assert len(set(tuples)) == len(tuples)
+
+
+def _unimodular(n, rng):
+    """P and P^-1, both integral: a product of elementary matrices
+    I + c E_ij, whose inverses I - c E_ij are multiplied in reverse."""
+    p, p_inv = ScalarMatrix.identity(n), ScalarMatrix.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        e = ScalarMatrix.identity(n)
+        e.rows[i][j] = Q(c)
+        e_inv = ScalarMatrix.identity(n)
+        e_inv.rows[i][j] = Q(-c)
+        p, p_inv = p.mul(e), e_inv.mul(p_inv)
+    return p, p_inv
+
+
+def test_simultaneous_eigenspaces_conjugated_diagonal_family():
+    rng = random.Random(33)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        p, p_inv = _unimodular(n, rng)
+        assert p.mul(p_inv) == ScalarMatrix.identity(n)
+        diags = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(2)]
+        ms = [p.mul(ScalarMatrix.from_rows(
+            [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+            .mul(p_inv) for d in diags]
+        blocks = simultaneous_eigenspaces(ms)
+        assert sum(len(b) for _, b in blocks) == n
+        assert len(span_basis([v for _, b in blocks for v in b])) == n
+        tuples = [values for values, _ in blocks]
+        assert len(set(tuples)) == len(tuples)
+        occurs = list(zip(*diags))
+        for values, basis in blocks:
+            assert len(basis) == occurs.count(values)
+            for v in basis:
+                for m, ev in zip(ms, values):
+                    assert apply(m, v) == tuple(ev * x for x in v)

@@ -2,17 +2,18 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superhc.builders import double_with_flip, osp12, sl2
+from superhc.builders import double_with_flip, gl11, osp12, sl2
 from superhc.catalog import CATALOG
 from superhc.linalg import ScalarMatrix, solve_membership
-from superhc.liesuper import LieSuperalgebra
-from superhc.pairs import (CentralizerTooLarge, DirectionOnWall, NotAbelian,
-                           NotInEvenP, PairError, build_pair,
+from superhc.liesuper import LieSuperalgebra, theta_eigenspaces
+from superhc.pairs import (CentralizerTooLarge, DegenerateFormOnA,
+                           DirectionOnWall, NotAbelian, NotInEvenP, PairError,
+                           SymmetricPair, build_pair,
                            choose_positive_system,
                            even_weyl_group, iwasawa_check, restricted_roots,
                            rho)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import weyl_acts_on_functional
+from support import apply, weyl_acts_on_functional
 
 
 def group_pair(g0_maker, cartan="h"):
@@ -52,6 +53,26 @@ def test_build_pair_rejects_vector_outside_p():
     g = double_with_flip(sl2())
     with pytest.raises(NotInEvenP):
         build_pair(g, [g.vector({"h.l": Q(1), "h.r": Q(1)})])
+
+
+def test_degenerate_form_on_a():
+    # the identity of gl(1|1) has supertrace str(I I) = 0, so b vanishes on
+    # the antidiagonal copy of it in p
+    g = double_with_flip(gl11())
+    k, p = theta_eigenspaces(g)
+    a = g.vector({"E00.l": Q(1), "E11.l": Q(1), "E00.r": Q(-1), "E11.r": Q(-1)})
+    assert g.b(a, a) == 0
+    with pytest.raises(DegenerateFormOnA):
+        SymmetricPair(g, k, p, [a])
+
+
+def test_coroot_coords_solve_the_gram_system():
+    # b(x_i, A_lam) = lam(x_i) for each a-basis vector x_i
+    for name in CATALOG:
+        analysis = CATALOG[name].build()
+        pair = analysis.pair
+        for root in analysis.system.roots:
+            assert apply(pair.a_gram, pair.coroot_coords(root.lam)) == root.lam
 
 
 def test_build_pair_rejects_nonabelian_a():

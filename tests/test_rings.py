@@ -7,9 +7,9 @@ from superhc.catalog import CATALOG
 from superhc.liesuper import verify_algebra
 from superhc.pairs import choose_positive_system, restricted_roots
 from superhc.pbw import sym_adjoint
-from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass, OddRootDatum,
+from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            build_rank_one_model, coefficient_aNk,
-                           filtered_dimension, generators, membership_I,
+                           filtered_dimension, generators,
                            membership_I_lambda, membership_J,
                            membership_J_lambda, odd_root_data)
 
