@@ -66,13 +66,9 @@ class APoly:
     def __mul__(self, other: "APoly") -> "APoly":
         out: Dict[Expvec, object] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Q(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+            # one row per left term: distinct terms of other stay distinct
+            accumulate(out, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
+                             for e2, c2 in other.terms.items()})
         return APoly(self.n, out)
 
     def scale(self, c) -> "APoly":
@@ -129,16 +125,9 @@ class APoly:
         """sum_i values[i] * d/dh_i, the derivative along a functional."""
         out: Dict[Expvec, object] = {}
         for e, c in self.terms.items():
-            for i, k in enumerate(e):
-                if k and values[i]:
-                    e2 = list(e)
-                    e2[i] = k - 1
-                    key = tuple(e2)
-                    v = out.get(key, Q(0)) + c * k * values[i]
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+            # one row per term: lowering distinct variables gives distinct keys
+            accumulate(out, {e[:i] + (k - 1,) + e[i + 1:]: c * k * values[i]
+                             for i, k in enumerate(e) if k and values[i]})
         return APoly(self.n, out)
 
     def pretty(self, names: Optional[Sequence[str]] = None) -> str:
@@ -186,7 +175,12 @@ def change_to_basis(new_basis: Sequence[Sequence]) -> List[APoly]:
     variables c_j.  Raises ValueError if new_basis is not a basis.
     """
     r = len(new_basis)
-    solve = linear_solver(new_basis)
-    # h_i = sum_j (C^{-1})_{j i} c_j, and column i of C^{-1} solves C x = e_i
-    return [APoly.linear(solve([Q(1) if t == i else Q(0) for t in range(r)]))
-            for i in range(r)]
+    solve = linear_solver([{i: x for i, x in enumerate(b) if x}
+                           for b in new_basis])
+    # h_i = sum_j (C^{-1})_{j i} c_j, and column i of C^{-1} solves C x = e_i;
+    # one image per old variable, so a short basis misses some e_i
+    images = []
+    for i in range(len(new_basis[0]) if new_basis else 0):
+        coords = solve({i: Q(1)})
+        images.append(APoly.linear([coords.get(j, Q(0)) for j in range(r)]))
+    return images

@@ -48,8 +48,9 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence,
     mats = [m if isinstance(m, ScalarMatrix) else ScalarMatrix.from_rows(m)
             for m in mats]
 
-    def flat(m: ScalarMatrix) -> Tuple:
-        return tuple(x for row in m.dense() for x in row)
+    def flat(m: ScalarMatrix) -> Dict[int, object]:
+        return {i * m.ncols + j: x for i, row in enumerate(m.rows)
+                for j, x in row.items()}
 
     solve = linear_solver([flat(m) for m in mats])
     brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
@@ -59,11 +60,10 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence,
             br = supercommutator(mats[i], mats[j],
                                  bool(parities[i] and parities[j]))
             try:
-                coords = solve(flat(br))
+                out = solve(flat(br))
             except ValueError:
                 raise ValueError(f"matrices do not close under bracket at ({i},{j})"
                                  ) from None
-            out = {k: c for k, c in enumerate(coords) if c}
             if out:
                 brackets[(i, j)] = out
     form = ScalarMatrix.from_rows(

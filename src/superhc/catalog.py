@@ -23,7 +23,7 @@ from .linalg import ScalarMatrix, linear_solver, span_basis
 from .liesuper import LieSuperalgebra, SuperVector, centralizer
 from .pairs import (PairError, SymmetricPair, build_pair,
                     centralizer_formula_holds, choose_positive_system,
-                    even_weyl_group, restricted_roots, rho)
+                    even_weyl_group, restricted_roots)
 from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
                     odd_root_data, ring_conditions, ring_degrees)
 from .scalars import scalar_to_string
@@ -53,15 +53,15 @@ def verify_certificate(g: LieSuperalgebra) -> None:
             if g.bracket(x, v):
                 raise NoCertificate("declared central element is not central")
     all_vecs = list(center) + [v for ideal in ideals for v in ideal]
-    dense = [v.dense() for v in all_vecs]
-    if len(span_basis(dense)) != len(all_vecs) or len(all_vecs) != g.dim:
+    if len(span_basis(v.c for v in all_vecs)) != len(all_vecs) \
+            or len(all_vecs) != g.dim:
         raise NoCertificate("declared decomposition is not a direct sum basis")
     for ideal in ideals:
-        solve = linear_solver([v.dense() for v in ideal])
+        solve = linear_solver([v.c for v in ideal])
         for x in basis:
             for v in ideal:
                 try:
-                    solve(g.bracket(x, v).dense())
+                    solve(g.bracket(x, v).c)
                 except ValueError:
                     raise NoCertificate("declared ideal is not an ideal") from None
         if g.form is not None:
@@ -108,9 +108,9 @@ class Analysis:
         self.name = name
         self.system = restricted_roots(pair)
         choose_positive_system(self.system, direction)
-        self.rho_triple = rho(self.system)
         self.weyl = even_weyl_group(self.system)
         self.ctx = IwasawaContext(pair, self.system)
+        self.rho_triple = self.ctx.rho_triple
         self.data = odd_root_data(self.system)
         self.a_names = list(a_names) if a_names is not None \
             else [f"a{i}" for i in range(pair.rank)]
@@ -172,7 +172,6 @@ for entry in [
 
 def roots_report(analysis: Analysis, entry_name: str = "") -> dict:
     system = analysis.system
-    pair = analysis.pair
     data_by_lam = {d.lam: d for d in analysis.data}
     roots = []
     for root, pos in zip(system.roots, system.positive):
@@ -183,13 +182,12 @@ def roots_report(analysis: Analysis, entry_name: str = "") -> dict:
             "positive": pos,
         }
         if root.m1 > 0:
-            norm = pair.dual_pairing(root.lam, root.lam)
-            row["isotropy"] = ISOTROPIC if norm == 0 else ANISOTROPIC
-            row["q"] = root.m1 // 2
             # the datum lives at the positive member of {lam, -lam}
             datum = data_by_lam.get(root.lam) \
-                or data_by_lam.get(tuple(-x for x in root.lam))
-            row["gated"] = datum.gated if datum is not None else None
+                or data_by_lam[tuple(-x for x in root.lam)]
+            row["isotropy"] = datum.iso_class
+            row["q"] = datum.q
+            row["gated"] = datum.gated
         roots.append(row)
     rho_t = analysis.rho_triple
     return {

@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
-from .linalg import (Echelon, Row, kernel, last_nonzero, linear_solver,
-                     solve_membership)
+from .linalg import Echelon, Row, kernel, linear_solver, solve_membership
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
@@ -60,8 +59,10 @@ class IwasawaContext:
         self.rank = len(a_basis)
         self.lo_a, self.lo_k = self.n_len, self.n_len + self.rank
         self._proj_memo: Dict[Monomial, UEAElement] = {}
-        self._solve = linear_solver([v.dense() for v in vectors])
-        self.rho = rho(system)[0]
+        self._solve = linear_solver([v.c for v in vectors])
+        # (rho, rho0, rho1), cross-checked once per context
+        self.rho_triple = rho(system)
+        self.rho = self.rho_triple[0]
         # the U(g) factor of each basis letter of the original algebra
         self._gen_table = [self.uea.from_vector(self.to_adapted(pair.g.basis(i)))
                            for i in range(pair.g.dim)]
@@ -79,8 +80,7 @@ class IwasawaContext:
 
     # -- conversions ---------------------------------------------------------
     def to_adapted(self, v: SuperVector) -> SuperVector:
-        coords = self._solve(v.dense())
-        return SuperVector(self.adapted, {i: c for i, c in enumerate(coords) if c})
+        return SuperVector(self.adapted, self._solve(v.c))
 
     def k_indices(self) -> List[int]:
         return list(range(self.lo_k, self.adapted.dim))
@@ -252,8 +252,7 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     kern = kernel({(x, mt): c for x in ctx.k_generators
                    for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}
                   for m in kept)
-    invariants = [{kept[t]: c for t, c in enumerate(coords) if c}
-                  for coords in kern]
+    invariants = [{kept[t]: c for t, c in coords.items()} for coords in kern]
     companion = _ideal_part(ctx, invariants)
     return InvariantBasis(d, invariants, companion)
 
@@ -267,7 +266,7 @@ def _ideal_part(ctx: IwasawaContext, invariants: List[UEAElement]
                           if not any(i >= lo_k for i in m)}
                          for inv in invariants):
         elem: UEAElement = {}
-        for t, c in enumerate(coords):
+        for t, c in coords.items():
             accumulate(elem, invariants[t], c)
         out.append(elem)
     return out
@@ -287,10 +286,10 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
     <= e parts are spanned by the basis vectors of degree <= e, so Gamma of
     the degree <= e invariants is spanned by the first n = dim_invariants
     images.  One kernel holds the relations among all the images; those
-    among the first n are spanned by the relations whose last nonzero entry
-    lies before n (linalg.last_nonzero), so dim_image is n minus their
-    number.  The top-level dimensions are the degree-d row.  When the Weyl
-    group and the odd-root data are supplied, the report also carries the
+    among the first n are spanned by the relations whose largest key lies
+    before n (see linalg.nullspace), so dim_image is n minus their number.
+    The top-level dimensions are the degree-d row.  When the Weyl group and
+    the odd-root data are supplied, the report also carries the
     weyl_invariant and in_J flags for the computed image.
     """
     if basis is None:
@@ -299,7 +298,7 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
     kernel_ok = all(not ctx.hc_gamma(v).terms for v in basis.companion)
     inv_degrees = [max(map(len, v), default=0) for v in basis.invariants]
     ker_degrees = [max(map(len, v), default=0) for v in basis.companion]
-    relation_ends = [last_nonzero(v) for v in kernel(p.terms for p in images)]
+    relation_ends = [max(v) for v in kernel(p.terms for p in images)]
     rows = []
     for e in range(d + 1):
         dim_inv = sum(1 for t in inv_degrees if t <= e)
@@ -331,15 +330,12 @@ def gamma_preimage(ctx: IwasawaContext, target: APoly, d: int,
     if basis is None:
         basis = invariants_up_to_degree(ctx, d)
     images = [ctx.hc_gamma(v) for v in basis.invariants]
-    monos = sorted({e for p in images for e in p.terms} | set(target.terms))
-    cols = [[p.terms.get(e, Q(0)) for e in monos] for p in images]
-    coords = solve_membership([target.terms.get(e, Q(0)) for e in monos], cols)
+    coords = solve_membership(target.terms, [p.terms for p in images])
     if coords is None:
         return None
     out: UEAElement = {}
-    for t, c in enumerate(coords):
-        if c:
-            accumulate(out, basis.invariants[t], c)
+    for t, c in coords.items():
+        accumulate(out, basis.invariants[t], c)
     return out
 
 
@@ -354,26 +350,26 @@ def gr_restriction(pair: SymmetricPair, p: SymElement) -> APoly:
     g = pair.g
     adapted = list(pair.a_basis) + a_perp_in_p(pair)
     parities = [v.parity for v in adapted]
-    solve = linear_solver([v.dense() for v in adapted])
+    solve = linear_solver([v.c for v in adapted])
     rank_a = len(pair.a_basis)
 
-    cache: Dict[int, List[Tuple[int, object]]] = {}
+    cache: Dict[int, SymElement] = {}
 
-    def expand(i: int) -> List[Tuple[int, object]]:
+    def expand(i: int) -> SymElement:
+        """The letter i as a linear element of S(p) over the adapted basis."""
         if i not in cache:
             try:
-                coords = solve(g.basis(i).dense())
+                coords = solve({i: Q(1)})
             except ValueError:
                 raise ValueError(f"generator {g.names[i]} is not in p")
-            cache[i] = [(t, c) for t, c in enumerate(coords) if c]
+            cache[i] = {(t,): v for t, v in coords.items()}
         return cache[i]
 
     acc: Dict[Tuple[int, ...], object] = {}
     for m, c in p.items():
         prod: SymElement = {(): c}
         for letter in m:
-            lin: SymElement = {(t,): v for t, v in expand(letter)}
-            prod = sym_multiply(parities, prod, lin)
+            prod = sym_multiply(parities, prod, expand(letter))
         for mono, v in prod.items():
             if all(t < rank_a for t in mono):
                 e = [0] * rank_a

@@ -176,14 +176,8 @@ class LieSuperalgebra:
             raise MissingInvolution("algebra carries no involution")
         out: Dict[int, object] = {}
         for j, xj in x.c.items():
-            for i in range(self.dim):
-                a = self.theta.rows[i].get(j)
-                if a:
-                    v = out.get(i, Q(0)) + a * xj
-                    if v:
-                        out[i] = v
-                    elif i in out:
-                        del out[i]
+            accumulate(out, {i: row[j] for i, row in enumerate(self.theta.rows)
+                             if j in row}, xj)
         return SuperVector(self, out)
 
     def b_theta(self, x: SuperVector, y: SuperVector):
@@ -191,8 +185,11 @@ class LieSuperalgebra:
         return self.b(x, self.theta_apply(y))
 
     def ad_matrix(self, x: SuperVector) -> ScalarMatrix:
-        cols = [self.bracket(x, self.basis(j)).dense() for j in range(self.dim)]
-        return ScalarMatrix.from_columns(cols)
+        m = ScalarMatrix(self.dim, self.dim)
+        for j in range(self.dim):
+            for i, a in self.bracket(x, self.basis(j)).c.items():
+                m.rows[i][j] = a
+        return m
 
 
 # -- validation --------------------------------------------------------------
@@ -277,10 +274,8 @@ def theta_eigenspaces(g: LieSuperalgebra) -> Tuple[List[SuperVector], List[Super
     """(k, p): the +1 and -1 eigenspaces of theta, as echelon bases."""
     if g.theta is None:
         raise MissingInvolution("theta_eigenspaces needs an involution")
-    k = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
-         for v in eigenspace([g.theta], [Q(1)])]
-    p = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
-         for v in eigenspace([g.theta], [Q(-1)])]
+    k = [SuperVector(g, v) for v in eigenspace([g.theta], [Q(1)])]
+    p = [SuperVector(g, v) for v in eigenspace([g.theta], [Q(-1)])]
     if len(k) + len(p) != g.dim:
         raise ValueError("theta is not diagonalisable with eigenvalues +-1")
     return k, p
@@ -294,21 +289,15 @@ def centralizer(g: LieSuperalgebra, gens: Sequence[SuperVector],
             raise MixedAlgebras("centralizer generators from another algebra")
     kern = kernel({(i, t): x for i, s in enumerate(gens)
                    for t, x in g.bracket(s, w).c.items()} for w in within)
-    return [sum((w.scale(c) for w, c in zip(within, coords) if c), g.zero())
+    return [sum((within[t].scale(c) for t, c in coords.items()), g.zero())
             for coords in kern]
 
 
 def derived_and_center(g: LieSuperalgebra
                        ) -> Tuple[List[SuperVector], List[SuperVector]]:
     """(g' = [g,g], z(g)) as echelon bases."""
-    images = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            out = g.bracket_indices(i, j)
-            if out:
-                images.append(tuple(out.get(t, Q(0)) for t in range(g.dim)))
-    derived = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
-               for v in span_basis(images)]
+    derived = [SuperVector(g, v) for v in span_basis(
+        g.bracket_indices(i, j) for i in range(g.dim) for j in range(g.dim))]
     center = centralizer(g, g.basis_vectors(), g.basis_vectors())
     return derived, center
 
@@ -328,20 +317,21 @@ def change_basis(g: LieSuperalgebra, vectors: Sequence[SuperVector],
         if p is None:
             raise ValueError("new basis vectors must be parity homogeneous")
         par.append(p)
-    solve = linear_solver([v.dense() for v in vectors])
+    solve = linear_solver([v.c for v in vectors])
     brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
     for i in range(g.dim):
         for j in range(i, g.dim):
             out = g.bracket(vectors[i], vectors[j])
             if out:
-                coords = solve(out.dense())
-                brackets[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+                brackets[(i, j)] = solve(out.c)
     form = theta = None
     if g.form is not None:
         form = ScalarMatrix.from_rows(
             [[g.b(vi, vj) for vj in vectors] for vi in vectors])
     if g.theta is not None:
-        cols = [solve(g.theta_apply(v).dense()) for v in vectors]
-        theta = ScalarMatrix.from_columns(cols)
+        theta = ScalarMatrix(g.dim, g.dim)
+        for j, v in enumerate(vectors):
+            for i, x in solve(g.theta_apply(v).c).items():
+                theta.rows[i][j] = x
     return LieSuperalgebra(names, par, brackets, form=form, theta=theta,
                            sqrt_context=g.sqrt_context)

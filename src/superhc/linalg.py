@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over the rationals (or a quadratic extension).
 
-Vectors are tuples of scalars, sparse rows are dicts column -> scalar.  All
-eliminations are fraction-free in spirit but simply exact in practice: no
-pivot thresholds, no rounding, ever.
+A vector is a Row, a sparse dict from column to a nonzero scalar; every
+function here takes and returns vectors in that one form.  All eliminations
+are fraction-free in spirit but simply exact in practice: no pivot
+thresholds, no rounding, ever.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ class NotSemisimple(Exception):
     """A matrix has fewer eigenvectors than its dimension."""
 
 
-def accumulate(acc: dict, other: dict, coeff=Q(1)) -> None:
-    """acc += coeff * other for sparse dicts; entries that cancel are dropped."""
-    if not coeff:
+def accumulate(acc: dict, other: dict, coeff=None) -> None:
+    """acc += coeff * other for sparse dicts, or acc += other when coeff is
+    None; entries that cancel are dropped."""
+    if coeff is None:
+        items = other.items()
+    elif not coeff:
         return
-    for k, v in other.items():
-        w = coeff * v
+    else:
+        items = [(k, coeff * v) for k, v in other.items()]
+    for k, w in items:
         if k in acc:
             w = acc[k] + w
             if not w:
@@ -67,17 +72,6 @@ class ScalarMatrix:
         return m
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "ScalarMatrix":
-        ncols = len(cols)
-        nrows = len(cols[0]) if ncols else 0
-        m = cls(nrows, ncols)
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                if x:
-                    m.rows[i][j] = Q(x) if isinstance(x, int) else x
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> "ScalarMatrix":
         m = cls(n, n)
         for i in range(n):
@@ -86,10 +80,6 @@ class ScalarMatrix:
 
     def entry(self, i: int, j: int):
         return self.rows[i].get(j, Q(0))
-
-    def dense(self) -> List[List]:
-        return [[self.rows[i].get(j, Q(0)) for j in range(self.ncols)]
-                for i in range(self.nrows)]
 
     def mul(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self.ncols != other.nrows:
@@ -185,26 +175,29 @@ def rank(m: ScalarMatrix) -> int:
     return len(_echelonise(m.rows).rows)
 
 
-def nullspace(m: ScalarMatrix) -> List[Tuple]:
-    """Basis of the right kernel of m, as coordinate tuples.
+def nullspace(m: ScalarMatrix) -> List[Row]:
+    """Basis of the right kernel of m, as rows.
 
     The basis is the reduced echelon one: each vector has a 1 in its free
-    column and zeros in the other free columns, so output is deterministic.
+    column and no entry in the other free columns, so output is
+    deterministic.  Its other entries lie in pivot columns before the free
+    one, so each vector's largest key is its own free column and these are
+    distinct: a combination of basis vectors ends where its latest member
+    ends, and the kernel vectors supported on the first n coordinates are
+    spanned by the basis vectors whose largest key is below n.
     """
     pivots = _echelonise(m.rows).rows
-    free = [j for j in range(m.ncols) if j not in pivots]
+    order = sorted(pivots)
     basis = []
-    for f in free:
-        v = [Q(0)] * m.ncols
-        v[f] = Q(1)
-        for p, row in pivots.items():
-            if f in row:
-                v[p] = -row[f]
-        basis.append(tuple(v))
+    for f in range(m.ncols):
+        if f not in pivots:
+            v: Row = {p: -pivots[p][f] for p in order if f in pivots[p]}
+            v[f] = Q(1)
+            basis.append(v)
     return basis
 
 
-def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Tuple]:
+def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Row]:
     """The nullspace basis of the matrix whose j-th column is the j-th dict.
 
     Columns are sparse maps from any hashable output coordinate to a scalar
@@ -223,7 +216,7 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Tuple]:
                                   [rows[k] for k in sorted(rows, key=repr)]))
 
 
-def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Tuple]:
+def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Row]:
     """The joint eigenspace {v : m v = ev v for each m, ev in zip(ms, values)}.
 
     It is the kernel of the stacked matrices m - ev * I, taken over their
@@ -241,63 +234,50 @@ def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Tuple]:
     return kernel(cols)
 
 
-def last_nonzero(v: Sequence) -> int:
-    """Index of the last nonzero entry of v.
-
-    On the basis nullspace returns this is the vector's own free column, so
-    the last indices are distinct: a combination of basis vectors ends where
-    its latest member ends, and the kernel vectors supported on the first n
-    coordinates are spanned by the basis vectors whose last index is below n.
-    """
-    return max(j for j, x in enumerate(v) if x)
-
-
-def solve_membership(v: Sequence, basis: Sequence[Sequence]):
+def solve_membership(v: Dict[Hashable, object],
+                     basis: Sequence[Dict[Hashable, object]]) -> Optional[Row]:
     """Coordinates of v in the span of basis, or None if v is not in it.
 
-    v is in the span iff some vector of the kernel of the columns
-    (basis | v) ends at v's column (last_nonzero); minus its other entries
-    are then the coordinates, zero on the basis vectors that are free.
+    Vectors are sparse maps from any hashable coordinate to a scalar.  v is
+    in the span iff some vector of the kernel of the columns (basis | v)
+    ends at v's column (see nullspace); minus its other entries are then the
+    coordinates, absent on the basis vectors that are free.
     """
-    n = len(v)
-    if any(len(b) != n for b in basis):
-        raise ValueError("vectors of unequal length")
     k = len(basis)
-    for w in kernel(dict(enumerate(u)) for u in [*basis, v]):
-        if last_nonzero(w) == k:
-            return tuple(-x for x in w[:k])
+    for w in kernel([*basis, v]):
+        if max(w) == k:
+            return {j: -x for j, x in w.items() if j < k}
     return None
 
 
-def linear_solver(basis: Sequence[Sequence]):
-    """Return a function expressing vectors in the given basis.
+def linear_solver(basis: Sequence[Row]):
+    """Return a function expressing rows in the given basis, as a row.
 
     The basis is eliminated once, each row tagged with the combination of
-    basis vectors it stands for; a solve then only reduces its vector against
-    the stored rows.  Raises ValueError on a dependent basis; the solver
-    raises ValueError on vectors outside the span.
+    basis vectors it stands for, in column n + j past every basis key; a
+    solve then only reduces its vector against the stored rows.  Raises
+    ValueError on a dependent basis; the solver raises ValueError on vectors
+    outside the span, among them any with a key >= n.
     """
-    n = len(basis[0]) if basis else 0
-    if any(len(b) != n for b in basis):
-        raise ValueError("vectors of unequal length")
+    n = 1 + max((j for b in basis for j in b), default=-1)
     rows: List[Row] = []
-    for j, b in enumerate(basis):
-        r: Row = {i: x for i, x in enumerate(b) if x}
-        r[n + j] = Q(1)
+    for t, b in enumerate(basis):
+        r = dict(b)
+        r[n + t] = Q(1)
         rows.append(r)
     ech = _echelonise(rows)
     if any(p >= n for p in ech.rows):
         raise ValueError("basis is linearly dependent")
 
-    def solve(v):
-        if basis and len(v) != n:
-            raise ValueError("vectors of unequal length")
+    def solve(v: Row) -> Row:
+        if any(j >= n for j in v):
+            raise ValueError("vector outside span")
         # what is left in columns < n is the part of v outside the span; the
         # tag columns hold minus its coordinates
-        residual = ech.reduce(dict(enumerate(v)))
-        if any(i < len(v) for i in residual):
+        residual = ech.reduce(v)
+        if any(j < n for j in residual):
             raise ValueError("vector outside span")
-        return tuple(-residual.get(n + j, Q(0)) for j in range(len(basis)))
+        return {j - n: -residual[j] for j in sorted(residual)}
 
     return solve
 
@@ -393,7 +373,7 @@ def rational_roots(coeffs: List) -> Tuple[List[Tuple[Fraction, int]], int]:
 
 
 def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
-                             ) -> List[Tuple[Tuple, List[Tuple]]]:
+                             ) -> List[Tuple[Tuple, List[Row]]]:
     """Joint eigenspace decomposition of a commuting family.
 
     Returns a list of (eigenvalue-tuple, basis-of-subspace) pairs covering
@@ -413,8 +393,7 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
         for j in range(i + 1, len(ms)):
             if ms[i].mul(ms[j]) != ms[j].mul(ms[i]):
                 raise CommutationFailure(f"matrices {i} and {j} do not commute")
-    blocks: List[Tuple[Tuple, List[Tuple]]] = [
-        ((), [tuple(Q(1) if k == i else Q(0) for k in range(n)) for i in range(n)])]
+    blocks: List[Tuple[Tuple, List[Row]]] = [((), [{i: Q(1)} for i in range(n)])]
     for t, m in enumerate(ms):
         roots, remainder = rational_roots(char_poly(m))
         if remainder:
@@ -437,19 +416,7 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
     return blocks
 
 
-def span_basis(vectors: Sequence[Sequence]) -> List[Tuple]:
-    """A deterministic echelon basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    rows: List[Row] = []
-    for v in vectors:
-        r = {j: x for j, x in enumerate(v) if x}
-        if r:
-            rows.append(r)
-    pivots = _echelonise(rows).rows
-    out = []
-    for p in sorted(pivots):
-        row = pivots[p]
-        out.append(tuple(row.get(j, Q(0)) for j in range(n)))
-    return out
+def span_basis(vectors: Iterable[Row]) -> List[Row]:
+    """A deterministic echelon basis of the span of the given rows."""
+    pivots = _echelonise(list(vectors)).rows
+    return [{j: pivots[p][j] for j in sorted(pivots[p])} for p in sorted(pivots)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import (ScalarMatrix, kernel, linear_solver,
+from .linalg import (Row, ScalarMatrix, kernel, linear_solver,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
 
@@ -53,10 +53,11 @@ class SymmetricPair:
         self.k_basis = k_basis
         self.p_basis = p_basis
         self.a_basis = a_basis
-        gram = [[g.b(x, y) for y in a_basis] for x in a_basis]
-        self.a_gram = ScalarMatrix.from_rows(gram)
+        self.a_gram = ScalarMatrix.from_rows(
+            [[g.b(x, y) for y in a_basis] for x in a_basis])
         try:
-            self._coroot_solve = linear_solver(list(zip(*gram)))
+            # b is symmetric on the even space a: the rows are the columns
+            self._coroot_solve = linear_solver(self.a_gram.rows)
         except ValueError:
             raise DegenerateFormOnA("b restricted to a is degenerate") from None
 
@@ -70,7 +71,8 @@ class SymmetricPair:
 
     def coroot_coords(self, lam: Functional) -> Tuple:
         """Coordinates of A_lam, the vector of a with b(A_lam, .) = lam."""
-        return self._coroot_solve(lam)
+        coords = self._coroot_solve({i: x for i, x in enumerate(lam) if x})
+        return tuple(coords.get(i, Q(0)) for i in range(self.rank))
 
     def dual_pairing(self, lam: Functional, mu: Functional):
         """The form on a* induced by b: <lam, mu> = lam(A_mu)."""
@@ -84,12 +86,12 @@ class SymmetricPair:
 def build_pair(g: LieSuperalgebra, a_vectors: Sequence[SuperVector]) -> SymmetricPair:
     """Validate an even Cartan subspace and assemble the pair."""
     k_basis, p_basis = theta_eigenspaces(g)
-    in_p = linear_solver([v.dense() for v in p_basis])
+    in_p = linear_solver([v.c for v in p_basis])
     for v in a_vectors:
         if v.parity != 0:
             raise NotInEvenP("a must consist of even vectors")
         try:
-            in_p(v.dense())
+            in_p(v.c)
         except ValueError:
             raise NotInEvenP("a must lie in p") from None
     for i, x in enumerate(a_vectors):
@@ -171,23 +173,16 @@ def restricted_roots(pair: SymmetricPair) -> RestrictedRootSystem:
     mats = [g.ad_matrix(h) for h in pair.a_basis]
     blocks = simultaneous_eigenspaces(mats)
     roots: List[RestrictedRoot] = []
-    zero_space: List[Tuple] = []
+    zero_space: List[Row] = []
     for values, basis in blocks:
         if not any(values):
             zero_space.extend(basis)
             continue
-        evens, odds = [], []
-        for vec in basis:
-            ev = {i: x for i, x in enumerate(vec) if x and g.parity[i] == 0}
-            od = {i: x for i, x in enumerate(vec) if x and g.parity[i] == 1}
-            if ev:
-                evens.append(tuple(ev.get(i, Q(0)) for i in range(g.dim)))
-            if od:
-                odds.append(tuple(od.get(i, Q(0)) for i in range(g.dim)))
-        s0 = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
-              for v in span_basis(evens)]
-        s1 = [SuperVector(g, {i: x for i, x in enumerate(v) if x})
-              for v in span_basis(odds)]
+        # a root space is graded: its parity parts span its two pieces
+        s0, s1 = ([SuperVector(g, v) for v in span_basis(
+                      {i: x for i, x in vec.items() if g.parity[i] == par}
+                      for vec in basis)]
+                  for par in (0, 1))
         if len(s0) + len(s1) != len(basis):
             raise PairError("root space fails to split by parity")
         roots.append(RestrictedRoot(tuple(values), s0, s1))
@@ -254,13 +249,13 @@ def rho(system: RestrictedRootSystem) -> Tuple[Functional, Functional, Functiona
     n = system.n_basis()
     if n:
         g = system.pair.g
-        solve = linear_solver([v.dense() for v in n])
+        solve = linear_solver([v.c for v in n])
         pars = [v.parity for v in n]
         for i, h in enumerate(system.pair.a_basis):
             s = Q(0)
             for j, v in enumerate(n):
-                coords = solve(g.bracket(h, v).dense())
-                s = s + (coords[j] if pars[j] == 0 else -coords[j])
+                c = solve(g.bracket(h, v).c).get(j, Q(0))
+                s = s + (c if pars[j] == 0 else -c)
             if Q(1, 2) * s != rho_mult[i]:
                 raise PairError("rho from multiplicities disagrees with supertrace")
     elif any(rho_mult):
@@ -353,8 +348,8 @@ def iwasawa_check(pair: SymmetricPair, system: RestrictedRootSystem,
         "k": [k0, k1], "a": [dim_a, 0], "n": [dim_n0, dim_n1], "g": [g0, g1]}
     if k0 + dim_a + dim_n0 != g0 or k1 + dim_n1 != g1:
         report["violations"].append("dimension mismatch in k + a + n = g")
-    stacked = [v.dense() for v in pair.k_basis + pair.a_basis + n_basis]
-    if len(span_basis(stacked)) != len(stacked):
+    stacked = pair.k_basis + pair.a_basis + n_basis
+    if len(span_basis(v.c for v in stacked)) != len(stacked):
         report["violations"].append("k, a, n are not transversal")
     if samples is None:
         samples = [g.zero()]
@@ -392,5 +387,5 @@ def a_perp_in_p(pair: SymmetricPair) -> List[SuperVector]:
     p_odd = [v for v in pair.p_basis if v.parity == 1]
     kern = kernel({i: g.b(h, w) for i, h in enumerate(pair.a_basis)}
                   for w in p_even)
-    return [sum((w.scale(c) for w, c in zip(p_even, coords) if c), g.zero())
+    return [sum((p_even[t].scale(c) for t, c in coords.items()), g.zero())
             for coords in kern] + p_odd

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly, change_to_basis, monomials_up_to
 from .builders import matrix_superalgebra, supercommutator
-from .linalg import ScalarMatrix, accumulate, kernel, last_nonzero
+from .linalg import ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
@@ -96,7 +96,7 @@ def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
             iso = ANISOTROPIC
             a_coords = tuple(x / c for x in A_coords)
             h0_coords = None
-            a_perp = kernel({0: x} for x in lam)
+            perp = kernel({0: x} for x in lam)
         else:
             iso = ISOTROPIC
             a_coords = None
@@ -107,8 +107,9 @@ def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
             h0_coords = tuple(x - Q(1, 2) * bhh * y for x, y in zip(h, A_coords))
             if bform(h0_coords, h0_coords) != 0:
                 raise InconsistentRelations("h0 normalisation failed")
-            a_perp = kernel({0: lam[j], 1: bform(h0_coords, tuple(
+            perp = kernel({0: lam[j], 1: bform(h0_coords, tuple(
                 Q(1) if t == j else Q(0) for t in range(r)))} for j in range(r))
+        a_perp = [tuple(v.get(t, Q(0)) for t in range(r)) for v in perp]
         data.append(OddRootDatum(lam, q, iso, c, A_coords, a_coords,
                                  h0_coords, a_perp, gated))
     return data
@@ -356,12 +357,8 @@ def _even_odd_split(coeffs: Dict[int, object], q: int):
     for k, c in coeffs.items():
         m, rem = divmod(k, 2)
         target = B if rem else A
-        for t in range(m + 1):
-            v = target.get(t, Q(0)) + c * comb(m, t) * qsq ** (m - t)
-            if v:
-                target[t] = v
-            elif t in target:
-                del target[t]
+        accumulate(target, {t: c * comb(m, t) * qsq ** (m - t)
+                            for t in range(m + 1)})
     return A, B
 
 
@@ -442,12 +439,12 @@ def ring_degrees(conditions: Callable[[APoly], Dict], rank: int, d: int
     """The degree of each basis vector of {p : conditions(p) = {}, deg p <= d}.
 
     The basis is the kernel of the conditions over monomials_up_to, which
-    lists monomials by degree, and each vector's degree is that of its last
-    nonzero monomial (linalg.last_nonzero): so the degree <= e part of the
-    space has dimension #{degrees <= e} for every e <= d.
+    lists monomials by degree, and each vector's degree is that of its
+    largest key, its last monomial (see linalg.nullspace): so the degree
+    <= e part of the space has dimension #{degrees <= e} for every e <= d.
     """
     monos = monomials_up_to(rank, d)
-    return [sum(monos[last_nonzero(v)])
+    return [sum(monos[max(v)])
             for v in kernel(conditions(APoly(rank, {e: Q(1)})) for e in monos)]
 
 

@@ -35,9 +35,13 @@ def p_dims(pair):
 
 
 def apply(m, vec):
-    """The product of a ScalarMatrix with a coordinate tuple."""
-    return tuple(sum((a * vec[j] for j, a in row.items()), Q(0))
-                 for row in m.rows)
+    """The product of a ScalarMatrix with a sparse row, as a sparse row."""
+    out = {}
+    for i, row in enumerate(m.rows):
+        s = sum((a * vec[j] for j, a in row.items() if j in vec), Q(0))
+        if s:
+            out[i] = s
+    return out
 
 
 def evaluate(poly, point):
@@ -70,8 +74,7 @@ def invariants_from_all_letters(ctx, d):
     kern = kernel({(x, mt): c for x in letters
                    for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}
                   for m in kept)
-    invariants = [{kept[t]: c for t, c in enumerate(coords) if c}
-                  for coords in kern]
+    invariants = [{kept[t]: c for t, c in coords.items()} for coords in kern]
     return invariants, _ideal_part(ctx, invariants)
 
 

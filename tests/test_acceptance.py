@@ -196,9 +196,9 @@ def _structural_suite(name):
     ok_theta = True
     for lam, vs in spaces.items():
         opp = tuple(-x for x in lam)
-        span = [v.dense() for v in spaces[opp]]
+        span = [v.c for v in spaces[opp]]
         for v in vs:
-            if solve_membership(g.theta_apply(v).dense(), span) is None:
+            if solve_membership(g.theta_apply(v).c, span) is None:
                 ok_theta = False
     results["theta maps root spaces to opposites"] = ok_theta
     return results

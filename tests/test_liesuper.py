@@ -91,16 +91,16 @@ def test_theta_eigenspaces_group_type():
     for v in p:
         assert g.theta_apply(v) == -v
     # bracket inclusions [k,k] in k, [k,p] in p, [p,p] in k
-    k_span = [v.dense() for v in k]
-    p_span = [v.dense() for v in p]
+    k_span = [v.c for v in k]
+    p_span = [v.c for v in p]
     for x in k:
         for y in k:
-            assert solve_membership(g.bracket(x, y).dense(), k_span) is not None
+            assert solve_membership(g.bracket(x, y).c, k_span) is not None
         for y in p:
-            assert solve_membership(g.bracket(x, y).dense(), p_span) is not None
+            assert solve_membership(g.bracket(x, y).c, p_span) is not None
     for x in p:
         for y in p:
-            assert solve_membership(g.bracket(x, y).dense(), k_span) is not None
+            assert solve_membership(g.bracket(x, y).c, k_span) is not None
 
 
 def test_degenerate_theta_rejected_at_validation():
@@ -193,7 +193,7 @@ def test_derived_and_center_gl12():
         assert s == 0
     # direct sum g = z + g'
     from superhc.linalg import span_basis
-    assert len(span_basis([v.dense() for v in center + derived])) == 9
+    assert len(span_basis([v.c for v in center + derived])) == 9
 
 
 @pytest.mark.parametrize("name", ["sl2", "osp12", "gl12"])

@@ -15,13 +15,25 @@ from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
 from support import apply
 
 
+def _combination(coeffs, vectors):
+    """sum_t coeffs[t] * vectors[t] for sparse rows, as a sparse row."""
+    out = {}
+    for c, b in zip(coeffs, vectors):
+        linalg.accumulate(out, b, c)
+    return out
+
+
+def _scaled(c, v):
+    return {i: c * x for i, x in v.items() if c * x}
+
+
 def test_nullspace_identity_is_trivial():
     assert nullspace(ScalarMatrix.identity(2)) == []
 
 
 def test_nullspace_zero_matrix_is_standard_basis():
     kern = nullspace(ScalarMatrix(2, 2))
-    assert kern == [(Q(1), Q(0)), (Q(0), Q(1))]
+    assert kern == [{0: Q(1)}, {1: Q(1)}]
 
 
 def test_nullspace_rank_one():
@@ -30,8 +42,8 @@ def test_nullspace_rank_one():
     assert len(kern) == 1
     # oracle: direct multiplication annihilates the kernel vector
     v = kern[0]
-    assert not any(apply(m, v))
-    assert v[0] * Q(1) + v[1] * Q(2) == 0
+    assert apply(m, v) == {}
+    assert v.get(0, Q(0)) * Q(1) + v.get(1, Q(0)) * Q(2) == 0
 
 
 def test_rank_nullity_randomized():
@@ -45,7 +57,7 @@ def test_rank_nullity_randomized():
         kern = nullspace(mat)
         assert rank(mat) + len(kern) == n
         for v in kern:
-            assert not any(apply(mat, v))
+            assert apply(mat, v) == {}
 
 
 @st.composite
@@ -71,87 +83,117 @@ def test_row_order_cannot_change_a_result(case):
     other = ScalarMatrix(len(rows), ncols, shuffled)
     assert nullspace(other) == nullspace(mat)
     assert rank(other) == rank(mat)
-    dense = [tuple(r.get(j, Q(0)) for j in range(ncols)) for r in rows]
-    assert span_basis([dense[i] for i in order]) == span_basis(dense)
+    assert span_basis(shuffled) == span_basis(rows)
     columns = [{i: r[j] for i, r in enumerate(rows) if j in r}
                for j in range(ncols)]
     assert kernel(columns) == nullspace(mat)
     # a basis given in another order has the same coordinates, reordered
     if rank(mat) < len(rows):
         with pytest.raises(ValueError):
-            linear_solver([dense[i] for i in order])
+            linear_solver(shuffled)
         return
-    v = tuple(sum((Q(t + 1) * b[j] for t, b in enumerate(dense)), Q(0))
-              for j in range(ncols))
-    coords = linear_solver(dense)(v)
-    assert linear_solver([dense[i] for i in order])(v) \
-        == tuple(coords[i] for i in order)
+    v = _combination([Q(t + 1) for t in range(len(rows))], rows)
+    coords = linear_solver(rows)(v)
+    assert linear_solver(shuffled)(v) \
+        == {p: coords[i] for p, i in enumerate(order) if i in coords}
 
 
 def test_solve_membership_trivial_cases():
-    basis = [(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(1))]
-    assert solve_membership(basis[0], basis) == (Q(1), Q(0))
-    assert solve_membership((Q(0),) * 3, basis) == (Q(0), Q(0))
-    assert solve_membership((Q(0), Q(0), Q(1)), basis) is None
+    basis = [{0: Q(1), 2: Q(2)}, {1: Q(1), 2: Q(1)}]
+    assert solve_membership(basis[0], basis) == {0: Q(1)}
+    assert solve_membership({}, basis) == {}
+    assert solve_membership({2: Q(1)}, basis) is None
 
 
 def _roundtrip_inputs():
     rng = random.Random(3)
     for _ in range(150):
         n, k = rng.randint(1, 7), rng.randint(1, 5)
-        basis = [tuple(Q(rng.randint(-3, 3)) for _ in range(n))
-                 for _ in range(k)]
+        dense = [[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(k)]
+        basis = [{i: x for i, x in enumerate(b) if x} for b in dense]
         coeffs = [Q(rng.randint(-3, 3)) for _ in range(k)]
-        v = tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0))
-                  for i in range(n))
-        yield basis, coeffs, v
+        yield n, basis, coeffs, _combination(coeffs, basis)
 
 
 def test_solve_membership_roundtrip_randomized():
-    for basis, _, v in _roundtrip_inputs():
-        n = len(v)
+    for _, basis, _, v in _roundtrip_inputs():
         sol = solve_membership(v, basis)
         assert sol is not None
-        w = tuple(sum((c * b[i] for c, b in zip(sol, basis)), Q(0))
-                  for i in range(n))
-        assert w == v
+        assert _combination([sol.get(t, Q(0)) for t in range(len(basis))],
+                            basis) == v
 
 
 def test_linear_solver_roundtrip_randomized():
     # the same inputs: an independent basis gives back the coefficients
     # (coordinates are unique), a dependent one is rejected up front
     independent = 0
-    for basis, coeffs, v in _roundtrip_inputs():
-        if rank(ScalarMatrix.from_rows(basis)) < len(basis):
+    for n, basis, coeffs, v in _roundtrip_inputs():
+        if rank(ScalarMatrix(len(basis), n, basis)) < len(basis):
             with pytest.raises(ValueError):
                 linear_solver(basis)
             continue
         independent += 1
         solve = linear_solver(basis)
-        assert solve(v) == tuple(coeffs)
+        assert solve(v) == {t: c for t, c in enumerate(coeffs) if c}
         assert solve(v) == solve_membership(v, basis)
     assert independent > 50
 
 
 def test_linear_solver_outside_span_raises():
-    solve = linear_solver([(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(1))])
-    assert solve((Q(2), Q(-1), Q(3))) == (Q(2), Q(-1))
-    assert solve((Q(0),) * 3) == (Q(0), Q(0))
+    solve = linear_solver([{0: Q(1), 2: Q(2)}, {1: Q(1), 2: Q(1)}])
+    assert solve({0: Q(2), 1: Q(-1), 2: Q(3)}) == {0: Q(2), 1: Q(-1)}
+    assert solve({}) == {}
     with pytest.raises(ValueError):
-        solve((Q(0), Q(0), Q(1)))
+        solve({2: Q(1)})
     with pytest.raises(ValueError):
-        solve((Q(1), Q(0)))
+        solve({0: Q(1)})
     empty = linear_solver([])
-    assert empty((Q(0), Q(0))) == ()
+    assert empty({}) == {}
     with pytest.raises(ValueError):
-        empty((Q(0), Q(1)))
+        empty({1: Q(1)})
 
 
 def test_linear_solver_rejects_dependent_basis():
     with pytest.raises(ValueError):
-        linear_solver([(Q(1), Q(2)), (Q(2), Q(4))])
+        linear_solver([{0: Q(1), 1: Q(2)}, {0: Q(2), 1: Q(4)}])
     with pytest.raises(ValueError):
-        linear_solver([(Q(1), Q(0)), (Q(0), Q(0))])
+        linear_solver([{0: Q(1)}, {}])
+
+
+def test_linear_solver_rejects_keys_past_the_basis():
+    # the basis {0: 1} has n = 1 and tags its row in column 1: a vector with
+    # a key >= n lies outside the span and is never read as a tag
+    solve = linear_solver([{0: Q(1)}])
+    assert solve({0: Q(3)}) == {0: Q(3)}
+    for v in ({1: Q(1)}, {5: Q(1)}, {0: Q(1), 1: Q(1)}):
+        with pytest.raises(ValueError):
+            solve(v)
+
+
+def test_linear_solver_of_the_empty_basis():
+    solve = linear_solver([])
+    assert solve({}) == {}
+    with pytest.raises(ValueError):
+        solve({0: Q(1)})
+
+
+def test_nullspace_vectors_end_at_distinct_free_columns():
+    # checked by Fraction arithmetic (support.apply): each vector lies in
+    # the kernel, has a 1 at its largest key, and no two share that key
+    rng = random.Random(13)
+    for _ in range(150):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [{j: Q(rng.randint(-2, 2)) for j in range(n)
+                 if rng.random() < 0.5} for _ in range(m)]
+        mat = ScalarMatrix(m, n, [{j: v for j, v in r.items() if v}
+                                  for r in rows])
+        kern = nullspace(mat)
+        assert rank(mat) + len(kern) == n
+        ends = [max(v) for v in kern]
+        assert len(set(ends)) == len(ends)
+        for v in kern:
+            assert v[max(v)] == 1
+            assert apply(mat, v) == {}
 
 
 def test_linear_solver_eliminates_once(monkeypatch):
@@ -163,15 +205,14 @@ def test_linear_solver_eliminates_once(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(linalg, "_echelonise", counting)
-    basis = [(Q(1), Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(3), Q(0)),
-             (Q(2), Q(0), Q(1), Q(1))]
+    basis = [{0: Q(1), 1: Q(1), 3: Q(2)}, {1: Q(1), 2: Q(3)},
+             {0: Q(2), 2: Q(1), 3: Q(1)}]
     solve = linear_solver(basis)
     rng = random.Random(5)
     for _ in range(10):
-        coeffs = tuple(Q(rng.randint(-4, 4)) for _ in basis)
-        v = tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0))
-                  for i in range(4))
-        assert solve(v) == coeffs
+        coeffs = [Q(rng.randint(-4, 4)) for _ in basis]
+        v = _combination(coeffs, basis)
+        assert solve(v) == {t: c for t, c in enumerate(coeffs) if c}
     assert calls == [3]
 
 
@@ -240,7 +281,7 @@ def test_simultaneous_eigenspaces_sl2_cartan():
     for values, basis in blocks:
         assert len(basis) == 1
         v = basis[0]
-        assert apply(m, v) == tuple(values[0] * x for x in v)
+        assert apply(m, v) == _scaled(values[0], v)
 
 
 def test_commutation_failure():
@@ -263,8 +304,13 @@ def test_irrational_spectrum():
 
 
 def test_span_basis_deterministic():
-    vecs = [(Q(2), Q(4)), (Q(1), Q(2)), (Q(0), Q(1))]
-    assert span_basis(vecs) == [(Q(1), Q(0)), (Q(0), Q(1))]
+    vecs = [{0: Q(2), 1: Q(4)}, {0: Q(1), 1: Q(2)}, {1: Q(1)}]
+    assert span_basis(vecs) == [{0: Q(1)}, {1: Q(1)}]
+
+
+def test_span_basis_accepts_a_generator():
+    vecs = [{0: Q(2), 1: Q(4)}, {0: Q(1), 1: Q(2)}, {1: Q(1)}]
+    assert span_basis(v for v in vecs) == span_basis(vecs)
 
 
 def test_simultaneous_eigenspaces_dimensions_fill_space():
@@ -320,4 +366,4 @@ def test_simultaneous_eigenspaces_conjugated_diagonal_family():
             assert len(basis) == occurs.count(values)
             for v in basis:
                 for m, ev in zip(ms, values):
-                    assert apply(m, v) == tuple(ev * x for x in v)
+                    assert apply(m, v) == _scaled(ev, v)

@@ -131,7 +131,8 @@ class OspRealization:
         out = []
         for coords in nullspace(ScalarMatrix(len(rows), len(slots), rows)):
             m = [[Q(0)] * n for _ in range(n)]
-            for (r, c), x in zip(slots, coords):
+            for t, x in coords.items():
+                r, c = slots[t]
                 m[r][c] = x
             out.append(tuple(tuple(row) for row in m))
         return out
@@ -149,7 +150,7 @@ class OspRealization:
                 for mt, c in sym_adjoint_index(g, x, {m: Q(1)}).items():
                     rows.setdefault((x, mt), {})[t] = c
         mat = ScalarMatrix(len(rows), len(monos), list(rows.values()))
-        return [{m: c for m, c in zip(monos, coords) if c}
+        return [{monos[t]: c for t, c in coords.items()}
                 for coords in nullspace(mat)]
 
     def normalised_invariant(self, d):
@@ -217,11 +218,15 @@ class OspRealization:
 
 
 def _flat(m):
-    return tuple(x for row in m for x in row)
+    """The entries of a square matrix as a sparse row, row-major."""
+    n = len(m)
+    return {r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row)
+            if x}
 
 
 def _unflat(flat, n):
-    return tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
+    return tuple(tuple(flat.get(r * n + c, Q(0)) for c in range(n))
+                 for r in range(n))
 
 
 def _add(m1, m2, sign):

@@ -56,11 +56,10 @@ def test_component_of_a_L2_is_not_invariant():
     lo_k = ctx.n_len + ctx.rank
     all_m = sorted(set().union(*[set(b) for b in betas]) | set(aL2))
     kmonos = [m for m in all_m if any(i >= lo_k for i in m)]
-    cols = [[b.get(m, Q(0)) for m in all_m] for b in betas]
-    cols += [[Q(1) if m == km else Q(0) for m in all_m] for km in kmonos]
-    coords = solve_membership([aL2.get(m, Q(0)) for m in all_m], cols)
+    cols = betas + [{km: Q(1)} for km in kmonos]
+    coords = solve_membership(aL2, cols)
     assert coords is not None
-    component = {monos[t]: c for t, c in enumerate(coords[:len(monos)]) if c}
+    component = {monos[t]: c for t, c in coords.items() if t < len(monos)}
     ia, iw, iwt = gens
     assert component == {(ia, ia, ia): Q(1), (ia, iw, iwt): Q(2),
                          (ia,): Q(-4, 3)}

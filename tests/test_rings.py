@@ -178,7 +178,7 @@ def test_generators_degree_2q_plus_1_is_the_unique_invariant():
         kern = nullspace(ScalarMatrix(len(rows), len(monos),
                                       [rows[k] for k in sorted(rows, key=repr)]))
         assert len(kern) == 1
-        sol = {monos[t]: c for t, c in enumerate(kern[0]) if c}
+        sol = {monos[t]: c for t, c in kern[0].items()}
         p2q1 = generators(model)[1]
         lead = tuple([g.index("a")] * (2 * q + 1))
         scale = p2q1[lead] / sol[lead]
