@@ -10,6 +10,7 @@ U(g) k is "some monomial contains a k index".
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
@@ -66,8 +67,8 @@ class IwasawaContext:
         # the U(g) factor of each basis letter of the original algebra
         self._gen_table = [self.uea.from_vector(self.to_adapted(pair.g.basis(i)))
                            for i in range(pair.g.dim)]
-        # ad-weights of the k letters acting diagonally, and the other
-        # letters that together with them generate k
+        # ad-weights of the k letters acting diagonally (scaled to ints),
+        # and the other letters that together with them generate k
         self.k_diagonal, others = _diagonal_weights(self.adapted, self.k_indices())
         self.k_generators = _k_generators(self.adapted, list(self.k_diagonal),
                                           others)
@@ -176,7 +177,12 @@ class InvariantBasis:
 
 
 def _diagonal_weights(alg, k_idx: List[int]):
-    """Split k indices into (diagonal ad action, other); weights per index."""
+    """Split k indices into (diagonal ad action, other); weights per index.
+
+    A rational weight vector is scaled by the lcm of its denominators to
+    ints: that leaves the weight-zero test w . m = 0 unchanged and makes it
+    a sum of ints.
+    """
     diag: Dict[int, List] = {}
     others: List[int] = []
     for x in k_idx:
@@ -190,6 +196,9 @@ def _diagonal_weights(alg, k_idx: List[int]):
                 break
             weights[j] = out.get(j, Q(0))
         if ok:
+            if all(isinstance(w, (int, Fraction)) for w in weights):
+                den = lcm(*(w.denominator for w in weights))
+                weights = [w.numerator * (den // w.denominator) for w in weights]
             diag[x] = weights
         else:
             others.append(x)
@@ -247,7 +256,7 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     uea = ctx.uea
     kept: List[Monomial] = []
     for m in uea.monomials_up_to(d):
-        if all(sum((w[i] for i in m), Q(0)) == 0 for w in ctx.k_diagonal.values()):
+        if all(sum(w[i] for i in m) == 0 for w in ctx.k_diagonal.values()):
             kept.append(m)
     kern = kernel({(x, mt): c for x in ctx.k_generators
                    for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}

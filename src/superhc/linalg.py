@@ -1,15 +1,19 @@
 """Exact sparse linear algebra over the rationals (or a quadratic extension).
 
 A vector is a Row, a sparse dict from column to a nonzero scalar; every
-function here takes and returns vectors in that one form.  All eliminations
-are fraction-free in spirit but simply exact in practice: no pivot
-thresholds, no rounding, ever.
+function here takes and returns vectors in that one form, with Fraction or
+Quad entries.  Every elimination goes through Echelon, which works
+fraction-free: rational rows are scaled once to primitive integer rows and
+eliminated over the integers, so pivots need not be 1.  The unit-pivot
+Fraction rows that results are read from are built once, after the last
+row is in (Echelon.unit_rows); Echelon.reduce returns the exact residual.
+No pivot thresholds, no rounding, ever.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
@@ -30,11 +34,14 @@ class NotSemisimple(Exception):
 
 def accumulate(acc: dict, other: dict, coeff=None) -> None:
     """acc += coeff * other for sparse dicts, or acc += other when coeff is
-    None; entries that cancel are dropped."""
-    if coeff is None:
+    None; entries that cancel are dropped.  A coefficient of 1 or -1 adds or
+    negates other without multiplying."""
+    if coeff is None or coeff == 1:
         items = other.items()
     elif not coeff:
         return
+    elif coeff == -1:
+        items = [(k, -v) for k, v in other.items()]
     else:
         items = [(k, coeff * v) for k, v in other.items()]
     for k, w in items:
@@ -107,55 +114,115 @@ class ScalarMatrix:
 class Echelon:
     """The reduced echelon rows of a growing subspace, keyed by pivot column.
 
-    Each stored row has a unit entry at its pivot, its leading column, and
-    no entry in any other pivot column (full RREF, kept incrementally).
+    Each stored row has its pivot at its leading column and no entry in any
+    other pivot column (full RREF up to the scale of each row, kept
+    incrementally).  While every row has rational entries, each is kept as a
+    primitive integer row: ints with no common factor and a positive pivot,
+    which need not be 1.  unit_rows turns them into the reduced echelon form
+    itself, each row divided by its pivot, once the elimination is over:
+    when the rows are read, when reduce is first called, or when the first
+    row with an irrational entry comes in.  From then on (unit is set) every
+    row is kept with a unit pivot.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "unit")
 
     def __init__(self):
         self.rows: Dict[int, Row] = {}
+        self.unit = False
 
-    @staticmethod
-    def _eliminate(r: Row, c, prow: Row) -> None:
-        """r -= r[c] * prow, for prow with a unit entry at c: clears column c."""
-        coef = r.pop(c)
-        for j, a in prow.items():
+    def _eliminate(self, r: Row, c, prow: Row) -> None:
+        """Clear column c of r with prow: r <- f*r - e*prow, f nonzero.
+
+        Over the integers f = p/g and e = a/g for a = r[c], p = prow[c] and
+        g = gcd(a, p), and r is then divided by its content; with a unit
+        pivot f = 1 and e = a.
+        """
+        a = r.pop(c)
+        if self.unit:
+            e = a
+        else:
+            p = prow[c]
+            g = gcd(a, p)
+            f, e = p // g, a // g
+            if f != 1:
+                for j in r:
+                    r[j] *= f
+        for j, x in prow.items():
             if j != c:
-                w = coef * a
+                w = e * x
                 # comparing finds a cancellation more cheaply than subtracting
                 if j not in r:
                     r[j] = -w
                 elif r[j] != w:
-                    r[j] = r[j] - w
+                    r[j] -= w
                 else:
                     del r[j]
+        if not self.unit:
+            g = gcd(*r.values())
+            if g > 1:
+                for j in r:
+                    r[j] //= g
 
-    def reduce(self, row: Row) -> Row:
-        """row minus its components along the stored rows, as a new row.
+    def _sweep(self, row: Row) -> Row:
+        """s * (row minus its components along the stored rows), for some
+        nonzero scalar s, which is 1 once the rows are unit.
 
-        Stored rows carry no foreign pivot column, so one sweep over the
-        pivots hit by row leaves no pivot column behind.
+        A rational row is scaled to integers first.  Stored rows carry no
+        foreign pivot column, so one sweep over the pivots hit by row leaves
+        no pivot column behind.
         """
         # an explicit zero left in the copy could become a pivot
         r = {j: x for j, x in row.items() if x}
+        if not self.unit:
+            if all(isinstance(x, (int, Fraction)) for x in r.values()):
+                den = lcm(*(x.denominator for x in r.values()))
+                r = {j: x.numerator * (den // x.denominator)
+                     for j, x in r.items()}
+            else:
+                self.unit_rows()
         for c in [c for c in r if c in self.rows]:
             self._eliminate(r, c, self.rows[c])
         return r
 
+    def reduce(self, row: Row) -> Row:
+        """row minus its components along the stored rows, as a new row.
+
+        The rows are made unit first (see unit_rows), which makes the sweep
+        exact: one vector is not worth the scaling to integers.
+        """
+        self.unit_rows()
+        return self._sweep(row)
+
     def insert(self, row: Row) -> bool:
         """Add row to the span; False if it lay in the span already."""
-        r = self.reduce(row)
+        r = self._sweep(row)
         if not r:
             return False
         lead = min(r)
-        inv = Q(1) / r[lead]
-        r = {j: a * inv for j, a in r.items()}
+        if self.unit:
+            inv = Q(1) / r[lead]
+            r = {j: x * inv for j, x in r.items()}
+        else:
+            g = gcd(*r.values())
+            if r[lead] < 0:
+                g = -g
+            if g != 1:
+                r = {j: x // g for j, x in r.items()}
         for prow in self.rows.values():
             if lead in prow:
                 self._eliminate(prow, lead, r)
         self.rows[lead] = r
         return True
+
+    def unit_rows(self) -> Dict[int, Row]:
+        """The stored rows, each divided by its pivot entry; they are kept
+        with unit pivots from now on."""
+        if not self.unit:
+            self.rows = {c: {j: Q(x, r[c]) for j, x in r.items()}
+                         for c, r in self.rows.items()}
+            self.unit = True
+        return self.rows
 
 
 def _echelonise(rows: List[Row]) -> Echelon:
@@ -186,7 +253,7 @@ def nullspace(m: ScalarMatrix) -> List[Row]:
     ends, and the kernel vectors supported on the first n coordinates are
     spanned by the basis vectors whose largest key is below n.
     """
-    pivots = _echelonise(m.rows).rows
+    pivots = _echelonise(m.rows).unit_rows()
     order = sorted(pivots)
     basis = []
     for f in range(m.ncols):
@@ -418,5 +485,5 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
 
 def span_basis(vectors: Iterable[Row]) -> List[Row]:
     """A deterministic echelon basis of the span of the given rows."""
-    pivots = _echelonise(list(vectors)).rows
+    pivots = _echelonise(list(vectors)).unit_rows()
     return [{j: pivots[p][j] for j in sorted(pivots[p])} for p in sorted(pivots)]

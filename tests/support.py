@@ -11,6 +11,78 @@ from superhc.pairs import a_perp_in_p
 from superhc.pbw import accumulate
 
 
+def gauss_jordan(rows):
+    """The reduced echelon rows of the span of sparse rows, keyed by pivot.
+
+    Plain Gauss-Jordan over the scalars (Fraction or Quad): every stored row
+    has a unit pivot, and a new row is reduced, scaled by its leading entry
+    and cleared from the rows before it.  The oracle for linalg.Echelon.
+    """
+    pivots = {}
+    for row in rows:
+        r = reduce_by(pivots, row)
+        if not r:
+            continue
+        lead = min(r)
+        inv = Q(1) / r[lead]
+        r = {j: x * inv for j, x in r.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                coef = prow.pop(lead)
+                for j, x in r.items():
+                    if j != lead:
+                        w = prow.get(j, Q(0)) - coef * x
+                        if w:
+                            prow[j] = w
+                        else:
+                            prow.pop(j, None)
+        pivots[lead] = r
+    return pivots
+
+
+def reduce_by(pivots, row):
+    """row minus its components along unit-pivot reduced echelon rows."""
+    r = {j: x for j, x in row.items() if x}
+    for c in [c for c in r if c in pivots]:
+        coef = r.pop(c)
+        for j, x in pivots[c].items():
+            if j != c:
+                w = r.get(j, Q(0)) - coef * x
+                if w:
+                    r[j] = w
+                else:
+                    r.pop(j, None)
+    return r
+
+
+def oracle_nullspace(rows, ncols):
+    """The reduced echelon kernel basis of the matrix with these rows."""
+    pivots = gauss_jordan(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = {p: -pivots[p][f] for p in sorted(pivots) if f in pivots[p]}
+            v[f] = Q(1)
+            basis.append(v)
+    return basis
+
+
+def oracle_span_basis(rows):
+    pivots = gauss_jordan(rows)
+    return [{j: pivots[p][j] for j in sorted(pivots[p])} for p in sorted(pivots)]
+
+
+def oracle_coordinates(basis, v):
+    """Coordinates of v in an independent basis, or None outside its span:
+    each basis row is tagged past every key, and v is reduced."""
+    n = 1 + max((j for b in [*basis, v] for j in b), default=-1)
+    pivots = gauss_jordan([{**b, n + t: Q(1)} for t, b in enumerate(basis)])
+    residual = reduce_by(pivots, v)
+    if any(j < n for j in residual):
+        return None
+    return {j - n: -x for j, x in sorted(residual.items())}
+
+
 def sym_monomials_up_to(parity, indices, d):
     """Supercommutative monomials of degree <= d in the given generators."""
     out = []

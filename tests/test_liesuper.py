@@ -185,8 +185,11 @@ def test_derived_and_center_gl12():
     # center is the scalars; supertrace-zero oracle for the derived part:
     # str(E00) - str(E11) - str(E22) pairing vanishes on g'
     ident = g.vector({"E00": Q(1), "E11": Q(1), "E22": Q(1)})
-    assert center[0].dense() in [ident.scale(c).dense()
-                                 for c in (Q(1), Q(-1), Q(1, 3))] or True
+    # the center is spanned by the identity: its one basis vector is a
+    # nonzero multiple of E00 + E11 + E22
+    scale = center[0].c.get(g.names.index("E00"), Q(0))
+    assert scale != 0
+    assert center[0].c == ident.scale(scale).c
     for v in derived:
         s = v.c.get(g.index("E00"), Q(0)) - v.c.get(g.index("E11"), Q(0)) \
             - v.c.get(g.index("E22"), Q(0))

@@ -8,11 +8,13 @@ import superhc.linalg as linalg
 from superhc.apoly import APoly, change_to_basis
 from superhc.builders import sl2
 from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
-                            NotSemisimple, ScalarMatrix, char_poly, kernel,
-                            linear_solver, nullspace, rank, rational_roots,
-                            simultaneous_eigenspaces, solve_membership,
-                            span_basis)
-from support import apply
+                            NotSemisimple, ScalarMatrix, char_poly, eigenspace,
+                            kernel, linear_solver, nullspace, rank,
+                            rational_roots, simultaneous_eigenspaces,
+                            solve_membership, span_basis)
+from superhc.scalars import Quad, quad
+from support import (apply, gauss_jordan, oracle_coordinates, oracle_nullspace,
+                     oracle_span_basis)
 
 
 def _combination(coeffs, vectors):
@@ -96,6 +98,120 @@ def test_row_order_cannot_change_a_result(case):
     coords = linear_solver(rows)(v)
     assert linear_solver(shuffled)(v) \
         == {p: coords[i] for p, i in enumerate(order) if i in coords}
+
+
+# numerators up to 10^6 over mixed denominators, and small integers, which
+# make pivots other than 1 and cancellations likely
+RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(Q, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3)),
+    st.builds(Q, st.integers(-6, 6), st.sampled_from([2, 3, 4, 6, 7, 12])))
+# a + b sqrt(2), irrational whenever b != 0
+SURDS = st.builds(quad, st.integers(-3, 3), st.integers(-3, 3), st.just(2))
+
+
+@st.composite
+def dependent_rows(draw, entries, coefficients):
+    """(ncols, rows): sparse rows, some of them combinations of others."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entries,
+                                         max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        coeffs = draw(st.lists(coefficients, min_size=len(rows),
+                               max_size=len(rows)))
+        rows.append(_combination(coeffs, rows))
+    rows = [{j: x for j, x in r.items() if x} for r in rows]
+    return ncols, draw(st.permutations(rows))
+
+
+def _check_against_oracle(ncols, rows, coeffs, probe):
+    mat = ScalarMatrix(len(rows), ncols, rows)
+    assert nullspace(mat) == oracle_nullspace(rows, ncols)
+    assert rank(mat) == len(gauss_jordan(rows))
+    assert span_basis(rows) == oracle_span_basis(rows)
+    if rank(mat) < len(rows):
+        with pytest.raises(ValueError):
+            linear_solver(rows)
+        return
+    solve = linear_solver(rows)
+    v = _combination(coeffs, rows)
+    assert solve(v) == oracle_coordinates(rows, v) \
+        == {t: c for t, c in enumerate(coeffs) if c}
+    want = oracle_coordinates(rows, probe)
+    if want is None:
+        with pytest.raises(ValueError):
+            solve(probe)
+    else:
+        assert solve(probe) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dependent_rows(RATIONALS, st.integers(-3, 3)),
+       st.lists(RATIONALS, min_size=13, max_size=13),
+       st.dictionaries(st.integers(0, 6), RATIONALS, max_size=4))
+def test_integer_elimination_matches_fraction_gauss_jordan(case, coeffs, probe):
+    # Echelon keeps primitive integer rows with pivots other than 1; every
+    # result read off it must equal plain Fraction Gauss-Jordan's
+    ncols, rows = case
+    probe = {j: x for j, x in probe.items() if x and j < ncols}
+    _check_against_oracle(ncols, rows, coeffs[:len(rows)], probe)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dependent_rows(st.one_of(SURDS, RATIONALS), SURDS),
+       st.lists(SURDS, min_size=13, max_size=13),
+       st.dictionaries(st.integers(0, 6), SURDS, max_size=4))
+def test_elimination_with_quad_entries(case, coeffs, probe):
+    # rows with a sqrt(2) entry share the loop; rational rows met before
+    # the first of them are integer rows until it arrives
+    ncols, rows = case
+    mat = ScalarMatrix(len(rows), ncols, rows)
+    kern = nullspace(mat)
+    assert len(kern) == ncols - len(gauss_jordan(rows))
+    for v in kern:
+        assert apply(mat, v) == {}
+    probe = {j: x for j, x in probe.items() if x and j < ncols}
+    _check_against_oracle(ncols, rows, coeffs[:len(rows)], probe)
+
+
+def test_rational_rows_before_a_quad_row():
+    # the integer rows {0: 2, 1: 4} and {1: 3, 2: 6} are stored before the
+    # sqrt(2) row comes in, then read as unit-pivot rows
+    r2 = quad(0, 1, 2)
+    rows = [{0: Q(2), 1: Q(4)}, {1: Q(3), 2: Q(6)},
+            {0: r2, 1: Q(1), 2: Q(1), 3: Q(1)}]
+    mat = ScalarMatrix(3, 4, rows)
+    assert nullspace(mat) == oracle_nullspace(rows, 4)
+    assert span_basis(rows) == oracle_span_basis(rows)
+    (v,) = nullspace(mat)
+    assert apply(mat, v) == {} and isinstance(v[0], Quad)
+    coords = {0: Q(1, 2), 1: r2, 2: Q(-3)}
+    assert linear_solver(rows)(_combination(coords.values(), rows)) == coords
+
+
+def _assert_scalars(rows):
+    for r in rows:
+        for x in r.values():
+            assert isinstance(x, (Q, Quad)), (type(x), x)
+
+
+def test_results_are_fractions_or_quads_never_ints():
+    # integer rows hold ints inside Echelon; none may leak out, and no
+    # division of ints may become a float
+    int_rows = [{0: 2, 1: 4, 3: 6}, {1: 3, 2: 9}, {0: 4, 2: 5, 3: 7}]
+    quad_rows = [{0: 2, 1: quad(1, 1, 2)}, {1: 3, 2: 1}]
+    for rows, ncols in ((int_rows, 4), (quad_rows, 3)):
+        _assert_scalars(nullspace(ScalarMatrix(len(rows), ncols, rows)))
+        _assert_scalars(kernel({i: r[j] for i, r in enumerate(rows) if j in r}
+                               for j in range(ncols)))
+        _assert_scalars(span_basis(rows))
+        solve = linear_solver(rows)
+        _assert_scalars([solve(_combination([3, 5], rows[:2]))])
+        _assert_scalars([solve(dict(rows[1]))])
+    m = ScalarMatrix(3, 3, [{0: 2, 1: 1}, {1: 2}, {2: 3}])
+    _assert_scalars(eigenspace([m], [2]))
+    _assert_scalars(eigenspace([m], [3]))
 
 
 def test_solve_membership_trivial_cases():

@@ -4,7 +4,8 @@ perfbench/reference.json holds the SHA-256 of the stdout of every verify and
 invariants job the benchmark runs, and the membership verdicts on the
 rank-one generator images.  A change that alters those bytes or verdicts fails here, in the
 ordinary test run, instead of only in the benchmark's correctness check.
-The file is only read.
+The file is only read.  One stretch job past the benchmark's ladders,
+rank1-aniso-q2 at degree 6, is pinned by its own hash here.
 """
 
 import hashlib
@@ -43,6 +44,18 @@ def test_invariants_stretch_stdout_matches_reference(capsys):
     want = REFERENCE["invariants"]["group-gl12:4"]
     assert code == want["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
+
+
+def test_invariants_stretch_stdout_rank1_aniso_q2_6(capsys):
+    # a stretch degree past the top of the rank1-aniso-q2 ladder; the hash
+    # is of the stdout that the Fraction elimination produced
+    code = main(["invariants", "rank1-aniso-q2", "--degree", "6"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == "c705307a2372192ca1224add49f635895a221733b4b907a4041ed5a198743fd5"
+    report = json.loads(out)
+    assert (len(report["invariants"]), len(report["ideal_part"])) == (20, 15)
 
 
 def test_membership_verdicts_match_reference():
