@@ -101,14 +101,22 @@ class APoly:
         if len(images) != self.n:
             raise ValueError("need one image per variable")
         m = images[0].n if images else self.n
-        out = APoly.zero(m)
+        # powers[i][k] = images[i] ** k for k >= 1, each built once per call
+        powers = [[None, im] for im in images]
+        out: Dict[Expvec, object] = {}
         for e, c in self.terms.items():
-            term = APoly.const(m, c)
+            term = None
             for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * images[i]
-            out = out + term
-        return out
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * images[i])
+                    term = pw[k] if term is None else term * pw[k]
+            if term is None:
+                accumulate(out, {(0,) * m: c})
+            else:
+                accumulate(out, term.terms, c)
+        return APoly(m, out)
 
     def shift(self, values: Sequence) -> "APoly":
         """p(. + offset): variable i is replaced by h_i + values[i]."""

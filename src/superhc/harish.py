@@ -132,7 +132,7 @@ class IwasawaContext:
         else:
             steps = self.uea.rewrite(word)
             if steps is None:
-                res = {word: Q(1)}
+                res = {word: 1}
             else:
                 res = {}
                 for w, c in steps:
@@ -259,7 +259,7 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
         if all(sum(w[i] for i in m) == 0 for w in ctx.k_diagonal.values()):
             kept.append(m)
     kern = kernel({(x, mt): c for x in ctx.k_generators
-                   for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}
+                   for mt, c in uea.adjoint_index(x, {m: 1}).items()}
                   for m in kept)
     invariants = [{kept[t]: c for t, c in coords.items()} for coords in kern]
     companion = _ideal_part(ctx, invariants)

@@ -4,6 +4,11 @@ An algebra is a list of named, parity-graded basis elements together with a
 sparse table of brackets, an optional invariant form b and an optional even
 involution theta.  Validation (verify_algebra) reports every violated axiom
 instead of raising, so defective input can be diagnosed in one pass.
+
+Scalar contract: the brackets dict keeps the scalars it was given, while
+bracket_indices returns each integral coefficient as an int and every other
+one as a Fraction or Quad, so that straightening in U(g) runs on ints where
+it can.  An int equals, hashes and prints like the equal Fraction.
 """
 
 from __future__ import annotations
@@ -107,6 +112,7 @@ class LieSuperalgebra:
         self.brackets = {
             key: {k: v for k, v in out.items() if v}
             for key, out in brackets.items()}
+        self._table = _two_sided(self.brackets, self.parity)
         self.form = form
         self.theta = theta
         self.sqrt_context = sqrt_context
@@ -138,15 +144,9 @@ class LieSuperalgebra:
 
     # -- bracket ------------------------------------------------------------
     def bracket_indices(self, i: int, j: int) -> Dict[int, object]:
-        """[e_i, e_j] as a sparse coefficient dict (may derive by symmetry)."""
-        out = self.brackets.get((i, j))
-        if out is not None:
-            return out
-        rev = self.brackets.get((j, i))
-        if rev is not None:
-            sign = -1 if (self.parity[i] * self.parity[j]) % 2 == 0 else 1
-            return {k: sign * v for k, v in rev.items()}
-        return {}
+        """[e_i, e_j] as a sparse coefficient dict, integral values as ints;
+        callers must not mutate it."""
+        return self._table.get((i, j), _EMPTY)
 
     def bracket(self, x: SuperVector, y: SuperVector) -> SuperVector:
         if x.alg is not self or y.alg is not self:
@@ -190,6 +190,25 @@ class LieSuperalgebra:
             for i, a in self.bracket(x, self.basis(j)).c.items():
                 m.rows[i][j] = a
         return m
+
+
+_EMPTY: Dict[int, object] = {}
+
+
+def _two_sided(brackets, parity) -> Dict[Tuple[int, int], Dict[int, object]]:
+    """Every pair's bracket, read in one lookup: the stored pairs, and the
+    mirror [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] of each pair stored in one
+    order only (a stored pair wins), integral coefficients as ints."""
+    def scalar(v):
+        return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+
+    table = {key: {k: scalar(v) for k, v in out.items()}
+             for key, out in brackets.items()}
+    for (i, j), out in list(table.items()):
+        if (j, i) not in table:
+            sign = 1 if parity[i] and parity[j] else -1
+            table[(j, i)] = {k: sign * v for k, v in out.items()}
+    return table
 
 
 # -- validation --------------------------------------------------------------

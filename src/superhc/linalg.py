@@ -215,6 +215,13 @@ class Echelon:
         self.rows[lead] = r
         return True
 
+    def copy(self) -> "Echelon":
+        """An independent Echelon of the same span, to grow on its own."""
+        out = Echelon()
+        out.rows = {c: dict(r) for c, r in self.rows.items()}
+        out.unit = self.unit
+        return out
+
     def unit_rows(self) -> Dict[int, Row]:
         """The stored rows, each divided by its pivot entry; they are kept
         with unit pivots from now on."""
@@ -225,17 +232,21 @@ class Echelon:
         return self.rows
 
 
-def _echelonise(rows: List[Row]) -> Echelon:
-    """The reduced echelon form of the span of sparse rows.
+def _insert_all(ech: Echelon, rows: List[Row]) -> Echelon:
+    """Grow ech by the span of sparse rows; returns ech.
 
     Rows are taken sparsest first (a stable sort, so ties keep the caller's
     order): the reduced echelon form for a fixed column order does not
     depend on the row order, but fill-in, and with it the cost, does.
     """
-    ech = Echelon()
     for r in sorted(rows, key=len):
         ech.insert(r)
     return ech
+
+
+def _echelonise(rows: List[Row]) -> Echelon:
+    """The reduced echelon form of the span of sparse rows."""
+    return _insert_all(Echelon(), rows)
 
 
 def rank(m: ScalarMatrix) -> int:
@@ -253,10 +264,16 @@ def nullspace(m: ScalarMatrix) -> List[Row]:
     ends, and the kernel vectors supported on the first n coordinates are
     spanned by the basis vectors whose largest key is below n.
     """
-    pivots = _echelonise(m.rows).unit_rows()
+    return _kernel_basis(_echelonise(m.rows), m.ncols)
+
+
+def _kernel_basis(ech: Echelon, ncols: int) -> List[Row]:
+    """The reduced echelon basis of the vectors on ncols columns that ech's
+    rows annihilate (see nullspace)."""
+    pivots = ech.unit_rows()
     order = sorted(pivots)
     basis = []
-    for f in range(m.ncols):
+    for f in range(ncols):
         if f not in pivots:
             v: Row = {p: -pivots[p][f] for p in order if f in pivots[p]}
             v[f] = Q(1)
@@ -283,22 +300,22 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Row]:
                                   [rows[k] for k in sorted(rows, key=repr)]))
 
 
-def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Row]:
-    """The joint eigenspace {v : m v = ev v for each m, ev in zip(ms, values)}.
+def _shifted_rows(m: ScalarMatrix, ev) -> List[Row]:
+    """The rows of m - ev * I."""
+    rows = [dict(row) for row in m.rows]
+    if ev:
+        for i, r in enumerate(rows):
+            r[i] = r.get(i, 0) - ev
+    return rows
 
-    It is the kernel of the stacked matrices m - ev * I, taken over their
-    columns; row t * n + i is row i of the t-th matrix.
-    """
-    n = ms[0].ncols
-    cols: List[Row] = [{} for _ in range(n)]
-    for t, (m, ev) in enumerate(zip(ms, values)):
-        for i, row in enumerate(m.rows):
-            for j, a in row.items():
-                cols[j][t * n + i] = a
-        if ev:
-            for j, col in enumerate(cols):
-                col[t * n + j] = col.get(t * n + j, 0) - ev
-    return kernel(cols)
+
+def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Row]:
+    """The joint eigenspace {v : m v = ev v for each m, ev in zip(ms, values)}:
+    the kernel of the stacked matrices m - ev * I."""
+    ech = Echelon()
+    for m, ev in zip(ms, values):
+        _insert_all(ech, _shifted_rows(m, ev))
+    return _kernel_basis(ech, ms[0].ncols)
 
 
 def solve_membership(v: Dict[Hashable, object],
@@ -447,8 +464,10 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
     the whole ambient space: one pair per tuple of rational eigenvalues
     with a nonzero joint eigenspace, the first matrix's value varying
     slowest.  Each basis is the kernel of the stacked family, every matrix
-    shifted by its value.  Raises CommutationFailure, IrrationalSpectrum or
-    NotSemisimple when the decomposition does not exist over the scalars.
+    shifted by its value; a block keeps the echelon rows of its prefix, so
+    each value tried on it adds only the rows of the next shifted matrix.
+    Raises CommutationFailure, IrrationalSpectrum or NotSemisimple when the
+    decomposition does not exist over the scalars.
     """
     if not ms:
         raise ValueError("empty matrix list")
@@ -460,27 +479,29 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
         for j in range(i + 1, len(ms)):
             if ms[i].mul(ms[j]) != ms[j].mul(ms[i]):
                 raise CommutationFailure(f"matrices {i} and {j} do not commute")
-    blocks: List[Tuple[Tuple, List[Row]]] = [((), [{i: Q(1)} for i in range(n)])]
-    for t, m in enumerate(ms):
+    # (values so far, echelon rows of the shifted matrices so far)
+    blocks: List[Tuple[Tuple, Echelon]] = [((), Echelon())]
+    for m in ms:
         roots, remainder = rational_roots(char_poly(m))
         if remainder:
             raise IrrationalSpectrum(
                 "characteristic factor of degree %d does not split" % remainder)
         refined = []
-        for prefix, block in blocks:
+        for prefix, ech in blocks:
             # the eigenspaces of m inside a block fill at most the block
-            found = 0
+            room = n - len(ech.rows)
             for ev, _mult in roots:
-                if found == len(block):
+                if not room:
                     break
-                basis = eigenspace(ms[:t + 1], prefix + (ev,))
-                if basis:
-                    refined.append((prefix + (ev,), basis))
-                    found += len(basis)
+                sub = _insert_all(ech.copy(), _shifted_rows(m, ev))
+                if len(sub.rows) < n:
+                    refined.append((prefix + (ev,), sub))
+                    room -= n - len(sub.rows)
         blocks = refined
-    if sum(len(b) for _, b in blocks) != n:
+    out = [(prefix, _kernel_basis(ech, n)) for prefix, ech in blocks]
+    if sum(len(b) for _, b in out) != n:
         raise NotSemisimple("eigenvectors do not span; matrix not semisimple")
-    return blocks
+    return out
 
 
 def span_basis(vectors: Iterable[Row]) -> List[Row]:

@@ -9,6 +9,12 @@ same encoding but multiply supercommutatively.  The straightening rule is
 
 applied at the leftmost violation; memoisation of normal forms makes
 repeated products cheap.
+
+Scalar contract: coefficients are ints where integral, else Fraction or
+Quad.  Straightening reads the brackets as LieSuperalgebra.bracket_indices
+gives them, ints where integral, and its signs are the ints 1 and -1, so a
+normal form over integral structure constants builds no Fraction.  An int
+equals, hashes and prints (scalar_to_string) like the equal Fraction.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from .liesuper import LieSuperalgebra, MixedAlgebras, SuperVector
 from .linalg import accumulate
 
 Q = Fraction
-# shared by every straightening step; Fractions are immutable
-_ONE, _MINUS_ONE, _HALF = Q(1), Q(-1), Q(1, 2)
 
 Monomial = Tuple[int, ...]
 UEAElement = Dict[Monomial, object]
@@ -40,6 +44,10 @@ class UEA:
         self.alg = alg
         self.parity = alg.parity
         self.dim = alg.dim
+        # xi xi = (1/2) [xi, xi] for each odd letter xi
+        self._half_square = {i: {k: _half(c) for k, c in
+                                 alg.bracket_indices(i, i).items()}
+                             for i in range(alg.dim) if alg.parity[i]}
         self._memo: Dict[Monomial, UEAElement] = {}
 
     # -- basics -------------------------------------------------------------
@@ -77,10 +85,9 @@ class UEA:
             return None
         head, tail = word[:pos], word[pos + 2:]
         if a == b:
-            return [(head + (k,) + tail, _HALF * c)
-                    for k, c in self.alg.bracket_indices(a, a).items()]
-        out = [(head + (b, a) + tail,
-                _MINUS_ONE if par[a] and par[b] else _ONE)]
+            return [(head + (k,) + tail, c)
+                    for k, c in self._half_square[a].items()]
+        out = [(head + (b, a) + tail, -1 if par[a] and par[b] else 1)]
         out.extend((head + (k,) + tail, c)
                    for k, c in self.alg.bracket_indices(a, b).items())
         return out
@@ -95,7 +102,7 @@ class UEA:
                 return hit
         steps = self.rewrite(word, strategy)
         if steps is None:
-            res: UEAElement = {word: _ONE}
+            res: UEAElement = {word: 1}
         else:
             res = {}
             for w, c in steps:
@@ -124,8 +131,8 @@ class UEA:
         pi = self.parity[i]
         for m, c in u.items():
             accumulate(acc, self.normal_form_word((i,) + m), c)
-            sign = Q(-1) if pi and self.mono_parity(m) else Q(1)
-            accumulate(acc, self.normal_form_word(m + (i,)), -sign * c)
+            accumulate(acc, self.normal_form_word(m + (i,)),
+                       c if pi and self.mono_parity(m) else -c)
         return acc
 
     def adjoint(self, x: SuperVector, u: UEAElement) -> UEAElement:
@@ -177,7 +184,7 @@ def supersymmetrise(uea: UEA, p: SymElement, parity: Sequence[int],
         counts = Counter(m)
         if any(parity[i] and k > 1 for i, k in counts.items()):
             continue  # an odd square: the signed orderings cancel
-        weight = c * prod(map(factorial, counts.values())) / factorial(len(m))
+        weight = c * Q(prod(map(factorial, counts.values())), factorial(len(m)))
         letters = sorted(counts)
 
         def walk(prefix: UEAElement, sign, todo: int, odd_left: List[int]):
@@ -199,8 +206,15 @@ def supersymmetrise(uea: UEA, p: SymElement, parity: Sequence[int],
                 walk(uea.multiply(prefix, factor(i)), s, todo - 1, rest)
                 counts[i] += 1
 
-        walk(uea.one(), Q(1), len(m), [i for i in m if parity[i]])
+        walk(uea.one(), 1, len(m), [i for i in m if parity[i]])
     return acc
+
+
+def _half(c):
+    """c / 2, an int when c is an even int."""
+    if isinstance(c, int):
+        return c // 2 if c % 2 == 0 else Q(c, 2)
+    return c * Q(1, 2)
 
 
 # -- the supercommutative algebra S(g) ---------------------------------------
@@ -208,7 +222,7 @@ def supersymmetrise(uea: UEA, p: SymElement, parity: Sequence[int],
 def sort_with_koszul(parity: Sequence[int], letters: Sequence[int]):
     """Sort letters ascending, tracking the Koszul sign; None on odd square."""
     arr = list(letters)
-    sign = Q(1)
+    sign = 1
     for i in range(1, len(arr)):
         j = i
         while j > 0 and arr[j - 1] > arr[j]:
@@ -218,7 +232,7 @@ def sort_with_koszul(parity: Sequence[int], letters: Sequence[int]):
             j -= 1
     for t in range(len(arr) - 1):
         if arr[t] == arr[t + 1] and parity[arr[t]]:
-            return None, Q(0)
+            return None, 0
     return tuple(arr), sign
 
 
@@ -251,7 +265,7 @@ def sym_adjoint_index(alg: LieSuperalgebra, i: int, p: SymElement) -> SymElement
         seen = 0
         for slot, letter in enumerate(m):
             # one row per slot: distinct bracket outputs stay distinct
-            sign = Q(-1) if pi and (seen % 2) else Q(1)
+            sign = -1 if pi and (seen % 2) else 1
             row = {}
             for k, v in alg.bracket_indices(i, letter).items():
                 merged, s2 = sort_with_koszul(par, m[:slot] + (k,) + m[slot + 1:])

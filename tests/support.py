@@ -9,6 +9,7 @@ from superhc.harish import _ideal_part
 from superhc.linalg import kernel
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import accumulate
+from superhc.scalars import Quad
 
 
 def gauss_jordan(rows):
@@ -208,3 +209,53 @@ def degree_drop_all(analysis, max_degree=3):
             if (gamma - restriction).degree() >= d and (gamma - restriction):
                 return False
     return True
+
+
+def derived_bracket(alg, i, j):
+    """[e_i, e_j] read from alg.brackets alone, with Fraction (or Quad)
+    values: the stored pair, else the stored mirror times -(-1)^{|i||j|}."""
+    out = alg.brackets.get((i, j))
+    sign = Q(1)
+    if out is None:
+        out = alg.brackets.get((j, i), {})
+        sign = Q(1) if alg.parity[i] and alg.parity[j] else Q(-1)
+    return {k: sign * (v if isinstance(v, Quad) else Q(v))
+            for k, v in out.items() if v}
+
+
+def oracle_normal_form(alg, word):
+    """The PBW normal form of a word, straightened at the leftmost violation
+    over Fractions: brackets come from derived_bracket, and there is no memo
+    and no bracket table.  The oracle for UEA.normal_form_word."""
+    par = alg.parity
+    out = {}
+    todo = [(tuple(word), Q(1))]
+    while todo:
+        w, c = todo.pop()
+        for pos in range(len(w) - 1):
+            a, b = w[pos], w[pos + 1]
+            if a > b or (a == b and par[a]):
+                break
+        else:
+            out[w] = out.get(w, Q(0)) + c
+            continue
+        head, tail = w[:pos], w[pos + 2:]
+        if a == b:
+            todo.extend((head + (k,) + tail, Q(1, 2) * v * c)
+                        for k, v in derived_bracket(alg, a, a).items())
+        else:
+            todo.append((head + (b, a) + tail, -c if par[a] and par[b] else c))
+            todo.extend((head + (k,) + tail, v * c)
+                        for k, v in derived_bracket(alg, a, b).items())
+    return {w: c for w, c in out.items() if c}
+
+
+def oracle_adjoint(alg, i, u):
+    """ad(e_i) u = e_i u - (-1)^{|i||m|} u e_i, monomial by monomial, through
+    oracle_normal_form.  The oracle for UEA.adjoint_index."""
+    acc = {}
+    for m, c in u.items():
+        accumulate(acc, oracle_normal_form(alg, (i,) + m), c)
+        odd = alg.parity[i] and sum(alg.parity[t] for t in m) % 2
+        accumulate(acc, oracle_normal_form(alg, m + (i,)), c if odd else -c)
+    return acc

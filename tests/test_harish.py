@@ -17,6 +17,7 @@ from superhc.linalg import span_basis
 from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
+from superhc.scalars import Quad
 from support import beta_of_vectors, invariants_from_all_letters
 
 
@@ -103,6 +104,24 @@ def test_invariants_rank_one_q1_contains_beta_p2():
         assert ctx.uea.adjoint(ctx.to_adapted(x), b2) == {}
     from superhc.linalg import solve_membership
     assert solve_membership(b2, basis.invariants) is not None
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_invariants_and_gamma_hold_fractions_or_quads(name):
+    # straightening runs on ints where it can; the invariants, their
+    # companion basis and Gamma of each invariant or straightened word are
+    # results, and hold Fractions or Quads only, as the results of linalg do
+    ctx = CATALOG[name].build().ctx
+    basis = invariants_up_to_degree(ctx, 3)
+    assert basis.companion
+    words = [ctx.uea.normal_form_word(m[::-1])
+             for m in ctx.uea.monomials_up_to(3)]
+    values = [c for v in basis.invariants + basis.companion for c in v.values()]
+    values += [c for v in basis.invariants + words
+               for c in ctx.hc_gamma(v).terms.values()]
+    assert values
+    assert all(isinstance(c, (Q, Quad)) for c in values), \
+        {type(c) for c in values}
 
 
 def test_companion_basis_lies_in_right_ideal_and_kernel():

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import comb
 
+import pytest
+
 from superhc.builders import osp12, sl2
+from superhc.catalog import CATALOG, Analysis
 from superhc.pbw import UEA, accumulate, sym_adjoint, sym_multiply
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
 from superhc.serialization import uea_from_json, uea_to_json
 from superhc.serialization import dumps_canonical
+from support import derived_bracket, oracle_adjoint, oracle_normal_form
 
 
 def random_element(uea, rng, max_len=3, terms=3):
@@ -107,6 +112,17 @@ def test_beta_two_letters_vs_direct_definition():
             accumulate(direct, u.normal_form_word((i, j)), Q(1, 2))
             accumulate(direct, u.normal_form_word((j, i)), Q(1, 2) * sign)
             assert u.beta({(i, j): Q(1)}) == direct
+
+
+def test_beta_of_int_coefficients_is_exact():
+    # an int coefficient is a scalar like the equal Fraction: the Koszul
+    # average divides it by n! exactly, never into a float
+    g = osp12()
+    u = UEA(g)
+    for m in u.monomials_up_to(3):
+        b = u.beta({m: 1})
+        assert b == u.beta({m: Q(1)})
+        assert not any(isinstance(c, float) for c in b.values()), m
 
 
 def test_beta_is_filtered_section():
@@ -214,3 +230,70 @@ def test_pbw_dimension_formula_catalog_algebras():
         for d in range(5):
             expected = sum(sdim(m, n, k) for k in range(d + 1))
             assert len(u.monomials_up_to(d)) == expected
+
+
+# -- straightening against the Fraction-only oracle ----------------------------
+
+STRAIGHTENING = sorted(CATALOG) + ["rank1-aniso-q3"]
+
+
+@lru_cache(maxsize=None)
+def _analysis(name):
+    if name == "rank1-aniso-q3":
+        model = build_rank_one_model(3, ANISOTROPIC)
+        return Analysis(model.pair, a_names=["a"], model=model)
+    return CATALOG[name].build()
+
+
+def _random_word(parity, rng):
+    """Up to four random letters; one time in three an odd letter is also
+    inserted twice, so that odd squares get straightened."""
+    word = [rng.randrange(len(parity)) for _ in range(rng.randint(0, 4))]
+    odds = [i for i, p in enumerate(parity) if p]
+    if odds and rng.randrange(3) == 0:
+        x = rng.choice(odds)
+        for _ in range(2):
+            word.insert(rng.randint(0, len(word)), x)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", STRAIGHTENING)
+def test_bracket_indices_match_the_derivation(name):
+    # the two-sided table against the super-antisymmetric derivation from
+    # the stored pairs, for every pair; integral values come back as ints
+    analysis = _analysis(name)
+    for g in (analysis.pair.g, analysis.ctx.adapted):
+        for i in range(g.dim):
+            for j in range(g.dim):
+                out = g.bracket_indices(i, j)
+                assert out == derived_bracket(g, i, j), (i, j)
+                assert not any(isinstance(v, Q) and v.denominator == 1
+                               for v in out.values()), (i, j)
+
+
+@pytest.mark.parametrize("name", STRAIGHTENING)
+def test_straightening_matches_the_fraction_oracle(name):
+    ctx = _analysis(name).ctx
+    g = ctx.adapted
+    uea = UEA(g)
+    lo, hi = ctx.lo_a, ctx.lo_k
+    rng = random.Random(f"straighten:{name}")
+    for _ in range(100):
+        word = _random_word(g.parity, rng)
+        want = oracle_normal_form(g, word)
+        assert uea.normal_form_word(word) == want, word
+        assert uea.normal_form_word(word, strategy="rightmost") == want, word
+        assert ctx.project_word(word) == {
+            m: c for m, c in want.items() if all(lo <= i < hi for i in m)}, word
+    monomials = uea.monomials_up_to(3)
+    for _ in range(30):
+        i = rng.randrange(g.dim)
+        m = rng.choice(monomials)
+        # an int coefficient, as invariants_up_to_degree passes, and a
+        # combination with Fraction coefficients
+        assert uea.adjoint_index(i, {m: 1}) == oracle_adjoint(g, i, {m: Q(1)})
+        u = {}
+        for _ in range(2):
+            accumulate(u, oracle_normal_form(g, _random_word(g.parity, rng)),
+                       Q(rng.randint(-3, 3), 2))
+        assert uea.adjoint_index(i, u) == oracle_adjoint(g, i, u), (i, u)

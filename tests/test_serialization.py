@@ -4,9 +4,10 @@ from fractions import Fraction as Q
 from superhc.apoly import APoly
 from superhc.builders import double_with_flip, gl12, osp12
 from superhc.liesuper import verify_algebra
+from superhc.scalars import scalar_to_string
 from superhc.serialization import (SchemaError, algebra_from_json,
                                    algebra_to_json, dumps_canonical,
-                                   poly_from_json, poly_to_json)
+                                   poly_from_json, poly_to_json, uea_to_json)
 
 
 def test_algebra_roundtrip_with_form_theta_and_certificate():
@@ -61,6 +62,20 @@ def test_poly_roundtrip():
     assert poly_from_json(data, names) == p
     with pytest.raises(SchemaError):
         poly_from_json({"terms": [{"exps": {"zz": 1}, "coeff": "1"}]}, names)
+
+
+def test_int_coefficients_print_like_fractions():
+    # straightening keeps integral coefficients as ints; every printer gives
+    # an int the bytes of the equal Fraction
+    for x in (0, 1, -1, 3, -12):
+        assert scalar_to_string(x) == scalar_to_string(Q(x))
+    as_int = {(): 2, (1,): 3, (0, 2): -1}
+    as_fraction = {m: Q(c) for m, c in as_int.items()}
+    assert dumps_canonical(uea_to_json(as_int)) \
+        == dumps_canonical(uea_to_json(as_fraction))
+    names = ["a", "b"]
+    assert poly_to_json(APoly(2, {(2, 0): 3, (0, 1): -1}), names) \
+        == poly_to_json(APoly(2, {(2, 0): Q(3), (0, 1): Q(-1)}), names)
 
 
 def test_dumps_canonical_is_stable():
