@@ -53,7 +53,7 @@ def main():
     defect = u.adjoint_index(ix, u.multiply(a, b))
     accumulate(defect, u.multiply(u.adjoint_index(ix, a), b), Q(-1))
     for m, c in a.items():
-        sign = Q(-1) if u.mono_parity(m) else Q(1)
+        sign = Q(-1) if sum(u.parity[t] for t in m) % 2 else Q(1)
         accumulate(defect, u.multiply({m: c}, u.adjoint_index(ix, b)), -sign)
     print("\ngraded Leibniz rule for ad(x) on a product a*b:")
     print("  a =", show(u, a))

@@ -242,7 +242,8 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     """Solve ad(x) D = 0 for generators x of k, over PBW monomials <= d.
 
     The diagonal letters of k act on monomials by weights, so they only
-    select the weight-zero monomials; ctx.k_generators supply the rows.
+    select the weight-zero monomials, the only ones uea.monomials_up_to
+    lists; ctx.k_generators supply the rows.
 
     Ordering contract, on which the per-degree rows of verify_exact_sequence
     rest: the invariants are the reduced-echelon kernel over the monomials
@@ -254,10 +255,7 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     its basis vectors of degree <= e.
     """
     uea = ctx.uea
-    kept: List[Monomial] = []
-    for m in uea.monomials_up_to(d):
-        if all(sum(w[i] for i in m) == 0 for w in ctx.k_diagonal.values()):
-            kept.append(m)
+    kept = uea.monomials_up_to(d, list(ctx.k_diagonal.values()))
     kern = kernel({(x, mt): c for x in ctx.k_generators
                    for mt, c in uea.adjoint_index(x, {m: 1}).items()}
                   for m in kept)

@@ -4,9 +4,11 @@ A vector is a Row, a sparse dict from column to a nonzero scalar; every
 function here takes and returns vectors in that one form, with Fraction or
 Quad entries.  Every elimination goes through Echelon, which works
 fraction-free: rational rows are scaled once to primitive integer rows and
-eliminated over the integers, so pivots need not be 1.  The unit-pivot
-Fraction rows that results are read from are built once, after the last
-row is in (Echelon.unit_rows); Echelon.reduce returns the exact residual.
+eliminated over the integers, so pivots need not be 1.  A kernel vector
+is read straight off the integer rows, one Fraction per entry; the
+unit-pivot Fraction rows that a span basis or a solve needs are built once,
+after the last row is in (Echelon.unit_rows), and Echelon.reduce returns
+the exact residual.
 No pivot thresholds, no rounding, ever.
 """
 
@@ -120,8 +122,9 @@ class Echelon:
     primitive integer row: ints with no common factor and a positive pivot,
     which need not be 1.  unit_rows turns them into the reduced echelon form
     itself, each row divided by its pivot, once the elimination is over:
-    when the rows are read, when reduce is first called, or when the first
-    row with an irrational entry comes in.  From then on (unit is set) every
+    when span_basis reads the rows, when reduce is first called, or when the
+    first row with an irrational entry comes in (a kernel basis reads the
+    integer rows as they are).  From then on (unit is set) every
     row is kept with a unit pivot.
     """
 
@@ -269,13 +272,18 @@ def nullspace(m: ScalarMatrix) -> List[Row]:
 
 def _kernel_basis(ech: Echelon, ncols: int) -> List[Row]:
     """The reduced echelon basis of the vectors on ncols columns that ech's
-    rows annihilate (see nullspace)."""
-    pivots = ech.unit_rows()
-    order = sorted(pivots)
+    rows annihilate (see nullspace).  Entry p of the vector of free column
+    f is -rows[p][f] / rows[p][p], built as one Fraction from integer rows."""
+    rows = ech.rows
+    order = sorted(rows)
     basis = []
     for f in range(ncols):
-        if f not in pivots:
-            v: Row = {p: -pivots[p][f] for p in order if f in pivots[p]}
+        if f not in rows:
+            if ech.unit:
+                v: Row = {p: -rows[p][f] for p in order if f in rows[p]}
+            else:
+                v = {p: Q(-rows[p][f], rows[p][p]) for p in order
+                     if f in rows[p]}
             v[f] = Q(1)
             basis.append(v)
     return basis

@@ -51,9 +51,6 @@ class UEA:
         self._memo: Dict[Monomial, UEAElement] = {}
 
     # -- basics -------------------------------------------------------------
-    def mono_parity(self, m: Monomial) -> int:
-        return sum(self.parity[i] for i in m) % 2
-
     def one(self) -> UEAElement:
         return {(): Q(1)}
 
@@ -127,12 +124,28 @@ class UEA:
 
     # -- adjoint action -----------------------------------------------------
     def adjoint_index(self, i: int, u: UEAElement) -> UEAElement:
+        """ad(e_i) u, with ad(e_i) acting on each word as a superderivation:
+
+            ad(x)(y_1...y_k) = sum_j (-1)^{|x|(|y_1|+...+|y_{j-1}|)}
+                               y_1...y_{j-1} [x, y_j] y_{j+1}...y_k
+
+        Each term is one word of the same length with a single letter out of
+        place, where the commutator x m - (-1)^{|x||m|} m x straightens two
+        longer words whose top-degree parts cancel.
+        """
         acc: UEAElement = {}
-        pi = self.parity[i]
+        par = self.parity
+        pi = par[i]
+        bracket = self.alg.bracket_indices
         for m, c in u.items():
-            accumulate(acc, self.normal_form_word((i,) + m), c)
-            accumulate(acc, self.normal_form_word(m + (i,)),
-                       c if pi and self.mono_parity(m) else -c)
+            sign = c
+            for j, y in enumerate(m):
+                head, tail = m[:j], m[j + 1:]
+                for k, b in bracket(i, y).items():
+                    accumulate(acc, self.normal_form_word(head + (k,) + tail),
+                               sign * b)
+                if pi and par[y]:
+                    sign = -sign
         return acc
 
     def adjoint(self, x: SuperVector, u: UEAElement) -> UEAElement:
@@ -151,21 +164,37 @@ class UEA:
         return supersymmetrise(self, p, self.parity, self.generator)
 
     # -- monomials ------------------------------------------------------------
-    def monomials_up_to(self, d: int) -> List[Monomial]:
-        """All PBW monomials of degree <= d, ordered by degree then lex."""
+    def monomials_up_to(self, d: int, weights: Sequence[Sequence] = ()
+                        ) -> List[Monomial]:
+        """The PBW monomials m of degree <= d of weight zero, that is with
+        sum(w[i] for i in m) == 0 for every w in weights (all of them when
+        there are no weights), ordered by degree then lex.
+
+        Each prefix carries its weight down the recursion, and the last
+        letter is looked up among the letters of the opposite weight.
+        """
         par = self.parity
         dim = self.dim
-        out: List[Monomial] = []
+        # the weight letter i adds, and the letters of each weight in order
+        step = [tuple(w[i] for w in weights) for i in range(dim)]
+        by_weight: Dict[tuple, List[int]] = {}
+        for i in range(dim):
+            by_weight.setdefault(step[i], []).append(i)
 
-        def gen(prefix: Monomial, start: int, length: int):
-            if length == 0:
-                out.append(prefix)
+        def gen(prefix: Monomial, start: int, length: int, weight: tuple):
+            if length == 1:
+                out.extend(prefix + (i,) for i in
+                           by_weight.get(tuple(-x for x in weight), ())
+                           if i >= start)
                 return
             for i in range(start, dim):
-                gen(prefix + (i,), i + 1 if par[i] else i, length - 1)
+                gen(prefix + (i,), i + 1 if par[i] else i, length - 1,
+                    tuple(x + y for x, y in zip(weight, step[i])))
 
-        for length in range(d + 1):
-            gen((), 0, length)
+        zero = tuple(0 for _ in weights)
+        out: List[Monomial] = [()] if d >= 0 else []
+        for length in range(1, d + 1):
+            gen((), 0, length, zero)
         return out
 
 

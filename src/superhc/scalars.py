@@ -171,7 +171,15 @@ def _frac_to_string(x: Fraction) -> str:
 
 
 def scalar_to_string(x: ScalarLike) -> str:
-    """Canonical serialisation: "p/q" or "p/q+r/s*sqrt(c)" (reduced, q,s>0)."""
+    """Canonical serialisation: "p/q" or "p/q+r/s*sqrt(c)" (reduced, q,s>0).
+
+    An int or a Fraction prints directly; anything else rational (a bool
+    included) goes through Fraction first, so True prints as 1.
+    """
+    if type(x) is int:
+        return str(x)
+    if type(x) is Fraction:
+        return _frac_to_string(x)
     if isinstance(x, Quad):
         head = _frac_to_string(x.a)
         if x.b < 0:

@@ -8,7 +8,7 @@ from superhc.apoly import APoly
 from superhc.harish import _ideal_part
 from superhc.linalg import kernel
 from superhc.pairs import a_perp_in_p
-from superhc.pbw import accumulate
+from superhc.pbw import UEA, accumulate
 from superhc.scalars import Quad
 
 
@@ -138,14 +138,23 @@ def weyl_acts_on_functional(w, lam):
 def invariants_from_all_letters(ctx, d):
     """(invariants, companion) as invariants_up_to_degree computes them, but
     with an adjoint row for every non-diagonal letter of k rather than only
-    for the generators ctx.k_generators: the slow path it is checked by."""
-    uea = ctx.uea
+    for the generators ctx.k_generators, each row in the commutator form
+    e_x m - (-1)^{|x||m|} m e_x on a UEA of its own, and the weight-zero
+    monomials picked from all of them: the slow path it is checked by."""
+    uea = UEA(ctx.adapted)
+    par = uea.parity
     weights = ctx.k_diagonal.values()
     letters = [x for x in ctx.k_indices() if x not in ctx.k_diagonal]
     kept = [m for m in uea.monomials_up_to(d)
             if all(sum((w[i] for i in m), Q(0)) == 0 for w in weights)]
-    kern = kernel({(x, mt): c for x in letters
-                   for mt, c in uea.adjoint_index(x, {m: Q(1)}).items()}
+
+    def ad(x, m):
+        acc = dict(uea.normal_form_word((x,) + m))
+        odd = par[x] and sum(par[t] for t in m) % 2
+        accumulate(acc, uea.normal_form_word(m + (x,)), 1 if odd else -1)
+        return acc
+
+    kern = kernel({(x, mt): c for x in letters for mt, c in ad(x, m).items()}
                   for m in kept)
     invariants = [{kept[t]: c for t, c in coords.items()} for coords in kern]
     return invariants, _ideal_part(ctx, invariants)

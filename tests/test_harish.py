@@ -18,7 +18,8 @@ from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
 from superhc.scalars import Quad
-from support import beta_of_vectors, invariants_from_all_letters
+from support import (beta_of_vectors, invariants_from_all_letters,
+                     oracle_adjoint)
 
 
 def test_project_unit_and_pure_a():
@@ -249,6 +250,17 @@ def test_generator_rows_match_all_letter_rows(name):
                                                         entry.default_degree)
     assert basis.invariants == invariants
     assert basis.companion == companion
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_letter_of_k_kills_the_invariants(name):
+    # rows are taken only for generators of k: check each invariant against
+    # every letter of k, through the commutator-form oracle with no memo
+    entry = CATALOG[name]
+    ctx = entry.build().ctx
+    for v in invariants_up_to_degree(ctx, entry.default_degree).invariants:
+        for y in ctx.k_indices():
+            assert oracle_adjoint(ctx.adapted, y, v) == {}, (y, v)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

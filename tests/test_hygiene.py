@@ -79,26 +79,141 @@ def definitions(source):
     return out
 
 
-def mentions(source):
-    """Names read through Name or Attribute nodes, and the parts of string
-    constants that are dotted names (a tracer's targets are such strings)."""
+def class_bases(sources):
+    """Each module-level class of the sources -> the names of its bases."""
+    return {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+            for source in sources for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)}
+
+
+def annotated_class(node, classes):
+    """The class an annotation names as C, "C" or Optional[C], else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+            and node.value.id == "Optional":
+        node = node.slice
+    if isinstance(node, ast.Name) and node.id in classes:
+        return node.id
+    return None
+
+
+def bound_classes(func, classes, owner=None):
+    """Names that hold an instance of one class at every binding inside a
+    module-level function or method, nested scopes included: self or cls of
+    a method of owner, parameters annotated with a class, and names assigned
+    only calls of one class's constructor or annotated with it."""
+    typed = {}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                and isinstance(node.value.func, ast.Name) \
+                and node.value.func.id in classes:
+            typed.update((id(t), node.value.func.id) for t in node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            typed[id(node.target)] = annotated_class(node.annotation, classes)
+    kinds = {}
+    for node in ast.walk(func):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in getattr(node, "decorator_list", ()))
+            for k, arg in enumerate(a.posonlyargs + a.args + a.kwonlyargs):
+                if owner and node is func and k == 0 and not static:
+                    cls = owner
+                else:
+                    cls = annotated_class(arg.annotation, classes)
+                kinds.setdefault(arg.arg, set()).add(cls)
+            for arg in (a.vararg, a.kwarg):
+                if arg is not None:
+                    kinds.setdefault(arg.arg, set()).add(None)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            kinds.setdefault(node.id, set()).add(typed.get(id(node)))
+    return {name: next(iter(k)) for name, k in kinds.items()
+            if len(k) == 1 and None not in k}
+
+
+# the "class" of a bare name read: it names no method
+BARE = "<bare name>"
+
+
+def mentions(source, classes=()):
+    """(class, name) for each name read through a Name or Attribute node, and
+    for the parts of string constants that are dotted names (a tracer's
+    targets are such strings).  class is BARE for a Name node, and for an
+    attribute the class of classes it is read on when that is known
+    (C.name, C(...).name, or a variable bound_classes types), else None."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+
+    def receiver(node, env):
+        if isinstance(node, ast.Call):
+            node = node.func
+            return node.id if isinstance(node, ast.Name) \
+                and node.id in classes else None
         if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and DOTTED.fullmatch(node.value):
-            found.update(node.value.split("."))
+            return node.id if node.id in classes else env.get(node.id)
+        return None
+
+    def scan(tree, env):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add((BARE, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.add((receiver(node.value, env), node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and DOTTED.fullmatch(node.value):
+                head, *rest = node.value.split(".")
+                found.add((None, head))
+                found.update(((head if head in classes else None), part)
+                             for part in rest)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            scan(node, bound_classes(node, classes))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                scan(item, bound_classes(item, classes, node.name)
+                     if isinstance(item, ast.FunctionDef) else {})
+            for expr in node.bases + node.decorator_list:
+                scan(expr, {})
+        else:
+            scan(node, {})
     return found
 
 
-def dead_definitions(source, mentioning_sources):
-    """Definitions of source that no mentioning source names."""
-    used = set().union(*map(mentions, mentioning_sources))
-    return [(line, name) for line, name in definitions(source)
-            if name.split(".")[-1] not in used]
+def dead_definitions(sources, mentioning_sources):
+    """For each source, its definitions that no mentioning source names.  A
+    method C.m counts as named by a read of attribute m on an unknown
+    receiver, or on C, a class C derives from, or a class derived from C; a
+    bare name m, or an attribute m read on another class, does not count."""
+    bases = class_bases([*sources, *mentioning_sources])
+
+    def ancestors(c):
+        seen, todo = set(), [c]
+        while todo:
+            for b in bases.get(todo.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        return seen
+
+    read_on = {}
+    for src in mentioning_sources:
+        for cls, name in mentions(src, bases):
+            read_on.setdefault(name, set()).add(cls)
+
+    def named(definition):
+        owner, _, name = definition.rpartition(".")
+        on = read_on.get(name, set())
+        if not owner:
+            return bool(on)
+        return None in on or any(c == owner or owner in ancestors(c)
+                                 or c in ancestors(owner) for c in on)
+
+    return [[(line, name) for line, name in definitions(source)
+             if not named(name)] for source in sources]
 
 
 def test_dead_definitions_detector():
@@ -106,17 +221,33 @@ def test_dead_definitions_detector():
               "    def __init__(self):\n        pass\n"
               "    def used(self):\n        pass\n"
               "    def unused(self):\n        pass\n"
+              "    def shared(self):\n        pass\n"
+              "class Crate:\n"
+              "    def shared(self):\n        pass\n"
+              "    def touch(self, box: 'Box', other):\n"
+              "        box.shared()\n"
               "def traced():\n    'orphan is named only in prose'\n"
               "def orphan():\n    pass\n"
+              "def tap(box: Box):\n    box.shared()\n"
+              "tap(Box())\n"
               "Box().used()\n"
+              "Crate.touch\n"
+              "unused = None\n"
               "TARGETS = [('module', 'Box.__init__'), ('module', 'traced')]\n")
-    assert [name for _, name in dead_definitions(source, [source])] \
-        == ["Box.unused", "orphan"]
+    # both reads of shared are on a Box, and a bare name keeps no method
+    assert [name for _, name in dead_definitions([source], [source])[0]] \
+        == ["Box.unused", "Crate.shared", "orphan"]
+    # a receiver of unknown class keeps every method of that name alive
+    untyped = source + "def poke(thing):\n    thing.shared()\n"
+    assert [name for _, name in dead_definitions([untyped], [untyped])[0]] \
+        == ["Box.unused", "orphan", "poke"]
 
 
 def test_no_dead_definitions():
+    paths = package_files()
     sources = [path.read_text() for path in mentioning_files()]
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
-             for path in package_files()
-             for line, name in dead_definitions(path.read_text(), sources)]
+             for path, dead in zip(paths, dead_definitions(
+                 [path.read_text() for path in paths], sources))
+             for line, name in dead]
     assert found == []

@@ -158,7 +158,8 @@ def test_adjoint_is_graded_derivation():
         rhs = u.multiply(u.adjoint(x, a), b)
         # split b by parity for the Koszul sign
         for m, c in a.items():
-            sgn = Q(-1) if g.parity[i] and u.mono_parity(m) else Q(1)
+            odd = sum(g.parity[t] for t in m) % 2
+            sgn = Q(-1) if g.parity[i] and odd else Q(1)
             accumulate(rhs, u.multiply({m: sgn * c}, u.adjoint(x, b)))
         assert lhs == rhs
 
@@ -232,6 +233,24 @@ def test_pbw_dimension_formula_catalog_algebras():
             assert len(u.monomials_up_to(d)) == expected
 
 
+def test_weighted_monomials_are_the_weight_zero_ones():
+    # the weights carried down the recursion against the sum over each
+    # listed monomial, on the diagonal weights of k and on made-up ones
+    for name in ["group-gl12", "group-osp12", "rank1-aniso-q2"]:
+        ctx = CATALOG[name].build().ctx
+        uea = ctx.uea
+        rng = random.Random(f"weights:{name}")
+        made_up = [[rng.randint(-1, 1) for _ in range(uea.dim)],
+                   [Q(rng.randint(-2, 2), 2) for _ in range(uea.dim)]]
+        for weights in [list(ctx.k_diagonal.values()), made_up]:
+            for d in range(5):
+                want = [m for m in uea.monomials_up_to(d)
+                        if all(sum((w[i] for i in m), 0) == 0
+                               for w in weights)]
+                assert uea.monomials_up_to(d, weights) == want, (name, d)
+    assert UEA(sl2()).monomials_up_to(-1, [[1, 0, -1]]) == []
+
+
 # -- straightening against the Fraction-only oracle ----------------------------
 
 STRAIGHTENING = sorted(CATALOG) + ["rank1-aniso-q3"]
@@ -297,3 +316,13 @@ def test_straightening_matches_the_fraction_oracle(name):
             accumulate(u, oracle_normal_form(g, _random_word(g.parity, rng)),
                        Q(rng.randint(-3, 3), 2))
         assert uea.adjoint_index(i, u) == oracle_adjoint(g, i, u), (i, u)
+    # degree-4 monomials holding two or more odd letters, acted on by odd
+    # and even letters, so the Koszul sign of the derivation rule counts
+    odd_letters = [i for i in range(g.dim) if g.parity[i]]
+    pool = [m for m in uea.monomials_up_to(4)
+            if len(m) == 4 and sum(g.parity[t] for t in m) >= 2]
+    for t in range(12 if pool else 0):
+        i = rng.choice(odd_letters) if t % 2 else rng.randrange(g.dim)
+        m = rng.choice(pool)
+        assert uea.adjoint_index(i, {m: 1}) == oracle_adjoint(g, i, {m: Q(1)}), \
+            (i, m)

@@ -76,6 +76,28 @@ def test_canonical_strings():
     assert scalar_from_string("1/2+1/3*sqrt(7)") == quad(Q(1, 2), Q(1, 3), 7)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rationals, st.integers(-10**30, 10**30))
+def test_ints_fractions_and_quads_print_as_their_rational(a, n):
+    # the int and Fraction shortcuts print what the Fraction of the same
+    # value prints: "p" or "p/q", reduced, sign on p
+    assert scalar_to_string(n) == scalar_to_string(Q(n)) == str(n)
+    want = f"{a.numerator}/{a.denominator}" if a.denominator != 1 \
+        else str(a.numerator)
+    assert scalar_to_string(a) == want
+    if a.denominator == 1:
+        assert scalar_to_string(a.numerator) == want
+    if a:
+        assert scalar_to_string(quad(n, a, 7)) == \
+            f"{n}{'' if a < 0 else '+'}{want}*sqrt(7)"
+
+
+def test_bools_print_as_numbers():
+    assert scalar_to_string(True) == "1"
+    assert scalar_to_string(False) == "0"
+    assert scalar_to_string(-7) == "-7" and scalar_to_string(0) == "0"
+
+
 @pytest.mark.parametrize("text", [1, None, ["1"], "1/0", "1/0+1*sqrt(2)",
                                   "1+1/0*sqrt(2)", "x", "", "1e2", "1E2",
                                   "1.5", "1_000", "1e3000000",
