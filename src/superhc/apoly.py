@@ -155,6 +155,54 @@ class APoly:
         return self.pretty()
 
 
+class ImageTables:
+    """APoly.substitute and APoly.substitute_linear for a run of polynomials
+    substituted alike, through one table of monomial images per substitution.
+
+    The image of a monomial is that of the same monomial with its last
+    nonzero exponent lowered by one, times one image, so each monomial costs
+    one product, where APoly.substitute multiplies a power of every image
+    for each term; with affine images every product is by a polynomial of
+    degree <= 1.  A substitution is named by the object that defines it, an
+    images list or a matrix, which its table keeps alive; the tables live as
+    long as the ImageTables.
+    """
+
+    def __init__(self):
+        self._tables: Dict[int, tuple] = {}
+
+    def substitute(self, p: APoly, images: Sequence[APoly]) -> APoly:
+        return self._apply(p, images, images)
+
+    def substitute_linear(self, p: APoly, mat: Sequence[Sequence]) -> APoly:
+        return self._apply(p, mat, None)
+
+    def _apply(self, p: APoly, key, images) -> APoly:
+        entry = self._tables.get(id(key))
+        if entry is None:
+            if images is None:
+                images = [APoly.linear(row) for row in key]
+            if len(images) != p.n:
+                raise ValueError("need one image per variable")
+            m = images[0].n if images else p.n
+            entry = self._tables[id(key)] = (
+                key, images, m, {(0,) * p.n: APoly.const(m, Q(1))})
+        _, images, m, table = entry
+
+        def image(e: Expvec) -> APoly:
+            hit = table.get(e)
+            if hit is None:
+                j = max(i for i, k in enumerate(e) if k)
+                hit = table[e] = image(e[:j] + (e[j] - 1,) + e[j + 1:]) \
+                    * images[j]
+            return hit
+
+        out: Dict[Expvec, object] = {}
+        for e, c in p.terms.items():
+            accumulate(out, image(e).terms, c)
+        return APoly(m, out)
+
+
 def monomials_up_to(n: int, d: int) -> List[Expvec]:
     """Exponent vectors of total degree <= d, ordered by degree then lex."""
     out: List[Expvec] = []

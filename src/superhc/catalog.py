@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 from . import builders
+from .apoly import APoly
 from .harish import (InvariantBasis, IwasawaContext, invariants_up_to_degree,
                      verify_exact_sequence)
 from .linalg import rank as matrix_rank
@@ -25,7 +25,7 @@ from .pairs import (PairError, SymmetricPair, build_pair,
                     centralizer_formula_holds, choose_positive_system,
                     even_weyl_group, restricted_roots)
 from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
-                    odd_root_data, ring_conditions, ring_degrees)
+                    odd_root_data, ring_degrees)
 from .scalars import scalar_to_string
 
 Q = Fraction
@@ -221,15 +221,18 @@ def centdim_check(analysis: Analysis, rng: random.Random) -> bool:
 
 
 def multiplicativity_check(analysis: Analysis, basis: InvariantBasis,
-                           rng: random.Random) -> bool:
-    """Gamma(D D') = Gamma(D) Gamma(D') on sampled invariant pairs."""
+                           images: Sequence[APoly], rng: random.Random) -> bool:
+    """Gamma(D D') = Gamma(D) Gamma(D') on sampled invariant pairs, where
+    images[t] is Gamma of basis.invariants[t]."""
     ctx = analysis.ctx
-    if not basis.invariants:
+    invariants = basis.invariants
+    if not invariants:
         return True
     for _ in range(SAMPLES):
-        u = basis.invariants[rng.randrange(len(basis.invariants))]
-        v = basis.invariants[rng.randrange(len(basis.invariants))]
-        if ctx.gamma_of_product(u, v) != ctx.hc_gamma(u) * ctx.hc_gamma(v):
+        s = rng.randrange(len(invariants))
+        t = rng.randrange(len(invariants))
+        if ctx.gamma_of_product(invariants[s], invariants[t]) \
+                != images[s] * images[t]:
             return False
     return True
 
@@ -257,20 +260,19 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
     data = analysis.data
     r = analysis.rank
     basis = invariants_up_to_degree(analysis.ctx, degree)
-    seq = verify_exact_sequence(analysis.ctx, degree, basis, weyl, data)
+    images = [analysis.ctx.hc_gamma(v) for v in basis.invariants]
+    seq = verify_exact_sequence(analysis.ctx, degree, basis, weyl, data, images)
     rows = seq["rows"]
     columns = {"dim_J": ("J", True), "dim_I": ("I", True),
                "dim_I_noweyl": ("I", False), "dim_SW0": ("SW0", True)}
-    degrees = {col: ring_degrees(partial(ring_conditions, ring=ring, data=data,
-                                         weyl=weyl, include_weyl=include_weyl),
-                                 r, degree)
+    degrees = {col: ring_degrees(ring, data, weyl, r, degree, include_weyl)
                for col, (ring, include_weyl) in columns.items()}
     for row in rows:
         row.update({col: sum(1 for t in degs if t <= row["degree"])
                     for col, degs in degrees.items()})
 
     rng = random.Random(seed)
-    mult_ok = multiplicativity_check(analysis, basis, rng)
+    mult_ok = multiplicativity_check(analysis, basis, images, rng)
     cent_ok = centdim_check(analysis, rng)
 
     report = {

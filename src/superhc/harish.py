@@ -20,6 +20,7 @@ from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
                   supersymmetrise, sym_multiply)
 from .rings import membership_J
+from .scalars import int_if_integral
 
 Q = Fraction
 
@@ -64,9 +65,12 @@ class IwasawaContext:
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
         self.rho = self.rho_triple[0]
-        # the U(g) factor of each basis letter of the original algebra
-        self._gen_table = [self.uea.from_vector(self.to_adapted(pair.g.basis(i)))
-                           for i in range(pair.g.dim)]
+        # the U(g) factor of each basis letter of the original algebra,
+        # integral coefficients as ints
+        self._gen_table = [
+            {m: int_if_integral(c) for m, c in
+             self.uea.from_vector(self.to_adapted(pair.g.basis(i))).items()}
+            for i in range(pair.g.dim)]
         # ad-weights of the k letters acting diagonally (scaled to ints),
         # and the other letters that together with them generate k
         self.k_diagonal, others = _diagonal_weights(self.adapted, self.k_indices())
@@ -96,8 +100,12 @@ class IwasawaContext:
 
     def beta_from_g(self, p: SymElement) -> UEAElement:
         """Supersymmetrisation of an S(g) element over the original basis."""
-        return supersymmetrise(self.uea, p, self.pair.g.parity,
-                               self._gen_table.__getitem__)
+        return supersymmetrise(p, self.pair.g.parity, self.uea.one(),
+                               self._times_letter)
+
+    def _times_letter(self, u: UEAElement, i: int) -> UEAElement:
+        """u times letter i of the original algebra."""
+        return self.uea.multiply(u, self._gen_table[i])
 
     # -- the projection and its shift ----------------------------------------
     def project_to_a(self, u: UEAElement) -> APoly:
@@ -151,6 +159,10 @@ class IwasawaContext:
         in k lie in U(g) k, so those pairs are skipped; every other pair is
         straightened by project_word, which keeps only the pure-a part.
         """
+        return self.hc_gamma(self._project_product(u, v))
+
+    def _project_product(self, u: UEAElement, v: UEAElement) -> UEAElement:
+        """The pure-a part of u v, as a sum of pure-a monomials."""
         lo, hi = self.lo_a, self.lo_k
         left = [(m, c) for m, c in u.items() if not (m and m[0] < lo)]
         right = [(m, c) for m, c in v.items() if not (m and m[-1] >= hi)]
@@ -158,10 +170,25 @@ class IwasawaContext:
         for m1, c1 in left:
             for m2, c2 in right:
                 accumulate(acc, self.project_word(m1 + m2), c1 * c2)
-        return self.hc_gamma(acc)
+        return acc
 
     def gamma_of_sym(self, p: SymElement) -> APoly:
-        return self.hc_gamma(self.beta_from_g(p))
+        """Gamma(beta_from_g(p)) without forming beta_from_g(p).
+
+        The supersymmetrisation walk drops, after each partial product, the
+        monomials whose first letter is in n: they lie in n U(g), and stay
+        there whatever is multiplied on their right.  The last letter is
+        taken through project_word, as in gamma_of_product.
+        """
+        lo = self.lo_a
+
+        def step(u: UEAElement, i: int) -> UEAElement:
+            return {m: c for m, c in self._times_letter(u, i).items()
+                    if not (m and m[0] < lo)}
+
+        return self.hc_gamma(supersymmetrise(
+            p, self.pair.g.parity, self.uea.one(), step,
+            lambda u, i: self._project_product(u, self._gen_table[i])))
 
 
 # -- invariants ----------------------------------------------------------------
@@ -285,10 +312,12 @@ def poly_rank(polys: Sequence[APoly]) -> int:
 
 def verify_exact_sequence(ctx: IwasawaContext, d: int,
                           basis: Optional[InvariantBasis] = None,
-                          weyl=None, data=None) -> dict:
+                          weyl=None, data=None,
+                          images: Optional[List[APoly]] = None) -> dict:
     """Dimension bookkeeping for 0 -> ideal part -> invariants -> image -> 0.
 
-    Gamma is taken once per basis vector.  rows holds one row per degree
+    Gamma is taken once per basis vector; images, when given, are Gamma of
+    the invariants in basis order.  rows holds one row per degree
     e <= d, read off the basis order of invariants_up_to_degree: the degree
     <= e parts are spanned by the basis vectors of degree <= e, so Gamma of
     the degree <= e invariants is spanned by the first n = dim_invariants
@@ -301,7 +330,8 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
     """
     if basis is None:
         basis = invariants_up_to_degree(ctx, d)
-    images = [ctx.hc_gamma(v) for v in basis.invariants]
+    if images is None:
+        images = [ctx.hc_gamma(v) for v in basis.invariants]
     kernel_ok = all(not ctx.hc_gamma(v).terms for v in basis.companion)
     inv_degrees = [max(map(len, v), default=0) for v in basis.invariants]
     ker_degrees = [max(map(len, v), default=0) for v in basis.companion]

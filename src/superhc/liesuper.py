@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (ScalarMatrix, accumulate, eigenspace, kernel, linear_solver,
                      rank, span_basis)
+from .scalars import int_if_integral
 
 Q = Fraction
 
@@ -199,10 +200,7 @@ def _two_sided(brackets, parity) -> Dict[Tuple[int, int], Dict[int, object]]:
     """Every pair's bracket, read in one lookup: the stored pairs, and the
     mirror [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] of each pair stored in one
     order only (a stored pair wins), integral coefficients as ints."""
-    def scalar(v):
-        return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
-
-    table = {key: {k: scalar(v) for k, v in out.items()}
+    table = {key: {k: int_if_integral(v) for k, v in out.items()}
              for key, out in brackets.items()}
     for (i, j), out in list(table.items()):
         if (j, i) not in table:

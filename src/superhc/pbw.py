@@ -52,11 +52,11 @@ class UEA:
 
     # -- basics -------------------------------------------------------------
     def one(self) -> UEAElement:
-        return {(): Q(1)}
+        return {(): 1}
 
     def generator(self, key) -> UEAElement:
         i = key if isinstance(key, int) else self.alg.index(key)
-        return {(i,): Q(1)}
+        return {(i,): 1}
 
     def from_vector(self, x: SuperVector) -> UEAElement:
         if x.alg is not self.alg:
@@ -161,7 +161,8 @@ class UEA:
     # -- supersymmetrisation ------------------------------------------------
     def beta(self, p: SymElement) -> UEAElement:
         """The PBW section of S(g) -> U(g): Koszul-averaged products."""
-        return supersymmetrise(self, p, self.parity, self.generator)
+        return supersymmetrise(p, self.parity, self.one(),
+                               lambda u, i: self.multiply(u, self.generator(i)))
 
     # -- monomials ------------------------------------------------------------
     def monomials_up_to(self, d: int, weights: Sequence[Sequence] = ()
@@ -198,16 +199,22 @@ class UEA:
         return out
 
 
-def supersymmetrise(uea: UEA, p: SymElement, parity: Sequence[int],
-                    factor: Callable[[int], UEAElement]) -> UEAElement:
+def supersymmetrise(p: SymElement, parity: Sequence[int], one: UEAElement,
+                    step: Callable[[UEAElement, int], UEAElement],
+                    last: Optional[Callable] = None) -> UEAElement:
     """Koszul-averaged products of the letters of each monomial of p.
 
-    factor(i) is the element of U(g) standing for letter i, of parity
-    parity[i].  Only the distinct arrangements of a monomial's letters are
-    walked: each stands for prod(mult!) of the n! permutations, all with the
-    same Koszul sign (repeated letters are even, as odd squares vanish in
-    S(g)), and arrangements sharing a prefix share its partial product.
+    step(u, i) is the partial product u times letter i, of parity
+    parity[i], starting from one; last(u, i), step by default, is the
+    product with the last letter, so a caller that reads only part of the
+    result can prune after each step and compute only that part at the end.
+    Only the distinct arrangements of a monomial's letters are walked: each
+    stands for prod(mult!) of the n! permutations, all with the same Koszul
+    sign (repeated letters are even, as odd squares vanish in S(g)), and
+    arrangements sharing a prefix share its partial product.
     """
+    if last is None:
+        last = step
     acc: UEAElement = {}
     for m, c in p.items():
         counts = Counter(m)
@@ -232,10 +239,11 @@ def supersymmetrise(uea: UEA, p: SymElement, parity: Sequence[int],
                     if pos % 2:
                         s = -s
                     rest = odd_left[:pos] + odd_left[pos + 1:]
-                walk(uea.multiply(prefix, factor(i)), s, todo - 1, rest)
+                walk((last if todo == 1 else step)(prefix, i), s, todo - 1,
+                     rest)
                 counts[i] += 1
 
-        walk(uea.one(), 1, len(m), [i for i in m if parity[i]])
+        walk(one, 1, len(m), [i for i in m if parity[i]])
     return acc
 
 

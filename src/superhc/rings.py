@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apoly import APoly, change_to_basis, monomials_up_to
+from .apoly import APoly, ImageTables, change_to_basis, monomials_up_to
 from .builders import matrix_superalgebra, supercommutator
 from .linalg import ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra, SuperVector
@@ -362,8 +362,13 @@ def _even_odd_split(coeffs: Dict[int, object], q: int):
     return A, B
 
 
-def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
-    """Linear functionals (slot -> value) whose joint vanishing is membership."""
+def membership_conditions(p: APoly, datum: OddRootDatum, ring: str,
+                          sub=APoly) -> Dict:
+    """Linear functionals (slot -> value) whose joint vanishing is membership.
+
+    sub substitutes: APoly itself, or the ImageTables of a run of
+    polynomials (see ring_degrees).
+    """
     if datum.gated:
         return {}
     out: Dict = {}
@@ -375,12 +380,12 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
             deriv = deriv.directional_derivative(datum.lam)
             if not deriv.terms:
                 break
-            adapted = deriv.substitute(datum.images)
+            adapted = sub.substitute(deriv, datum.images)
             for e, c in adapted.terms.items():
                 if e[0] < j:
                     out[("iso", datum.lam, j, e)] = c
         return out
-    adapted = p.substitute(datum.images)
+    adapted = sub.substitute(p, datum.images)
     if ring == "I":
         for e, c in adapted.terms.items():
             if e[0] % 2 == 1 and e[0] < 2 * datum.q + 1:
@@ -402,27 +407,29 @@ def membership_J_lambda(p: APoly, datum: OddRootDatum) -> bool:
     return not membership_conditions(p, datum, "J")
 
 
-def weyl_conditions(p: APoly, weyl: WeylGroup) -> Dict:
+def weyl_conditions(p: APoly, weyl: WeylGroup, sub=APoly) -> Dict:
     out: Dict = {}
     for t, w in enumerate(weyl.generators):
-        moved = p.substitute_linear(w) - p
+        moved = sub.substitute_linear(p, w) - p
         for e, c in moved.terms.items():
             out[("W", t, e)] = c
     return out
 
 
 def ring_conditions(p: APoly, ring: str, data: Sequence[OddRootDatum],
-                    weyl: WeylGroup, include_weyl: bool = True) -> Dict:
+                    weyl: WeylGroup, include_weyl: bool = True,
+                    sub=APoly) -> Dict:
     """The linear conditions whose joint vanishing puts p in a ring.
 
     ring is "I" (I(a)), "J" (J(a)) or "SW0" (S(a)^W0): every ring asks for
     W0-invariance, and I and J add the conditions of each odd root.
-    include_weyl=False drops the W0 conditions.
+    include_weyl=False drops the W0 conditions.  sub substitutes, as in
+    membership_conditions.
     """
-    out = weyl_conditions(p, weyl) if include_weyl else {}
+    out = weyl_conditions(p, weyl, sub) if include_weyl else {}
     if ring != "SW0":
         for datum in data:
-            out.update(membership_conditions(p, datum, ring))
+            out.update(membership_conditions(p, datum, ring, sub))
     return out
 
 
@@ -434,22 +441,27 @@ def membership_J(p: APoly, data: Sequence[OddRootDatum], weyl: WeylGroup) -> boo
     return not ring_conditions(p, "J", data, weyl)
 
 
-def ring_degrees(conditions: Callable[[APoly], Dict], rank: int, d: int
-                 ) -> List[int]:
-    """The degree of each basis vector of {p : conditions(p) = {}, deg p <= d}.
+def ring_degrees(ring: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
+                 rank: int, d: int, include_weyl: bool = True) -> List[int]:
+    """The degree of each basis vector of the degree <= d part of a ring,
+    the polynomials p with ring_conditions(p, ring, ...) = {}.
 
     The basis is the kernel of the conditions over monomials_up_to, which
     lists monomials by degree, and each vector's degree is that of its
     largest key, its last monomial (see linalg.nullspace): so the degree
     <= e part of the space has dimension #{degrees <= e} for every e <= d.
+    The conditions of all the monomials substitute through one ImageTables,
+    which lives for this call only.
     """
     monos = monomials_up_to(rank, d)
+    sub = ImageTables()
     return [sum(monos[max(v)])
-            for v in kernel(conditions(APoly(rank, {e: Q(1)})) for e in monos)]
+            for v in kernel(ring_conditions(APoly(rank, {e: Q(1)}), ring, data,
+                                            weyl, include_weyl, sub)
+                            for e in monos)]
 
 
 def filtered_dimension(kind: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
                        rank: int, d: int) -> int:
     """dim of the degree <= d part of I(a), J(a) or S(a)^W0."""
-    return len(ring_degrees(lambda p: ring_conditions(p, kind, data, weyl),
-                            rank, d))
+    return len(ring_degrees(kind, data, weyl, rank, d))

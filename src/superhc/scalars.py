@@ -17,6 +17,11 @@ Q = Fraction
 ScalarLike = Union[int, Fraction, "Quad"]
 
 
+def int_if_integral(x):
+    """x as an int when it is an integral Fraction, else x unchanged."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
 class ContextMismatch(Exception):
     """Two quadratic scalars with different discriminants were combined."""
 

@@ -4,11 +4,12 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 
-from superhc.apoly import APoly
+from superhc.apoly import APoly, monomials_up_to
 from superhc.harish import _ideal_part
 from superhc.linalg import kernel
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
+from superhc.rings import ring_conditions
 from superhc.scalars import Quad
 
 
@@ -82,6 +83,17 @@ def oracle_coordinates(basis, v):
     if any(j < n for j in residual):
         return None
     return {j - n: -x for j, x in sorted(residual.items())}
+
+
+def oracle_ring_degrees(ring, data, weyl, rank, d, include_weyl=True):
+    """rings.ring_degrees with every monomial's conditions computed on its
+    own, through APoly.substitute, rather than through one table of
+    monomial images."""
+    monos = monomials_up_to(rank, d)
+    return [sum(monos[max(v)])
+            for v in kernel(ring_conditions(APoly(rank, {e: Q(1)}), ring, data,
+                                            weyl, include_weyl)
+                            for e in monos)]
 
 
 def sym_monomials_up_to(parity, indices, d):

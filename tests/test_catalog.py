@@ -107,9 +107,10 @@ def test_dims_match_checks_every_row(monkeypatch):
     # basis vector is reported at degree 0, which leaves the top row alone
     real = catalog.ring_degrees
 
-    def j_vector_moved_to_degree_zero(conditions, rank, d):
-        degrees = real(conditions, rank, d)
-        if conditions.keywords["ring"] != "J":
+    def j_vector_moved_to_degree_zero(ring, data, weyl, rank, d,
+                                      include_weyl=True):
+        degrees = real(ring, data, weyl, rank, d, include_weyl)
+        if ring != "J":
             return degrees
         assert degrees == [0, 2]
         return [0, 0]

@@ -364,6 +364,30 @@ def test_supersymmetrisation_matches_permutation_oracle(name):
     assert ctx.beta_from_g(p) == want
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_projected_gamma_of_sym_matches_full_supersymmetrisation(name):
+    # Gamma(beta(p)) three ways: the projection-only walk, the projection of
+    # the full supersymmetrisation, and the permutation oracle
+    analysis = CATALOG[name].build()
+    ctx = analysis.ctx
+    g = analysis.pair.g
+    rng = random.Random(zlib.crc32(b"gamma_of_sym:" + name.encode()))
+    # every product of two letters, and random monomials of degree <= 4
+    monos = [(i, j) for i in range(g.dim) for j in range(i, g.dim)
+             if not (i == j and g.parity[i])] + _oracle_monomials(g.parity, rng)
+    nonzero = 0
+    for m in monos:
+        want = ctx.hc_gamma(beta_of_vectors(ctx, [g.basis(i) for i in m]))
+        assert ctx.gamma_of_sym({m: Q(1)}) == want, m
+        assert ctx.hc_gamma(ctx.beta_from_g({m: Q(1)})) == want, m
+        nonzero += bool(want)
+    assert nonzero >= 3
+    p = {}
+    for m in monos:
+        p[m] = p.get(m, Q(0)) + Q(rng.randint(-3, 3), rng.randint(1, 3))
+    assert ctx.gamma_of_sym(p) == ctx.hc_gamma(ctx.beta_from_g(p))
+
+
 def test_uea_beta_matches_permutation_oracle_on_group_osp12():
     ctx = CATALOG["group-osp12"].build().ctx
     adapted = ctx.adapted

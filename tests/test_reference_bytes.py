@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from superhc.apoly import ImageTables
 from superhc.catalog import CATALOG
 from superhc.cli import main
-from superhc.rings import membership_I, membership_J
-from superhc.serialization import poly_from_json
+from superhc.rings import (generators, membership_I, membership_J,
+                           ring_conditions)
+from superhc.serialization import dumps_canonical, poly_from_json, poly_to_json
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
@@ -73,3 +75,39 @@ def test_membership_verdicts_match_reference():
     assert len(verdicts) == 34
     assert verdicts == {key: row["member"]
                         for key, row in REFERENCE["membership"].items()}
+
+
+def test_gamma_of_sym_matches_reference_and_full_supersymmetrisation():
+    # the 17 rank-one generators the gamma-session benchmark queries: the
+    # projection-only Gamma equals Gamma of the full supersymmetrisation and
+    # prints the reference bytes
+    kl = [(k, ell) for k in range(4) for ell in range(4) if ell >= min(k, 1)]
+    seen = 0
+    for name in ("rank1-aniso-q1", "rank1-aniso-q2", "rank1-iso-q1"):
+        an = CATALOG[name].build()
+        gens = generators(an.model, kl=kl) if name == "rank1-iso-q1" \
+            else generators(an.model)
+        for i, p in enumerate(gens):
+            img = an.ctx.gamma_of_sym(p)
+            assert img == an.ctx.hc_gamma(an.ctx.beta_from_g(p)), (name, i)
+            text = dumps_canonical({"entry": name, "generator": i,
+                                    "gamma": poly_to_json(img, an.a_names)})
+            want = REFERENCE["gamma_of_sym"][f"{name}:{i}"]["sha256"]
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+            seen += 1
+    assert seen == len(REFERENCE["gamma_of_sym"]) == 17
+
+
+def test_image_tables_give_the_conditions_of_the_reference_images():
+    # every reference image through one ImageTables per entry and ring, as
+    # ring_degrees substitutes, against substituting each on its own
+    for entry in sorted({key.split(":")[0] for key in REFERENCE["membership"]}):
+        an = CATALOG[entry].build()
+        images = [poly_from_json(row["gamma"], an.a_names)
+                  for key, row in REFERENCE["gamma_of_sym"].items()
+                  if key.startswith(entry + ":")]
+        for ring in ("J", "I"):
+            sub = ImageTables()
+            for p in images:
+                assert ring_conditions(p, ring, an.data, an.weyl, sub=sub) \
+                    == ring_conditions(p, ring, an.data, an.weyl)

@@ -14,8 +14,9 @@ identity breaks, so any future drift is caught explicitly.
 from fractions import Fraction as Q
 
 from superhc.apoly import APoly
-from superhc.catalog import CATALOG
-from superhc.rings import generators, membership_J
+from superhc.catalog import CATALOG, Analysis
+from superhc.rings import (ANISOTROPIC, build_rank_one_model, generators,
+                           membership_J)
 from support import anticenter_product
 
 
@@ -25,6 +26,17 @@ def test_gamma_of_odd_generator_is_anticenter_product():
         ctx = analysis.ctx
         _, p2q1 = generators(analysis.model)
         assert ctx.hc_gamma(ctx.beta_from_g(p2q1)) == anticenter_product(q)
+
+
+def test_gamma_of_generators_q3():
+    # the q = 3 model (dim g = 34); its J verdict is left open, as the
+    # anisotropic J condition is (ROADMAP item 1)
+    model = build_rank_one_model(3, ANISOTROPIC, Q(1))
+    ctx = Analysis(model.pair, a_names=["a"], model=model).ctx
+    p2, p7 = generators(model)
+    a = APoly.variable(1, 0)
+    assert ctx.gamma_of_sym(p2) == a * a - APoly.const(1, Q(9))
+    assert ctx.gamma_of_sym(p7) == anticenter_product(3)
 
 
 def test_anticenter_product_membership():

@@ -1,8 +1,9 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superhc.apoly import APoly
+from superhc.apoly import APoly, ImageTables
 from superhc.catalog import CATALOG
 from superhc.liesuper import verify_algebra
 from superhc.pairs import choose_positive_system, restricted_roots
@@ -11,7 +12,9 @@ from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            build_rank_one_model, coefficient_aNk,
                            filtered_dimension, generators,
                            membership_I_lambda, membership_J,
-                           membership_J_lambda, odd_root_data)
+                           membership_J_lambda, odd_root_data,
+                           ring_degrees)
+from support import oracle_ring_degrees
 
 
 def aniso_datum(q):
@@ -353,6 +356,43 @@ def test_filtered_dimension_rank_one_q1():
     # J up to degree 2 is span{1, a^2 - q^2}; I up to degree 3 adds a^3
     assert filtered_dimension("J", analysis.data, analysis.weyl, 1, 2) == 2
     assert filtered_dimension("I", analysis.data, analysis.weyl, 1, 3) == 3
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_ring_degrees_match_per_monomial_substitution(name):
+    # one table of monomial images per call against every monomial's
+    # conditions substituted on its own
+    analysis = CATALOG[name].build()
+    top = 8 if analysis.model is not None else 6
+    for ring, include_weyl in (("J", True), ("I", True), ("SW0", True),
+                               ("I", False)):
+        for d in range(top + 1):
+            args = (ring, analysis.data, analysis.weyl, analysis.rank, d,
+                    include_weyl)
+            assert ring_degrees(*args) == oracle_ring_degrees(*args), args
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_image_tables_substitute_like_apoly(data):
+    # several polynomials through one ImageTables, against APoly.substitute
+    # and APoly.substitute_linear, with images of degree <= 2
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    coeff = st.integers(-3, 3).map(Q)
+
+    def poly(k, degree):
+        exps = st.lists(st.integers(0, degree), min_size=k, max_size=k)
+        return APoly(k, data.draw(st.dictionaries(exps.map(tuple), coeff,
+                                                  max_size=4)))
+
+    images = [poly(m, 2) for _ in range(n)]
+    mat = [[data.draw(coeff) for _ in range(n)] for _ in range(n)]
+    sub = ImageTables()
+    for _ in range(3):
+        p = poly(n, 3)
+        assert sub.substitute(p, images) == p.substitute(images)
+        assert sub.substitute_linear(p, mat) == p.substitute_linear(mat)
 
 
 def test_gr_J_equals_I_dimensionwise():
