@@ -7,18 +7,16 @@ everything over exact rational scalars (optionally a quadratic extension).
 """
 
 from .apoly import APoly
-from .builders import (double_with_flip, gl11, gl12, matrix_superalgebra,
-                       osp12, sl2)
+from .builders import double_with_flip, gl12, matrix_superalgebra, osp12, sl2
 from .catalog import (CATALOG, Analysis, NoCertificate, NotEvenType,
                       group_type_pair, roots_report, verify_certificate,
                       verify_main_theorem)
 from .harish import (GeneratorsMissK, InvariantBasis, IwasawaContext,
-                     OrderNotIwasawa, gamma_preimage, gr_restriction,
-                     invariants_up_to_degree, verify_exact_sequence)
+                     OrderNotIwasawa, gr_restriction, invariants_up_to_degree,
+                     verify_exact_sequence)
 from .liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                        MissingInvolution, SuperVector, centralizer,
-                       change_basis, derived_and_center, theta_eigenspaces,
-                       verify_algebra)
+                       change_basis, theta_eigenspaces, verify_algebra)
 from .linalg import (CommutationFailure, IrrationalSpectrum, NotSemisimple,
                      ScalarMatrix, kernel, nullspace, rank,
                      simultaneous_eigenspaces, solve_membership)
@@ -31,10 +29,9 @@ from .pbw import UEA, SymElement, UEAElement
 from .rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass, InconsistentRelations,
                     OddRootDatum, RankOneModel, build_rank_one_model,
                     coefficient_aNk, filtered_dimension, generators,
-                    membership_I, membership_I_lambda, membership_J,
-                    membership_J_lambda, odd_root_data, ring_conditions)
+                    membership_I, membership_J, odd_root_data, ring_conditions)
 from .scalars import (ContextMismatch, Quad, quad, scalar_from_string,
-                      scalar_to_string, sqrt_scalar)
+                      scalar_to_string)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

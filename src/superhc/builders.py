@@ -125,17 +125,6 @@ def gl12() -> LieSuperalgebra:
     return g
 
 
-def gl11() -> LieSuperalgebra:
-    """gl(1|1); its declared decomposition is bogus (str(I) = 0), on purpose."""
-    names, mats, par, sp = _gl_super(1, 1)
-    g = matrix_superalgebra(names, mats, par, sp)
-    ident = g.vector({"E00": Q(1), "E11": Q(1)})
-    sl_basis = [g.basis("E01"), g.basis("E10"),
-                g.vector({"E00": Q(1), "E11": Q(1)})]
-    g.decomposition = {"center": [ident], "ideals": [sl_basis]}
-    return g
-
-
 def double_with_flip(g0: LieSuperalgebra) -> LieSuperalgebra:
     """g0 + g0 with theta the flip of the two summands and the doubled form."""
     n = g0.dim

@@ -25,7 +25,7 @@ from .pairs import (PairError, SymmetricPair, build_pair,
                     centralizer_formula_holds, choose_positive_system,
                     even_weyl_group, restricted_roots)
 from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
-                    odd_root_data, ring_degrees)
+                    membership_J, odd_root_data, ring_degrees)
 from .scalars import scalar_to_string
 
 Q = Fraction
@@ -110,7 +110,6 @@ class Analysis:
         choose_positive_system(self.system, direction)
         self.weyl = even_weyl_group(self.system)
         self.ctx = IwasawaContext(pair, self.system)
-        self.rho_triple = self.ctx.rho_triple
         self.data = odd_root_data(self.system)
         self.a_names = list(a_names) if a_names is not None \
             else [f"a{i}" for i in range(pair.rank)]
@@ -189,7 +188,7 @@ def roots_report(analysis: Analysis, entry_name: str = "") -> dict:
             row["q"] = datum.q
             row["gated"] = datum.gated
         roots.append(row)
-    rho_t = analysis.rho_triple
+    rho_t = analysis.ctx.rho_triple
     return {
         "entry": entry_name,
         "a_basis": analysis.a_names,
@@ -261,7 +260,7 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
     r = analysis.rank
     basis = invariants_up_to_degree(analysis.ctx, degree)
     images = [analysis.ctx.hc_gamma(v) for v in basis.invariants]
-    seq = verify_exact_sequence(analysis.ctx, degree, basis, weyl, data, images)
+    seq = verify_exact_sequence(analysis.ctx, degree, basis, images)
     rows = seq["rows"]
     columns = {"dim_J": ("J", True), "dim_I": ("I", True),
                "dim_I_noweyl": ("I", False), "dim_SW0": ("SW0", True)}
@@ -281,8 +280,9 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
         "seed": seed,
         "rows": rows,
         "flags": {
-            "weyl_invariance": seq["weyl_invariant"],
-            "image_in_J": seq["in_J"],
+            "weyl_invariance": all(p.substitute_linear(w) == p
+                                   for p in images for w in weyl.elements),
+            "image_in_J": all(membership_J(p, data, weyl) for p in images),
             "kernel_vanishes": seq["kernel_maps_to_zero"],
             # gr J = I(a) is filtered: every row, not just the top one
             "dims_match": all(row["dim_image"] == row["dim_J"] == row["dim_I"]

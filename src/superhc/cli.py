@@ -20,7 +20,7 @@ from .liesuper import MissingForm, MissingInvolution, verify_algebra
 from .pairs import PairError, build_pair
 from .pbw import accumulate
 from .rings import InconsistentRelations, ring_conditions
-from .scalars import scalar_from_string, scalar_to_string
+from .scalars import ContextMismatch, scalar_from_string, scalar_to_string
 from .serialization import (SchemaError, algebra_from_json, dumps_canonical,
                             poly_from_json, poly_to_json, uea_to_json)
 
@@ -285,7 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (InputError, SchemaError, PairError, ValueError, MissingInvolution,
             MissingForm, NoCertificate, NotEvenType, OrderNotIwasawa,
-            InconsistentRelations) as exc:
+            InconsistentRelations, ContextMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

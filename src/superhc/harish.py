@@ -14,12 +14,11 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
-from .linalg import Echelon, Row, kernel, linear_solver, solve_membership
+from .linalg import Echelon, Row, kernel, linear_solver
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
                   supersymmetrise, sym_multiply)
-from .rings import membership_J
 from .scalars import int_if_integral
 
 Q = Fraction
@@ -56,21 +55,16 @@ class IwasawaContext:
             + ["K"] * len(k_basis)
         self.adapted = change_basis(pair.g, vectors, names)
         self.uea = UEA(self.adapted)
-        self.vectors = vectors
-        self.n_len = len(n_basis)
         self.rank = len(a_basis)
-        self.lo_a, self.lo_k = self.n_len, self.n_len + self.rank
+        self.lo_a, self.lo_k = len(n_basis), len(n_basis) + self.rank
         self._proj_memo: Dict[Monomial, UEAElement] = {}
         self._solve = linear_solver([v.c for v in vectors])
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
         self.rho = self.rho_triple[0]
-        # the U(g) factor of each basis letter of the original algebra,
-        # integral coefficients as ints
-        self._gen_table = [
-            {m: int_if_integral(c) for m, c in
-             self.uea.from_vector(self.to_adapted(pair.g.basis(i))).items()}
-            for i in range(pair.g.dim)]
+        # the U(g) factor of each basis letter of the original algebra
+        self._gen_table = [self.uea.from_vector(self.to_adapted(pair.g.basis(i)))
+                           for i in range(pair.g.dim)]
         # ad-weights of the k letters acting diagonally (scaled to ints),
         # and the other letters that together with them generate k
         self.k_diagonal, others = _diagonal_weights(self.adapted, self.k_indices())
@@ -85,13 +79,12 @@ class IwasawaContext:
 
     # -- conversions ---------------------------------------------------------
     def to_adapted(self, v: SuperVector) -> SuperVector:
-        return SuperVector(self.adapted, self._solve(v.c))
+        """v in the adapted basis, integral coordinates as ints."""
+        return SuperVector(self.adapted, {i: int_if_integral(c) for i, c
+                                          in self._solve(v.c).items()})
 
     def k_indices(self) -> List[int]:
         return list(range(self.lo_k, self.adapted.dim))
-
-    def a_index(self, i: int) -> int:
-        return self.lo_a + i
 
     def word(self, factors: Sequence[SuperVector]) -> UEAElement:
         """Normal form of a product of elements of the original algebra."""
@@ -306,13 +299,8 @@ def _ideal_part(ctx: IwasawaContext, invariants: List[UEAElement]
     return out
 
 
-def poly_rank(polys: Sequence[APoly]) -> int:
-    return len(polys) - len(kernel(p.terms for p in polys))
-
-
 def verify_exact_sequence(ctx: IwasawaContext, d: int,
                           basis: Optional[InvariantBasis] = None,
-                          weyl=None, data=None,
                           images: Optional[List[APoly]] = None) -> dict:
     """Dimension bookkeeping for 0 -> ideal part -> invariants -> image -> 0.
 
@@ -324,9 +312,7 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
     images.  One kernel holds the relations among all the images; those
     among the first n are spanned by the relations whose largest key lies
     before n (see linalg.nullspace), so dim_image is n minus their number.
-    The top-level dimensions are the degree-d row.  When the Weyl group and
-    the odd-root data are supplied, the report also carries the
-    weyl_invariant and in_J flags for the computed image.
+    The top-level dimensions are the degree-d row.
     """
     if basis is None:
         basis = invariants_up_to_degree(ctx, d)
@@ -345,7 +331,7 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
             "dim_kernel": sum(1 for t in ker_degrees if t <= e),
             "dim_image": dim_inv - sum(1 for t in relation_ends if t < dim_inv),
         })
-    report = {
+    return {
         **rows[-1],
         "rows": rows,
         "kernel_maps_to_zero": kernel_ok,
@@ -353,27 +339,6 @@ def verify_exact_sequence(ctx: IwasawaContext, d: int,
             row["dim_invariants"] == row["dim_kernel"] + row["dim_image"]
             for row in rows),
     }
-    if weyl is not None:
-        report["weyl_invariant"] = all(
-            p.substitute_linear(w) == p for p in images for w in weyl.elements)
-    if data is not None and weyl is not None:
-        report["in_J"] = all(membership_J(p, data, weyl) for p in images)
-    return report
-
-
-def gamma_preimage(ctx: IwasawaContext, target: APoly, d: int,
-                   basis: Optional[InvariantBasis] = None) -> Optional[UEAElement]:
-    """Best-effort solve of Gamma(D) = target over the degree <= d invariants."""
-    if basis is None:
-        basis = invariants_up_to_degree(ctx, d)
-    images = [ctx.hc_gamma(v) for v in basis.invariants]
-    coords = solve_membership(target.terms, [p.terms for p in images])
-    if coords is None:
-        return None
-    out: UEAElement = {}
-    for t, c in coords.items():
-        accumulate(out, basis.invariants[t], c)
-    return out
 
 
 # -- the associated-graded restriction ----------------------------------------

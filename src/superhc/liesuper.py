@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (ScalarMatrix, accumulate, eigenspace, kernel, linear_solver,
-                     rank, span_basis)
+                     rank)
 from .scalars import int_if_integral
 
 Q = Fraction
@@ -181,10 +181,6 @@ class LieSuperalgebra:
                              if j in row}, xj)
         return SuperVector(self, out)
 
-    def b_theta(self, x: SuperVector, y: SuperVector):
-        """The theta-twisted pairing b(x, theta y)."""
-        return self.b(x, self.theta_apply(y))
-
     def ad_matrix(self, x: SuperVector) -> ScalarMatrix:
         m = ScalarMatrix(self.dim, self.dim)
         for j in range(self.dim):
@@ -308,15 +304,6 @@ def centralizer(g: LieSuperalgebra, gens: Sequence[SuperVector],
                    for t, x in g.bracket(s, w).c.items()} for w in within)
     return [sum((within[t].scale(c) for t, c in coords.items()), g.zero())
             for coords in kern]
-
-
-def derived_and_center(g: LieSuperalgebra
-                       ) -> Tuple[List[SuperVector], List[SuperVector]]:
-    """(g' = [g,g], z(g)) as echelon bases."""
-    derived = [SuperVector(g, v) for v in span_basis(
-        g.bracket_indices(i, j) for i in range(g.dim) for j in range(g.dim))]
-    center = centralizer(g, g.basis_vectors(), g.basis_vectors())
-    return derived, center
 
 
 def change_basis(g: LieSuperalgebra, vectors: Sequence[SuperVector],

@@ -16,10 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .apoly import APoly, ImageTables, change_to_basis, monomials_up_to
 from .builders import matrix_superalgebra, supercommutator
 from .linalg import ScalarMatrix, accumulate, kernel
-from .liesuper import LieSuperalgebra, SuperVector
+from .liesuper import LieSuperalgebra
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
-from .scalars import rational_sqrt, sqrt_scalar
+from .scalars import rational_sqrt
 
 Q = Fraction
 
@@ -127,23 +127,6 @@ class RankOneModel:
         self.iso_class = iso_class
         self.c = c
         self.pair = pair
-
-    def named(self, name: str) -> SuperVector:
-        return self.algebra.basis(name)
-
-    def unnormalized(self, kind: str, i: int) -> SuperVector:
-        """The y_i / z_i vectors of an anisotropic model: sqrt(c) times v/w."""
-        if self.iso_class != ANISOTROPIC:
-            raise BadIsoClass("unnormalized vectors exist for anisotropic models")
-        root = sqrt_scalar(self.c, context_c=self.algebra.sqrt_context)
-        base = {"y": "v", "yt": "vt", "z": "w", "zt": "wt"}[kind]
-        return self.named(f"{base}{i}").scale(root)
-
-    def coroot_vector(self) -> SuperVector:
-        """A_lam inside the model: c*a (anisotropic) or the Al generator."""
-        if self.iso_class == ANISOTROPIC:
-            return self.named("a").scale(self.c)
-        return self.named("Al")
 
 
 def build_rank_one_model(q: int, iso: str, c=Q(1)) -> RankOneModel:
@@ -397,14 +380,6 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str,
                 if t < datum.q:
                     out[("J", datum.lam, key, t)] = c
     return out
-
-
-def membership_I_lambda(p: APoly, datum: OddRootDatum) -> bool:
-    return not membership_conditions(p, datum, "I")
-
-
-def membership_J_lambda(p: APoly, datum: OddRootDatum) -> bool:
-    return not membership_conditions(p, datum, "J")
 
 
 def weyl_conditions(p: APoly, weyl: WeylGroup, sub=APoly) -> Dict:

@@ -149,24 +149,6 @@ def quad(a, b, c) -> ScalarLike:
     return Quad(a, b, c)
 
 
-def sqrt_scalar(x, context_c=None) -> ScalarLike:
-    """Exact square root of a rational x, opening sqrt(context_c) if needed.
-
-    If x is a perfect square the result is rational.  Otherwise x must be of
-    the form r**2 * context_c, and the result lives in Q(sqrt(context_c)).
-    """
-    x = Q(x)
-    r = rational_sqrt(x)
-    if r is not None:
-        return r
-    if context_c is not None:
-        ratio = x / Q(context_c)
-        r = rational_sqrt(ratio)
-        if r is not None:
-            return quad(0, r, context_c)
-    raise ValueError(f"no exact square root of {x} in the current context")
-
-
 # -- canonical string form -------------------------------------------------
 
 def _frac_to_string(x: Fraction) -> str:

@@ -8,7 +8,6 @@ and usable in golden tests.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .apoly import APoly
@@ -16,9 +15,6 @@ from .linalg import ScalarMatrix
 from .liesuper import LieSuperalgebra, SuperVector
 from .pbw import UEAElement
 from .scalars import scalar_from_string, scalar_to_string
-
-Q = Fraction
-
 
 class SchemaError(Exception):
     pass
@@ -137,16 +133,6 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
 def uea_to_json(u: UEAElement) -> list:
     return [{"monomial": list(m), "coeff": scalar_to_string(u[m])}
             for m in sorted(u, key=lambda m: (len(m), m))]
-
-
-def uea_from_json(data: list) -> UEAElement:
-    out: UEAElement = {}
-    for entry in _expect(data, list, "element"):
-        _expect_keys(entry, ["monomial", "coeff"])
-        m = tuple(_expect(i, int, "monomial index")
-                  for i in _expect(entry["monomial"], list, "monomial"))
-        out[m] = out.get(m, Q(0)) + scalar_from_string(entry["coeff"])
-    return {m: c for m, c in out.items() if c}
 
 
 def poly_to_json(p: APoly, names: Sequence[str]) -> dict:

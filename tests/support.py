@@ -5,12 +5,14 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 from superhc.apoly import APoly, monomials_up_to
-from superhc.harish import _ideal_part
-from superhc.linalg import kernel
+from superhc.builders import _gl_super, matrix_superalgebra
+from superhc.harish import _ideal_part, invariants_up_to_degree
+from superhc.linalg import kernel, solve_membership, span_basis
+from superhc.liesuper import SuperVector, centralizer
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
-from superhc.rings import ring_conditions
-from superhc.scalars import Quad
+from superhc.rings import ANISOTROPIC, membership_conditions, ring_conditions
+from superhc.scalars import Quad, quad, rational_sqrt
 
 
 def gauss_jordan(rows):
@@ -280,3 +282,65 @@ def oracle_adjoint(alg, i, u):
         odd = alg.parity[i] and sum(alg.parity[t] for t in m) % 2
         accumulate(acc, oracle_normal_form(alg, m + (i,)), c if odd else -c)
     return acc
+
+
+def gamma_preimage(ctx, target, d):
+    """An invariant D of degree <= d with Gamma(D) = target, or None."""
+    basis = invariants_up_to_degree(ctx, d)
+    images = [ctx.hc_gamma(v) for v in basis.invariants]
+    coords = solve_membership(target.terms, [p.terms for p in images])
+    if coords is None:
+        return None
+    out = {}
+    for t, c in coords.items():
+        accumulate(out, basis.invariants[t], c)
+    return out
+
+
+def derived_and_center(g):
+    """(g' = [g,g], z(g)) as echelon bases."""
+    derived = [SuperVector(g, v) for v in span_basis(
+        g.bracket_indices(i, j) for i in range(g.dim) for j in range(g.dim))]
+    center = centralizer(g, g.basis_vectors(), g.basis_vectors())
+    return derived, center
+
+
+def gl11():
+    """gl(1|1); its declared decomposition is bogus (str(I) = 0), on purpose."""
+    names, mats, par, sp = _gl_super(1, 1)
+    g = matrix_superalgebra(names, mats, par, sp)
+    ident = g.vector({"E00": Q(1), "E11": Q(1)})
+    g.decomposition = {"center": [ident],
+                       "ideals": [[g.basis("E01"), g.basis("E10"), ident]]}
+    return g
+
+
+def unnormalized(model, kind, i):
+    """The y_i / z_i vectors of an anisotropic rank-one model: sqrt(c)
+    times v_i / w_i."""
+    assert model.iso_class == ANISOTROPIC
+    root = sqrt_scalar(model.c, context_c=model.algebra.sqrt_context)
+    base = {"y": "v", "yt": "vt", "z": "w", "zt": "wt"}[kind]
+    return model.algebra.basis(f"{base}{i}").scale(root)
+
+
+def sqrt_scalar(x, context_c=None):
+    """Exact square root of a rational x, opening sqrt(context_c) if needed.
+
+    If x is a perfect square the result is rational.  Otherwise x must be of
+    the form r**2 * context_c, and the result lives in Q(sqrt(context_c)).
+    """
+    x = Q(x)
+    r = rational_sqrt(x)
+    if r is not None:
+        return r
+    if context_c is not None:
+        r = rational_sqrt(x / Q(context_c))
+        if r is not None:
+            return quad(0, r, context_c)
+    raise ValueError(f"no exact square root of {x} in the current context")
+
+
+def in_local_ring(ring, p, datum):
+    """p lies in the local ring ("I" or "J") of the odd root of datum."""
+    return not membership_conditions(p, datum, ring)

@@ -23,9 +23,9 @@ from superhc.liesuper import centralizer, verify_algebra
 from superhc.linalg import solve_membership
 from superhc.pairs import iwasawa_check
 from superhc.rings import (OddRootDatum, filtered_dimension, generators,
-                           membership_I_lambda, membership_J)
+                           membership_J)
 from superhc.serialization import algebra_to_json
-from support import anticenter_product
+from support import anticenter_product, in_local_ring
 
 ENTRIES = ["rank1-aniso-q1", "rank1-aniso-q2", "rank1-iso-q1",
            "group-sl2", "group-osp12", "group-gl12"]
@@ -252,16 +252,16 @@ def test_criterion_7_invariant_ring_internals():
             for ell in range(4):
                 if ell < min(k, q):
                     continue
-                if not membership_I_lambda((h0 ** k * al ** ell).shift(datum.lam),
-                                           datum):
+                if not in_local_ring("I", (h0 ** k * al ** ell).shift(datum.lam),
+                                     datum):
                     ok = False
         checks.append((f"q={q}: isotropic shift stability", ok))
     analysis = built("rank1-iso-q1")
     datum = analysis.data[0]
     kl = [(k, ell) for k in range(4) for ell in range(4) if ell >= min(k, 1)]
     ok = all(
-        membership_I_lambda(analysis.ctx.hc_gamma(analysis.ctx.beta_from_g(p)),
-                            datum)
+        in_local_ring("I", analysis.ctx.hc_gamma(analysis.ctx.beta_from_g(p)),
+                      datum)
         for p in generators(analysis.model, kl=kl))
     checks.append(("q=1: Gamma(beta(p_kl)) in I for k,l <= 3", ok))
     report_criterion(7, checks)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from superhc import catalog
-from superhc.builders import gl11, gl12, osp12, sl2
+from superhc.builders import gl12, osp12, sl2
 from superhc.catalog import (CATALOG, NoCertificate, NotEvenType,
                              group_type_pair, roots_report,
                              verify_certificate, verify_main_theorem)
@@ -12,6 +12,7 @@ from superhc.apoly import APoly, monomials_up_to
 from superhc.linalg import kernel
 from superhc.rings import filtered_dimension, OddRootDatum, ring_conditions
 from superhc.serialization import dumps_canonical
+from support import gl11
 
 
 def test_group_type_sl2_roots():
@@ -192,13 +193,18 @@ def test_build_with_direction_keeps_model_and_flips_positivity():
     assert report["ok"]
 
 
-def test_verify_exact_sequence_with_flags():
-    from superhc.harish import verify_exact_sequence
-    analysis = CATALOG["rank1-aniso-q1"].build()
-    report = verify_exact_sequence(analysis.ctx, 2, weyl=analysis.weyl,
-                                   data=analysis.data)
-    assert report["weyl_invariant"] is True
-    assert report["in_J"] is True
+def test_verify_main_theorem_weyl_and_J_flags(monkeypatch):
+    analysis = CATALOG["group-sl2"].build()
+    flags = verify_main_theorem(analysis, degree=2)["flags"]
+    assert flags["weyl_invariance"] is True
+    assert flags["image_in_J"] is True
+    # images plus a, which the Weyl reflection a -> -a moves
+    hc_gamma = analysis.ctx.hc_gamma
+    monkeypatch.setattr(analysis.ctx, "hc_gamma",
+                        lambda v: hc_gamma(v) + APoly.variable(1, 0))
+    flags = verify_main_theorem(analysis, degree=2)["flags"]
+    assert flags["weyl_invariance"] is False
+    assert flags["image_in_J"] is False
 
 
 def test_built_analysis_reports_carry_the_entry_name():

@@ -314,3 +314,19 @@ def test_malformed_json_argument_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "rank1-aniso-q1", "--element",
+     '{"terms":[{"word":["a"],"coeff":"1+1*sqrt(2)"},'
+     '{"word":["a","a"],"coeff":"1+1*sqrt(3)"}]}'],
+    ["membership", "group-gl12", "--ring", "I", "--poly",
+     '{"terms":[{"exps":{"a0":1},"coeff":"1+1*sqrt(2)"},'
+     '{"exps":{"a1":1},"coeff":"1+1*sqrt(3)"}]}'],
+], ids=["gamma", "membership"])
+def test_two_square_roots_are_a_usage_error(capsys, argv):
+    # sqrt(2) and sqrt(3) live in no one quadratic extension
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot mix sqrt(")

@@ -10,23 +10,22 @@ from superhc import harish
 from superhc.apoly import APoly
 from superhc.catalog import CATALOG
 from superhc.harish import (GeneratorsMissK, IwasawaContext, OrderNotIwasawa,
-                            gamma_preimage, gr_restriction,
-                            invariants_up_to_degree, poly_rank,
+                            gr_restriction, invariants_up_to_degree,
                             verify_exact_sequence)
-from superhc.linalg import span_basis
+from superhc.linalg import kernel, span_basis
 from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
 from superhc.scalars import Quad
-from support import (beta_of_vectors, invariants_from_all_letters,
-                     oracle_adjoint)
+from support import (beta_of_vectors, gamma_preimage,
+                     invariants_from_all_letters, oracle_adjoint)
 
 
 def test_project_unit_and_pure_a():
     analysis = CATALOG["group-sl2"].build()
     ctx = analysis.ctx
     assert ctx.project_to_a(ctx.uea.one()) == APoly.const(1, Q(1))
-    h = ctx.uea.generator(ctx.a_index(0))
+    h = ctx.uea.generator(ctx.lo_a)
     assert ctx.project_to_a(h) == APoly.variable(1, 0)
 
 
@@ -38,9 +37,9 @@ def test_projection_refuses_what_is_not_in_iwasawa_order():
         IwasawaContext(pair, restricted_roots(pair))
     # a word that is not a PBW monomial: a letter of a before one of n
     ctx = CATALOG["group-sl2"].build().ctx
-    assert ctx.n_len and ctx.rank
+    assert ctx.lo_a and ctx.rank
     with pytest.raises(OrderNotIwasawa):
-        ctx.project_to_a({(ctx.a_index(0), 0): Q(1)})
+        ctx.project_to_a({(ctx.lo_a, 0): Q(1)})
 
 
 def test_project_and_gamma_rank_one_p2():
@@ -59,9 +58,9 @@ def test_project_and_gamma_rank_one_p2():
 def test_gamma_linear_shift():
     analysis = CATALOG["group-osp12"].build()
     ctx = analysis.ctx
-    h = ctx.uea.generator(ctx.a_index(0))
+    h = ctx.uea.generator(ctx.lo_a)
     assert ctx.hc_gamma(h) == APoly.variable(1, 0) \
-        + APoly.const(1, analysis.rho_triple[0][0])
+        + APoly.const(1, ctx.rho_triple[0][0])
     assert ctx.hc_gamma(ctx.uea.one()) == APoly.const(1, Q(1))
 
 
@@ -108,6 +107,18 @@ def test_invariants_rank_one_q1_contains_beta_p2():
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
+def test_to_adapted_gives_integral_coordinates_as_ints(name):
+    # so the U(g) factor of a letter, and every word straightened from it,
+    # builds no Fraction over integral coordinates
+    ctx = CATALOG[name].build().ctx
+    g = ctx.pair.g
+    coords = [c for i in range(g.dim)
+              for c in ctx.to_adapted(g.basis(i)).c.values()]
+    assert any(type(c) is int for c in coords)
+    assert not [c for c in coords if isinstance(c, Q) and c.denominator == 1]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_invariants_and_gamma_hold_fractions_or_quads(name):
     # straightening runs on ints where it can; the invariants, their
     # companion basis and Gamma of each invariant or straightened word are
@@ -129,7 +140,7 @@ def test_companion_basis_lies_in_right_ideal_and_kernel():
     analysis = CATALOG["rank1-aniso-q1"].build()
     ctx = analysis.ctx
     basis = invariants_up_to_degree(ctx, 3)
-    lo_k = ctx.n_len + ctx.rank
+    lo_k = ctx.lo_k
     for v in basis.companion:
         assert all(any(i >= lo_k for i in m) for m in v)
         assert ctx.hc_gamma(v) == APoly.zero(1)
@@ -230,12 +241,12 @@ def test_exact_sequence_rows_match_independent_runs(name):
     assert [row["degree"] for row in rows] == list(range(top + 1))
     for e in range(top + 1):
         basis = invariants_up_to_degree(ctx, e)
+        images = [ctx.hc_gamma(v).terms for v in basis.invariants]
         assert rows[e] == {
             "degree": e,
             "dim_invariants": len(basis.invariants),
             "dim_kernel": len(basis.companion),
-            "dim_image": poly_rank([ctx.hc_gamma(v)
-                                    for v in basis.invariants]),
+            "dim_image": len(images) - len(kernel(images)),
         }
 
 
@@ -446,7 +457,7 @@ def test_project_word_is_pure_a_part_of_normal_form(name, data):
         x = data.draw(st.sampled_from(odds))
         for _ in range(2):
             word.insert(data.draw(st.integers(0, len(word))), x)
-    lo, hi = ctx.n_len, ctx.n_len + ctx.rank
+    lo, hi = ctx.lo_a, ctx.lo_k
     want = {m: c for m, c in ctx.uea.normal_form_word(word).items()
             if all(lo <= i < hi for i in m)}
     assert ctx.project_word(word) == want

@@ -1,6 +1,7 @@
 """Tooling checks on the source tree itself."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -16,6 +17,14 @@ def package_files():
 def scanned_files():
     return package_files() + sorted((ROOT / "tests").glob("*.py")) \
         + sorted((ROOT / "demos").glob("*.py"))
+
+
+def library_files():
+    """What the CLI, the demos and the benchmark run: the package, the
+    demos, and perfbench without its tests."""
+    return package_files() + sorted((ROOT / "demos").glob("*.py")) \
+        + [f for f in sorted((ROOT / "perfbench").glob("*.py"))
+           if not f.name.startswith("test_")]
 
 
 def mentioning_files():
@@ -251,3 +260,93 @@ def test_no_dead_definitions():
                  [path.read_text() for path in paths], sources))
              for line, name in dead]
     assert found == []
+
+
+# The definitions in src that no library file names, each with the reason
+# it stays in src rather than in tests/support.py.
+PUBLIC_API = {
+    "harish.gr_restriction":
+        "the paper's gr map S(p) -> S(a), checked against S(p)^k in test_rings",
+    "serialization.algebra_to_json":
+        "writes the algebra schema that the CLI reads from an entry file",
+}
+
+
+def unused_by_library(modules, library_sources):
+    """"module.name" of each definition of modules (name -> source) that no
+    library source names, by the rules of dead_definitions."""
+    names = list(modules)
+    return [f"{module}.{name}" for module, unused in zip(names, dead_definitions(
+        [modules[m] for m in names], library_sources)) for _, name in unused]
+
+
+def public_api_problems(found, public):
+    """Why found, the definitions only tests name, disagrees with public:
+    a name not listed, a listed name the library now names, or a reason
+    that is not one line."""
+    return [f"{name}: only tests name it" for name in found
+            if name not in public] \
+        + [f"{name}: listed, but the library names it" for name in public
+           if name not in found] \
+        + [f"{name}: the reason must be one line" for name, why in public.items()
+           if not why.strip() or "\n" in why]
+
+
+def test_unused_by_library_detector():
+    library = ("def run():\n    helper()\n"
+               "def helper():\n    pass\n"
+               "def tested():\n    pass\n"
+               "def kept():\n    pass\n"
+               "class Box:\n"
+               "    def used(self):\n        pass\n"
+               "    def probe(self):\n        pass\n")
+    demo = "import lib\nlib.run()\nlib.Box().used()\n"
+    test = "import lib\nlib.tested()\nlib.kept()\nlib.Box().probe()\n"
+    # a test naming a definition does not keep it
+    found = unused_by_library({"lib": library}, [library, demo])
+    assert found == ["lib.tested", "lib.kept", "lib.Box.probe"]
+    assert unused_by_library({"lib": library}, [library, demo, test]) == []
+    assert public_api_problems(found, {name: "why" for name in found}) == []
+    assert public_api_problems(found, {"lib.kept": "why", "lib.run": "",
+                                       "lib.Box.probe": "two\nlines"}) == [
+        "lib.tested: only tests name it",
+        "lib.run: listed, but the library names it",
+        "lib.run: the reason must be one line",
+        "lib.Box.probe: the reason must be one line"]
+
+
+def test_library_names_every_definition_or_lists_it():
+    modules = {path.stem: path.read_text() for path in package_files()}
+    library = [path.read_text() for path in library_files()]
+    assert public_api_problems(unused_by_library(modules, library),
+                               PUBLIC_API) == []
+
+
+# the tracer skips a target it cannot resolve, and its metric reads 0; this
+# one names code deleted on purpose
+STALE_TARGETS = {("superhc.harish", "filtered_subspace")}
+
+
+def tracer_targets():
+    """(module, attribute path) of each entry of TARGETS in
+    perfbench/tracing.py, read with ast: the tracer is neither imported nor
+    run."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            return [(module, path)
+                    for module, path, *_ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    stale = set()
+    for module, path in tracer_targets():
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            stale.add((module, path))
+    assert stale == STALE_TARGETS

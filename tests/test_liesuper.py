@@ -7,10 +7,9 @@ from superhc.builders import double_with_flip, gl12, osp12, sl2
 from superhc.linalg import ScalarMatrix, solve_membership
 from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                               MissingInvolution, centralizer, change_basis,
-                              derived_and_center, theta_eigenspaces,
-                              verify_algebra)
+                              theta_eigenspaces, verify_algebra)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import p_dims
+from support import derived_and_center, p_dims, unnormalized
 
 
 def catalog_algebras():
@@ -60,9 +59,9 @@ def test_bracket_rank_one_paper_relations():
     # [y~_1, z_1] = A_lam and [h, y_1] = lam(h) z_1 in a rank-one model
     m = build_rank_one_model(1, ANISOTROPIC, Q(1))
     g = m.algebra
-    yt1, z1 = m.unnormalized("yt", 1), m.unnormalized("z", 1)
-    assert g.bracket(yt1, z1) == m.coroot_vector()
-    y1 = m.unnormalized("y", 1)
+    yt1, z1 = unnormalized(m, "yt", 1), unnormalized(m, "z", 1)
+    assert g.bracket(yt1, z1) == g.basis("a").scale(m.c)  # A_lam = c a
+    y1 = unnormalized(m, "y", 1)
     a = g.basis("a")  # lam(a) = 1
     assert g.bracket(a, y1) == z1
 
@@ -154,17 +153,17 @@ def test_centralizer_dim_formula_for_group_pair():
 def test_b_theta_fixed_even_vector():
     g = double_with_flip(sl2())
     x = g.vector({"h.l": Q(1), "h.r": Q(1)})  # theta-fixed, even
-    assert g.b_theta(x, x) == g.b(x, x)
+    assert g.b(x, g.theta_apply(x)) == g.b(x, x)
 
 
 def test_b_theta_symplectic_on_rank_one_model():
     # b^theta(x_i, x~_j) = 2 delta_ij and b^theta(x_i, x_j) = 0
     m = build_rank_one_model(1, ANISOTROPIC, Q(1))
     g = m.algebra
-    x1 = m.unnormalized("y", 1) + m.unnormalized("z", 1)
-    xt1 = m.unnormalized("yt", 1) + m.unnormalized("zt", 1)
-    assert g.b_theta(x1, xt1) == Q(2)
-    assert g.b_theta(x1, x1) == 0
+    x1 = unnormalized(m, "y", 1) + unnormalized(m, "z", 1)
+    xt1 = unnormalized(m, "yt", 1) + unnormalized(m, "zt", 1)
+    assert g.b(x1, g.theta_apply(xt1)) == Q(2)
+    assert g.b(x1, g.theta_apply(x1)) == 0
 
 
 def test_derived_and_center_abelian():

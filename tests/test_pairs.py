@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superhc.builders import double_with_flip, gl11, osp12, sl2
+from superhc.builders import double_with_flip, osp12, sl2
 from superhc.catalog import CATALOG
 from superhc.linalg import ScalarMatrix, solve_membership
 from superhc.liesuper import LieSuperalgebra, theta_eigenspaces
@@ -13,7 +13,7 @@ from superhc.pairs import (CentralizerTooLarge, DegenerateFormOnA,
                            even_weyl_group, iwasawa_check, restricted_roots,
                            rho)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import apply, weyl_acts_on_functional
+from support import apply, gl11, weyl_acts_on_functional
 
 
 def group_pair(g0_maker, cartan="h"):

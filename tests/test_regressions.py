@@ -65,7 +65,7 @@ def test_component_of_a_L2_is_not_invariant():
     gens = [g.index("a"), g.index("w1"), g.index("wt1")]
     monos = sym_monomials_up_to(g.parity, gens, 3)
     betas = [ctx.beta_from_g({m: Q(1)}) for m in monos]
-    lo_k = ctx.n_len + ctx.rank
+    lo_k = ctx.lo_k
     all_m = sorted(set().union(*[set(b) for b in betas]) | set(aL2))
     kmonos = [m for m in all_m if any(i >= lo_k for i in m)]
     cols = betas + [{km: Q(1)} for km in kmonos]

@@ -3,18 +3,20 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superhc.apoly import APoly, ImageTables
+from superhc.apoly import APoly, ImageTables, monomials_up_to
 from superhc.catalog import CATALOG
-from superhc.liesuper import verify_algebra
-from superhc.pairs import choose_positive_system, restricted_roots
-from superhc.pbw import sym_adjoint
+from superhc.harish import gr_restriction
+from superhc.linalg import accumulate, kernel, span_basis
+from superhc.liesuper import change_basis, verify_algebra
+from superhc.pairs import (a_perp_in_p, choose_positive_system,
+                           even_weyl_group, restricted_roots)
+from superhc.pbw import sym_adjoint, sym_adjoint_index, sym_multiply
 from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            build_rank_one_model, coefficient_aNk,
-                           filtered_dimension, generators,
-                           membership_I_lambda, membership_J,
-                           membership_J_lambda, odd_root_data,
-                           ring_degrees)
-from support import oracle_ring_degrees
+                           filtered_dimension, generators, membership_J,
+                           odd_root_data, ring_conditions, ring_degrees)
+from support import (in_local_ring, oracle_ring_degrees, sym_monomials_up_to,
+                     unnormalized)
 
 
 def aniso_datum(q):
@@ -77,13 +79,13 @@ def test_rank_one_q2_anisotropic_multiplicity_and_symplectic():
         xi = m_x(model, "y", i) + m_x(model, "z", i)
         for j in (1, 2):
             xtj = m_x(model, "yt", j) + m_x(model, "zt", j)
-            assert g.b_theta(xi, xtj) == (Q(2) if i == j else Q(0))
+            assert g.b(xi, g.theta_apply(xtj)) == (Q(2) if i == j else Q(0))
             xj = m_x(model, "y", j) + m_x(model, "z", j)
-            assert g.b_theta(xi, xj) == 0
+            assert g.b(xi, g.theta_apply(xj)) == 0
 
 
 def m_x(model, kind, i):
-    return model.unnormalized(kind, i)
+    return unnormalized(model, kind, i)
 
 
 def test_rank_one_bad_iso_class():
@@ -101,10 +103,11 @@ def test_rank_one_nonsquare_c_opens_quadratic_context():
     assert verify_algebra(g) == []
     assert g.sqrt_context == 5
     # unnormalized vectors carry sqrt(5) coefficients but relations close
-    y1, z1 = model.unnormalized("y", 1), model.unnormalized("z", 1)
-    assert g.bracket(model.named("a"), y1) == z1
-    yt1 = model.unnormalized("yt", 1)
-    assert g.bracket(yt1, z1) == model.coroot_vector()
+    y1, z1 = unnormalized(model, "y", 1), unnormalized(model, "z", 1)
+    assert g.bracket(g.basis("a"), y1) == z1
+    yt1 = unnormalized(model, "yt", 1)
+    # the coroot A_lam = c a
+    assert g.bracket(yt1, z1) == g.basis("a").scale(model.c)
 
 
 @pytest.mark.parametrize("c", [Q(1), Q(2), Q(1, 3)])
@@ -226,17 +229,17 @@ def poly1(coeffs):
 
 def test_membership_constants():
     _, datum = aniso_datum(1)
-    assert membership_I_lambda(APoly.const(1, Q(7)), datum)
-    assert membership_J_lambda(APoly.const(1, Q(7)), datum)
+    assert in_local_ring("I", APoly.const(1, Q(7)), datum)
+    assert in_local_ring("J", APoly.const(1, Q(7)), datum)
 
 
 def test_membership_I_anisotropic_q1():
     _, datum = aniso_datum(1)
     a = APoly.variable(1, 0)
-    assert not membership_I_lambda(a, datum)
-    assert membership_I_lambda(a ** 3, datum)
-    assert membership_I_lambda(a ** 2, datum)
-    assert not membership_I_lambda(a ** 5 + a, datum)
+    assert not in_local_ring("I", a, datum)
+    assert in_local_ring("I", a ** 3, datum)
+    assert in_local_ring("I", a ** 2, datum)
+    assert not in_local_ring("I", a ** 5 + a, datum)
 
 
 def test_membership_J_anisotropic_generators():
@@ -245,9 +248,9 @@ def test_membership_J_anisotropic_generators():
         a = APoly.variable(1, 0)
         u = a * a - APoly.const(1, Q(q * q))
         v = (a - APoly.const(1, Q(q))) * u ** q
-        assert membership_J_lambda(u, datum)
-        assert membership_J_lambda(v, datum)
-        assert not membership_J_lambda(a, datum)
+        assert in_local_ring("J", u, datum)
+        assert in_local_ring("J", v, datum)
+        assert not in_local_ring("J", a, datum)
 
 
 def test_membership_J_products_of_generators_up_to_degree_8():
@@ -260,7 +263,7 @@ def test_membership_J_products_of_generators_up_to_degree_8():
             for j in range(3):
                 prod = u ** i * v ** j
                 if prod.degree() <= 8:
-                    assert membership_J_lambda(prod, datum)
+                    assert in_local_ring("J", prod, datum)
 
 
 def test_membership_isotropic_q1():
@@ -268,10 +271,10 @@ def test_membership_isotropic_q1():
     # coordinates: h0 is variable 0, A_lam is variable 1
     h0 = APoly.variable(2, 0)
     al = APoly.variable(2, 1)
-    assert membership_I_lambda(h0 * h0 * al, datum)
-    assert not membership_I_lambda(h0 * h0, datum)
-    assert membership_I_lambda(al, datum)
-    assert not membership_I_lambda(h0, datum)
+    assert in_local_ring("I", h0 * h0 * al, datum)
+    assert not in_local_ring("I", h0 * h0, datum)
+    assert in_local_ring("I", al, datum)
+    assert not in_local_ring("I", h0, datum)
 
 
 def test_membership_isotropic_spanning_set():
@@ -286,7 +289,7 @@ def test_membership_isotropic_spanning_set():
         for k in range(5):
             for ell in range(5):
                 p = h0 ** k * al ** ell
-                assert membership_I_lambda(p, datum) \
+                assert in_local_ring("I", p, datum) \
                     == (ell >= min(k, q))
 
 
@@ -305,7 +308,7 @@ def test_isotropic_shift_stability():
                     continue
                 p = h0 ** k * al ** ell
                 shifted = p.shift(datum.lam)
-                assert membership_I_lambda(shifted, datum)
+                assert in_local_ring("I", shifted, datum)
 
 
 def test_gamma_of_isotropic_generators_lands_in_ring():
@@ -316,7 +319,7 @@ def test_gamma_of_isotropic_generators_lands_in_ring():
           if ell >= min(k, 1)]
     for p in generators(analysis.model, kl=kl):
         gamma = ctx.hc_gamma(ctx.beta_from_g(p))
-        assert membership_I_lambda(gamma, datum)
+        assert in_local_ring("I", gamma, datum)
 
 
 def test_membership_J_full_system():
@@ -436,3 +439,81 @@ def test_odd_root_datum_fields():
     lam = datum2.lam
     h0 = datum2.h0_coords
     assert sum((x * y for x, y in zip(lam, h0)), Q(0)) == Q(1)
+
+
+# -- I(a) from its definition: the restriction of S(p)^k ------------------------
+
+def chevalley_restriction(pair, d):
+    """For n = 0..d, the restriction to S(a) of the degree-n part of S(p)^k.
+
+    S(p) is taken over the basis a + a-perp of p, in an algebra rebased to
+    that basis followed by k; S(p)^k is the kernel of k acting on S(p) by
+    superderivations, and the restriction drops every monomial with a
+    letter in a-perp.  Where p is spanned by letters of g, each restriction
+    is also taken by gr_restriction, over the letters of g.
+    """
+    g, rank = pair.g, pair.rank
+    p_basis = list(pair.a_basis) + a_perp_in_p(pair)
+    alg = change_basis(g, p_basis + list(pair.k_basis),
+                       [f"x{i}" for i in range(g.dim)])
+    k_letters = range(len(p_basis), g.dim)
+    letters = None
+    if all(list(v.c.values()) == [1] for v in p_basis):
+        # the letter of g that each basis vector of p is
+        letters = [next(iter(v.c)) for v in p_basis]
+    monos = sym_monomials_up_to(alg.parity, range(len(p_basis)), d)
+    out = []
+    for n in range(d + 1):
+        degree_n = [m for m in monos if len(m) == n]
+        restricted = []
+        for v in kernel({(x, mt): c for x in k_letters
+                         for mt, c in sym_adjoint_index(alg, x, {m: 1}).items()}
+                        for m in degree_n):
+            terms = {}
+            for t, c in v.items():
+                m = degree_n[t]
+                if all(i < rank for i in m):
+                    terms[tuple(m.count(i) for i in range(rank))] = c
+            poly = APoly(rank, terms)
+            if letters is not None:
+                elem = {}
+                for t, c in v.items():
+                    prod = {(): c}
+                    for i in degree_n[t]:
+                        prod = sym_multiply(g.parity, prod, {(letters[i],): 1})
+                    accumulate(elem, prod)
+                assert gr_restriction(pair, elem) == poly
+            restricted.append(poly)
+        out.append(restricted)
+    return out
+
+
+def rank_one_pair(q):
+    return build_rank_one_model(q, ANISOTROPIC, Q(1)).pair
+
+
+@pytest.mark.parametrize("build, d", [
+    (lambda: CATALOG["group-sl2"].build().pair, 6),
+    (lambda: CATALOG["group-osp12"].build().pair, 6),
+    (lambda: CATALOG["group-gl12"].build().pair, 4),
+    (lambda: CATALOG["rank1-aniso-q1"].build().pair, 7),
+    (lambda: CATALOG["rank1-iso-q1"].build().pair, 6),
+    (lambda: CATALOG["rank1-aniso-q2"].build().pair, 7),
+    (lambda: rank_one_pair(3), 9),
+], ids=["group-sl2", "group-osp12", "group-gl12", "rank1-aniso-q1",
+        "rank1-iso-q1", "rank1-aniso-q2", "rank1-aniso-q3"])
+def test_I_conditions_cut_out_the_restriction_of_S_p_k(build, d):
+    """In each degree, the restriction of S(p)^k to S(a), the paper's I(a),
+    spans the kernel of the rings "I" conditions: every restriction meets
+    them, and the two spaces have the same dimension."""
+    pair = build()
+    system = restricted_roots(pair)
+    choose_positive_system(system)
+    weyl, data = even_weyl_group(system), odd_root_data(system)
+    images = chevalley_restriction(pair, d)
+    for n, restricted in enumerate(images):
+        assert all(not ring_conditions(p, "I", data, weyl) for p in restricted)
+        monos = [e for e in monomials_up_to(pair.rank, n) if sum(e) == n]
+        ring = kernel(ring_conditions(APoly(pair.rank, {e: Q(1)}), "I", data,
+                                      weyl) for e in monos)
+        assert len(span_basis(p.terms for p in restricted)) == len(ring), n

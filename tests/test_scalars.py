@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superhc.scalars import (ContextMismatch, Quad, quad, rational_sqrt,
-                             scalar_from_string, scalar_to_string, sqrt_scalar)
+                             scalar_from_string, scalar_to_string)
+from support import sqrt_scalar
 
 rationals = st.fractions(
     min_value=Q(-10**6), max_value=Q(10**6), max_denominator=10**4)
