@@ -260,7 +260,7 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
     r = analysis.rank
     basis = invariants_up_to_degree(analysis.ctx, degree)
     images = [analysis.ctx.hc_gamma(v) for v in basis.invariants]
-    seq = verify_exact_sequence(analysis.ctx, degree, basis, images)
+    seq = verify_exact_sequence(analysis.ctx, basis, images)
     rows = seq["rows"]
     columns = {"dim_J": ("J", True), "dim_I": ("I", True),
                "dim_I_noweyl": ("I", False), "dim_SW0": ("SW0", True)}

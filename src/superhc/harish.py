@@ -10,8 +10,8 @@ U(g) k is "some monomial contains a k index".
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm, prod
+from typing import Dict, List, Sequence, Tuple
 
 from .apoly import APoly
 from .linalg import Echelon, Row, kernel, linear_solver
@@ -62,9 +62,10 @@ class IwasawaContext:
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
         self.rho = self.rho_triple[0]
-        # the U(g) factor of each basis letter of the original algebra
-        self._gen_table = [self.uea.from_vector(self.to_adapted(pair.g.basis(i)))
-                           for i in range(pair.g.dim)]
+        # each basis letter of the original algebra as a scaled element
+        # (y, s) of U(g): the letter is y / s
+        self._letters = [self.uea.scaled(self.uea.from_vector(
+            self.to_adapted(pair.g.basis(i)))) for i in range(pair.g.dim)]
         # ad-weights of the k letters acting diagonally (scaled to ints),
         # and the other letters that together with them generate k
         self.k_diagonal, others = _diagonal_weights(self.adapted, self.k_indices())
@@ -93,12 +94,22 @@ class IwasawaContext:
 
     def beta_from_g(self, p: SymElement) -> UEAElement:
         """Supersymmetrisation of an S(g) element over the original basis."""
-        return supersymmetrise(p, self.pair.g.parity, self.uea.one(),
-                               self._times_letter)
+        return self.uea.unscaled(self._scaled_beta(p, self._times_letter))
 
-    def _times_letter(self, u: UEAElement, i: int) -> UEAElement:
-        """u times letter i of the original algebra."""
-        return self.uea.multiply(u, self._gen_table[i])
+    def _scaled_beta(self, p: SymElement, step, last=None) -> UEAElement:
+        """supersymmetrise over the letters of the original algebra, in the
+        scaled basis: each monomial's coefficient is divided by the product
+        of its letters' divisors, so that step and last multiply by the
+        integral y of each letter."""
+        letters = self._letters
+        p = {m: c * Q(1, prod(letters[i][1] for i in m)) for m, c in p.items()}
+        return supersymmetrise(p, self.pair.g.parity, self.uea.one(), step,
+                               last)
+
+    def _times_letter(self, y: UEAElement, i: int) -> UEAElement:
+        """y times letter i of the original algebra, in scaled coordinates,
+        up to that letter's divisor."""
+        return self.uea.scaled_product(y, self._letters[i][0])
 
     # -- the projection and its shift ----------------------------------------
     def project_to_a(self, u: UEAElement) -> APoly:
@@ -116,19 +127,30 @@ class IwasawaContext:
         return APoly(self.rank, terms)
 
     def project_word(self, word: Sequence[int]) -> UEAElement:
-        """The pure-a part of uea.normal_form_word(word), straightening only
-        what can reach it.
+        """The pure-a part of y^word in the scaled basis of U(g) (see pbw),
+        straightening only what can reach it.
 
         In the order n < a < k a word whose first letter is in n lies in
         n U(g), and one whose last letter is in k lies in U(g) k; both project
         to 0, so they are dropped at every step, and a PBW monomial that is
-        not dropped is pure a.
+        not dropped is pure a.  Leading a letters factor out: U(a) is
+        commutative and a normalises n, so the pure-a part of a Y is a times
+        that of Y.  They are merged into each monomial of the rest's part,
+        and only the rest is memoised.
         """
         word = tuple(word)
+        lo, hi = self.lo_a, self.lo_k
+        p = 0
+        while p < len(word) and lo <= word[p] < hi:
+            p += 1
+        if p:
+            prefix = word[:p]
+            return {tuple(sorted(prefix + m)): c
+                    for m, c in self.project_word(word[p:]).items()}
         hit = self._proj_memo.get(word)
         if hit is not None:
             return hit
-        if word and (word[0] < self.lo_a or word[-1] >= self.lo_k):
+        if word and (word[0] < lo or word[-1] >= hi):
             res: UEAElement = {}
         else:
             steps = self.uea.rewrite(word)
@@ -152,13 +174,15 @@ class IwasawaContext:
         in k lie in U(g) k, so those pairs are skipped; every other pair is
         straightened by project_word, which keeps only the pure-a part.
         """
-        return self.hc_gamma(self._project_product(u, v))
+        uea = self.uea
+        (y, s), (z, t) = uea.scaled(u), uea.scaled(v)
+        return self.hc_gamma(uea.unscaled(self._project_product(y, z), s * t))
 
-    def _project_product(self, u: UEAElement, v: UEAElement) -> UEAElement:
-        """The pure-a part of u v, as a sum of pure-a monomials."""
+    def _project_product(self, y: UEAElement, z: UEAElement) -> UEAElement:
+        """The pure-a part of y z, in scaled coordinates."""
         lo, hi = self.lo_a, self.lo_k
-        left = [(m, c) for m, c in u.items() if not (m and m[0] < lo)]
-        right = [(m, c) for m, c in v.items() if not (m and m[-1] >= hi)]
+        left = [(m, c) for m, c in y.items() if not (m and m[0] < lo)]
+        right = [(m, c) for m, c in z.items() if not (m and m[-1] >= hi)]
         acc: UEAElement = {}
         for m1, c1 in left:
             for m2, c2 in right:
@@ -171,17 +195,18 @@ class IwasawaContext:
         The supersymmetrisation walk drops, after each partial product, the
         monomials whose first letter is in n: they lie in n U(g), and stay
         there whatever is multiplied on their right.  The last letter is
-        taken through project_word, as in gamma_of_product.
+        taken through project_word, as in gamma_of_product.  The walk runs in
+        the scaled basis, as beta_from_g does.
         """
         lo = self.lo_a
 
-        def step(u: UEAElement, i: int) -> UEAElement:
-            return {m: c for m, c in self._times_letter(u, i).items()
+        def step(y: UEAElement, i: int) -> UEAElement:
+            return {m: c for m, c in self._times_letter(y, i).items()
                     if not (m and m[0] < lo)}
 
-        return self.hc_gamma(supersymmetrise(
-            p, self.pair.g.parity, self.uea.one(), step,
-            lambda u, i: self._project_product(u, self._gen_table[i])))
+        return self.hc_gamma(self.uea.unscaled(self._scaled_beta(
+            p, step,
+            lambda y, i: self._project_product(y, self._letters[i][0]))))
 
 
 # -- invariants ----------------------------------------------------------------
@@ -263,7 +288,11 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
 
     The diagonal letters of k act on monomials by weights, so they only
     select the weight-zero monomials, the only ones uea.monomials_up_to
-    lists; ctx.k_generators supply the rows.
+    lists; ctx.k_generators supply the rows.  The columns are ad(y_x) y^m in
+    the scaled basis of U(g), which are integral; scaling the columns and
+    rows of a matrix leaves its free columns, so each kernel vector w, with
+    a 1 at its free monomial f, is brought back to PBW coordinates once and
+    keeps that 1: v[m] = w[m] D^{len m - len f}.
 
     Ordering contract, on which the per-degree rows of verify_exact_sequence
     rest: the invariants are the reduced-echelon kernel over the monomials
@@ -277,9 +306,11 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     uea = ctx.uea
     kept = uea.monomials_up_to(d, list(ctx.k_diagonal.values()))
     kern = kernel({(x, mt): c for x in ctx.k_generators
-                   for mt, c in uea.adjoint_index(x, {m: 1}).items()}
+                   for mt, c in uea.scaled_adjoint(x, {m: 1}).items()}
                   for m in kept)
-    invariants = [{kept[t]: c for t, c in coords.items()} for coords in kern]
+    invariants = [uea.unscaled({kept[t]: c for t, c in coords.items()},
+                               uea.word_divisor(kept[max(coords)]))
+                  for coords in kern]
     companion = _ideal_part(ctx, invariants)
     return InvariantBasis(d, invariants, companion)
 
@@ -299,31 +330,26 @@ def _ideal_part(ctx: IwasawaContext, invariants: List[UEAElement]
     return out
 
 
-def verify_exact_sequence(ctx: IwasawaContext, d: int,
-                          basis: Optional[InvariantBasis] = None,
-                          images: Optional[List[APoly]] = None) -> dict:
+def verify_exact_sequence(ctx: IwasawaContext, basis: InvariantBasis,
+                          images: List[APoly]) -> dict:
     """Dimension bookkeeping for 0 -> ideal part -> invariants -> image -> 0.
 
-    Gamma is taken once per basis vector; images, when given, are Gamma of
-    the invariants in basis order.  rows holds one row per degree
-    e <= d, read off the basis order of invariants_up_to_degree: the degree
-    <= e parts are spanned by the basis vectors of degree <= e, so Gamma of
-    the degree <= e invariants is spanned by the first n = dim_invariants
-    images.  One kernel holds the relations among all the images; those
-    among the first n are spanned by the relations whose largest key lies
-    before n (see linalg.nullspace), so dim_image is n minus their number.
-    The top-level dimensions are the degree-d row.
+    images are Gamma of the invariants in basis order.  rows holds one row
+    per degree e <= basis.degree, read off the basis order of
+    invariants_up_to_degree: the degree <= e parts are spanned by the basis
+    vectors of degree <= e, so Gamma of the degree <= e invariants is
+    spanned by the first n = dim_invariants images.  One kernel holds the
+    relations among all the images; those among the first n are spanned by
+    the relations whose largest key lies before n (see linalg.nullspace), so
+    dim_image is n minus their number.  The top-level dimensions are the
+    top row.
     """
-    if basis is None:
-        basis = invariants_up_to_degree(ctx, d)
-    if images is None:
-        images = [ctx.hc_gamma(v) for v in basis.invariants]
     kernel_ok = all(not ctx.hc_gamma(v).terms for v in basis.companion)
     inv_degrees = [max(map(len, v), default=0) for v in basis.invariants]
     ker_degrees = [max(map(len, v), default=0) for v in basis.companion]
     relation_ends = [max(v) for v in kernel(p.terms for p in images)]
     rows = []
-    for e in range(d + 1):
+    for e in range(basis.degree + 1):
         dim_inv = sum(1 for t in inv_degrees if t <= e)
         rows.append({
             "degree": e,

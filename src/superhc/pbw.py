@@ -10,22 +10,29 @@ same encoding but multiply supercommutatively.  The straightening rule is
 applied at the leftmost violation; memoisation of normal forms makes
 repeated products cheap.
 
-Scalar contract: coefficients are ints where integral, else Fraction or
-Quad.  Straightening reads the brackets as LieSuperalgebra.bracket_indices
-gives them, ints where integral, and its signs are the ints 1 and -1, so a
-normal form over integral structure constants builds no Fraction.  An int
-equals, hashes and prints (scalar_to_string) like the equal Fraction.
+Scalar contract: a UEA straightens in the scaled basis y_i = D x_i, where
+D (UEA.scale) is the least common denominator of the structure constants
+and of the halved odd squares (for a Quad, of its two rational parts).
+There [y_a, y_b] = D [x_a, x_b] and y_i y_i = (D/2) [x_i, x_i] have
+integral constants, so for a rational algebra the memo, rewrite and every
+scaled product hold ints, and over Q(sqrt c) Quads with integral parts.
+The public methods take and return PBW coordinates, those of the x^m: a
+scaled element is a pair (y, s) standing for y / s in the y^m, and
+x^m = D^{-len m} y^m converts at the boundary (UEA.scaled, UEA.unscaled).
+With D = 1 the conversions are the identity on integral coefficients.  An
+int equals, hashes and prints (scalar_to_string) like the equal Fraction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .liesuper import LieSuperalgebra, MixedAlgebras, SuperVector
 from .linalg import accumulate
+from .scalars import Quad, int_if_integral
 
 Q = Fraction
 
@@ -44,11 +51,25 @@ class UEA:
         self.alg = alg
         self.parity = alg.parity
         self.dim = alg.dim
+        pairs = {(i, j): out for i in range(alg.dim) for j in range(alg.dim)
+                 if (out := alg.bracket_indices(i, j))}
         # xi xi = (1/2) [xi, xi] for each odd letter xi
-        self._half_square = {i: {k: _half(c) for k, c in
-                                 alg.bracket_indices(i, i).items()}
-                             for i in range(alg.dim) if alg.parity[i]}
+        halves = {i: {k: c * Q(1, 2) for k, c in pairs.get((i, i), {}).items()}
+                  for i in range(alg.dim) if alg.parity[i]}
+        self.scale = lcm(*{_denominator(c)
+                           for out in [*pairs.values(), *halves.values()]
+                           for c in out.values()})
+        # the same constants in the scaled basis, all integral
+        self._brackets = {key: self._scale_constants(out)
+                          for key, out in pairs.items()}
+        self._half_square = {i: self._scale_constants(out)
+                             for i, out in halves.items()}
         self._memo: Dict[Monomial, UEAElement] = {}
+
+    def _scale_constants(self, out: Dict[int, object]) -> Dict[int, object]:
+        scale = self.scale
+        return {k: scale * c if type(c) is int else int_if_integral(scale * c)
+                for k, c in out.items()}
 
     # -- basics -------------------------------------------------------------
     def one(self) -> UEAElement:
@@ -63,13 +84,39 @@ class UEA:
             raise MixedAlgebras("vector from another algebra")
         return {(i,): c for i, c in x.c.items()}
 
+    # -- the scaled basis ---------------------------------------------------
+    def scaled(self, u: UEAElement) -> Tuple[UEAElement, int]:
+        """(y, s) with u = y / s, y in scaled coordinates with integral
+        coefficients (integral parts for a Quad)."""
+        scale = self.scale
+        if scale == 1 and all(type(c) is int for c in u.values()):
+            return u, 1
+        top = max(map(len, u), default=0)
+        s = lcm(*map(_denominator, u.values())) * scale ** top
+        return {m: int_if_integral(c * (s // scale ** len(m)))
+                for m, c in u.items()}, s
+
+    def unscaled(self, y: UEAElement, s: int = 1) -> UEAElement:
+        """The PBW coordinates of y / s, y in scaled coordinates; ints where
+        integral."""
+        scale = self.scale
+        if scale == 1 and s == 1:
+            return y
+        powers = [scale ** k for k in range(max(map(len, y), default=0) + 1)]
+        return {m: _ratio(c, powers[len(m)], s) for m, c in y.items()}
+
+    def word_divisor(self, word: Monomial) -> int:
+        """s with y^word = s x^word."""
+        return self.scale ** len(word)
+
     # -- straightening ------------------------------------------------------
     def rewrite(self, word: Monomial, strategy: str = "leftmost"
                 ) -> Optional[List[Tuple[Monomial, object]]]:
-        """One straightening step at the first violation the strategy meets.
+        """One straightening step at the first violation the strategy meets,
+        in the scaled basis.
 
-        Returns the words, with coefficients, that sum to word in U(g), or
-        None when word is already a PBW monomial.
+        Returns the words, with integral coefficients, that sum to y^word in
+        U(g), or None when word is already a PBW monomial.
         """
         par = self.parity
         n = len(word)
@@ -86,12 +133,13 @@ class UEA:
                     for k, c in self._half_square[a].items()]
         out = [(head + (b, a) + tail, -1 if par[a] and par[b] else 1)]
         out.extend((head + (k,) + tail, c)
-                   for k, c in self.alg.bracket_indices(a, b).items())
+                   for k, c in self._brackets.get((a, b), _EMPTY).items())
         return out
 
-    def normal_form_word(self, word: Iterable[int], strategy: str = "leftmost"
-                         ) -> UEAElement:
-        word = tuple(word)
+    def _straighten(self, word: Monomial, strategy: str = "leftmost"
+                    ) -> UEAElement:
+        """The normal form of y^word in the scaled basis; leftmost normal
+        forms are memoised."""
         memo = strategy == "leftmost"
         if memo:
             hit = self._memo.get(word)
@@ -103,28 +151,49 @@ class UEA:
         else:
             res = {}
             for w, c in steps:
-                accumulate(res, self.normal_form_word(w, strategy), c)
+                accumulate(res, self._straighten(w, strategy), c)
         if memo:
             self._memo[word] = res
         return res
 
+    def normal_form_word(self, word: Iterable[int], strategy: str = "leftmost"
+                         ) -> UEAElement:
+        word = tuple(word)
+        return self.unscaled(self._straighten(word, strategy),
+                             self.word_divisor(word))
+
     def normal_form(self, factors: Sequence[SuperVector]) -> UEAElement:
-        """Normal form of a product of algebra elements (a 'word' of vectors)."""
-        out = self.one()
+        """Normal form of a product of algebra elements (a 'word' of vectors):
+        each factor is scaled once and the whole product runs in the scaled
+        basis."""
+        out, s = self.one(), 1
         for x in factors:
-            out = self.multiply(out, self.from_vector(x))
-        return out
+            y, t = self.scaled(self.from_vector(x))
+            out = self.scaled_product(out, y)
+            s *= t
+        return self.unscaled(out, s)
 
     def multiply(self, u: UEAElement, v: UEAElement) -> UEAElement:
+        (y, s), (z, t) = self.scaled(u), self.scaled(v)
+        return self.unscaled(self.scaled_product(y, z), s * t)
+
+    def scaled_product(self, y: UEAElement, z: UEAElement) -> UEAElement:
+        """The product of two elements in scaled coordinates."""
         acc: UEAElement = {}
-        for m1, c1 in u.items():
-            for m2, c2 in v.items():
-                accumulate(acc, self.normal_form_word(m1 + m2), c1 * c2)
+        for m1, c1 in y.items():
+            for m2, c2 in z.items():
+                accumulate(acc, self._straighten(m1 + m2), c1 * c2)
         return acc
 
     # -- adjoint action -----------------------------------------------------
     def adjoint_index(self, i: int, u: UEAElement) -> UEAElement:
-        """ad(e_i) u, with ad(e_i) acting on each word as a superderivation:
+        """ad(e_i) u, through scaled_adjoint: e_i = y_i / D."""
+        y, s = self.scaled(u)
+        return self.unscaled(self.scaled_adjoint(i, y), self.scale * s)
+
+    def scaled_adjoint(self, i: int, y: UEAElement) -> UEAElement:
+        """ad(y_i) y in scaled coordinates, with ad(y_i) acting on each word
+        as a superderivation:
 
             ad(x)(y_1...y_k) = sum_j (-1)^{|x|(|y_1|+...+|y_{j-1}|)}
                                y_1...y_{j-1} [x, y_j] y_{j+1}...y_k
@@ -136,15 +205,15 @@ class UEA:
         acc: UEAElement = {}
         par = self.parity
         pi = par[i]
-        bracket = self.alg.bracket_indices
-        for m, c in u.items():
+        brackets = self._brackets
+        for m, c in y.items():
             sign = c
-            for j, y in enumerate(m):
+            for j, letter in enumerate(m):
                 head, tail = m[:j], m[j + 1:]
-                for k, b in bracket(i, y).items():
-                    accumulate(acc, self.normal_form_word(head + (k,) + tail),
+                for k, b in brackets.get((i, letter), _EMPTY).items():
+                    accumulate(acc, self._straighten(head + (k,) + tail),
                                sign * b)
-                if pi and par[y]:
+                if pi and par[letter]:
                     sign = -sign
         return acc
 
@@ -160,9 +229,12 @@ class UEA:
 
     # -- supersymmetrisation ------------------------------------------------
     def beta(self, p: SymElement) -> UEAElement:
-        """The PBW section of S(g) -> U(g): Koszul-averaged products."""
-        return supersymmetrise(p, self.parity, self.one(),
-                               lambda u, i: self.multiply(u, self.generator(i)))
+        """The PBW section of S(g) -> U(g): Koszul-averaged products, taken
+        in the scaled basis, where x_i = y_i / D."""
+        p = {m: c * Q(1, self.word_divisor(m)) for m, c in p.items()}
+        return self.unscaled(supersymmetrise(
+            p, self.parity, self.one(),
+            lambda y, i: self.scaled_product(y, {(i,): 1})))
 
     # -- monomials ------------------------------------------------------------
     def monomials_up_to(self, d: int, weights: Sequence[Sequence] = ()
@@ -247,11 +319,28 @@ def supersymmetrise(p: SymElement, parity: Sequence[int], one: UEAElement,
     return acc
 
 
-def _half(c):
-    """c / 2, an int when c is an even int."""
-    if isinstance(c, int):
-        return c // 2 if c % 2 == 0 else Q(c, 2)
-    return c * Q(1, 2)
+_EMPTY: Dict[int, object] = {}
+
+
+def _denominator(c) -> int:
+    """The denominator of a rational c, or the lcm of those of the two
+    rational parts of a Quad."""
+    if type(c) is Quad:
+        return lcm(c.a.denominator, c.b.denominator)
+    return c.denominator
+
+
+def _ratio(c, num: int, den: int):
+    """c num / den, built once: an int when c is an int and den divides
+    c num."""
+    if num == den:
+        return c
+    if type(c) is int:
+        q, r = divmod(c * num, den)
+        return Q(c * num, den) if r else q
+    if type(c) is Q:
+        return Q(c.numerator * num, c.denominator * den)
+    return c * Q(num, den)
 
 
 # -- the supercommutative algebra S(g) ---------------------------------------

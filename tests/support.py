@@ -284,6 +284,16 @@ def oracle_adjoint(alg, i, u):
     return acc
 
 
+def oracle_multiply(alg, u, v):
+    """u v, word by word through oracle_normal_form.  The oracle for
+    UEA.multiply, and folded over the factors for UEA.normal_form."""
+    acc = {}
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
+            accumulate(acc, oracle_normal_form(alg, m1 + m2), c1 * c2)
+    return acc
+
+
 def gamma_preimage(ctx, target, d):
     """An invariant D of degree <= d with Gamma(D) = target, or None."""
     basis = invariants_up_to_degree(ctx, d)

@@ -187,8 +187,10 @@ def test_degree_drop_law(name):
 
 
 def test_verify_exact_sequence_degree_zero():
-    analysis = CATALOG["group-sl2"].build()
-    report = verify_exact_sequence(analysis.ctx, 0)
+    ctx = CATALOG["group-sl2"].build().ctx
+    basis = invariants_up_to_degree(ctx, 0)
+    report = verify_exact_sequence(
+        ctx, basis, [ctx.hc_gamma(v) for v in basis.invariants])
     assert (report["dim_invariants"], report["dim_kernel"],
             report["dim_image"]) == (1, 0, 1)
     assert report["kernel_maps_to_zero"] and report["dims_consistent"]
@@ -196,12 +198,12 @@ def test_verify_exact_sequence_degree_zero():
 
 def test_verify_exact_sequence_rank_one_q1():
     analysis = CATALOG["rank1-aniso-q1"].build()
-    report = verify_exact_sequence(analysis.ctx, 2)
+    basis = invariants_up_to_degree(analysis.ctx, 2)
+    images = [analysis.ctx.hc_gamma(v) for v in basis.invariants]
+    report = verify_exact_sequence(analysis.ctx, basis, images)
     assert report["kernel_maps_to_zero"]
     assert report["dims_consistent"]
     # the image contains a^2 - q^2
-    basis = invariants_up_to_degree(analysis.ctx, 2)
-    images = [analysis.ctx.hc_gamma(v) for v in basis.invariants]
     a = APoly.variable(1, 0)
     target = a * a - APoly.const(1, Q(1))
     from superhc.linalg import solve_membership
@@ -237,7 +239,9 @@ def test_exact_sequence_rows_match_independent_runs(name):
     entry = CATALOG[name]
     ctx = entry.build().ctx
     top = entry.default_degree
-    rows = verify_exact_sequence(ctx, top)["rows"]
+    basis = invariants_up_to_degree(ctx, top)
+    rows = verify_exact_sequence(
+        ctx, basis, [ctx.hc_gamma(v) for v in basis.invariants])["rows"]
     assert [row["degree"] for row in rows] == list(range(top + 1))
     for e in range(top + 1):
         basis = invariants_up_to_degree(ctx, e)
@@ -460,4 +464,5 @@ def test_project_word_is_pure_a_part_of_normal_form(name, data):
     lo, hi = ctx.lo_a, ctx.lo_k
     want = {m: c for m, c in ctx.uea.normal_form_word(word).items()
             if all(lo <= i < hi for i in m)}
-    assert ctx.project_word(word) == want
+    assert ctx.uea.unscaled(ctx.project_word(word),
+                            ctx.uea.word_divisor(word)) == want

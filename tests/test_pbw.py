@@ -11,7 +11,11 @@ from superhc.pbw import UEA, accumulate, sym_adjoint, sym_multiply
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
 from superhc.serialization import uea_to_json
 from superhc.serialization import dumps_canonical
-from support import derived_bracket, oracle_adjoint, oracle_normal_form
+from superhc.catalog import verify_main_theorem
+from superhc.liesuper import change_basis
+from superhc.scalars import Quad, quad
+from support import (derived_bracket, oracle_adjoint, oracle_multiply,
+                     oracle_normal_form)
 
 
 def random_element(uea, rng, max_len=3, terms=3):
@@ -289,20 +293,27 @@ def test_bracket_indices_match_the_derivation(name):
                                for v in out.values()), (i, j)
 
 
-@pytest.mark.parametrize("name", STRAIGHTENING)
-def test_straightening_matches_the_fraction_oracle(name):
-    ctx = _analysis(name).ctx
-    g = ctx.adapted
+def _combination(g, rng):
+    """Two random words' oracle normal forms with Fraction coefficients."""
+    u = {}
+    for _ in range(2):
+        accumulate(u, oracle_normal_form(g, _random_word(g.parity, rng)),
+                   Q(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+    return u
+
+
+def _check_against_oracles(g, rng, project=None):
+    """normal_form_word (both strategies), multiply, normal_form and
+    adjoint_index of a fresh UEA on g against the Fraction-only oracles;
+    project(uea, word, want) checks more of each word and its normal form."""
     uea = UEA(g)
-    lo, hi = ctx.lo_a, ctx.lo_k
-    rng = random.Random(f"straighten:{name}")
     for _ in range(100):
         word = _random_word(g.parity, rng)
         want = oracle_normal_form(g, word)
         assert uea.normal_form_word(word) == want, word
         assert uea.normal_form_word(word, strategy="rightmost") == want, word
-        assert ctx.project_word(word) == {
-            m: c for m, c in want.items() if all(lo <= i < hi for i in m)}, word
+        if project is not None:
+            project(uea, word, want)
     monomials = uea.monomials_up_to(3)
     for _ in range(30):
         i = rng.randrange(g.dim)
@@ -310,11 +321,17 @@ def test_straightening_matches_the_fraction_oracle(name):
         # an int coefficient, as invariants_up_to_degree passes, and a
         # combination with Fraction coefficients
         assert uea.adjoint_index(i, {m: 1}) == oracle_adjoint(g, i, {m: Q(1)})
-        u = {}
-        for _ in range(2):
-            accumulate(u, oracle_normal_form(g, _random_word(g.parity, rng)),
-                       Q(rng.randint(-3, 3), 2))
+        u, v = _combination(g, rng), _combination(g, rng)
         assert uea.adjoint_index(i, u) == oracle_adjoint(g, i, u), (i, u)
+        assert uea.multiply(u, v) == oracle_multiply(g, u, v), (u, v)
+    for _ in range(10):
+        factors = [g.vector({i: Q(rng.randint(-3, 3), rng.choice((1, 2)))
+                             for i in rng.sample(range(g.dim), 2)})
+                   for _ in range(rng.randint(0, 3))]
+        want = {(): Q(1)}
+        for x in factors:
+            want = oracle_multiply(g, want, {(i,): c for i, c in x.c.items()})
+        assert uea.normal_form(factors) == want, factors
     # degree-4 monomials holding two or more odd letters, acted on by odd
     # and even letters, so the Koszul sign of the derivation rule counts
     odd_letters = [i for i in range(g.dim) if g.parity[i]]
@@ -325,3 +342,81 @@ def test_straightening_matches_the_fraction_oracle(name):
         m = rng.choice(pool)
         assert uea.adjoint_index(i, {m: 1}) == oracle_adjoint(g, i, {m: Q(1)}), \
             (i, m)
+    return uea
+
+
+@pytest.mark.parametrize("name", STRAIGHTENING)
+def test_straightening_matches_the_fraction_oracle(name):
+    ctx = _analysis(name).ctx
+    lo, hi = ctx.lo_a, ctx.lo_k
+
+    def project(uea, word, want):
+        assert uea.unscaled(ctx.project_word(word),
+                            uea.word_divisor(word)) == {
+            m: c for m, c in want.items() if all(lo <= i < hi for i in m)}, word
+
+    _check_against_oracles(ctx.adapted, random.Random(f"straighten:{name}"),
+                           project)
+
+
+# -- the scaled basis ------------------------------------------------------------
+
+def _rescaled(base, factors):
+    """base rebased to its basis vectors times the given scalars."""
+    g = base()
+    return change_basis(g, [g.basis(n).scale(factors.get(n, Q(1)))
+                            for n in g.names], g.names)
+
+
+# algebras whose straightening needs a scale D > 1 or runs over Q(sqrt 2),
+# with their D: h/3 in sl2; f times sqrt 2 (an integral Quad constant) and
+# times sqrt(2)/2 (a Quad with half-integral parts); the odd x/3 in osp12,
+# whose square brings the halved odd square into D
+RESCALED = {
+    "sl2-h/3": (lambda: _rescaled(sl2, {"h": Q(1, 3)}), 3),
+    "sl2-f*sqrt2": (lambda: _rescaled(sl2, {"f": quad(0, 1, 2)}), 1),
+    "sl2-f*sqrt2/2": (lambda: _rescaled(sl2, {"f": quad(0, Q(1, 2), 2)}), 2),
+    "osp12-x/3": (lambda: _rescaled(osp12, {"x": Q(1, 3)}), 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESCALED))
+def test_scaled_straightening_matches_the_fraction_oracle(name):
+    build, scale = RESCALED[name]
+    g = build()
+    uea = _check_against_oracles(g, random.Random(f"scaled:{name}"))
+    assert uea.scale == scale
+    # the memo holds the scaled basis' integral coefficients: ints over Q;
+    # over Q(sqrt 2) Quads with integral parts, or integral Fractions where
+    # Quad arithmetic drops the root
+    for nf in uea._memo.values():
+        for c in nf.values():
+            parts = (c.a, c.b) if isinstance(c, Quad) else (c,)
+            assert all(x.denominator == 1 for x in parts), c
+            if "sqrt" not in name:
+                assert type(c) is int, c
+
+
+def test_scale_of_the_catalog_algebras():
+    # group type: a = h - h' and h + h' in k halve constants; anisotropic:
+    # an odd square with an odd constant; the isotropic model needs none
+    scales = {name: CATALOG[name].build().ctx.uea.scale for name in CATALOG}
+    assert scales == {"group-gl12": 2, "group-osp12": 2, "group-sl2": 2,
+                      "rank1-aniso-q1": 2, "rank1-aniso-q2": 2,
+                      "rank1-iso-q1": 1}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_memos_hold_ints_after_verify_and_words(name):
+    analysis = CATALOG[name].build()
+    ctx = analysis.ctx
+    verify_main_theorem(analysis, degree=2)
+    g = analysis.pair.g
+    rng = random.Random(f"words:{name}")
+    for _ in range(8):
+        ctx.word([g.basis(rng.randrange(g.dim)) for _ in range(4)])
+    uea = ctx.uea
+    assert uea._memo and ctx._proj_memo
+    for memo in (uea._memo, ctx._proj_memo):
+        for w, nf in memo.items():
+            assert all(type(c) is int for c in nf.values()), w

@@ -5,7 +5,8 @@ invariants job the benchmark runs, and the membership verdicts on the
 rank-one generator images.  A change that alters those bytes or verdicts fails here, in the
 ordinary test run, instead of only in the benchmark's correctness check.
 The file is only read.  One stretch job past the benchmark's ladders,
-rank1-aniso-q2 at degree 6, is pinned by its own hash here.
+rank1-aniso-q2 at degree 6, is pinned by its own hash here.  So is every
+word of the gamma-session pool, the output of `superhc gamma` on it.
 """
 
 import hashlib
@@ -19,7 +20,8 @@ from superhc.catalog import CATALOG
 from superhc.cli import main
 from superhc.rings import (generators, membership_I, membership_J,
                            ring_conditions)
-from superhc.serialization import dumps_canonical, poly_from_json, poly_to_json
+from superhc.serialization import (dumps_canonical, poly_from_json,
+                                   poly_to_json, uea_to_json)
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
@@ -111,3 +113,36 @@ def test_image_tables_give_the_conditions_of_the_reference_images():
             for p in images:
                 assert ring_conditions(p, ring, an.data, an.weyl, sub=sub) \
                     == ring_conditions(p, ring, an.data, an.weyl)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_word_pool_matches_reference():
+    # every word the gamma-session benchmark asks for, computed as `superhc
+    # gamma ENTRY --element` does, one build per entry; the first two words
+    # of each entry also through the CLI itself
+    seen = 0
+    for entry, rows in sorted(REFERENCE["words"].items()):
+        an = CATALOG[entry].build()
+        g = an.pair.g
+        for i, row in enumerate(rows):
+            elem = an.ctx.word([g.basis(name) for name in row["word"]])
+            text = dumps_canonical({
+                "entry": entry, "element": uea_to_json(elem),
+                "projection": poly_to_json(an.ctx.project_to_a(elem),
+                                           an.a_names),
+                "gamma": poly_to_json(an.ctx.hc_gamma(elem), an.a_names)})
+            assert _sha256(text) == row["sha256"], (entry, i, row["word"])
+            seen += 1
+    assert seen == 384
+
+
+@pytest.mark.parametrize("entry", sorted(REFERENCE["words"]))
+def test_word_pool_through_the_cli(capsys, entry):
+    for row in REFERENCE["words"][entry][:2]:
+        element = json.dumps({"terms": [{"word": row["word"], "coeff": "1"}]})
+        code = main(["gamma", entry, "--element", element])
+        assert code == row["exit"]
+        assert _sha256(capsys.readouterr().out) == row["sha256"]
