@@ -8,6 +8,7 @@ function mu -> mu(h_i) on a*.  Exponent vectors index a sparse term map.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import accumulate, linear_solver
@@ -119,10 +120,30 @@ class APoly:
         return APoly(m, out)
 
     def shift(self, values: Sequence) -> "APoly":
-        """p(. + offset): variable i is replaced by h_i + values[i]."""
-        images = [APoly.variable(self.n, i) + APoly.const(self.n, values[i])
-                  for i in range(self.n)]
-        return self.substitute(images)
+        """p(. + offset): variable i is replaced by h_i + values[i].
+
+        A Taylor shift, one variable at a time: with v = values[i], a term
+        c h^e becomes sum_j C(e_i, j) v^(e_i - j) c h^e', where e' is e with
+        e_i lowered to j; each row of those binomial weights is built once.
+        """
+        terms = self.terms
+        for i, v in enumerate(values):
+            if not v:
+                continue
+            rows: Dict[int, List] = {}
+            out: Dict[Expvec, object] = {}
+            for e, c in terms.items():
+                k = e[i]
+                row = rows.get(k)
+                if row is None:
+                    row = rows[k] = [comb(k, j) * v ** (k - j)
+                                     for j in range(k + 1)]
+                head, tail = e[:i], e[i + 1:]
+                # one row per term: distinct exponents j stay distinct
+                accumulate(out, {head + (j,) + tail: w
+                                 for j, w in enumerate(row)}, c)
+            terms = out
+        return APoly(self.n, terms)
 
     def substitute_linear(self, mat: Sequence[Sequence]) -> "APoly":
         """Variable i is replaced by sum_j mat[i][j] * h_j."""

@@ -17,8 +17,9 @@ from .apoly import APoly
 from .linalg import Echelon, Row, kernel, linear_solver
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
-from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
-                  supersymmetrise, sym_multiply)
+from .pbw import (Compact, Monomial, SymElement, UEA, UEAElement, accumulate,
+                  accumulate_compact, compact, supersymmetrise, sym_multiply,
+                  uncompact)
 from .scalars import int_if_integral
 
 Q = Fraction
@@ -57,7 +58,7 @@ class IwasawaContext:
         self.uea = UEA(self.adapted)
         self.rank = len(a_basis)
         self.lo_a, self.lo_k = len(n_basis), len(n_basis) + self.rank
-        self._proj_memo: Dict[Monomial, UEAElement] = {}
+        self._proj_memo: Dict[Monomial, Compact] = {}
         self._solve = linear_solver([v.c for v in vectors])
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
@@ -136,30 +137,40 @@ class IwasawaContext:
         not dropped is pure a.  Leading a letters factor out: U(a) is
         commutative and a normalises n, so the pure-a part of a Y is a times
         that of Y.  They are merged into each monomial of the rest's part,
-        and only the rest is memoised.
+        and only the rest is memoised, in pbw's compact form.  The result is
+        a fresh dict.
         """
-        word = tuple(word)
+        return uncompact(self._project(tuple(word)))
+
+    def _a_prefix(self, word: Monomial) -> int:
+        """The number of leading a letters of word."""
         lo, hi = self.lo_a, self.lo_k
         p = 0
         while p < len(word) and lo <= word[p] < hi:
             p += 1
-        if p:
-            prefix = word[:p]
-            return {tuple(sorted(prefix + m)): c
-                    for m, c in self.project_word(word[p:]).items()}
+        return p
+
+    def _project(self, word: Monomial) -> Compact:
+        """The pure-a part of y^word in compact form; memoised for words with
+        no leading a letter."""
         hit = self._proj_memo.get(word)
         if hit is not None:
             return hit
-        if word and (word[0] < lo or word[-1] >= hi):
-            res: UEAElement = {}
+        p = self._a_prefix(word)
+        if p:
+            return compact(_merge_prefix(
+                word[:p], uncompact(self._project(word[p:])).items()))
+        if word and (word[0] < self.lo_a or word[-1] >= self.lo_k):
+            res: Compact = ()
         else:
             steps = self.uea.rewrite(word)
             if steps is None:
-                res = {word: 1}
+                res = (word, 1)
             else:
-                res = {}
+                acc: UEAElement = {}
                 for w, c in steps:
-                    accumulate(res, self.project_word(w), c)
+                    accumulate_compact(acc, self._project(w), c)
+                res = compact(acc)
         self._proj_memo[word] = res
         return res
 
@@ -179,14 +190,25 @@ class IwasawaContext:
         return self.hc_gamma(uea.unscaled(self._project_product(y, z), s * t))
 
     def _project_product(self, y: UEAElement, z: UEAElement) -> UEAElement:
-        """The pure-a part of y z, in scaled coordinates."""
+        """The pure-a part of y z, in scaled coordinates.  The leading a
+        letters of each left monomial are split off once and merged into
+        each monomial of its row's part."""
         lo, hi = self.lo_a, self.lo_k
-        left = [(m, c) for m, c in y.items() if not (m and m[0] < lo)]
         right = [(m, c) for m, c in z.items() if not (m and m[-1] >= hi)]
         acc: UEAElement = {}
-        for m1, c1 in left:
+        for m1, c1 in y.items():
+            if m1 and m1[0] < lo:
+                continue
+            p = self._a_prefix(m1)
+            if not p:
+                for m2, c2 in right:
+                    accumulate_compact(acc, self._project(m1 + m2), c1 * c2)
+                continue
+            rest = m1[p:]
+            part: UEAElement = {}
             for m2, c2 in right:
-                accumulate(acc, self.project_word(m1 + m2), c1 * c2)
+                accumulate_compact(part, self._project(rest + m2), c2)
+            accumulate(acc, _merge_prefix(m1[:p], part.items()), c1)
         return acc
 
     def gamma_of_sym(self, p: SymElement) -> APoly:
@@ -207,6 +229,12 @@ class IwasawaContext:
         return self.hc_gamma(self.uea.unscaled(self._scaled_beta(
             p, step,
             lambda y, i: self._project_product(y, self._letters[i][0]))))
+
+
+def _merge_prefix(prefix: Monomial, terms) -> UEAElement:
+    """The pure-a monomials prefix m, for the (m, c) of terms: U(a) is
+    commutative, so prefix m is m with prefix's letters sorted in."""
+    return {tuple(sorted(prefix + m)): c for m, c in terms}
 
 
 # -- invariants ----------------------------------------------------------------

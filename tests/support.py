@@ -174,6 +174,13 @@ def invariants_from_all_letters(ctx, d):
     return invariants, _ideal_part(ctx, invariants)
 
 
+def shift_by_substitute(p, values):
+    """p(. + values) through the general APoly.substitute: variable i goes
+    to h_i + values[i].  The oracle for APoly.shift."""
+    return p.substitute([APoly.variable(p.n, i) + APoly.const(p.n, values[i])
+                         for i in range(p.n)])
+
+
 def beta_of_vectors(ctx, factors):
     """Supersymmetrised product of SuperVectors of the original algebra."""
     d = len(factors)

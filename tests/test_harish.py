@@ -18,7 +18,8 @@ from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
 from superhc.scalars import Quad
 from support import (beta_of_vectors, gamma_preimage,
-                     invariants_from_all_letters, oracle_adjoint)
+                     invariants_from_all_letters, oracle_adjoint,
+                     shift_by_substitute)
 
 
 def test_project_unit_and_pure_a():
@@ -53,6 +54,25 @@ def test_project_and_gamma_rank_one_p2():
         a = APoly.variable(1, 0)
         assert ctx.project_to_a(b2) == a * a + a.scale(Q(2 * q))
         assert ctx.hc_gamma(b2) == a * a - APoly.const(1, Q(q * q))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_shift_matches_substitute_on_the_catalog_images(name):
+    # the Taylor shift against the general substitution, on the pure-a
+    # parts of the invariants at the entry's default degree, by rho (as Gamma
+    # shifts), by -rho and by a point with a zero coordinate
+    entry = CATALOG[name]
+    ctx = entry.build().ctx
+    parts = [ctx.project_to_a(v) for v in
+             invariants_up_to_degree(ctx, entry.default_degree).invariants]
+    assert any(p.degree() >= 2 for p in parts)
+    points = [ctx.rho, [-x for x in ctx.rho],
+              [Q(3, 2)] + [0] * (ctx.rank - 1)]
+    for p in parts:
+        for values in points:
+            got = p.shift(values)
+            want = shift_by_substitute(p, values)
+            assert got == want and got.pretty() == want.pretty(), (p, values)
 
 
 def test_gamma_linear_shift():

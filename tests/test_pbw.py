@@ -7,7 +7,8 @@ import pytest
 
 from superhc.builders import osp12, sl2
 from superhc.catalog import CATALOG, Analysis
-from superhc.pbw import UEA, accumulate, sym_adjoint, sym_multiply
+from superhc.pbw import (UEA, accumulate, sym_adjoint, sym_multiply,
+                         uncompact)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
 from superhc.serialization import uea_to_json
 from superhc.serialization import dumps_canonical
@@ -388,9 +389,10 @@ def test_scaled_straightening_matches_the_fraction_oracle(name):
     assert uea.scale == scale
     # the memo holds the scaled basis' integral coefficients: ints over Q;
     # over Q(sqrt 2) Quads with integral parts, or integral Fractions where
-    # Quad arithmetic drops the root
+    # Quad arithmetic drops the root; a memo value is the compact normal
+    # form (w1, c1, w2, c2, ...), so its coefficients are nf[1::2]
     for nf in uea._memo.values():
-        for c in nf.values():
+        for c in nf[1::2]:
             parts = (c.a, c.b) if isinstance(c, Quad) else (c,)
             assert all(x.denominator == 1 for x in parts), c
             if "sqrt" not in name:
@@ -406,8 +408,10 @@ def test_scale_of_the_catalog_algebras():
                       "rank1-iso-q1": 1}
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG))
-def test_memos_hold_ints_after_verify_and_words(name):
+@lru_cache(maxsize=None)
+def _warm_context(name):
+    """The entry's context after verify at degree 2 and eight random words,
+    so that both memos hold entries; tests only read it."""
     analysis = CATALOG[name].build()
     ctx = analysis.ctx
     verify_main_theorem(analysis, degree=2)
@@ -415,8 +419,60 @@ def test_memos_hold_ints_after_verify_and_words(name):
     rng = random.Random(f"words:{name}")
     for _ in range(8):
         ctx.word([g.basis(rng.randrange(g.dim)) for _ in range(4)])
+    return ctx
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_memos_hold_ints_after_verify_and_words(name):
+    ctx = _warm_context(name)
     uea = ctx.uea
     assert uea._memo and ctx._proj_memo
     for memo in (uea._memo, ctx._proj_memo):
         for w, nf in memo.items():
-            assert all(type(c) is int for c in nf.values()), w
+            # the coefficients of the compact form (w1, c1, w2, c2, ...)
+            assert all(type(c) is int for c in nf[1::2]), w
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_memo_values_are_compact_normal_forms(name):
+    """Every memo value is the flat tuple (w1, c1, w2, c2, ...) of words and
+    nonzero coefficients with no repeated word, and holds the word's normal
+    form (its pure-a part for the projection memo)."""
+    ctx = _warm_context(name)
+    uea = ctx.uea
+    lo, hi = ctx.lo_a, ctx.lo_k
+    for memo, projected in ((uea._memo, False), (ctx._proj_memo, True)):
+        for w, nf in memo.items():
+            assert type(nf) is tuple and len(nf) % 2 == 0, (w, nf)
+            words, coeffs = nf[::2], nf[1::2]
+            assert all(type(m) is tuple and all(type(i) is int for i in m)
+                       for m in words), (w, nf)
+            assert len(set(words)) == len(words), (w, nf)
+            assert all(coeffs), (w, nf)
+            # the projection memo keeps no word with a leading a letter
+            assert not (projected and w and lo <= w[0] < hi), w
+        # spot-check the content against the unmemoised straightening
+        for w in list(memo)[::max(1, len(memo) // 40)]:
+            want = uncompact(uea._straighten(w, "rightmost"))
+            if projected:
+                want = {m: c for m, c in want.items()
+                        if all(lo <= i < hi for i in m)}
+            assert uncompact(memo[w]) == want, w
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_public_results_are_fresh_dicts(name):
+    # a caller that mutates a result must not change the next one: both
+    # memos hold their own values, never the dicts they hand out
+    ctx = CATALOG[name].build().ctx
+    uea = ctx.uea
+    top = uea.dim - 1
+    words = [(), (0,), (top, 0), (0, top), (ctx.lo_a, top, 0),
+             (top, ctx.lo_a), (ctx.lo_a, ctx.lo_a)]
+    for call in (uea.normal_form_word, ctx.project_word):
+        for word in words:
+            first = call(word)
+            want = dict(first)
+            first[(99,)] = 7
+            first.pop((), None)
+            assert call(word) == want, (call.__name__, word)
