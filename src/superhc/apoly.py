@@ -8,7 +8,6 @@ function mu -> mu(h_i) on a*.  Exponent vectors index a sparse term map.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import accumulate, linear_solver
@@ -96,60 +95,6 @@ class APoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    # -- composition ---------------------------------------------------------
-    def substitute(self, images: Sequence["APoly"]) -> "APoly":
-        """Full composition: variable i is replaced by images[i]."""
-        if len(images) != self.n:
-            raise ValueError("need one image per variable")
-        m = images[0].n if images else self.n
-        # powers[i][k] = images[i] ** k for k >= 1, each built once per call
-        powers = [[None, im] for im in images]
-        out: Dict[Expvec, object] = {}
-        for e, c in self.terms.items():
-            term = None
-            for i, k in enumerate(e):
-                if k:
-                    pw = powers[i]
-                    while len(pw) <= k:
-                        pw.append(pw[-1] * images[i])
-                    term = pw[k] if term is None else term * pw[k]
-            if term is None:
-                accumulate(out, {(0,) * m: c})
-            else:
-                accumulate(out, term.terms, c)
-        return APoly(m, out)
-
-    def shift(self, values: Sequence) -> "APoly":
-        """p(. + offset): variable i is replaced by h_i + values[i].
-
-        A Taylor shift, one variable at a time: with v = values[i], a term
-        c h^e becomes sum_j C(e_i, j) v^(e_i - j) c h^e', where e' is e with
-        e_i lowered to j; each row of those binomial weights is built once.
-        """
-        terms = self.terms
-        for i, v in enumerate(values):
-            if not v:
-                continue
-            rows: Dict[int, List] = {}
-            out: Dict[Expvec, object] = {}
-            for e, c in terms.items():
-                k = e[i]
-                row = rows.get(k)
-                if row is None:
-                    row = rows[k] = [comb(k, j) * v ** (k - j)
-                                     for j in range(k + 1)]
-                head, tail = e[:i], e[i + 1:]
-                # one row per term: distinct exponents j stay distinct
-                accumulate(out, {head + (j,) + tail: w
-                                 for j, w in enumerate(row)}, c)
-            terms = out
-        return APoly(self.n, terms)
-
-    def substitute_linear(self, mat: Sequence[Sequence]) -> "APoly":
-        """Variable i is replaced by sum_j mat[i][j] * h_j."""
-        images = [APoly.linear(mat[i]) for i in range(self.n)]
-        return self.substitute(images)
-
     def directional_derivative(self, values: Sequence) -> "APoly":
         """sum_i values[i] * d/dh_i, the derivative along a functional."""
         out: Dict[Expvec, object] = {}
@@ -176,52 +121,49 @@ class APoly:
         return self.pretty()
 
 
-class ImageTables:
-    """APoly.substitute and APoly.substitute_linear for a run of polynomials
-    substituted alike, through one table of monomial images per substitution.
+class Substitution:
+    """Composition with fixed images: s(p) is p with variable i replaced by
+    images[i].
 
     The image of a monomial is that of the same monomial with its last
     nonzero exponent lowered by one, times one image, so each monomial costs
-    one product, where APoly.substitute multiplies a power of every image
-    for each term; with affine images every product is by a polynomial of
-    degree <= 1.  A substitution is named by the object that defines it, an
-    images list or a matrix, which its table keeps alive; the tables live as
-    long as the ImageTables.
+    one product the first time it is met; with affine images every product
+    is by a polynomial of degree <= 1.  The table of monomial images lives
+    as long as the substitution, so whoever owns the images owns the table.
     """
 
-    def __init__(self):
-        self._tables: Dict[int, tuple] = {}
+    __slots__ = ("images", "m", "_table")
 
-    def substitute(self, p: APoly, images: Sequence[APoly]) -> APoly:
-        return self._apply(p, images, images)
+    def __init__(self, images: Sequence[APoly]):
+        self.images = list(images)
+        self.m = images[0].n if images else 0  # variables of the result
+        self._table: Dict[Expvec, APoly] = {
+            (0,) * len(self.images): APoly.const(self.m, Q(1))}
 
-    def substitute_linear(self, p: APoly, mat: Sequence[Sequence]) -> APoly:
-        return self._apply(p, mat, None)
+    @classmethod
+    def linear(cls, mat: Sequence[Sequence]) -> "Substitution":
+        """Variable i goes to sum_j mat[i][j] * h_j."""
+        return cls([APoly.linear(row) for row in mat])
 
-    def _apply(self, p: APoly, key, images) -> APoly:
-        entry = self._tables.get(id(key))
-        if entry is None:
-            if images is None:
-                images = [APoly.linear(row) for row in key]
-            if len(images) != p.n:
-                raise ValueError("need one image per variable")
-            m = images[0].n if images else p.n
-            entry = self._tables[id(key)] = (
-                key, images, m, {(0,) * p.n: APoly.const(m, Q(1))})
-        _, images, m, table = entry
-
-        def image(e: Expvec) -> APoly:
-            hit = table.get(e)
-            if hit is None:
-                j = max(i for i, k in enumerate(e) if k)
-                hit = table[e] = image(e[:j] + (e[j] - 1,) + e[j + 1:]) \
-                    * images[j]
-            return hit
-
+    def __call__(self, p: APoly) -> APoly:
+        if p.n != len(self.images):
+            raise ValueError("need one image per variable")
+        table = self._table
         out: Dict[Expvec, object] = {}
         for e, c in p.terms.items():
-            accumulate(out, image(e).terms, c)
-        return APoly(m, out)
+            hit = table.get(e)
+            if hit is None:
+                hit = self._image(e)
+            accumulate(out, hit.terms, c)
+        return APoly(self.m, out)
+
+    def _image(self, e: Expvec) -> APoly:
+        hit = self._table.get(e)
+        if hit is None:
+            j = max(i for i, k in enumerate(e) if k)
+            hit = self._table[e] = \
+                self._image(e[:j] + (e[j] - 1,) + e[j + 1:]) * self.images[j]
+        return hit
 
 
 def monomials_up_to(n: int, d: int) -> List[Expvec]:
@@ -243,13 +185,14 @@ def monomials_up_to(n: int, d: int) -> List[Expvec]:
     return result
 
 
-def change_to_basis(new_basis: Sequence[Sequence]) -> List[APoly]:
-    """Images rewriting variables into coordinates along a new basis of a.
+def change_to_basis(new_basis: Sequence[Sequence]) -> Substitution:
+    """The substitution rewriting variables into coordinates along a new
+    basis of a.
 
     new_basis[j] is the coordinate tuple of the j-th new basis vector of a
-    over the old basis.  Returns images such that substituting them into a
-    polynomial in the old h_i yields the same function written in the new
-    variables c_j.  Raises ValueError if new_basis is not a basis.
+    over the old basis.  Applied to a polynomial in the old h_i, the
+    substitution yields the same function written in the new variables c_j.
+    Raises ValueError if new_basis is not a basis.
     """
     r = len(new_basis)
     solve = linear_solver([{i: x for i, x in enumerate(b) if x}
@@ -260,4 +203,4 @@ def change_to_basis(new_basis: Sequence[Sequence]) -> List[APoly]:
     for i in range(len(new_basis[0]) if new_basis else 0):
         coords = solve({i: Q(1)})
         images.append(APoly.linear([coords.get(j, Q(0)) for j in range(r)]))
-    return images
+    return Substitution(images)

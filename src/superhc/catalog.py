@@ -280,8 +280,8 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
         "seed": seed,
         "rows": rows,
         "flags": {
-            "weyl_invariance": all(p.substitute_linear(w) == p
-                                   for p in images for w in weyl.elements),
+            "weyl_invariance": all(w(p) == p for p in images
+                                   for w in weyl.substitutions),
             "image_in_J": all(membership_J(p, data, weyl) for p in images),
             "kernel_vanishes": seq["kernel_maps_to_zero"],
             # gr J = I(a) is filtered: every row, not just the top one

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
-from .apoly import APoly
+from .apoly import APoly, Substitution
 from .linalg import Echelon, Row, kernel, linear_solver
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
@@ -63,21 +63,14 @@ class IwasawaContext:
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
         self.rho = self.rho_triple[0]
+        # Gamma's shift mu -> mu + rho: h_i goes to h_i + rho(h_i)
+        self.rho_shift = Substitution(
+            [APoly.variable(self.rank, i) + APoly.const(self.rank, x)
+             for i, x in enumerate(self.rho)])
         # each basis letter of the original algebra as a scaled element
         # (y, s) of U(g): the letter is y / s
         self._letters = [self.uea.scaled(self.uea.from_vector(
             self.to_adapted(pair.g.basis(i)))) for i in range(pair.g.dim)]
-        # ad-weights of the k letters acting diagonally (scaled to ints),
-        # and the other letters that together with them generate k
-        self.k_diagonal, others = _diagonal_weights(self.adapted, self.k_indices())
-        self.k_generators = _k_generators(self.adapted, list(self.k_diagonal),
-                                          others)
-        closure: List[SuperVector] = []
-        _close(self.adapted, Echelon(), closure,
-               [*self.k_diagonal, *self.k_generators])
-        if len(closure) != len(k_basis):
-            raise GeneratorsMissK(f"letters generate {len(closure)} of "
-                                  f"dim k = {len(k_basis)}")
 
     # -- conversions ---------------------------------------------------------
     def to_adapted(self, v: SuperVector) -> SuperVector:
@@ -116,15 +109,14 @@ class IwasawaContext:
     def project_to_a(self, u: UEAElement) -> APoly:
         """The pure-a part of u; u minus it lies in n U(g) + U(g) k."""
         lo, hi = self.lo_a, self.lo_k
+        a_letters = range(lo, hi)
         terms: Dict[Tuple[int, ...], object] = {}
         for m, c in u.items():
-            if all(lo <= i < hi for i in m):
-                e = [0] * self.rank
-                for i in m:
-                    e[i - lo] += 1
-                terms[tuple(e)] = terms.get(tuple(e), Q(0)) + c
-            elif not (m[0] < lo or m[-1] >= hi):
+            if m and (m[0] < lo or m[-1] >= hi):
+                continue
+            if not all(lo <= i < hi for i in m):
                 raise OrderNotIwasawa("monomial escapes n U(g) + U(g) k")
+            accumulate(terms, {tuple(map(m.count, a_letters)): c})
         return APoly(self.rank, terms)
 
     def project_word(self, word: Sequence[int]) -> UEAElement:
@@ -176,7 +168,7 @@ class IwasawaContext:
 
     def hc_gamma(self, u: UEAElement) -> APoly:
         """The rho-shifted projection: Gamma(u)(mu) = u_a(mu + rho)."""
-        return self.project_to_a(u).shift(self.rho)
+        return self.rho_shift(self.project_to_a(u))
 
     def gamma_of_product(self, u: UEAElement, v: UEAElement) -> APoly:
         """Gamma(u v) without forming u v.
@@ -311,16 +303,37 @@ def _k_generators(alg, diag: List[int], others: List[int]) -> List[int]:
     return kept
 
 
+def k_generating_letters(ctx: IwasawaContext
+                         ) -> Tuple[Dict[int, List], List[int]]:
+    """(diagonal, generators): the ad-weights of the k letters acting
+    diagonally (see _diagonal_weights), and the other letters that together
+    with them generate k (see _k_generators).
+
+    Raises GeneratorsMissK if the bracket closure of these letters is a
+    proper subalgebra of k.
+    """
+    alg = ctx.adapted
+    diagonal, others = _diagonal_weights(alg, ctx.k_indices())
+    generators = _k_generators(alg, list(diagonal), others)
+    closure: List[SuperVector] = []
+    _close(alg, Echelon(), closure, [*diagonal, *generators])
+    dim_k = alg.dim - ctx.lo_k
+    if len(closure) != dim_k:
+        raise GeneratorsMissK(f"letters generate {len(closure)} of "
+                              f"dim k = {dim_k}")
+    return diagonal, generators
+
+
 def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     """Solve ad(x) D = 0 for generators x of k, over PBW monomials <= d.
 
     The diagonal letters of k act on monomials by weights, so they only
     select the weight-zero monomials, the only ones uea.monomials_up_to
-    lists; ctx.k_generators supply the rows.  The columns are ad(y_x) y^m in
-    the scaled basis of U(g), which are integral; scaling the columns and
-    rows of a matrix leaves its free columns, so each kernel vector w, with
-    a 1 at its free monomial f, is brought back to PBW coordinates once and
-    keeps that 1: v[m] = w[m] D^{len m - len f}.
+    lists; the generators of k_generating_letters supply the rows.  The
+    columns are ad(y_x) y^m in the scaled basis of U(g), which are integral;
+    scaling the columns and rows of a matrix leaves its free columns, so
+    each kernel vector w, with a 1 at its free monomial f, is brought back
+    to PBW coordinates once and keeps that 1: v[m] = w[m] D^{len m - len f}.
 
     Ordering contract, on which the per-degree rows of verify_exact_sequence
     rest: the invariants are the reduced-echelon kernel over the monomials
@@ -332,8 +345,9 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     its basis vectors of degree <= e.
     """
     uea = ctx.uea
-    kept = uea.monomials_up_to(d, list(ctx.k_diagonal.values()))
-    kern = kernel({(x, mt): c for x in ctx.k_generators
+    diagonal, generators = k_generating_letters(ctx)
+    kept = uea.monomials_up_to(d, list(diagonal.values()))
+    kern = kernel({(x, mt): c for x in generators
                    for mt, c in uea.scaled_adjoint(x, {m: 1}).items()}
                   for m in kept)
     invariants = [uea.unscaled({kept[t]: c for t, c in coords.items()},

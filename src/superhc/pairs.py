@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .apoly import Substitution
 from .linalg import (Row, ScalarMatrix, kernel, linear_solver,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
@@ -264,12 +265,16 @@ def rho(system: RestrictedRootSystem) -> Tuple[Functional, Functional, Functiona
 
 
 class WeylGroup:
-    """The even Weyl group as matrices acting on a*-coordinates."""
+    """The even Weyl group as matrices acting on a*-coordinates, and the
+    action of each element and each generator on S(a) as a substitution."""
 
     def __init__(self, elements: List[Tuple[Tuple, ...]],
                  generators: List[Tuple[Tuple, ...]]):
         self.elements = elements
         self.generators = generators
+        self.substitutions = [Substitution.linear(w) for w in elements]
+        self.generator_substitutions = [Substitution.linear(w)
+                                        for w in generators]
 
     def __len__(self):
         return len(self.elements)

@@ -235,16 +235,6 @@ class UEA:
                     sign = -sign
         return acc
 
-    def adjoint(self, x: SuperVector, u: UEAElement) -> UEAElement:
-        if x.alg is not self.alg:
-            raise MixedAlgebras("adjoint by a vector from another algebra")
-        if x.parity is None and x.c:
-            raise ValueError("adjoint needs a homogeneous vector")
-        acc: UEAElement = {}
-        for i, c in x.c.items():
-            accumulate(acc, self.adjoint_index(i, u), c)
-        return acc
-
     # -- supersymmetrisation ------------------------------------------------
     def beta(self, p: SymElement) -> UEAElement:
         """The PBW section of S(g) -> U(g): Koszul-averaged products, taken

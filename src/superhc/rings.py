@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apoly import APoly, ImageTables, change_to_basis, monomials_up_to
+from .apoly import APoly, change_to_basis, monomials_up_to
 from .builders import matrix_superalgebra, supercommutator
 from .linalg import ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
@@ -41,7 +41,7 @@ class OddRootDatum:
     """Everything the membership tests need to know about one odd root."""
 
     __slots__ = ("lam", "q", "iso_class", "c", "a_coords", "A_coords",
-                 "h0_coords", "a_perp", "gated", "rank", "images")
+                 "h0_coords", "a_perp", "gated", "rank", "coordinate_change")
 
     def __init__(self, lam: Tuple, q: int, iso_class: str, c,
                  A_coords: Tuple, a_coords: Optional[Tuple],
@@ -57,10 +57,10 @@ class OddRootDatum:
         self.a_perp = a_perp          # basis of the complement inside a
         self.gated = gated            # 2*lam is a root: explicit model refused
         self.rank = len(lam)
-        # substituting these rewrites a polynomial in adapted coordinates:
-        # (a, perp) if anisotropic, (A_lam, h0, perp) if isotropic
+        # rewrites a polynomial in adapted coordinates: (a, perp) if
+        # anisotropic, (A_lam, h0, perp) if isotropic
         head = [a_coords] if iso_class == ANISOTROPIC else [A_coords, h0_coords]
-        self.images = change_to_basis([*head, *a_perp])
+        self.coordinate_change = change_to_basis([*head, *a_perp])
 
 
 def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
@@ -259,11 +259,10 @@ def coefficient_aNk(N: int, k: int) -> Fraction:
     return total
 
 
-def _sum_of_products(alg: LieSuperalgebra, pairs: List[Tuple[int, int]]) -> SymElement:
+def _sum_of_products(pairs: List[Tuple[int, int]]) -> SymElement:
     out: SymElement = {}
     for i, j in pairs:
-        key = (i, j) if i < j else (j, i)
-        out[key] = out.get(key, Q(0)) + (Q(1) if i < j else Q(-1))
+        accumulate(out, {(i, j): 1} if i < j else {(j, i): -1})
     return out
 
 
@@ -280,8 +279,8 @@ def generators(model: RankOneModel,
     par = g.parity
     if model.iso_class == ANISOTROPIC:
         ia = g.index("a")
-        W = _sum_of_products(g, [(g.index(f"w{j+1}"), g.index(f"wt{j+1}"))
-                                 for j in range(q)])
+        W = _sum_of_products([(g.index(f"w{j+1}"), g.index(f"wt{j+1}"))
+                              for j in range(q)])
         p2: SymElement = {(ia, ia): Q(1)}
         accumulate(p2, W, Q(2))
         # coefficient of a^{2(q-k)+1} W^k is a_{2q+1,k} / k!; this is the
@@ -300,8 +299,8 @@ def generators(model: RankOneModel,
         if kl is None:
             raise ValueError("isotropic generators need the list of (k, l)")
         ih0, ial = g.index("h0"), g.index("Al")
-        Z = _sum_of_products(g, [(g.index(f"z{j+1}"), g.index(f"zt{j+1}"))
-                                 for j in range(q)])
+        Z = _sum_of_products([(g.index(f"z{j+1}"), g.index(f"zt{j+1}"))
+                              for j in range(q)])
         out = []
         for k, ell in kl:
             if ell < min(k, q):
@@ -345,13 +344,8 @@ def _even_odd_split(coeffs: Dict[int, object], q: int):
     return A, B
 
 
-def membership_conditions(p: APoly, datum: OddRootDatum, ring: str,
-                          sub=APoly) -> Dict:
-    """Linear functionals (slot -> value) whose joint vanishing is membership.
-
-    sub substitutes: APoly itself, or the ImageTables of a run of
-    polynomials (see ring_degrees).
-    """
+def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
+    """Linear functionals (slot -> value) whose joint vanishing is membership."""
     if datum.gated:
         return {}
     out: Dict = {}
@@ -363,12 +357,12 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str,
             deriv = deriv.directional_derivative(datum.lam)
             if not deriv.terms:
                 break
-            adapted = sub.substitute(deriv, datum.images)
+            adapted = datum.coordinate_change(deriv)
             for e, c in adapted.terms.items():
                 if e[0] < j:
                     out[("iso", datum.lam, j, e)] = c
         return out
-    adapted = sub.substitute(p, datum.images)
+    adapted = datum.coordinate_change(p)
     if ring == "I":
         for e, c in adapted.terms.items():
             if e[0] % 2 == 1 and e[0] < 2 * datum.q + 1:
@@ -382,29 +376,27 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str,
     return out
 
 
-def weyl_conditions(p: APoly, weyl: WeylGroup, sub=APoly) -> Dict:
+def weyl_conditions(p: APoly, weyl: WeylGroup) -> Dict:
     out: Dict = {}
-    for t, w in enumerate(weyl.generators):
-        moved = sub.substitute_linear(p, w) - p
+    for t, w in enumerate(weyl.generator_substitutions):
+        moved = w(p) - p
         for e, c in moved.terms.items():
             out[("W", t, e)] = c
     return out
 
 
 def ring_conditions(p: APoly, ring: str, data: Sequence[OddRootDatum],
-                    weyl: WeylGroup, include_weyl: bool = True,
-                    sub=APoly) -> Dict:
+                    weyl: WeylGroup, include_weyl: bool = True) -> Dict:
     """The linear conditions whose joint vanishing puts p in a ring.
 
     ring is "I" (I(a)), "J" (J(a)) or "SW0" (S(a)^W0): every ring asks for
     W0-invariance, and I and J add the conditions of each odd root.
-    include_weyl=False drops the W0 conditions.  sub substitutes, as in
-    membership_conditions.
+    include_weyl=False drops the W0 conditions.
     """
-    out = weyl_conditions(p, weyl, sub) if include_weyl else {}
+    out = weyl_conditions(p, weyl) if include_weyl else {}
     if ring != "SW0":
         for datum in data:
-            out.update(membership_conditions(p, datum, ring, sub))
+            out.update(membership_conditions(p, datum, ring))
     return out
 
 
@@ -425,14 +417,11 @@ def ring_degrees(ring: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
     lists monomials by degree, and each vector's degree is that of its
     largest key, its last monomial (see linalg.nullspace): so the degree
     <= e part of the space has dimension #{degrees <= e} for every e <= d.
-    The conditions of all the monomials substitute through one ImageTables,
-    which lives for this call only.
     """
     monos = monomials_up_to(rank, d)
-    sub = ImageTables()
     return [sum(monos[max(v)])
             for v in kernel(ring_conditions(APoly(rank, {e: Q(1)}), ring, data,
-                                            weyl, include_weyl, sub)
+                                            weyl, include_weyl)
                             for e in monos)]
 
 

@@ -1,14 +1,17 @@
 """Shared oracle helpers for the test-suite."""
 
+import copy
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations
 from math import factorial
+from types import SimpleNamespace
 
 from superhc.apoly import APoly, monomials_up_to
 from superhc.builders import _gl_super, matrix_superalgebra
-from superhc.harish import _ideal_part, invariants_up_to_degree
+from superhc.harish import (_ideal_part, invariants_up_to_degree,
+                            k_generating_letters)
 from superhc.linalg import kernel, solve_membership, span_basis
-from superhc.liesuper import SuperVector, centralizer
+from superhc.liesuper import MixedAlgebras, SuperVector, centralizer
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
 from superhc.rings import ANISOTROPIC, membership_conditions, ring_conditions
@@ -87,14 +90,56 @@ def oracle_coordinates(basis, v):
     return {j - n: -x for j, x in sorted(residual.items())}
 
 
+def substitute(p, images):
+    """Full composition: variable i is replaced by images[i].  Powers of the
+    images are built once per call, and no table outlives it: the oracle
+    for apoly.Substitution."""
+    if len(images) != p.n:
+        raise ValueError("need one image per variable")
+    m = images[0].n if images else p.n
+    # powers[i][k] = images[i] ** k for k >= 1, each built once per call
+    powers = [[None, im] for im in images]
+    out = {}
+    for e, c in p.terms.items():
+        term = None
+        for i, k in enumerate(e):
+            if k:
+                pw = powers[i]
+                while len(pw) <= k:
+                    pw.append(pw[-1] * images[i])
+                term = pw[k] if term is None else term * pw[k]
+        if term is None:
+            accumulate(out, {(0,) * m: c})
+        else:
+            accumulate(out, term.terms, c)
+    return APoly(m, out)
+
+
+def oracle_stand_ins(data, weyl):
+    """(data, weyl) for ring_conditions: copies of the odd-root data, and a
+    stand-in for the Weyl group, whose substitutions take the same images
+    through the oracle substitute, so that no table of monomial images is
+    read."""
+    def oracle(substitution):
+        return lambda p: substitute(p, substitution.images)
+
+    stand_ins = []
+    for datum in data:
+        stand_in = copy.copy(datum)
+        stand_in.coordinate_change = oracle(datum.coordinate_change)
+        stand_ins.append(stand_in)
+    return stand_ins, SimpleNamespace(generator_substitutions=[
+        oracle(w) for w in weyl.generator_substitutions])
+
+
 def oracle_ring_degrees(ring, data, weyl, rank, d, include_weyl=True):
     """rings.ring_degrees with every monomial's conditions computed on its
-    own, through APoly.substitute, rather than through one table of
-    monomial images."""
+    own, through oracle_stand_ins."""
+    data, weyl = oracle_stand_ins(data, weyl)
     monos = monomials_up_to(rank, d)
     return [sum(monos[max(v)])
-            for v in kernel(ring_conditions(APoly(rank, {e: Q(1)}), ring, data,
-                                            weyl, include_weyl)
+            for v in kernel(ring_conditions(APoly(rank, {e: Q(1)}), ring,
+                                            data, weyl, include_weyl)
                             for e in monos)]
 
 
@@ -152,13 +197,15 @@ def weyl_acts_on_functional(w, lam):
 def invariants_from_all_letters(ctx, d):
     """(invariants, companion) as invariants_up_to_degree computes them, but
     with an adjoint row for every non-diagonal letter of k rather than only
-    for the generators ctx.k_generators, each row in the commutator form
-    e_x m - (-1)^{|x||m|} m e_x on a UEA of its own, and the weight-zero
-    monomials picked from all of them: the slow path it is checked by."""
+    for the generators of k_generating_letters, each row in the commutator
+    form e_x m - (-1)^{|x||m|} m e_x on a UEA of its own, and the
+    weight-zero monomials picked from all of them: the slow path it is
+    checked by."""
     uea = UEA(ctx.adapted)
     par = uea.parity
-    weights = ctx.k_diagonal.values()
-    letters = [x for x in ctx.k_indices() if x not in ctx.k_diagonal]
+    diagonal, _ = k_generating_letters(ctx)
+    weights = diagonal.values()
+    letters = [x for x in ctx.k_indices() if x not in diagonal]
     kept = [m for m in uea.monomials_up_to(d)
             if all(sum((w[i] for i in m), Q(0)) == 0 for w in weights)]
 
@@ -175,10 +222,10 @@ def invariants_from_all_letters(ctx, d):
 
 
 def shift_by_substitute(p, values):
-    """p(. + values) through the general APoly.substitute: variable i goes
-    to h_i + values[i].  The oracle for APoly.shift."""
-    return p.substitute([APoly.variable(p.n, i) + APoly.const(p.n, values[i])
-                         for i in range(p.n)])
+    """p(. + values) through the oracle substitute: variable i goes to
+    h_i + values[i].  The oracle for Gamma's rho shift."""
+    return substitute(p, [APoly.variable(p.n, i) + APoly.const(p.n, values[i])
+                          for i in range(p.n)])
 
 
 def beta_of_vectors(ctx, factors):
@@ -278,6 +325,19 @@ def oracle_normal_form(alg, word):
             todo.extend((head + (k,) + tail, v * c)
                         for k, v in derived_bracket(alg, a, b).items())
     return {w: c for w, c in out.items() if c}
+
+
+def adjoint(uea, x, u):
+    """ad(x) u for a homogeneous vector x of uea's algebra, letter by letter
+    through UEA.adjoint_index."""
+    if x.alg is not uea.alg:
+        raise MixedAlgebras("adjoint by a vector from another algebra")
+    if x.parity is None and x.c:
+        raise ValueError("adjoint needs a homogeneous vector")
+    acc = {}
+    for i, c in x.c.items():
+        accumulate(acc, uea.adjoint_index(i, u), c)
+    return acc
 
 
 def oracle_adjoint(alg, i, u):

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superhc import harish
-from superhc.apoly import APoly
+from superhc.apoly import APoly, Substitution
 from superhc.catalog import CATALOG
 from superhc.harish import (GeneratorsMissK, IwasawaContext, OrderNotIwasawa,
                             gr_restriction, invariants_up_to_degree,
-                            verify_exact_sequence)
+                            k_generating_letters, verify_exact_sequence)
 from superhc.linalg import kernel, span_basis
 from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
 from superhc.scalars import Quad
-from support import (beta_of_vectors, gamma_preimage,
+from support import (adjoint, beta_of_vectors, gamma_preimage,
                      invariants_from_all_letters, oracle_adjoint,
                      shift_by_substitute)
 
@@ -58,19 +58,24 @@ def test_project_and_gamma_rank_one_p2():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_shift_matches_substitute_on_the_catalog_images(name):
-    # the Taylor shift against the general substitution, on the pure-a
-    # parts of the invariants at the entry's default degree, by rho (as Gamma
-    # shifts), by -rho and by a point with a zero coordinate
+    # shifts through warm tables against the oracle substitution, on the
+    # pure-a parts of the invariants at the entry's default degree, twice
+    # over: by rho through the context's own rho_shift (as Gamma shifts), by
+    # -rho and by a point with a zero coordinate
     entry = CATALOG[name]
     ctx = entry.build().ctx
     parts = [ctx.project_to_a(v) for v in
              invariants_up_to_degree(ctx, entry.default_degree).invariants]
     assert any(p.degree() >= 2 for p in parts)
-    points = [ctx.rho, [-x for x in ctx.rho],
-              [Q(3, 2)] + [0] * (ctx.rank - 1)]
-    for p in parts:
-        for values in points:
-            got = p.shift(values)
+    r = ctx.rank
+    shifts = [(ctx.rho, ctx.rho_shift)]
+    for values in ([-x for x in ctx.rho], [Q(3, 2)] + [0] * (r - 1)):
+        shifts.append((values, Substitution(
+            [APoly.variable(r, i) + APoly.const(r, x)
+             for i, x in enumerate(values)])))
+    for p in parts + parts:
+        for values, shift in shifts:
+            got = shift(p)
             want = shift_by_substitute(p, values)
             assert got == want and got.pretty() == want.pretty(), (p, values)
 
@@ -109,7 +114,7 @@ def test_invariants_group_sl2_contains_casimir():
         cas[m] = cas.get(m, Q(0)) + Q(1, 2) * c
     cas = {m: c for m, c in cas.items() if c}
     for x in analysis.pair.k_basis:
-        assert ctx.uea.adjoint(ctx.to_adapted(x), cas) == {}
+        assert adjoint(ctx.uea, ctx.to_adapted(x), cas) == {}
     # membership of cas in the span of the computed invariants
     from superhc.linalg import solve_membership
     assert solve_membership(cas, basis.invariants) is not None
@@ -121,7 +126,7 @@ def test_invariants_rank_one_q1_contains_beta_p2():
     basis = invariants_up_to_degree(ctx, 2)
     b2 = ctx.beta_from_g(generators(analysis.model)[0])
     for x in analysis.pair.k_basis:
-        assert ctx.uea.adjoint(ctx.to_adapted(x), b2) == {}
+        assert adjoint(ctx.uea, ctx.to_adapted(x), b2) == {}
     from superhc.linalg import solve_membership
     assert solve_membership(b2, basis.invariants) is not None
 
@@ -249,8 +254,8 @@ def test_weyl_invariance_of_images():
         basis = invariants_up_to_degree(analysis.ctx, 2)
         for v in basis.invariants:
             p = analysis.ctx.hc_gamma(v)
-            for w in analysis.weyl.elements:
-                assert p.substitute_linear(w) == p
+            for w in analysis.weyl.substitutions:
+                assert w(p) == p
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -304,7 +309,8 @@ def test_diagonal_letters_and_generators_generate_k(name):
     ctx = CATALOG[name].build().ctx
     alg = ctx.adapted
     k = set(ctx.k_indices())
-    letters = [*ctx.k_diagonal, *ctx.k_generators]
+    diagonal, k_gens = k_generating_letters(ctx)
+    letters = [*diagonal, *k_gens]
     assert set(letters) <= k and len(set(letters)) == len(letters)
     span = span_basis([alg.basis(x).c for x in letters])
     while True:
@@ -322,11 +328,14 @@ def test_diagonal_letters_and_generators_generate_k(name):
 def test_generating_set_missing_a_letter_raises(name, monkeypatch):
     # without its last generator the letters generate a proper subalgebra,
     # whose annihilator would hold extra "invariants"
+    ctx = CATALOG[name].build().ctx
     chosen = harish._k_generators
     monkeypatch.setattr(harish, "_k_generators",
                         lambda *args: chosen(*args)[:-1])
     with pytest.raises(GeneratorsMissK):
-        CATALOG[name].build()
+        k_generating_letters(ctx)
+    with pytest.raises(GeneratorsMissK):
+        invariants_up_to_degree(ctx, 1)
 
 
 def test_invariants_at_stretch_degree_group_osp12_8():

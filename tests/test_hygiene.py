@@ -148,12 +148,14 @@ def bound_classes(func, classes, owner=None):
 BARE = "<bare name>"
 
 
-def mentions(source, classes=()):
+def mentions(source, classes=(), modules=()):
     """(class, name) for each name read through a Name or Attribute node, and
     for the parts of string constants that are dotted names (a tracer's
     targets are such strings).  class is BARE for a Name node, and for an
     attribute the class of classes it is read on when that is known
-    (C.name, C(...).name, or a variable bound_classes types), else None."""
+    (C.name, C(...).name, or a variable bound_classes types), else None.
+    A string "m.x" with m one of modules is a label, such as a tracer's span
+    name "pbw.adjoint", and names nothing."""
     found = set()
 
     def receiver(node, env):
@@ -174,6 +176,8 @@ def mentions(source, classes=()):
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and DOTTED.fullmatch(node.value):
                 head, *rest = node.value.split(".")
+                if head in modules and len(rest) == 1:
+                    continue
                 found.add((None, head))
                 found.update(((head if head in classes else None), part)
                              for part in rest)
@@ -192,11 +196,12 @@ def mentions(source, classes=()):
     return found
 
 
-def dead_definitions(sources, mentioning_sources):
+def dead_definitions(sources, mentioning_sources, modules=()):
     """For each source, its definitions that no mentioning source names.  A
     method C.m counts as named by a read of attribute m on an unknown
     receiver, or on C, a class C derives from, or a class derived from C; a
-    bare name m, or an attribute m read on another class, does not count."""
+    bare name m, or an attribute m read on another class, does not count,
+    and neither does a label "m.x" with m one of modules (see mentions)."""
     bases = class_bases([*sources, *mentioning_sources])
 
     def ancestors(c):
@@ -210,7 +215,7 @@ def dead_definitions(sources, mentioning_sources):
 
     read_on = {}
     for src in mentioning_sources:
-        for cls, name in mentions(src, bases):
+        for cls, name in mentions(src, bases, modules):
             read_on.setdefault(name, set()).add(cls)
 
     def named(definition):
@@ -257,7 +262,8 @@ def test_no_dead_definitions():
     sources = [path.read_text() for path in mentioning_files()]
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path, dead in zip(paths, dead_definitions(
-                 [path.read_text() for path in paths], sources))
+                 [path.read_text() for path in paths], sources,
+                 [path.stem for path in paths]))
              for line, name in dead]
     assert found == []
 
@@ -265,8 +271,6 @@ def test_no_dead_definitions():
 # The definitions in src that no library file names, each with the reason
 # it stays in src rather than in tests/support.py.
 PUBLIC_API = {
-    "apoly.APoly.variable":
-        "the coordinate function h_i, beside const and linear: S(a) by hand",
     "harish.IwasawaContext.project_word":
         "Gamma's projection of one word, the pure-a part of its normal form",
     "harish.gr_restriction":
@@ -281,7 +285,8 @@ def unused_by_library(modules, library_sources):
     library source names, by the rules of dead_definitions."""
     names = list(modules)
     return [f"{module}.{name}" for module, unused in zip(names, dead_definitions(
-        [modules[m] for m in names], library_sources)) for _, name in unused]
+        [modules[m] for m in names], library_sources, names))
+        for _, name in unused]
 
 
 def public_api_problems(found, public):
@@ -303,16 +308,24 @@ def test_unused_by_library_detector():
                "def kept():\n    pass\n"
                "class Box:\n"
                "    def used(self):\n        pass\n"
-               "    def probe(self):\n        pass\n")
-    demo = "import lib\nlib.run()\nlib.Box().used()\n"
-    test = "import lib\nlib.tested()\nlib.kept()\nlib.Box().probe()\n"
+               "    def probe(self):\n        pass\n"
+               "    def labelled(self):\n        pass\n"
+               "    def wrapped(self):\n        pass\n")
+    # a tracer's targets: "pkg.lib" and "Box.wrapped" name code, while the
+    # span label "lib.labelled" only looks like a name
+    demo = ("import lib\nlib.run()\nlib.Box().used()\n"
+            "SPANS = [('pkg.lib', 'Box.wrapped', 'lib.labelled')]\n")
+    test = ("import lib\nlib.tested()\nlib.kept()\nlib.Box().probe()\n"
+            "lib.Box().labelled()\n")
     # a test naming a definition does not keep it
     found = unused_by_library({"lib": library}, [library, demo])
-    assert found == ["lib.tested", "lib.kept", "lib.Box.probe"]
+    assert found == ["lib.tested", "lib.kept", "lib.Box.probe",
+                     "lib.Box.labelled"]
     assert unused_by_library({"lib": library}, [library, demo, test]) == []
     assert public_api_problems(found, {name: "why" for name in found}) == []
     assert public_api_problems(found, {"lib.kept": "why", "lib.run": "",
-                                       "lib.Box.probe": "two\nlines"}) == [
+                                       "lib.Box.probe": "two\nlines",
+                                       "lib.Box.labelled": "why"}) == [
         "lib.tested: only tests name it",
         "lib.run: listed, but the library names it",
         "lib.run: the reason must be one line",

@@ -41,7 +41,8 @@ from superhc.pairs import (build_pair, choose_positive_system,
                            restricted_roots, rho)
 from superhc.pbw import sym_adjoint_index
 from superhc.rings import generators
-from support import anticenter_product, evaluate, sym_monomials_up_to
+from support import (anticenter_product, evaluate, shift_by_substitute,
+                     sym_monomials_up_to)
 
 A = APoly.variable(1, 0)
 
@@ -302,8 +303,8 @@ def test_spherical_evaluation_determines_the_projection(q):
     assert values == [0] * (2 * q + 1) + [-factorial(2 * q + 1)]
     d_a = interpolate(values)
     assert d_a == real.ctx.project_to_a(real.ctx.beta_from_g(p))
-    assert d_a.shift([Q(-q)]) == anticenter_product(q)
-    assert d_a.shift([Q(-q)]) != stated_identity(q)
+    assert shift_by_substitute(d_a, [Q(-q)]) == anticenter_product(q)
+    assert shift_by_substitute(d_a, [Q(-q)]) != stated_identity(q)
 
 
 @pytest.mark.parametrize("q", [1, 2])

@@ -6,26 +6,28 @@ rank-one generator images.  A change that alters those bytes or verdicts fails h
 ordinary test run, instead of only in the benchmark's correctness check.
 The file is only read.  One stretch job past the benchmark's ladders,
 rank1-aniso-q2 at degree 6, is pinned by its own hash here.  So is every
-word of the gamma-session pool, the output of `superhc gamma` on it.
+word of the gamma-session pool, the output of `superhc gamma` on it, and
+every filtered dimension the gamma session asks for.
 """
 
 import hashlib
+import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from superhc.apoly import ImageTables
 from superhc.catalog import CATALOG
 from superhc.cli import main
-from superhc.rings import (generators, membership_I, membership_J,
-                           ring_conditions)
+from superhc.rings import (filtered_dimension, generators, membership_I,
+                           membership_J, ring_conditions)
 from superhc.serialization import (dumps_canonical, poly_from_json,
                                    poly_to_json, uea_to_json)
+from support import oracle_stand_ins
 
-REFERENCE = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
-    .read_text(encoding="utf-8"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 
 VERIFY_AT_SEED_0 = sorted(key.rsplit(":", 1)[0] for key in REFERENCE["verify"]
                           if key.endswith(":0"))
@@ -101,18 +103,63 @@ def test_gamma_of_sym_matches_reference_and_full_supersymmetrisation():
 
 
 def test_image_tables_give_the_conditions_of_the_reference_images():
-    # every reference image through one ImageTables per entry and ring, as
-    # ring_degrees substitutes, against substituting each on its own
+    # every reference image through the tables of monomial images the
+    # entry's data and Weyl group keep, warm across rings and images,
+    # against the oracle substitution of each on its own
     for entry in sorted({key.split(":")[0] for key in REFERENCE["membership"]}):
         an = CATALOG[entry].build()
+        data, weyl = oracle_stand_ins(an.data, an.weyl)
         images = [poly_from_json(row["gamma"], an.a_names)
                   for key, row in REFERENCE["gamma_of_sym"].items()
                   if key.startswith(entry + ":")]
         for ring in ("J", "I"):
-            sub = ImageTables()
             for p in images:
-                assert ring_conditions(p, ring, an.data, an.weyl, sub=sub) \
-                    == ring_conditions(p, ring, an.data, an.weyl)
+                assert ring_conditions(p, ring, an.data, an.weyl) \
+                    == ring_conditions(p, ring, data, weyl)
+
+
+def _session_jobs():
+    """The gamma-session job list at workload seed 0, from the benchmark's
+    own job generator."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.job_list("gamma-session", 0, REFERENCE)
+
+
+def test_filtered_dimensions_and_verdicts_in_session_order():
+    # the 162 filtered dimensions and 34 membership verdicts of the gamma
+    # session, in its seed-0 order on one analysis per entry, so each
+    # entry's tables of monomial images stay warm from job to job as they
+    # do in a long session; each job prints the benchmark's bytes
+    analyses = {}
+    seen = Counter()
+    for job in _session_jobs():
+        kind, entry = job[0], job[1]
+        if kind not in ("filtered_dimension", "membership"):
+            continue
+        if entry not in analyses:
+            analyses[entry] = CATALOG[entry].build()
+        an = analyses[entry]
+        if kind == "filtered_dimension":
+            _, _, ring, d = job
+            out = {"entry": entry, "kind": ring, "degree": d,
+                   "dim": filtered_dimension(ring, an.data, an.weyl, an.rank,
+                                             d)}
+            want = REFERENCE["filtered_dimension"][f"{entry}:{ring}:{d}"]
+        else:
+            _, _, i, ring = job
+            p = poly_from_json(REFERENCE["gamma_of_sym"][f"{entry}:{i}"]
+                               ["gamma"], an.a_names)
+            member = membership_J if ring == "J" else membership_I
+            out = {"entry": entry, "generator": i, "ring": ring,
+                   "member": member(p, an.data, an.weyl)}
+            want = REFERENCE["membership"][f"{entry}:{i}:{ring}"]
+        assert _sha256(dumps_canonical(out)) == want["sha256"], job
+        seen[kind] += 1
+    assert seen == {"filtered_dimension": 162, "membership": 34}
+    assert len(REFERENCE["filtered_dimension"]) == 162
 
 
 def _sha256(text):

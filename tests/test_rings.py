@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superhc.apoly import APoly, ImageTables, monomials_up_to
+from superhc.apoly import APoly, Substitution, monomials_up_to
 from superhc.catalog import CATALOG
 from superhc.harish import gr_restriction
 from superhc.linalg import accumulate, kernel, span_basis
@@ -15,7 +16,8 @@ from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            build_rank_one_model, coefficient_aNk,
                            filtered_dimension, generators, membership_J,
                            odd_root_data, ring_conditions, ring_degrees)
-from support import (in_local_ring, oracle_ring_degrees, sym_monomials_up_to,
+from support import (adjoint, in_local_ring, oracle_ring_degrees,
+                     shift_by_substitute, substitute, sym_monomials_up_to,
                      unnormalized)
 
 
@@ -216,8 +218,8 @@ def test_adjoint_annihilates_p2_in_enveloping_algebra():
     ctx = analysis.ctx
     g = analysis.pair.g
     b2 = ctx.beta_from_g(generators(analysis.model)[0])
-    assert ctx.uea.adjoint(ctx.to_adapted(g.basis("v1")), b2) == {}
-    assert ctx.uea.adjoint(ctx.to_adapted(g.basis("vt1")), b2) == {}
+    assert adjoint(ctx.uea, ctx.to_adapted(g.basis("v1")), b2) == {}
+    assert adjoint(ctx.uea, ctx.to_adapted(g.basis("vt1")), b2) == {}
 
 
 # -- membership -----------------------------------------------------------------
@@ -307,7 +309,7 @@ def test_isotropic_shift_stability():
                 if ell < min(k, q):
                     continue
                 p = h0 ** k * al ** ell
-                shifted = p.shift(datum.lam)
+                shifted = shift_by_substitute(p, datum.lam)
                 assert in_local_ring("I", shifted, datum)
 
 
@@ -363,7 +365,8 @@ def test_filtered_dimension_rank_one_q1():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_ring_degrees_match_per_monomial_substitution(name):
-    # one table of monomial images per call against every monomial's
+    # the tables of monomial images the odd-root data and the Weyl group
+    # keep, warm from one call to the next, against every monomial's
     # conditions substituted on its own
     analysis = CATALOG[name].build()
     top = 8 if analysis.model is not None else 6
@@ -377,9 +380,10 @@ def test_ring_degrees_match_per_monomial_substitution(name):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_image_tables_substitute_like_apoly(data):
-    # several polynomials through one ImageTables, against APoly.substitute
-    # and APoly.substitute_linear, with images of degree <= 2
+def test_substitution_matches_the_power_oracle(data):
+    # several polynomials through one Substitution and one
+    # Substitution.linear, against the oracle substitute, with images of
+    # degree <= 2
     n = data.draw(st.integers(1, 3))
     m = data.draw(st.integers(1, 3))
     coeff = st.integers(-3, 3).map(Q)
@@ -391,11 +395,39 @@ def test_image_tables_substitute_like_apoly(data):
 
     images = [poly(m, 2) for _ in range(n)]
     mat = [[data.draw(coeff) for _ in range(n)] for _ in range(n)]
-    sub = ImageTables()
+    sub, linear = Substitution(images), Substitution.linear(mat)
     for _ in range(3):
         p = poly(n, 3)
-        assert sub.substitute(p, images) == p.substitute(images)
-        assert sub.substitute_linear(p, mat) == p.substitute_linear(mat)
+        assert sub(p) == substitute(p, images)
+        assert linear(p) == substitute(p, [APoly.linear(row) for row in mat])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_substitutions_of_an_entry_match_the_power_oracle(name):
+    # each substitution an entry owns -- the coordinate change of every odd
+    # root, the action of every Weyl element and generator, and Gamma's rho
+    # shift -- against the oracle on images built without it, on every
+    # monomial of degree <= 6 and on dense polynomials, twice over, so the
+    # second pass reads warm tables
+    analysis = CATALOG[name].build()
+    r, weyl, ctx = analysis.rank, analysis.weyl, analysis.ctx
+    cases = [(d.coordinate_change, d.coordinate_change.images)
+             for d in analysis.data]
+    for subs, mats in ((weyl.substitutions, weyl.elements),
+                       (weyl.generator_substitutions, weyl.generators)):
+        cases += [(s, [APoly.linear(row) for row in w])
+                  for s, w in zip(subs, mats, strict=True)]
+    cases.append((ctx.rho_shift, [APoly.variable(r, i) + APoly.const(r, x)
+                                  for i, x in enumerate(ctx.rho)]))
+    monos = monomials_up_to(r, 6)
+    rng = random.Random(f"substitutions:{name}")
+    polys = [APoly(r, {e: Q(1)}) for e in monos] + [
+        APoly(r, {e: Q(rng.randint(-3, 3), rng.randint(1, 3)) for e in monos})
+        for _ in range(3)]
+    for _ in range(2):
+        for sub, images in cases:
+            for p in polys:
+                assert sub(p) == substitute(p, images), (sub.images, p)
 
 
 def test_gr_J_equals_I_dimensionwise():
