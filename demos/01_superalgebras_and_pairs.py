@@ -7,9 +7,9 @@ the rho shift.
 
 from fractions import Fraction as Q
 
-from superhc import (build_pair, choose_positive_system, double_with_flip,
-                     even_weyl_group, iwasawa_check, osp12, restricted_roots,
-                     rho, theta_eigenspaces, verify_algebra)
+from superhc import (build_pair, double_with_flip, even_weyl_group,
+                     iwasawa_check, osp12, restricted_roots, rho,
+                     theta_eigenspaces, verify_algebra)
 
 
 def main():
@@ -29,7 +29,6 @@ def main():
         print(f"  {str(root.lam[0]):>4}   m0 = {root.m0}   m1 = {root.m1}")
     print(f"dim m = {len(system.m_basis)} (the centraliser of a in k)")
 
-    choose_positive_system(system)
     r, r0, r1 = rho(system)
     print(f"\npositive roots: {[str(x.lam[0]) for x in system.positive_roots()]}")
     print(f"rho = {r[0]}  (rho0 = {r0[0]}, rho1 = {r1[0]}; "

@@ -10,8 +10,8 @@ so both describe the same ring here.
 
 from fractions import Fraction as Q
 
-from superhc import (ANISOTROPIC, build_rank_one_model, choose_positive_system,
-                     generators, restricted_roots, rho)
+from superhc import (ANISOTROPIC, build_rank_one_model, generators,
+                     restricted_roots, rho)
 from superhc.harish import IwasawaContext
 
 
@@ -23,7 +23,6 @@ def main():
     print("basis:", ", ".join(g.names))
 
     system = restricted_roots(model.pair)
-    choose_positive_system(system)
     print("\nroots:", [(str(r.lam[0]), r.m0, r.m1) for r in system.roots])
     print("rho =", rho(system)[0][0], "(equals -q times the odd root)")
 

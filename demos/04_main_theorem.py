@@ -7,15 +7,18 @@ every image polynomial, and that the right-ideal part of the invariants
 maps to zero.
 """
 
+import time
+
 from superhc import CATALOG, verify_main_theorem
 
 
 def main():
-    for name, entry in CATALOG.items():
+    for name in CATALOG:
+        t0 = time.monotonic()
         report = verify_main_theorem(name)
         print(f"{name}  (degree {report['degree']}):  "
               f"{'ok' if report['ok'] else 'FAILED'}  "
-              f"[{report['timing_seconds']:.1f}s]")
+              f"[{time.monotonic() - t0:.1f}s]")
         header = ("deg", "inv", "ker", "img", "J", "I", "S^W0")
         print("   " + "".join(f"{h:>6}" for h in header))
         for row in report["rows"]:

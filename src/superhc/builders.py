@@ -10,7 +10,7 @@ of faith.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ScalarMatrix, accumulate, linear_solver
 from .liesuper import LieSuperalgebra, SuperVector
@@ -39,8 +39,8 @@ def _supertrace_of_product(x: ScalarMatrix, y: ScalarMatrix,
 
 
 def matrix_superalgebra(names: Sequence[str], mats: Sequence,
-                        parities: Sequence[int], space_parity: Sequence[int],
-                        decomposition: Optional[dict] = None) -> LieSuperalgebra:
+                        parities: Sequence[int], space_parity: Sequence[int]
+                        ) -> LieSuperalgebra:
     """Lie superalgebra spanned by matrices, with the supertrace form.
 
     mats are ScalarMatrix objects or dense row sequences.
@@ -68,8 +68,7 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence,
                 brackets[(i, j)] = out
     form = ScalarMatrix.from_rows(
         [[_supertrace_of_product(a, b, space_parity) for b in mats] for a in mats])
-    return LieSuperalgebra(names, parities, brackets, form=form,
-                           decomposition=decomposition)
+    return LieSuperalgebra(names, parities, brackets, form=form)
 
 
 def _unit(n: int, i: int, j: int) -> ScalarMatrix:

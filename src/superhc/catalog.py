@@ -10,7 +10,6 @@ dimensions match the invariant ring, images pass membership, the companion
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
@@ -22,8 +21,8 @@ from .linalg import rank as matrix_rank
 from .linalg import ScalarMatrix, linear_solver, span_basis
 from .liesuper import LieSuperalgebra, SuperVector, centralizer
 from .pairs import (PairError, SymmetricPair, build_pair,
-                    centralizer_formula_holds, choose_positive_system,
-                    even_weyl_group, restricted_roots)
+                    centralizer_formula_holds, even_weyl_group,
+                    restricted_roots)
 from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
                     membership_J, odd_root_data, ring_degrees)
 from .scalars import scalar_to_string
@@ -33,11 +32,11 @@ Q = Fraction
 SAMPLES = 5  # draws of each randomized check in verify_main_theorem
 
 
-class NotEvenType(Exception):
+class NotEvenType(ValueError):
     pass
 
 
-class NoCertificate(Exception):
+class NoCertificate(ValueError):
     pass
 
 
@@ -106,8 +105,7 @@ class Analysis:
         self.pair = pair
         self.model = model
         self.name = name
-        self.system = restricted_roots(pair)
-        choose_positive_system(self.system, direction)
+        self.system = restricted_roots(pair, direction)
         self.weyl = even_weyl_group(self.system)
         self.ctx = IwasawaContext(pair, self.system)
         self.data = odd_root_data(self.system)
@@ -169,7 +167,7 @@ for entry in [
     CATALOG[entry.name] = entry
 
 
-def roots_report(analysis: Analysis, entry_name: str = "") -> dict:
+def roots_report(analysis: Analysis) -> dict:
     system = analysis.system
     data_by_lam = {d.lam: d for d in analysis.data}
     roots = []
@@ -190,7 +188,7 @@ def roots_report(analysis: Analysis, entry_name: str = "") -> dict:
         roots.append(row)
     rho_t = analysis.ctx.rho_triple
     return {
-        "entry": entry_name,
+        "entry": analysis.name,
         "a_basis": analysis.a_names,
         "direction": [scalar_to_string(x) for x in system.direction],
         "roots": roots,
@@ -237,24 +235,21 @@ def multiplicativity_check(analysis: Analysis, basis: InvariantBasis,
 
 
 def verify_main_theorem(entry, degree: Optional[int] = None,
-                        direction: Optional[Sequence] = None,
                         seed: int = 0) -> dict:
     """Run the full pipeline and fill the per-degree verification report.
 
-    Each ring column is one kernel at the top degree (rings.ring_degrees);
-    its row at degree e counts the basis vectors of degree <= e.
+    entry is a catalog name or a built Analysis; degree defaults to the
+    catalog entry's default degree, or 3 for an Analysis.  Each ring column
+    is one kernel at the top degree (rings.ring_degrees); its row at degree
+    e counts the basis vectors of degree <= e.
     """
-    t0 = time.monotonic()
     if isinstance(entry, str):
-        entry = CATALOG[entry]
-    if isinstance(entry, CatalogEntry):
-        if degree is None:
-            degree = entry.default_degree
-        analysis = entry.build(direction)
+        analysis = CATALOG[entry].build()
+        default_degree = CATALOG[entry].default_degree
     else:
-        analysis = entry
-        if degree is None:
-            degree = 3
+        analysis, default_degree = entry, 3
+    if degree is None:
+        degree = default_degree
     weyl = analysis.weyl
     data = analysis.data
     r = analysis.rank
@@ -293,7 +288,6 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
         },
         "gated_roots": [
             [str(x) for x in d.lam] for d in data if d.gated],
-        "timing_seconds": time.monotonic() - t0,
     }
     report["ok"] = all(report["flags"].values())
     return report

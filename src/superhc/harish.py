@@ -25,7 +25,7 @@ from .scalars import int_if_integral
 Q = Fraction
 
 
-class OrderNotIwasawa(Exception):
+class OrderNotIwasawa(ValueError):
     """A projection onto U(a) was asked of something not in n < a < k order."""
 
 
@@ -41,8 +41,6 @@ class IwasawaContext:
     """
 
     def __init__(self, pair: SymmetricPair, system: RestrictedRootSystem):
-        if system.positive is None:
-            raise OrderNotIwasawa("choose a positive system before building U(g)")
         self.pair = pair
         self.system = system
         n_basis = system.n_basis()

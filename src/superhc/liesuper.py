@@ -29,11 +29,11 @@ class MixedAlgebras(Exception):
     """Vectors from two different algebras were combined."""
 
 
-class MissingInvolution(Exception):
+class MissingInvolution(ValueError):
     pass
 
 
-class MissingForm(Exception):
+class MissingForm(ValueError):
     pass
 
 
@@ -104,9 +104,7 @@ class LieSuperalgebra:
     def __init__(self, names: Sequence[str], parity: Sequence[int],
                  brackets: Dict[Tuple[int, int], Dict[int, object]],
                  form: Optional[ScalarMatrix] = None,
-                 theta: Optional[ScalarMatrix] = None,
-                 sqrt_context: Optional[int] = None,
-                 decomposition: Optional[dict] = None):
+                 theta: Optional[ScalarMatrix] = None):
         self.names = tuple(names)
         self.parity = tuple(int(p) for p in parity)
         if any(p not in (0, 1) for p in self.parity):
@@ -118,8 +116,7 @@ class LieSuperalgebra:
         self._table = _two_sided(self.brackets, self.parity)
         self.form = form
         self.theta = theta
-        self.sqrt_context = sqrt_context
-        self.decomposition = decomposition
+        self.decomposition: Optional[dict] = None
         self._index = {n: i for i, n in enumerate(self.names)}
         if len(self._index) != self.dim:
             raise ValueError("duplicate basis names")
@@ -339,5 +336,4 @@ def change_basis(g: LieSuperalgebra, vectors: Sequence[SuperVector],
         for j, v in enumerate(vectors):
             for i, x in solve(g.theta_apply(v).c).items():
                 theta.rows[i][j] = x
-    return LieSuperalgebra(names, par, brackets, form=form, theta=theta,
-                           sqrt_context=g.sqrt_context)
+    return LieSuperalgebra(names, par, brackets, form=form, theta=theta)

@@ -22,15 +22,15 @@ Q = Fraction
 Row = Dict[int, object]
 
 
-class CommutationFailure(Exception):
+class CommutationFailure(ValueError):
     """Simultaneous eigenspaces were requested for non-commuting matrices."""
 
 
-class IrrationalSpectrum(Exception):
+class IrrationalSpectrum(ValueError):
     """A characteristic polynomial does not split over the scalar domain."""
 
 
-class NotSemisimple(Exception):
+class NotSemisimple(ValueError):
     """A matrix has fewer eigenvectors than its dimension."""
 
 

@@ -21,7 +21,7 @@ Q = Fraction
 Functional = Tuple  # values on the a-basis
 
 
-class PairError(Exception):
+class PairError(ValueError):
     pass
 
 
@@ -130,19 +130,20 @@ class RestrictedRoot:
 
 
 class RestrictedRootSystem:
-    """Roots, a chosen positive system, rho and the derived Iwasawa blocks."""
+    """Roots, the positive system direction chooses (choose_positive_system
+    re-chooses it), rho and the derived Iwasawa blocks."""
 
     def __init__(self, pair: SymmetricPair, roots: List[RestrictedRoot],
-                 m_basis: List[SuperVector]):
+                 m_basis: List[SuperVector],
+                 direction: Optional[Sequence] = None):
         self.pair = pair
         self.roots = roots
         self.m_basis = m_basis
-        self.positive: Optional[List[bool]] = None
-        self.direction: Optional[Tuple] = None
+        self.positive: List[bool]
+        self.direction: Tuple
+        choose_positive_system(self, direction)
 
     def positive_roots(self) -> List[RestrictedRoot]:
-        if self.positive is None:
-            raise ValueError("no positive system chosen yet")
         return [r for r, flag in zip(self.roots, self.positive) if flag]
 
     def even_roots(self) -> List[RestrictedRoot]:
@@ -168,8 +169,10 @@ class RestrictedRootSystem:
         return rho, tuple(rho0), tuple(rho1)
 
 
-def restricted_roots(pair: SymmetricPair) -> RestrictedRootSystem:
-    """Joint eigenspace decomposition of g under ad(a)."""
+def restricted_roots(pair: SymmetricPair, direction: Optional[Sequence] = None
+                     ) -> RestrictedRootSystem:
+    """Joint eigenspace decomposition of g under ad(a), with the positive
+    system that direction chooses (see choose_positive_system)."""
     g = pair.g
     mats = [g.ad_matrix(h) for h in pair.a_basis]
     blocks = simultaneous_eigenspaces(mats)
@@ -194,7 +197,7 @@ def restricted_roots(pair: SymmetricPair) -> RestrictedRootSystem:
     total = sum(r.m0 + r.m1 for r in roots) + len(zero_space)
     if total != g.dim:
         raise PairError("root decomposition does not fill g")
-    return RestrictedRootSystem(pair, roots, m_basis)
+    return RestrictedRootSystem(pair, roots, m_basis, direction)
 
 
 def default_direction(system: RestrictedRootSystem) -> Tuple:

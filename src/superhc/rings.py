@@ -19,7 +19,6 @@ from .linalg import ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
-from .scalars import rational_sqrt
 
 Q = Fraction
 
@@ -27,11 +26,11 @@ ISOTROPIC = "ISOTROPIC"
 ANISOTROPIC = "ANISOTROPIC"
 
 
-class BadIsoClass(Exception):
+class BadIsoClass(ValueError):
     pass
 
 
-class InconsistentRelations(Exception):
+class InconsistentRelations(ValueError):
     pass
 
 
@@ -66,8 +65,6 @@ class OddRootDatum:
 def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
     """One datum per pair {lam, -lam} of odd roots, at the positive member."""
     pair = system.pair
-    if system.positive is None:
-        raise ValueError("choose a positive system first")
     root_lams = {r.lam for r in system.roots}
     data = []
     for root, pos in zip(system.roots, system.positive):
@@ -202,8 +199,6 @@ def _build_aniso_model(q: int, c) -> RankOneModel:
     g.theta = ScalarMatrix(g.dim, g.dim)
     for i, name in enumerate(g.names):
         g.theta.rows[i][i] = Q(-1) if name == "a" or name[0] == "w" else Q(1)
-    if rational_sqrt(Q(c)) is None:
-        g.sqrt_context = c.numerator * c.denominator  # sqrt(c) = sqrt(num)/den
     g.decomposition = {"center": [], "ideals": [g.basis_vectors()]}
     pair = build_pair(g, [g.basis("a")])
     return RankOneModel(g, q, ANISOTROPIC, c, pair)

@@ -22,7 +22,7 @@ def int_if_integral(x):
     return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
-class ContextMismatch(Exception):
+class ContextMismatch(ValueError):
     """Two quadratic scalars with different discriminants were combined."""
 
 

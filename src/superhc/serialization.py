@@ -1,4 +1,5 @@
-"""JSON schemas: algebras, enveloping-algebra elements, polynomials.
+"""JSON schemas: algebras, explicit entries, enveloping-algebra elements,
+polynomials.
 
 The wire formats are strict (unknown fields are rejected) and canonical
 (sorted keys, reduced scalar strings), so serialised output is byte-stable
@@ -8,15 +9,15 @@ and usable in golden tests.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .apoly import APoly
 from .linalg import ScalarMatrix
 from .liesuper import LieSuperalgebra, SuperVector
 from .pbw import UEAElement
-from .scalars import scalar_from_string, scalar_to_string
+from .scalars import ScalarLike, scalar_from_string, scalar_to_string
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     pass
 
 
@@ -128,6 +129,35 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
                        for ideal in _expect(dec["ideals"], list, "ideals")],
         }
     return g
+
+
+def entry_from_json(data: dict
+                    ) -> Tuple[LieSuperalgebra, List[SuperVector], str, int]:
+    """An explicit entry: (algebra, a-basis vectors, name, default degree).
+
+    name defaults to "explicit" and the default degree to 3."""
+    _expect_keys(data, ["algebra", "a_basis"], ["name", "default_degree"])
+    g = algebra_from_json(data["algebra"])
+    a_vectors = [_vector_from_json(coords, g)
+                 for coords in _expect(data["a_basis"], list, "a_basis")]
+    name = _expect(data.get("name", "explicit"), str, "entry name")
+    degree = _expect(data.get("default_degree", 3), int, "default_degree")
+    if degree < 0:
+        raise SchemaError(f"default_degree must be non-negative, got {degree}")
+    return g, a_vectors, name, degree
+
+
+def words_from_json(data: dict) -> List[Tuple[List[str], ScalarLike]]:
+    """An element given as words of generator names: (names, scalar) per
+    term, the names not yet resolved against any basis."""
+    _expect_keys(data, ["terms"])
+    terms = []
+    for term in _expect(data["terms"], list, "terms"):
+        _expect_keys(term, ["word", "coeff"])
+        names = [_expect(n, str, "generator name")
+                 for n in _expect(term["word"], list, "word")]
+        terms.append((names, scalar_from_string(term["coeff"])))
+    return terms
 
 
 def uea_to_json(u: UEAElement) -> list:

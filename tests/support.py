@@ -396,7 +396,8 @@ def unnormalized(model, kind, i):
     """The y_i / z_i vectors of an anisotropic rank-one model: sqrt(c)
     times v_i / w_i."""
     assert model.iso_class == ANISOTROPIC
-    root = sqrt_scalar(model.c, context_c=model.algebra.sqrt_context)
+    c = model.c  # sqrt(c) = sqrt(num * den) / den
+    root = sqrt_scalar(c, context_c=c.numerator * c.denominator)
     base = {"y": "v", "yt": "vt", "z": "w", "zt": "wt"}[kind]
     return model.algebra.basis(f"{base}{i}").scale(root)
 

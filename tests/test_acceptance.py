@@ -242,10 +242,9 @@ def test_criterion_7_invariant_ring_internals():
                        f * f == rhs))
     for q in (1, 2):
         from superhc.rings import ISOTROPIC, build_rank_one_model, odd_root_data
-        from superhc.pairs import choose_positive_system, restricted_roots
+        from superhc.pairs import restricted_roots
         model = build_rank_one_model(q, ISOTROPIC, Q(0))
         system = restricted_roots(model.pair)
-        choose_positive_system(system)
         datum = odd_root_data(system)[0]
         h0, al = APoly.variable(2, 0), APoly.variable(2, 1)
         ok = True

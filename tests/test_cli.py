@@ -1,9 +1,12 @@
 import json
+import re
 
 import pytest
 
 from superhc.builders import sl2
+from superhc.catalog import CATALOG
 from superhc.cli import main
+from superhc.scalars import scalar_to_string
 from superhc.serialization import algebra_to_json
 
 
@@ -87,6 +90,11 @@ def test_verify_command_and_determinism(capsys):
     report = json.loads(out1)
     assert report["ok"] is True
     assert "timing_seconds" not in report
+    # --timing adds a stderr line and leaves stdout as it is
+    code, out3, err = run(capsys, "--seed", "3", "verify", "rank1-aniso-q1",
+                          "--degree", "3", "--timing")
+    assert code == 0 and out3 == out1
+    assert re.fullmatch(r"verify rank1-aniso-q1: \d+\.\d{3}s\n", err)
 
 
 def test_membership_command_negative(capsys):
@@ -217,9 +225,11 @@ def test_negative_default_degree_of_explicit_entry_is_a_usage_error(
         }
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(entry), encoding="utf-8")
-        code, out, err = run(capsys, "invariants", str(path))
-        assert code == 2, degree
-        assert out == "" and err.startswith("error:")
+        # rejected when the entry is read, by commands that take no degree too
+        for command in ("invariants", "roots"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2, (command, degree)
+            assert out == "" and err.startswith("error:")
 
 
 def _sl2_double_entry(**fields):
@@ -254,11 +264,15 @@ def _with_algebra_field(edit):
     _with_algebra_field(lambda a: a["basis"][0].__setitem__("parity", True)),
     _sl2_double_entry(name=["x"]),
     5,
+    # a = sqrt(2)(h.l - h.r): ad(a) has eigenvalues +-2 sqrt(2), which the
+    # rational eigenvalue search does not split
+    _sl2_double_entry(a_basis=[["0", "0+1*sqrt(2)", "0",
+                                "0", "0-1*sqrt(2)", "0"]]),
 ], ids=["a_basis-int", "a_basis-list-of-int", "a_basis-string",
         "a_basis-int-coords", "a_basis-short", "a_basis-zero",
         "no-involution", "no-form", "form-int", "form-zero-denominator",
         "bracket-index-string", "basis-name-list", "parity-bool",
-        "name-list", "entry-int"])
+        "name-list", "entry-int", "a_basis-irrational"])
 def test_malformed_explicit_entry_is_a_usage_error(tmp_path, capsys, command,
                                                    entry):
     path = tmp_path / "entry.json"
@@ -268,6 +282,35 @@ def test_malformed_explicit_entry_is_a_usage_error(tmp_path, capsys, command,
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _entry_file_of(name, tmp_path):
+    """The catalog entry name written out as an explicit entry file."""
+    analysis = CATALOG[name].build()
+    entry = {
+        "name": name,
+        "algebra": algebra_to_json(analysis.pair.g),
+        "a_basis": [[scalar_to_string(x) for x in v.dense()]
+                    for v in analysis.pair.a_basis],
+        "default_degree": CATALOG[name].default_degree,
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    return str(path)
+
+
+# the rank-one entries name their a-basis (a; h0, Al), which an entry file
+# cannot, so only verify, whose report carries no a-names, compares equal
+@pytest.mark.parametrize("name, argv", [
+    (name, argv) for name in CATALOG
+    for argv in ([["roots"], ["invariants", "--degree", "2"], ["verify"]]
+                 if name.startswith("group-") else [["verify"]])])
+def test_entry_file_of_a_catalog_entry_reports_the_same(tmp_path, capsys,
+                                                         name, argv):
+    path = _entry_file_of(name, tmp_path)
+    by_name = run(capsys, argv[0], name, *argv[1:])
+    by_file = run(capsys, argv[0], path, *argv[1:])
+    assert by_file[:2] == by_name[:2]
 
 
 def test_explicit_entry_without_name_reports_explicit(tmp_path, capsys):

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from superhc import harish
 from superhc.apoly import APoly, Substitution
 from superhc.catalog import CATALOG
-from superhc.harish import (GeneratorsMissK, IwasawaContext, OrderNotIwasawa,
-                            gr_restriction, invariants_up_to_degree,
-                            k_generating_letters, verify_exact_sequence)
+from superhc.harish import (GeneratorsMissK, OrderNotIwasawa, gr_restriction,
+                            invariants_up_to_degree, k_generating_letters,
+                            verify_exact_sequence)
 from superhc.linalg import kernel, span_basis
 from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
@@ -31,11 +31,6 @@ def test_project_unit_and_pure_a():
 
 
 def test_projection_refuses_what_is_not_in_iwasawa_order():
-    # no positive system yet: there is no n, so no n < a < k order
-    from superhc.pairs import restricted_roots
-    pair = CATALOG["group-sl2"].build().pair
-    with pytest.raises(OrderNotIwasawa):
-        IwasawaContext(pair, restricted_roots(pair))
     # a word that is not a PBW monomial: a letter of a before one of n
     ctx = CATALOG["group-sl2"].build().ctx
     assert ctx.lo_a and ctx.rank

@@ -37,8 +37,7 @@ from superhc.catalog import CATALOG
 from superhc.harish import IwasawaContext
 from superhc.linalg import ScalarMatrix, nullspace, span_basis
 from superhc.liesuper import verify_algebra
-from superhc.pairs import (build_pair, choose_positive_system,
-                           restricted_roots, rho)
+from superhc.pairs import build_pair, restricted_roots, rho
 from superhc.pbw import sym_adjoint_index
 from superhc.rings import generators
 from support import (anticenter_product, evaluate, shift_by_substitute,
@@ -105,7 +104,6 @@ class OspRealization:
             self.g.theta.rows[i][i] = Q(-1) if name[0] in "aw" else Q(1)
         self.pair = build_pair(self.g, [self.g.basis("a")])
         self.system = restricted_roots(self.pair)
-        choose_positive_system(self.system)
         self.ctx = IwasawaContext(self.pair, self.system)
 
     @staticmethod

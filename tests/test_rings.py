@@ -9,8 +9,7 @@ from superhc.catalog import CATALOG
 from superhc.harish import gr_restriction
 from superhc.linalg import accumulate, kernel, span_basis
 from superhc.liesuper import change_basis, verify_algebra
-from superhc.pairs import (a_perp_in_p, choose_positive_system,
-                           even_weyl_group, restricted_roots)
+from superhc.pairs import a_perp_in_p, even_weyl_group, restricted_roots
 from superhc.pbw import sym_adjoint, sym_adjoint_index, sym_multiply
 from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            build_rank_one_model, coefficient_aNk,
@@ -103,7 +102,6 @@ def test_rank_one_nonsquare_c_opens_quadratic_context():
     model = build_rank_one_model(1, ANISOTROPIC, Q(5))
     g = model.algebra
     assert verify_algebra(g) == []
-    assert g.sqrt_context == 5
     # unnormalized vectors carry sqrt(5) coefficients but relations close
     y1, z1 = unnormalized(model, "y", 1), unnormalized(model, "z", 1)
     assert g.bracket(g.basis("a"), y1) == z1
@@ -284,7 +282,6 @@ def test_membership_isotropic_spanning_set():
     for q in (1, 2):
         model = build_rank_one_model(q, ISOTROPIC, Q(0))
         system = restricted_roots(model.pair)
-        choose_positive_system(system)
         datum = odd_root_data(system)[0]
         h0 = APoly.variable(2, 0)
         al = APoly.variable(2, 1)
@@ -300,7 +297,6 @@ def test_isotropic_shift_stability():
     for q in (1, 2):
         model = build_rank_one_model(q, ISOTROPIC, Q(0))
         system = restricted_roots(model.pair)
-        choose_positive_system(system)
         datum = odd_root_data(system)[0]
         h0 = APoly.variable(2, 0)
         al = APoly.variable(2, 1)
@@ -540,7 +536,6 @@ def test_I_conditions_cut_out_the_restriction_of_S_p_k(build, d):
     them, and the two spaces have the same dimension."""
     pair = build()
     system = restricted_roots(pair)
-    choose_positive_system(system)
     weyl, data = even_weyl_group(system), odd_root_data(system)
     images = chevalley_restriction(pair, d)
     for n, restricted in enumerate(images):
