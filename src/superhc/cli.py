@@ -60,12 +60,12 @@ def _resolve_entry(name: str, direction) -> Tuple[Analysis, int]:
     except InputError:
         raise InputError(f"unknown entry {name!r} "
                          f"(catalog: {sorted(CATALOG)}) and not a readable file")
-    g, a_vectors, entry_name, default_degree = entry_from_json(data)
+    g, a_vectors, a_names, entry_name, default_degree = entry_from_json(data)
     violations = verify_algebra(g)
     if violations:
         raise InputError(f"algebra fails validation: {violations[:3]}")
-    return (Analysis(build_pair(g, a_vectors), direction, name=entry_name),
-            default_degree)
+    return (Analysis(build_pair(g, a_vectors), direction, a_names=a_names,
+                     name=entry_name), default_degree)
 
 
 def _degree(args, default_degree: int) -> int:

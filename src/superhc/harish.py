@@ -57,7 +57,10 @@ class IwasawaContext:
         self.rank = len(a_basis)
         self.lo_a, self.lo_k = len(n_basis), len(n_basis) + self.rank
         self._proj_memo: Dict[Monomial, Compact] = {}
-        self._solve = linear_solver([v.c for v in vectors])
+        # the adapted coordinates of each basis letter of the original
+        # algebra, solved once: to_adapted is linear
+        solve = linear_solver([v.c for v in vectors])
+        self._coords = [solve({i: Q(1)}) for i in range(pair.g.dim)]
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
         self.rho = self.rho_triple[0]
@@ -72,9 +75,13 @@ class IwasawaContext:
 
     # -- conversions ---------------------------------------------------------
     def to_adapted(self, v: SuperVector) -> SuperVector:
-        """v in the adapted basis, integral coordinates as ints."""
-        return SuperVector(self.adapted, {i: int_if_integral(c) for i, c
-                                          in self._solve(v.c).items()})
+        """v in the adapted basis, integral coordinates as ints: the sum of
+        v's coordinates times the table of its letters' coordinates."""
+        out: Row = {}
+        for i, c in v.c.items():
+            accumulate(out, self._coords[i], c)
+        return SuperVector(self.adapted, {i: int_if_integral(out[i])
+                                          for i in sorted(out)})
 
     def k_indices(self) -> List[int]:
         return list(range(self.lo_k, self.adapted.dim))

@@ -27,7 +27,7 @@ class CommutationFailure(ValueError):
 
 
 class IrrationalSpectrum(ValueError):
-    """A characteristic polynomial does not split over the scalar domain."""
+    """A characteristic polynomial has roots that are not rational."""
 
 
 class NotSemisimple(ValueError):
@@ -493,7 +493,9 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
         roots, remainder = rational_roots(char_poly(m))
         if remainder:
             raise IrrationalSpectrum(
-                "characteristic factor of degree %d does not split" % remainder)
+                f"the eigenvalues are not rational: a factor of degree "
+                f"{remainder} of the characteristic polynomial has no "
+                f"rational root")
         refined = []
         for prefix, ech in blocks:
             # the eigenspaces of m inside a block fill at most the block

@@ -9,9 +9,9 @@ split as m + a with m the centraliser of a in k.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apoly import Substitution
+from .apoly import APoly, Expvec, Substitution
 from .linalg import (Row, ScalarMatrix, kernel, linear_solver,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
@@ -278,6 +278,22 @@ class WeylGroup:
         self.substitutions = [Substitution.linear(w) for w in elements]
         self.generator_substitutions = [Substitution.linear(w)
                                         for w in generators]
+        # the invariance conditions of each monomial (see invariance_rows)
+        self._rows: Dict[Expvec, Dict] = {}
+
+    def invariance_rows(self, e: Expvec) -> Dict:
+        """The W0-invariance conditions of the monomial h^e: the coefficient
+        of h^f in s_t(h^e) - h^e, keyed ("W", t, f), for each generator s_t.
+        They are linear, so those of a polynomial are the sum of its terms'
+        rows.  Computed once per e and kept; callers must not mutate them."""
+        hit = self._rows.get(e)
+        if hit is None:
+            mono = APoly(len(e), {e: Q(1)})
+            hit = self._rows[e] = {
+                ("W", t, f): c
+                for t, s in enumerate(self.generator_substitutions)
+                for f, c in (s(mono) - mono).terms.items()}
+        return hit
 
     def __len__(self):
         return len(self.elements)

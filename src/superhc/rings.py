@@ -5,6 +5,13 @@ and one odd-degree element whose images under the rho-shifted projection
 generate a filtered deformation of the restriction image; for an isotropic
 root the two rings coincide.  Membership in either ring is a finite set of
 linear conditions on a polynomial, which also yields filtered dimensions.
+
+Every condition is linear in the polynomial, so the conditions of p are the
+sum over its terms c_e h^e of c_e times the rows of the monomial h^e.  Each
+monomial's rows are computed once per input and kept by the owner of the
+map they come from: the W0-invariance rows by the WeylGroup, beside its
+generator substitutions, and each odd root's rows by its OddRootDatum,
+beside its coordinate change, in one table for "I" and one for "J".
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apoly import APoly, change_to_basis, monomials_up_to
+from .apoly import APoly, Expvec, change_to_basis, monomials_up_to
 from .builders import matrix_superalgebra, supercommutator
 from .linalg import ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
@@ -40,7 +47,8 @@ class OddRootDatum:
     """Everything the membership tests need to know about one odd root."""
 
     __slots__ = ("lam", "q", "iso_class", "c", "a_coords", "A_coords",
-                 "h0_coords", "a_perp", "gated", "rank", "coordinate_change")
+                 "h0_coords", "a_perp", "gated", "rank", "coordinate_change",
+                 "_rows")
 
     def __init__(self, lam: Tuple, q: int, iso_class: str, c,
                  A_coords: Tuple, a_coords: Optional[Tuple],
@@ -60,6 +68,24 @@ class OddRootDatum:
         # anisotropic, (A_lam, h0, perp) if isotropic
         head = [a_coords] if iso_class == ANISOTROPIC else [A_coords, h0_coords]
         self.coordinate_change = change_to_basis([*head, *a_perp])
+        # the conditions of each monomial, one table per ring (see rows); an
+        # isotropic root imposes the same conditions in both
+        shared: Dict[Expvec, Dict] = {}
+        self._rows = {"I": shared, "J": shared} if iso_class == ISOTROPIC \
+            else {"I": {}, "J": {}}
+
+    def rows(self, ring: str, e: Expvec) -> Dict:
+        """membership_conditions of the monomial h^e in ring "I" or "J",
+        computed once and kept in this datum's table for the ring; a gated
+        root has none.  Callers must not mutate the result."""
+        if self.gated:
+            return {}
+        table = self._rows[ring]
+        hit = table.get(e)
+        if hit is None:
+            hit = table[e] = membership_conditions(
+                APoly(self.rank, {e: Q(1)}), self, ring)
+        return hit
 
 
 def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
@@ -340,7 +366,9 @@ def _even_odd_split(coeffs: Dict[int, object], q: int):
 
 
 def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
-    """Linear functionals (slot -> value) whose joint vanishing is membership."""
+    """Linear functionals (slot -> value) whose joint vanishing is membership
+    of p in the local ring of datum; they are linear in p.  ring_conditions
+    reads them monomial by monomial, through OddRootDatum.rows."""
     if datum.gated:
         return {}
     out: Dict = {}
@@ -371,27 +399,26 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
     return out
 
 
-def weyl_conditions(p: APoly, weyl: WeylGroup) -> Dict:
-    out: Dict = {}
-    for t, w in enumerate(weyl.generator_substitutions):
-        moved = w(p) - p
-        for e, c in moved.terms.items():
-            out[("W", t, e)] = c
-    return out
-
-
 def ring_conditions(p: APoly, ring: str, data: Sequence[OddRootDatum],
                     weyl: WeylGroup, include_weyl: bool = True) -> Dict:
-    """The linear conditions whose joint vanishing puts p in a ring.
+    """The linear conditions whose joint vanishing puts p in a ring, as a
+    fresh dict.
 
     ring is "I" (I(a)), "J" (J(a)) or "SW0" (S(a)^W0): every ring asks for
     W0-invariance, and I and J add the conditions of each odd root.
-    include_weyl=False drops the W0 conditions.
+    include_weyl=False drops the W0 conditions.  The conditions are linear
+    in p, so they are the sum over the terms c_e h^e of p of c_e times the
+    rows of h^e, read from the tables of weyl (WeylGroup.invariance_rows)
+    and of each datum (OddRootDatum.rows).
     """
-    out = weyl_conditions(p, weyl) if include_weyl else {}
-    if ring != "SW0":
-        for datum in data:
-            out.update(membership_conditions(p, datum, ring))
+    out: Dict = {}
+    odd = ring != "SW0"
+    for e, c in p.terms.items():
+        if include_weyl:
+            accumulate(out, weyl.invariance_rows(e), c)
+        if odd:
+            for datum in data:
+                accumulate(out, datum.rows(ring, e), c)
     return out
 
 

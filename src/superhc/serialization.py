@@ -9,7 +9,7 @@ and usable in golden tests.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly
 from .linalg import ScalarMatrix
@@ -131,20 +131,31 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
     return g
 
 
-def entry_from_json(data: dict
-                    ) -> Tuple[LieSuperalgebra, List[SuperVector], str, int]:
-    """An explicit entry: (algebra, a-basis vectors, name, default degree).
+def entry_from_json(data: dict) -> Tuple[LieSuperalgebra, List[SuperVector],
+                                         Optional[List[str]], str, int]:
+    """An explicit entry: (algebra, a-basis vectors, a-basis names, name,
+    default degree).
 
-    name defaults to "explicit" and the default degree to 3."""
-    _expect_keys(data, ["algebra", "a_basis"], ["name", "default_degree"])
+    The a-basis names are None when the entry gives none, and otherwise
+    distinct strings, one per a-basis vector.  name defaults to "explicit"
+    and the default degree to 3."""
+    _expect_keys(data, ["algebra", "a_basis"],
+                 ["a_names", "name", "default_degree"])
     g = algebra_from_json(data["algebra"])
     a_vectors = [_vector_from_json(coords, g)
                  for coords in _expect(data["a_basis"], list, "a_basis")]
+    a_names = None
+    if "a_names" in data:
+        a_names = [_expect(n, str, "a-basis name")
+                   for n in _expect(data["a_names"], list, "a_names")]
+        if len(a_names) != len(a_vectors) or len(set(a_names)) != len(a_names):
+            raise SchemaError(f"a_names must be {len(a_vectors)} distinct "
+                              f"names, one per a-basis vector, got {a_names}")
     name = _expect(data.get("name", "explicit"), str, "entry name")
     degree = _expect(data.get("default_degree", 3), int, "default_degree")
     if degree < 0:
         raise SchemaError(f"default_degree must be non-negative, got {degree}")
-    return g, a_vectors, name, degree
+    return g, a_vectors, a_names, name, degree
 
 
 def words_from_json(data: dict) -> List[Tuple[List[str], ScalarLike]]:

@@ -4,7 +4,6 @@ import copy
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations
 from math import factorial
-from types import SimpleNamespace
 
 from superhc.apoly import APoly, monomials_up_to
 from superhc.builders import _gl_super, matrix_superalgebra
@@ -14,7 +13,7 @@ from superhc.linalg import kernel, solve_membership, span_basis
 from superhc.liesuper import MixedAlgebras, SuperVector, centralizer
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
-from superhc.rings import ANISOTROPIC, membership_conditions, ring_conditions
+from superhc.rings import ANISOTROPIC, membership_conditions
 from superhc.scalars import Quad, quad, rational_sqrt
 
 
@@ -115,31 +114,35 @@ def substitute(p, images):
     return APoly(m, out)
 
 
-def oracle_stand_ins(data, weyl):
-    """(data, weyl) for ring_conditions: copies of the odd-root data, and a
-    stand-in for the Weyl group, whose substitutions take the same images
-    through the oracle substitute, so that no table of monomial images is
-    read."""
-    def oracle(substitution):
-        return lambda p: substitute(p, substitution.images)
-
-    stand_ins = []
-    for datum in data:
-        stand_in = copy.copy(datum)
-        stand_in.coordinate_change = oracle(datum.coordinate_change)
-        stand_ins.append(stand_in)
-    return stand_ins, SimpleNamespace(generator_substitutions=[
-        oracle(w) for w in weyl.generator_substitutions])
+def oracle_ring_conditions(p, ring, data, weyl, include_weyl=True):
+    """rings.ring_conditions read off p as a whole, not monomial by monomial:
+    s_t(p) - p for each Weyl generator s_t, and each odd root's
+    membership_conditions of p on a copy of its datum whose coordinate change
+    is the oracle substitute.  No table of monomial images or of condition
+    rows is read or written."""
+    out = {}
+    if include_weyl:
+        for t, s in enumerate(weyl.generator_substitutions):
+            for f, c in (substitute(p, s.images) - p).terms.items():
+                out[("W", t, f)] = c
+    if ring != "SW0":
+        for datum in data:
+            stand_in = copy.copy(datum)
+            images = datum.coordinate_change.images
+            stand_in.coordinate_change = lambda x, images=images: \
+                substitute(x, images)
+            out.update(membership_conditions(p, stand_in, ring))
+    return out
 
 
 def oracle_ring_degrees(ring, data, weyl, rank, d, include_weyl=True):
     """rings.ring_degrees with every monomial's conditions computed on its
-    own, through oracle_stand_ins."""
-    data, weyl = oracle_stand_ins(data, weyl)
+    own, through oracle_ring_conditions."""
     monos = monomials_up_to(rank, d)
     return [sum(monos[max(v)])
-            for v in kernel(ring_conditions(APoly(rank, {e: Q(1)}), ring,
-                                            data, weyl, include_weyl)
+            for v in kernel(oracle_ring_conditions(APoly(rank, {e: Q(1)}),
+                                                   ring, data, weyl,
+                                                   include_weyl)
                             for e in monos)]
 
 

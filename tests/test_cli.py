@@ -240,6 +240,12 @@ def _sl2_double_entry(**fields):
     return entry
 
 
+# a = sqrt(2)(h.l - h.r): ad(a) has eigenvalues +-2 sqrt(2), which the
+# rational eigenvalue search does not find
+IRRATIONAL_A = _sl2_double_entry(a_basis=[["0", "0+1*sqrt(2)", "0",
+                                           "0", "0-1*sqrt(2)", "0"]])
+
+
 def _with_algebra_field(edit):
     entry = _sl2_double_entry()
     edit(entry["algebra"])
@@ -263,16 +269,23 @@ def _with_algebra_field(edit):
     _with_algebra_field(lambda a: a["basis"][0].__setitem__("name", ["x"])),
     _with_algebra_field(lambda a: a["basis"][0].__setitem__("parity", True)),
     _sl2_double_entry(name=["x"]),
+    _sl2_double_entry(a_names="a"),
+    _sl2_double_entry(a_names=None),
+    _sl2_double_entry(a_names=[1]),
+    _sl2_double_entry(a_names=[]),
+    _sl2_double_entry(a_names=["a", "b"]),
+    _sl2_double_entry(a_basis=[["0", "1", "0", "0", "-1", "0"],
+                               ["0", "1", "0", "0", "1", "0"]],
+                      a_names=["a", "a"]),
     5,
-    # a = sqrt(2)(h.l - h.r): ad(a) has eigenvalues +-2 sqrt(2), which the
-    # rational eigenvalue search does not split
-    _sl2_double_entry(a_basis=[["0", "0+1*sqrt(2)", "0",
-                                "0", "0-1*sqrt(2)", "0"]]),
+    IRRATIONAL_A,
 ], ids=["a_basis-int", "a_basis-list-of-int", "a_basis-string",
         "a_basis-int-coords", "a_basis-short", "a_basis-zero",
         "no-involution", "no-form", "form-int", "form-zero-denominator",
         "bracket-index-string", "basis-name-list", "parity-bool",
-        "name-list", "entry-int", "a_basis-irrational"])
+        "name-list", "a_names-string", "a_names-null", "a_names-int",
+        "a_names-empty", "a_names-too-many", "a_names-repeated", "entry-int",
+        "a_basis-irrational"])
 def test_malformed_explicit_entry_is_a_usage_error(tmp_path, capsys, command,
                                                    entry):
     path = tmp_path / "entry.json"
@@ -282,10 +295,17 @@ def test_malformed_explicit_entry_is_a_usage_error(tmp_path, capsys, command,
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    if entry is IRRATIONAL_A:
+        assert err == ("error: the eigenvalues are not rational: a factor of "
+                       "degree 4 of the characteristic polynomial has no "
+                       "rational root\n")
 
 
 def _entry_file_of(name, tmp_path):
-    """The catalog entry name written out as an explicit entry file."""
+    """The catalog entry name written out as an explicit entry file.  A
+    rank-one entry names its a-basis (a; h0, Al), so its file carries them
+    as a_names; a group entry's are the default a0, a1, and its file leaves
+    them out."""
     analysis = CATALOG[name].build()
     entry = {
         "name": name,
@@ -294,17 +314,21 @@ def _entry_file_of(name, tmp_path):
                     for v in analysis.pair.a_basis],
         "default_degree": CATALOG[name].default_degree,
     }
+    if name.startswith("rank1-"):
+        entry["a_names"] = analysis.a_names
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(entry), encoding="utf-8")
     return str(path)
 
 
-# the rank-one entries name their a-basis (a; h0, Al), which an entry file
-# cannot, so only verify, whose report carries no a-names, compares equal
 @pytest.mark.parametrize("name, argv", [
     (name, argv) for name in CATALOG
     for argv in ([["roots"], ["invariants", "--degree", "2"], ["verify"]]
-                 if name.startswith("group-") else [["verify"]])])
+                 if name.startswith("group-") else [["verify"]])] + [
+    (name, argv) for name in CATALOG if name.startswith("rank1-")
+    for argv in [["roots"], ["invariants", "--degree", "2"]]] + [
+    ("rank1-iso-q1", ["membership", "--ring", "J", "--poly",
+                      '{"terms":[{"exps":{"h0":1},"coeff":"1"}]}'])])
 def test_entry_file_of_a_catalog_entry_reports_the_same(tmp_path, capsys,
                                                          name, argv):
     path = _entry_file_of(name, tmp_path)

@@ -12,7 +12,7 @@ from superhc.catalog import CATALOG
 from superhc.harish import (GeneratorsMissK, OrderNotIwasawa, gr_restriction,
                             invariants_up_to_degree, k_generating_letters,
                             verify_exact_sequence)
-from superhc.linalg import kernel, span_basis
+from superhc.linalg import kernel, linear_solver, span_basis
 from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
@@ -136,6 +136,35 @@ def test_to_adapted_gives_integral_coordinates_as_ints(name):
               for c in ctx.to_adapted(g.basis(i)).c.values()]
     assert any(type(c) is int for c in coords)
     assert not [c for c in coords if isinstance(c, Q) and c.denominator == 1]
+
+
+@lru_cache(maxsize=None)
+def context_and_solver(name):
+    """The entry's Iwasawa context and a solver into its adapted basis,
+    built apart from the context's table of letter coordinates."""
+    ctx = CATALOG[name].build().ctx
+    vectors = [*ctx.system.n_basis(), *ctx.pair.a_basis, *ctx.pair.k_basis]
+    return ctx, linear_solver([v.c for v in vectors])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_to_adapted_equals_the_solver_on_rational_vectors(data):
+    # the table of each letter's adapted coordinates, summed, against a
+    # solve of the whole vector; integral coordinates come back as ints and
+    # the others as Fractions
+    ctx, solve = context_and_solver(data.draw(st.sampled_from(sorted(CATALOG))))
+    dim = ctx.pair.g.dim
+    coeffs = data.draw(st.dictionaries(
+        st.integers(0, dim - 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=dim))
+    v = SuperVector(ctx.pair.g, coeffs)
+    got = ctx.to_adapted(v)
+    assert got.alg is ctx.adapted
+    assert got.c == solve(v.c)
+    for c in got.c.values():
+        assert type(c) is int or (type(c) is Q and c.denominator != 1)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

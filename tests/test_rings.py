@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,9 @@ from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            build_rank_one_model, coefficient_aNk,
                            filtered_dimension, generators, membership_J,
                            odd_root_data, ring_conditions, ring_degrees)
-from support import (adjoint, in_local_ring, oracle_ring_degrees,
-                     shift_by_substitute, substitute, sym_monomials_up_to,
-                     unnormalized)
+from support import (adjoint, in_local_ring, oracle_ring_conditions,
+                     oracle_ring_degrees, shift_by_substitute, substitute,
+                     sym_monomials_up_to, unnormalized)
 
 
 def aniso_datum(q):
@@ -372,6 +373,79 @@ def test_ring_degrees_match_per_monomial_substitution(name):
             args = (ring, analysis.data, analysis.weyl, analysis.rank, d,
                     include_weyl)
             assert ring_degrees(*args) == oracle_ring_degrees(*args), args
+
+
+@lru_cache(maxsize=None)
+def built(name):
+    """One analysis per entry, shared by the examples of a test, so that its
+    tables stay warm from one example to the next."""
+    return CATALOG[name].build()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ring_conditions_match_the_conditions_of_the_whole_polynomial(data):
+    # each monomial's rows from the tables of the Weyl group and of the
+    # odd-root data, summed over a polynomial of degree <= 6, against the
+    # conditions read off the polynomial as a whole
+    name = data.draw(st.sampled_from(sorted(CATALOG)))
+    ring = data.draw(st.sampled_from(["I", "J", "SW0"]))
+    include_weyl = data.draw(st.booleans())
+    analysis = built(name)
+    r = analysis.rank
+    monos = monomials_up_to(r, 6)
+    p = APoly(r, data.draw(st.dictionaries(
+        st.sampled_from(monos),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        max_size=6)))
+    args = (ring, analysis.data, analysis.weyl, include_weyl)
+    assert ring_conditions(p, *args) == oracle_ring_conditions(p, *args)
+
+
+def test_gamma_of_P5_stays_outside_J_through_the_tables():
+    # rank1-aniso-q2: the J conditions of Gamma(beta(P_5)) do not vanish
+    # (ROADMAP item 1), warm or cold, and equal those of the whole image
+    analysis = CATALOG["rank1-aniso-q2"].build()
+    image = analysis.ctx.gamma_of_sym(generators(analysis.model)[1])
+    args = ("J", analysis.data, analysis.weyl)
+    want = oracle_ring_conditions(image, *args)
+    assert want
+    for _ in range(2):
+        assert ring_conditions(image, *args) == want
+        assert not membership_J(image, analysis.data, analysis.weyl)
+
+
+def tables(analysis):
+    """(row tables, image tables): the tables of condition rows and of
+    monomial images an analysis keeps for its rings."""
+    rows = [analysis.weyl._rows]
+    images = [s._table for s in analysis.weyl.generator_substitutions]
+    for datum in analysis.data:
+        rows += datum._rows.values()
+        images.append(datum.coordinate_change._table)
+    return rows, images
+
+
+def sizes(analysis):
+    return [[len(t) for t in kind] for kind in tables(analysis)]
+
+
+def test_tables_start_empty_and_belong_to_one_analysis():
+    for name in sorted(CATALOG):
+        first, second = CATALOG[name].build(), CATALOG[name].build()
+        # no condition rows yet; a substitution's table holds only the image
+        # of the constant monomial
+        rows, images = sizes(first)
+        assert set(rows) == {0} and set(images) <= {1}
+        for kind in ("I", "J", "SW0"):
+            filtered_dimension(kind, first.data, first.weyl, first.rank, 4)
+        assert sizes(first)[0][0] and sizes(second) == [rows, images]
+        ids = {id(t) for kind in tables(first) for t in kind}
+        assert not ids & {id(t) for kind in tables(second) for t in kind}
+        # the oracle reads each polynomial whole and fills no table
+        for kind in ("I", "J", "SW0"):
+            oracle_ring_degrees(kind, second.data, second.weyl, second.rank, 4)
+        assert sizes(second) == [rows, images]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
