@@ -3,7 +3,7 @@
 Lie superalgebras by structure constants, PBW calculus in the enveloping
 algebra, restricted root systems, the Harish-Chandra projection with its
 rho shift, and the invariant rings attached to odd restricted roots --
-everything over exact rational scalars (optionally a quadratic extension).
+everything over exact rational scalars.
 """
 
 from .apoly import APoly
@@ -30,8 +30,7 @@ from .rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass, InconsistentRelations,
                     OddRootDatum, RankOneModel, build_rank_one_model,
                     coefficient_aNk, filtered_dimension, generators,
                     membership_I, membership_J, odd_root_data, ring_conditions)
-from .scalars import (ContextMismatch, Quad, quad, scalar_from_string,
-                      scalar_to_string)
+from .scalars import scalar_from_string, scalar_to_string
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -249,9 +249,9 @@ class InvariantBasis:
 def _diagonal_weights(alg, k_idx: List[int]):
     """Split k indices into (diagonal ad action, other); weights per index.
 
-    A rational weight vector is scaled by the lcm of its denominators to
-    ints: that leaves the weight-zero test w . m = 0 unchanged and makes it
-    a sum of ints.
+    Each weight vector is scaled by the lcm of its denominators to ints:
+    that leaves the weight-zero test w . m = 0 unchanged and makes it a sum
+    of ints.
     """
     diag: Dict[int, List] = {}
     others: List[int] = []
@@ -266,10 +266,8 @@ def _diagonal_weights(alg, k_idx: List[int]):
                 break
             weights[j] = out.get(j, Q(0))
         if ok:
-            if all(isinstance(w, (int, Fraction)) for w in weights):
-                den = lcm(*(w.denominator for w in weights))
-                weights = [w.numerator * (den // w.denominator) for w in weights]
-            diag[x] = weights
+            den = lcm(*(w.denominator for w in weights))
+            diag[x] = [w.numerator * (den // w.denominator) for w in weights]
         else:
             others.append(x)
     return diag, others

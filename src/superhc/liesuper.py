@@ -5,12 +5,12 @@ sparse table of brackets, an optional invariant form b and an optional even
 involution theta.  Validation (verify_algebra) reports every violated axiom
 instead of raising, so defective input can be diagnosed in one pass.
 
-Scalar contract: the brackets dict keeps the scalars it was given, while
-bracket_indices returns each integral coefficient as an int and every other
-one as a Fraction or Quad, so brackets of integral vectors sum ints.  U(g)
-does not straighten on these constants directly: pbw.UEA rescales the basis
-by their common denominator, where every constant is integral.  An int
-equals, hashes and prints like the equal Fraction.
+Scalar contract: scalars are rational.  The brackets dict keeps the scalars
+it was given, while bracket_indices returns each integral coefficient as an
+int and every other one as a Fraction, so brackets of integral vectors sum
+ints.  U(g) does not straighten on these constants directly: pbw.UEA
+rescales the basis by their common denominator, where every constant is
+integral.  An int equals, hashes and prints like the equal Fraction.
 """
 
 from __future__ import annotations

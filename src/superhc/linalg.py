@@ -1,9 +1,9 @@
-"""Exact sparse linear algebra over the rationals (or a quadratic extension).
+"""Exact sparse linear algebra over the rationals.
 
 A vector is a Row, a sparse dict from column to a nonzero scalar; every
-function here takes and returns vectors in that one form, with Fraction or
-Quad entries.  Every elimination goes through Echelon, which works
-fraction-free: rational rows are scaled once to primitive integer rows and
+function here takes and returns vectors in that one form, with int or
+Fraction entries.  Every elimination goes through Echelon, which works
+fraction-free: rows are scaled once to primitive integer rows and
 eliminated over the integers, so pivots need not be 1.  A kernel vector
 is read straight off the integer rows, one Fraction per entry; the
 unit-pivot Fraction rows that a span basis or a solve needs are built once,
@@ -118,14 +118,13 @@ class Echelon:
 
     Each stored row has its pivot at its leading column and no entry in any
     other pivot column (full RREF up to the scale of each row, kept
-    incrementally).  While every row has rational entries, each is kept as a
-    primitive integer row: ints with no common factor and a positive pivot,
-    which need not be 1.  unit_rows turns them into the reduced echelon form
-    itself, each row divided by its pivot, once the elimination is over:
-    when span_basis reads the rows, when reduce is first called, or when the
-    first row with an irrational entry comes in (a kernel basis reads the
-    integer rows as they are).  From then on (unit is set) every
-    row is kept with a unit pivot.
+    incrementally).  Each row is kept as a primitive integer row: ints with
+    no common factor and a positive pivot, which need not be 1.  unit_rows
+    turns them into the reduced echelon form itself, each row divided by its
+    pivot, once the elimination is over: when span_basis reads the rows or
+    when reduce is first called (a kernel basis reads the integer rows as
+    they are).  From then on (unit is set) every row is kept with a unit
+    pivot.
     """
 
     __slots__ = ("rows", "unit")
@@ -171,19 +170,15 @@ class Echelon:
         """s * (row minus its components along the stored rows), for some
         nonzero scalar s, which is 1 once the rows are unit.
 
-        A rational row is scaled to integers first.  Stored rows carry no
+        The row is scaled to integers first.  Stored rows carry no
         foreign pivot column, so one sweep over the pivots hit by row leaves
         no pivot column behind.
         """
         # an explicit zero left in the copy could become a pivot
         r = {j: x for j, x in row.items() if x}
         if not self.unit:
-            if all(isinstance(x, (int, Fraction)) for x in r.values()):
-                den = lcm(*(x.denominator for x in r.values()))
-                r = {j: x.numerator * (den // x.denominator)
-                     for j, x in r.items()}
-            else:
-                self.unit_rows()
+            den = lcm(*(x.denominator for x in r.values()))
+            r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
         for c in [c for c in r if c in self.rows]:
             self._eliminate(r, c, self.rows[c])
         return r
@@ -414,9 +409,6 @@ def rational_roots(coeffs: List) -> Tuple[List[Tuple[Fraction, int]], int]:
     the degree of the unfactored remainder (0 iff the polynomial splits over
     the rationals).
     """
-    for c in coeffs:
-        if not isinstance(c, (int, Fraction)):
-            raise IrrationalSpectrum("matrix entries outside the rationals")
     work = [Q(c) for c in coeffs]
     roots: List[Tuple[Fraction, int]] = []
 

@@ -22,10 +22,9 @@ Every public method returns a fresh dict, which the caller may mutate.
 
 Scalar contract: a UEA straightens in the scaled basis y_i = D x_i, where
 D (UEA.scale) is the least common denominator of the structure constants
-and of the halved odd squares (for a Quad, of its two rational parts).
-There [y_a, y_b] = D [x_a, x_b] and y_i y_i = (D/2) [x_i, x_i] have
-integral constants, so for a rational algebra the memo, rewrite and every
-scaled product hold ints, and over Q(sqrt c) Quads with integral parts.
+and of the halved odd squares.  There [y_a, y_b] = D [x_a, x_b] and
+y_i y_i = (D/2) [x_i, x_i] have integral constants, so the memo, rewrite
+and every scaled product hold ints.
 The public methods take and return PBW coordinates, those of the x^m: a
 scaled element is a pair (y, s) standing for y / s in the y^m, and
 x^m = D^{-len m} y^m converts at the boundary (UEA.scaled, UEA.unscaled).
@@ -43,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .liesuper import LieSuperalgebra, MixedAlgebras, SuperVector
 from .linalg import accumulate
-from .scalars import Quad, int_if_integral
+from .scalars import int_if_integral
 
 Q = Fraction
 
@@ -69,7 +68,7 @@ class UEA:
         # xi xi = (1/2) [xi, xi] for each odd letter xi
         halves = {i: {k: c * Q(1, 2) for k, c in pairs.get((i, i), {}).items()}
                   for i in range(alg.dim) if alg.parity[i]}
-        self.scale = lcm(*{_denominator(c)
+        self.scale = lcm(*{c.denominator
                            for out in [*pairs.values(), *halves.values()]
                            for c in out.values()})
         # the same constants in the scaled basis, all integral
@@ -100,12 +99,12 @@ class UEA:
     # -- the scaled basis ---------------------------------------------------
     def scaled(self, u: UEAElement) -> Tuple[UEAElement, int]:
         """(y, s) with u = y / s, y in scaled coordinates with integral
-        coefficients (integral parts for a Quad)."""
+        coefficients."""
         scale = self.scale
         if scale == 1 and all(type(c) is int for c in u.values()):
             return u, 1
         top = max(map(len, u), default=0)
-        s = lcm(*map(_denominator, u.values())) * scale ** top
+        s = lcm(*(c.denominator for c in u.values())) * scale ** top
         return {m: int_if_integral(c * (s // scale ** len(m)))
                 for m, c in u.items()}, s
 
@@ -361,14 +360,6 @@ def accumulate_compact(acc: UEAElement, nf: Compact, coeff) -> None:
         acc[k] = w
 
 
-def _denominator(c) -> int:
-    """The denominator of a rational c, or the lcm of those of the two
-    rational parts of a Quad."""
-    if type(c) is Quad:
-        return lcm(c.a.denominator, c.b.denominator)
-    return c.denominator
-
-
 def _ratio(c, num: int, den: int):
     """c num / den, built once: an int when c is an int and den divides
     c num."""
@@ -377,9 +368,7 @@ def _ratio(c, num: int, den: int):
     if type(c) is int:
         q, r = divmod(c * num, den)
         return Q(c * num, den) if r else q
-    if type(c) is Q:
-        return Q(c.numerator * num, c.denominator * den)
-    return c * Q(num, den)
+    return Q(c.numerator * num, c.denominator * den)
 
 
 # -- the supercommutative algebra S(g) ---------------------------------------

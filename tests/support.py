@@ -13,16 +13,15 @@ from superhc.linalg import kernel, solve_membership, span_basis
 from superhc.liesuper import MixedAlgebras, SuperVector, centralizer
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
-from superhc.rings import ANISOTROPIC, membership_conditions
-from superhc.scalars import Quad, quad, rational_sqrt
+from superhc.rings import membership_conditions
 
 
 def gauss_jordan(rows):
     """The reduced echelon rows of the span of sparse rows, keyed by pivot.
 
-    Plain Gauss-Jordan over the scalars (Fraction or Quad): every stored row
-    has a unit pivot, and a new row is reduced, scaled by its leading entry
-    and cleared from the rows before it.  The oracle for linalg.Echelon.
+    Plain Gauss-Jordan over the rationals: every stored row has a unit
+    pivot, and a new row is reduced, scaled by its leading entry and cleared
+    from the rows before it.  The oracle for linalg.Echelon.
     """
     pivots = {}
     for row in rows:
@@ -292,15 +291,14 @@ def degree_drop_all(analysis, max_degree=3):
 
 
 def derived_bracket(alg, i, j):
-    """[e_i, e_j] read from alg.brackets alone, with Fraction (or Quad)
-    values: the stored pair, else the stored mirror times -(-1)^{|i||j|}."""
+    """[e_i, e_j] read from alg.brackets alone, with Fraction values: the
+    stored pair, else the stored mirror times -(-1)^{|i||j|}."""
     out = alg.brackets.get((i, j))
     sign = Q(1)
     if out is None:
         out = alg.brackets.get((j, i), {})
         sign = Q(1) if alg.parity[i] and alg.parity[j] else Q(-1)
-    return {k: sign * (v if isinstance(v, Quad) else Q(v))
-            for k, v in out.items() if v}
+    return {k: sign * Q(v) for k, v in out.items() if v}
 
 
 def oracle_normal_form(alg, word):
@@ -393,33 +391,6 @@ def gl11():
     g.decomposition = {"center": [ident],
                        "ideals": [[g.basis("E01"), g.basis("E10"), ident]]}
     return g
-
-
-def unnormalized(model, kind, i):
-    """The y_i / z_i vectors of an anisotropic rank-one model: sqrt(c)
-    times v_i / w_i."""
-    assert model.iso_class == ANISOTROPIC
-    c = model.c  # sqrt(c) = sqrt(num * den) / den
-    root = sqrt_scalar(c, context_c=c.numerator * c.denominator)
-    base = {"y": "v", "yt": "vt", "z": "w", "zt": "wt"}[kind]
-    return model.algebra.basis(f"{base}{i}").scale(root)
-
-
-def sqrt_scalar(x, context_c=None):
-    """Exact square root of a rational x, opening sqrt(context_c) if needed.
-
-    If x is a perfect square the result is rational.  Otherwise x must be of
-    the form r**2 * context_c, and the result lives in Q(sqrt(context_c)).
-    """
-    x = Q(x)
-    r = rational_sqrt(x)
-    if r is not None:
-        return r
-    if context_c is not None:
-        r = rational_sqrt(x / Q(context_c))
-        if r is not None:
-            return quad(0, r, context_c)
-    raise ValueError(f"no exact square root of {x} in the current context")
 
 
 def in_local_ring(ring, p, datum):

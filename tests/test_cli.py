@@ -240,10 +240,9 @@ def _sl2_double_entry(**fields):
     return entry
 
 
-# a = sqrt(2)(h.l - h.r): ad(a) has eigenvalues +-2 sqrt(2), which the
-# rational eigenvalue search does not find
-IRRATIONAL_A = _sl2_double_entry(a_basis=[["0", "0+1*sqrt(2)", "0",
-                                           "0", "0-1*sqrt(2)", "0"]])
+# a = (e + 2f).l - (e + 2f).r: a rational a whose ad(a) has eigenvalues
+# +-2 sqrt(2), which the rational eigenvalue search does not find
+IRRATIONAL_A = _sl2_double_entry(a_basis=[["1", "0", "2", "-1", "0", "-2"]])
 
 
 def _with_algebra_field(edit):
@@ -371,10 +370,13 @@ def test_threads_flag_is_gone(capsys):
      '{"terms": [{"exps": {"a": 1}, "coeff": "1e9"}]}'],
     ["roots", "group-sl2", "--direction", "1+1*sqrt(2)"],
     ["roots", "group-sl2", "--direction", "1/0"],
+    ["gamma", "group-sl2", "--element",
+     '{"terms":[{"word":["h.l"],"coeff":"1 2"}]}'],
 ], ids=["terms-int", "term-int", "word-int", "word-of-lists", "coeff-int",
         "poly-terms-int", "exps-int", "poly-coeff-int", "exponent-bool",
         "poly-coeff-exponent-notation",
-        "direction-irrational", "direction-zero-denominator"])
+        "direction-irrational", "direction-zero-denominator",
+        "coeff-inner-space"])
 def test_malformed_json_argument_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -382,18 +384,18 @@ def test_malformed_json_argument_is_a_usage_error(capsys, argv):
     assert err.startswith("error:")
 
 
-
 @pytest.mark.parametrize("argv", [
     ["gamma", "rank1-aniso-q1", "--element",
-     '{"terms":[{"word":["a"],"coeff":"1+1*sqrt(2)"},'
-     '{"word":["a","a"],"coeff":"1+1*sqrt(3)"}]}'],
+     '{"terms":[{"word":["a"],"coeff":"1"},'
+     '{"word":["a","a"],"coeff":"1+1*sqrt(2)"}]}'],
     ["membership", "group-gl12", "--ring", "I", "--poly",
-     '{"terms":[{"exps":{"a0":1},"coeff":"1+1*sqrt(2)"},'
-     '{"exps":{"a1":1},"coeff":"1+1*sqrt(3)"}]}'],
+     '{"terms":[{"exps":{"a0":1},"coeff":"1"},'
+     '{"exps":{"a1":1},"coeff":"1+1*sqrt(2)"}]}'],
 ], ids=["gamma", "membership"])
-def test_two_square_roots_are_a_usage_error(capsys, argv):
-    # sqrt(2) and sqrt(3) live in no one quadratic extension
+def test_sqrt_coefficient_is_a_usage_error(capsys, argv):
+    # scalars are rational: a sqrt( string is malformed
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: cannot mix sqrt(")
+    assert err.startswith("error: bad scalar string") and \
+        "Traceback" not in err

@@ -16,7 +16,6 @@ from superhc.linalg import kernel, linear_solver, span_basis
 from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
-from superhc.scalars import Quad
 from support import (adjoint, beta_of_vectors, gamma_preimage,
                      invariants_from_all_letters, oracle_adjoint,
                      shift_by_substitute)
@@ -171,7 +170,7 @@ def test_to_adapted_equals_the_solver_on_rational_vectors(data):
 def test_invariants_and_gamma_hold_fractions_or_quads(name):
     # straightening runs on ints where it can; the invariants, their
     # companion basis and Gamma of each invariant or straightened word are
-    # results, and hold Fractions or Quads only, as the results of linalg do
+    # results, and hold Fractions only, as the results of linalg do
     ctx = CATALOG[name].build().ctx
     basis = invariants_up_to_degree(ctx, 3)
     assert basis.companion
@@ -181,7 +180,7 @@ def test_invariants_and_gamma_hold_fractions_or_quads(name):
     values += [c for v in basis.invariants + words
                for c in ctx.hc_gamma(v).terms.values()]
     assert values
-    assert all(isinstance(c, (Q, Quad)) for c in values), \
+    assert all(isinstance(c, Q) for c in values), \
         {type(c) for c in values}
 
 

@@ -9,7 +9,7 @@ from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                               MissingInvolution, centralizer, change_basis,
                               theta_eigenspaces, verify_algebra)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import derived_and_center, p_dims, unnormalized
+from support import derived_and_center, p_dims
 
 
 def catalog_algebras():
@@ -56,12 +56,13 @@ def test_bracket_even_square_vanishes():
 
 
 def test_bracket_rank_one_paper_relations():
-    # [y~_1, z_1] = A_lam and [h, y_1] = lam(h) z_1 in a rank-one model
+    # [y~_1, z_1] = A_lam and [h, y_1] = lam(h) z_1 in a rank-one model; at
+    # c = 1, sqrt(c) = 1 and y_1, y~_1, z_1 are v1, vt1, w1
     m = build_rank_one_model(1, ANISOTROPIC, Q(1))
     g = m.algebra
-    yt1, z1 = unnormalized(m, "yt", 1), unnormalized(m, "z", 1)
+    yt1, z1 = g.basis("vt1"), g.basis("w1")
     assert g.bracket(yt1, z1) == g.basis("a").scale(m.c)  # A_lam = c a
-    y1 = unnormalized(m, "y", 1)
+    y1 = g.basis("v1")
     a = g.basis("a")  # lam(a) = 1
     assert g.bracket(a, y1) == z1
 
@@ -157,11 +158,12 @@ def test_b_theta_fixed_even_vector():
 
 
 def test_b_theta_symplectic_on_rank_one_model():
-    # b^theta(x_i, x~_j) = 2 delta_ij and b^theta(x_i, x_j) = 0
+    # b^theta(x_i, x~_j) = 2 delta_ij and b^theta(x_i, x_j) = 0, with
+    # x_1 = v1 + w1 and x~_1 = vt1 + wt1 at c = 1
     m = build_rank_one_model(1, ANISOTROPIC, Q(1))
     g = m.algebra
-    x1 = unnormalized(m, "y", 1) + unnormalized(m, "z", 1)
-    xt1 = unnormalized(m, "yt", 1) + unnormalized(m, "zt", 1)
+    x1 = g.basis("v1") + g.basis("w1")
+    xt1 = g.basis("vt1") + g.basis("wt1")
     assert g.b(x1, g.theta_apply(xt1)) == Q(2)
     assert g.b(x1, g.theta_apply(x1)) == 0
 

@@ -12,7 +12,6 @@ from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
                             kernel, linear_solver, nullspace, rank,
                             rational_roots, simultaneous_eigenspaces,
                             solve_membership, span_basis)
-from superhc.scalars import Quad, quad
 from support import (apply, gauss_jordan, oracle_coordinates, oracle_nullspace,
                      oracle_span_basis)
 
@@ -107,8 +106,6 @@ RATIONALS = st.one_of(
     st.integers(-10 ** 6, 10 ** 6),
     st.builds(Q, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3)),
     st.builds(Q, st.integers(-6, 6), st.sampled_from([2, 3, 4, 6, 7, 12])))
-# a + b sqrt(2), irrational whenever b != 0
-SURDS = st.builds(quad, st.integers(-3, 3), st.integers(-3, 3), st.just(2))
 
 
 @st.composite
@@ -158,57 +155,23 @@ def test_integer_elimination_matches_fraction_gauss_jordan(case, coeffs, probe):
     _check_against_oracle(ncols, rows, coeffs[:len(rows)], probe)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(dependent_rows(st.one_of(SURDS, RATIONALS), SURDS),
-       st.lists(SURDS, min_size=13, max_size=13),
-       st.dictionaries(st.integers(0, 6), SURDS, max_size=4))
-def test_elimination_with_quad_entries(case, coeffs, probe):
-    # rows with a sqrt(2) entry share the loop; rational rows met before
-    # the first of them are integer rows until it arrives
-    ncols, rows = case
-    mat = ScalarMatrix(len(rows), ncols, rows)
-    kern = nullspace(mat)
-    assert len(kern) == ncols - len(gauss_jordan(rows))
-    for v in kern:
-        assert apply(mat, v) == {}
-    probe = {j: x for j, x in probe.items() if x and j < ncols}
-    _check_against_oracle(ncols, rows, coeffs[:len(rows)], probe)
-
-
-def test_rational_rows_before_a_quad_row():
-    # the integer rows {0: 2, 1: 4} and {1: 3, 2: 6} are stored before the
-    # sqrt(2) row comes in, then read as unit-pivot rows
-    r2 = quad(0, 1, 2)
-    rows = [{0: Q(2), 1: Q(4)}, {1: Q(3), 2: Q(6)},
-            {0: r2, 1: Q(1), 2: Q(1), 3: Q(1)}]
-    mat = ScalarMatrix(3, 4, rows)
-    assert nullspace(mat) == oracle_nullspace(rows, 4)
-    assert span_basis(rows) == oracle_span_basis(rows)
-    (v,) = nullspace(mat)
-    assert apply(mat, v) == {} and isinstance(v[0], Quad)
-    coords = {0: Q(1, 2), 1: r2, 2: Q(-3)}
-    assert linear_solver(rows)(_combination(coords.values(), rows)) == coords
-
-
 def _assert_scalars(rows):
     for r in rows:
         for x in r.values():
-            assert isinstance(x, (Q, Quad)), (type(x), x)
+            assert isinstance(x, Q), (type(x), x)
 
 
 def test_results_are_fractions_or_quads_never_ints():
     # integer rows hold ints inside Echelon; none may leak out, and no
     # division of ints may become a float
-    int_rows = [{0: 2, 1: 4, 3: 6}, {1: 3, 2: 9}, {0: 4, 2: 5, 3: 7}]
-    quad_rows = [{0: 2, 1: quad(1, 1, 2)}, {1: 3, 2: 1}]
-    for rows, ncols in ((int_rows, 4), (quad_rows, 3)):
-        _assert_scalars(nullspace(ScalarMatrix(len(rows), ncols, rows)))
-        _assert_scalars(kernel({i: r[j] for i, r in enumerate(rows) if j in r}
-                               for j in range(ncols)))
-        _assert_scalars(span_basis(rows))
-        solve = linear_solver(rows)
-        _assert_scalars([solve(_combination([3, 5], rows[:2]))])
-        _assert_scalars([solve(dict(rows[1]))])
+    rows = [{0: 2, 1: 4, 3: 6}, {1: 3, 2: 9}, {0: 4, 2: 5, 3: 7}]
+    _assert_scalars(nullspace(ScalarMatrix(len(rows), 4, rows)))
+    _assert_scalars(kernel({i: r[j] for i, r in enumerate(rows) if j in r}
+                           for j in range(4)))
+    _assert_scalars(span_basis(rows))
+    solve = linear_solver(rows)
+    _assert_scalars([solve(_combination([3, 5], rows[:2]))])
+    _assert_scalars([solve(dict(rows[1]))])
     m = ScalarMatrix(3, 3, [{0: 2, 1: 1}, {1: 2}, {2: 3}])
     _assert_scalars(eigenspace([m], [2]))
     _assert_scalars(eigenspace([m], [3]))

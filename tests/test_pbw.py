@@ -15,7 +15,6 @@ from superhc.serialization import uea_to_json
 from superhc.serialization import dumps_canonical
 from superhc.catalog import verify_main_theorem
 from superhc.liesuper import change_basis
-from superhc.scalars import Quad, quad
 from support import (adjoint, derived_bracket, oracle_adjoint,
                      oracle_multiply, oracle_normal_form)
 
@@ -371,14 +370,12 @@ def _rescaled(base, factors):
                             for n in g.names], g.names)
 
 
-# algebras whose straightening needs a scale D > 1 or runs over Q(sqrt 2),
-# with their D: h/3 in sl2; f times sqrt 2 (an integral Quad constant) and
-# times sqrt(2)/2 (a Quad with half-integral parts); the odd x/3 in osp12,
+# algebras whose straightening needs a scale D > 1, with their D: h/3 in
+# sl2; f/2 in sl2, whose halved constants give D = 2; the odd x/3 in osp12,
 # whose square brings the halved odd square into D
 RESCALED = {
     "sl2-h/3": (lambda: _rescaled(sl2, {"h": Q(1, 3)}), 3),
-    "sl2-f*sqrt2": (lambda: _rescaled(sl2, {"f": quad(0, 1, 2)}), 1),
-    "sl2-f*sqrt2/2": (lambda: _rescaled(sl2, {"f": quad(0, Q(1, 2), 2)}), 2),
+    "sl2-f/2": (lambda: _rescaled(sl2, {"f": Q(1, 2)}), 2),
     "osp12-x/3": (lambda: _rescaled(osp12, {"x": Q(1, 3)}), 9),
 }
 
@@ -389,16 +386,12 @@ def test_scaled_straightening_matches_the_fraction_oracle(name):
     g = build()
     uea = _check_against_oracles(g, random.Random(f"scaled:{name}"))
     assert uea.scale == scale
-    # the memo holds the scaled basis' integral coefficients: ints over Q;
-    # over Q(sqrt 2) Quads with integral parts, or integral Fractions where
-    # Quad arithmetic drops the root; a memo value is the compact normal
-    # form (w1, c1, w2, c2, ...), so its coefficients are nf[1::2]
+    # the memo holds the scaled basis' integral coefficients as ints; a
+    # memo value is the compact normal form (w1, c1, w2, c2, ...), so its
+    # coefficients are nf[1::2]
     for nf in uea._memo.values():
         for c in nf[1::2]:
-            parts = (c.a, c.b) if isinstance(c, Quad) else (c,)
-            assert all(x.denominator == 1 for x in parts), c
-            if "sqrt" not in name:
-                assert type(c) is int, c
+            assert type(c) is int, c
 
 
 def test_scale_of_the_catalog_algebras():

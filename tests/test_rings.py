@@ -7,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from superhc.apoly import APoly, Substitution, monomials_up_to
 from superhc.catalog import CATALOG
-from superhc.harish import gr_restriction
+from superhc.harish import gr_restriction, invariants_up_to_degree
 from superhc.linalg import accumulate, kernel, span_basis
 from superhc.liesuper import change_basis, verify_algebra
 from superhc.pairs import a_perp_in_p, even_weyl_group, restricted_roots
 from superhc.pbw import sym_adjoint, sym_adjoint_index, sym_multiply
 from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            build_rank_one_model, coefficient_aNk,
-                           filtered_dimension, generators, membership_J,
-                           odd_root_data, ring_conditions, ring_degrees)
+                           filtered_dimension, generators, membership_I,
+                           membership_J, odd_root_data, ring_conditions,
+                           ring_degrees)
 from support import (adjoint, in_local_ring, oracle_ring_conditions,
                      oracle_ring_degrees, shift_by_substitute, substitute,
-                     sym_monomials_up_to, unnormalized)
+                     sym_monomials_up_to)
 
 
 def aniso_datum(q):
@@ -76,18 +77,14 @@ def test_rank_one_q2_anisotropic_multiplicity_and_symplectic():
     assert verify_algebra(g) == []
     system = restricted_roots(model.pair)
     assert sorted(r.m1 for r in system.roots) == [4, 4]
-    # b^theta(x_i, x~_j) = 2 delta_ij on the symplectic basis
+    # b^theta(x_i, x~_j) = 2 delta_ij on the symplectic basis x_i = v_i + w_i
     for i in (1, 2):
-        xi = m_x(model, "y", i) + m_x(model, "z", i)
+        xi = g.basis(f"v{i}") + g.basis(f"w{i}")
         for j in (1, 2):
-            xtj = m_x(model, "yt", j) + m_x(model, "zt", j)
+            xtj = g.basis(f"vt{j}") + g.basis(f"wt{j}")
             assert g.b(xi, g.theta_apply(xtj)) == (Q(2) if i == j else Q(0))
-            xj = m_x(model, "y", j) + m_x(model, "z", j)
+            xj = g.basis(f"v{j}") + g.basis(f"w{j}")
             assert g.b(xi, g.theta_apply(xj)) == 0
-
-
-def m_x(model, kind, i):
-    return unnormalized(model, kind, i)
 
 
 def test_rank_one_bad_iso_class():
@@ -99,19 +96,7 @@ def test_rank_one_bad_iso_class():
         build_rank_one_model(1, "SOMETHING", Q(1))
 
 
-def test_rank_one_nonsquare_c_opens_quadratic_context():
-    model = build_rank_one_model(1, ANISOTROPIC, Q(5))
-    g = model.algebra
-    assert verify_algebra(g) == []
-    # unnormalized vectors carry sqrt(5) coefficients but relations close
-    y1, z1 = unnormalized(model, "y", 1), unnormalized(model, "z", 1)
-    assert g.bracket(g.basis("a"), y1) == z1
-    yt1 = unnormalized(model, "yt", 1)
-    # the coroot A_lam = c a
-    assert g.bracket(yt1, z1) == g.basis("a").scale(model.c)
-
-
-@pytest.mark.parametrize("c", [Q(1), Q(2), Q(1, 3)])
+@pytest.mark.parametrize("c", [Q(1), Q(2), Q(1, 3), Q(5)])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_aniso_model_from_supermatrices_has_the_rank_one_relations(q, c):
     g = build_rank_one_model(q, ANISOTROPIC, c).algebra
@@ -527,6 +512,29 @@ def test_gated_roots_are_skipped():
     t = APoly.variable(1, 0)
     assert not membership_J(t, analysis.data, analysis.weyl)
     assert membership_J(t * t, analysis.data, analysis.weyl)
+
+
+@pytest.mark.parametrize("name", ["group-sl2", "group-osp12"])
+def test_group_type_rings_are_the_polynomials_in_a_squared(name):
+    # rank one with W0 = {1, -1}: I(a) and J(a) are C[a^2].  group-sl2 has
+    # no odd root; the one odd root of group-osp12 is gated (2 lam is a
+    # root), so it adds no condition.  a^k lies in each ring exactly when k
+    # is even, and the degree <= d parts have dimension floor(d/2) + 1, so
+    # each ring equals C[a^2] up to degree 8
+    analysis = CATALOG[name].build()
+    data, weyl = analysis.data, analysis.weyl
+    a = APoly.variable(1, 0)
+    for k in range(9):
+        assert membership_J(a ** k, data, weyl) == (k % 2 == 0), k
+        assert membership_I(a ** k, data, weyl) == (k % 2 == 0), k
+    for d in range(9):
+        for ring in ("J", "I"):
+            assert filtered_dimension(ring, data, weyl, 1, d) == d // 2 + 1
+    # and Gamma of each invariant at the default degree is even in a
+    ctx = analysis.ctx
+    basis = invariants_up_to_degree(ctx, CATALOG[name].default_degree)
+    for v in basis.invariants:
+        assert all(e[0] % 2 == 0 for e in ctx.hc_gamma(v).terms), v
 
 
 def test_odd_root_datum_fields():
