@@ -20,9 +20,9 @@ from .pairs import build_pair
 from .pbw import accumulate
 from .rings import ring_conditions
 from .scalars import scalar_from_string, scalar_to_string
-from .serialization import (algebra_from_json, dumps_canonical,
-                            entry_from_json, poly_from_json, poly_to_json,
-                            uea_to_json, words_from_json)
+from .serialization import (algebra_from_json, conditions_to_json,
+                            dumps_canonical, entry_from_json, poly_from_json,
+                            poly_to_json, uea_to_json, words_from_json)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -147,12 +147,14 @@ def cmd_gamma(args) -> int:
             else:
                 raise InputError(f"unknown generator {name!r}")
         accumulate(elem, analysis.ctx.word(factors), coeff)
+    projection = analysis.ctx.project_to_a(elem)
     out = {
         "entry": analysis.name,
         "element": uea_to_json(elem),
-        "projection": poly_to_json(analysis.ctx.project_to_a(elem),
-                                   analysis.a_names),
-        "gamma": poly_to_json(analysis.ctx.hc_gamma(elem), analysis.a_names),
+        "projection": poly_to_json(projection, analysis.a_names),
+        # Gamma is the projection, rho-shifted (IwasawaContext.hc_gamma)
+        "gamma": poly_to_json(analysis.ctx.rho_shift(projection),
+                              analysis.a_names),
     }
     sys.stdout.write(dumps_canonical(out))
     return EXIT_OK
@@ -164,9 +166,9 @@ def cmd_membership(args) -> int:
     if poly.degree() > MAX_POLY_DEGREE:
         raise InputError(f"membership takes polynomials of degree at most "
                          f"{MAX_POLY_DEGREE}, got {poly.degree()}")
-    conditions = {str(key): scalar_to_string(val) for key, val in ring_conditions(
+    conditions = conditions_to_json(ring_conditions(
         poly, args.ring, analysis.data, analysis.weyl,
-        include_weyl=args.ring == "J" or not args.no_weyl).items()}
+        include_weyl=args.ring == "J" or not args.no_weyl))
     out = {
         "entry": analysis.name,
         "ring": args.ring,

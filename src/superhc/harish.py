@@ -87,9 +87,27 @@ class IwasawaContext:
         return list(range(self.lo_k, self.adapted.dim))
 
     def word(self, factors: Sequence[SuperVector]) -> UEAElement:
-        """Normal form of a product of elements of the original algebra."""
-        return self.uea.normal_form([self.to_adapted(v) if v.alg is self.pair.g
-                                     else v for v in factors])
+        """Normal form of a product of elements of the original algebra, or
+        of the adapted one.
+
+        Each factor goes to UEA.normal_form scaled, as a pair (y, t) standing
+        for y / t.  A vector v = sum c_i e_i of the original algebra is read
+        off the context's letters, letter i being y_i / t_i: with
+        t = lcm(t_i den(c_i)), y = sum c_i (t / t_i) y_i is integral, so no
+        factor is solved into the adapted basis again."""
+        return self.uea.normal_form([self._scaled_vector(v) for v in factors])
+
+    def _scaled_vector(self, v: SuperVector) -> Tuple[UEAElement, int]:
+        """(y, t) with v = y / t in the scaled basis of U(g) (see word)."""
+        if v.alg is not self.pair.g:
+            return self.uea.scaled(self.uea.from_vector(v))
+        letters = self._letters
+        t = lcm(*(letters[i][1] * c.denominator for i, c in v.c.items()))
+        y: UEAElement = {}
+        for i, c in v.c.items():
+            y_i, t_i = letters[i]
+            accumulate(y, y_i, c.numerator * (t // (t_i * c.denominator)))
+        return y, t
 
     def beta_from_g(self, p: SymElement) -> UEAElement:
         """Supersymmetrisation of an S(g) element over the original basis."""

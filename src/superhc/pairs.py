@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apoly import APoly, Expvec, Substitution
+from .apoly import APoly, Expvec, Substitution, monomials_up_to
 from .linalg import (Row, ScalarMatrix, kernel, linear_solver,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
@@ -280,6 +280,9 @@ class WeylGroup:
                                         for w in generators]
         # the invariance conditions of each monomial (see invariance_rows)
         self._rows: Dict[Expvec, Dict] = {}
+        # a basis of S(a)^W0 at the highest degree asked (see invariant_basis)
+        self._basis: List[Tuple[int, APoly]] = []
+        self._basis_degree = -1
 
     def invariance_rows(self, e: Expvec) -> Dict:
         """The W0-invariance conditions of the monomial h^e: the coefficient
@@ -294,6 +297,27 @@ class WeylGroup:
                 for t, s in enumerate(self.generator_substitutions)
                 for f, c in (s(mono) - mono).terms.items()}
         return hit
+
+    def invariant_basis(self, rank: int, d: int) -> List[Tuple[int, APoly]]:
+        """A basis of the degree <= d part of S(a)^W0 as (degree, p) pairs,
+        in non-decreasing degree: the reduced-echelon kernel of the
+        invariance rows over monomials_up_to(rank, d), each vector's degree
+        that of its last monomial.
+
+        The basis at the highest degree asked so far is kept, and a lower d
+        reads its prefix of degree <= d: the monomials of degree <= d are a
+        prefix of those of higher degree, and the reduced-echelon kernel over
+        a prefix of the columns is the part of the whole one that ends inside
+        it (see linalg.nullspace).  Callers must not mutate the result's
+        polynomials."""
+        if d > self._basis_degree:
+            monos = monomials_up_to(rank, d)
+            self._basis = [
+                (sum(monos[max(v)]),
+                 APoly(rank, {monos[t]: c for t, c in v.items()}))
+                for v in kernel(self.invariance_rows(e) for e in monos)]
+            self._basis_degree = d
+        return [b for b in self._basis if b[0] <= d]
 
     def __len__(self):
         return len(self.elements)

@@ -179,13 +179,13 @@ class UEA:
         return self.unscaled(uncompact(self._straighten(word, strategy)),
                              self.word_divisor(word))
 
-    def normal_form(self, factors: Sequence[SuperVector]) -> UEAElement:
-        """Normal form of a product of algebra elements (a 'word' of vectors):
-        each factor is scaled once and the whole product runs in the scaled
-        basis."""
+    def normal_form(self, factors: Sequence[Tuple[UEAElement, int]]
+                    ) -> UEAElement:
+        """Normal form of a product of algebra elements (a 'word' of vectors),
+        each given scaled, as a pair (y, t) standing for y / t (see
+        UEA.scaled): the whole product runs in the scaled basis."""
         out, s = self.one(), 1
-        for x in factors:
-            y, t = self.scaled(self.from_vector(x))
+        for y, t in factors:
             out = self.scaled_product(out, y)
             s *= t
         return self.unscaled(out, s)

@@ -11,7 +11,9 @@ sum over its terms c_e h^e of c_e times the rows of the monomial h^e.  Each
 monomial's rows are computed once per input and kept by the owner of the
 map they come from: the W0-invariance rows by the WeylGroup, beside its
 generator substitutions, and each odd root's rows by its OddRootDatum,
-beside its coordinate change, in one table for "I" and one for "J".
+beside its coordinate change, in one table for "I" and one for "J".  Every
+ring but I without W0 lies in S(a)^W0, so its filtered dimensions are read
+over the basis of S(a)^W0 the WeylGroup keeps, with the odd-root rows only.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .linalg import ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
+from .scalars import int_if_integral
 
 Q = Fraction
 
@@ -46,7 +49,7 @@ class InconsistentRelations(ValueError):
 class OddRootDatum:
     """Everything the membership tests need to know about one odd root."""
 
-    __slots__ = ("lam", "q", "iso_class", "c", "a_coords", "A_coords",
+    __slots__ = ("lam", "key", "q", "iso_class", "c", "a_coords", "A_coords",
                  "h0_coords", "a_perp", "gated", "rank", "coordinate_change",
                  "_rows")
 
@@ -55,6 +58,9 @@ class OddRootDatum:
                  h0_coords: Optional[Tuple], a_perp: List[Tuple],
                  gated: bool):
         self.lam = lam
+        # lam with ints where integral: the root in each condition key, so
+        # that keys hash without hashing a Fraction
+        self.key = tuple(int_if_integral(x) for x in lam)
         self.q = q
         self.iso_class = iso_class
         self.c = c
@@ -383,19 +389,19 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
             adapted = datum.coordinate_change(deriv)
             for e, c in adapted.terms.items():
                 if e[0] < j:
-                    out[("iso", datum.lam, j, e)] = c
+                    out[("iso", datum.key, j, e)] = c
         return out
     adapted = datum.coordinate_change(p)
     if ring == "I":
         for e, c in adapted.terms.items():
             if e[0] % 2 == 1 and e[0] < 2 * datum.q + 1:
-                out[("I", datum.lam, e)] = c
+                out[("I", datum.key, e)] = c
     else:
-        for key, coeffs in _group_by_perp(adapted).items():
+        for perp, coeffs in _group_by_perp(adapted).items():
             _, B = _even_odd_split(coeffs, datum.q)
             for t, c in B.items():
                 if t < datum.q:
-                    out[("J", datum.lam, key, t)] = c
+                    out[("J", datum.key, perp, t)] = c
     return out
 
 
@@ -435,19 +441,28 @@ def ring_degrees(ring: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
     """The degree of each basis vector of the degree <= d part of a ring,
     the polynomials p with ring_conditions(p, ring, ...) = {}.
 
-    The basis is the kernel of the conditions over monomials_up_to, which
-    lists monomials by degree, and each vector's degree is that of its
-    largest key, its last monomial (see linalg.nullspace): so the degree
-    <= e part of the space has dimension #{degrees <= e} for every e <= d.
+    The basis is the kernel of the conditions over a list of polynomials
+    that runs by degree: with include_weyl, the basis of S(a)^W0 the Weyl
+    group keeps (WeylGroup.invariant_basis), so only the odd-root
+    conditions are left, and "SW0" is that basis itself; without it, the
+    monomials of monomials_up_to.  Either list's polynomials of degree
+    <= e are a prefix of it and span the degree <= e part of its span, and
+    each kernel vector's degree is that of its largest key, the last
+    polynomial it uses (see linalg.nullspace): so the degree <= e part of
+    the ring has dimension #{degrees <= e} for every e <= d.
     """
-    monos = monomials_up_to(rank, d)
-    return [sum(monos[max(v)])
-            for v in kernel(ring_conditions(APoly(rank, {e: Q(1)}), ring, data,
-                                            weyl, include_weyl)
-                            for e in monos)]
+    if include_weyl:
+        columns = weyl.invariant_basis(rank, d)
+    else:
+        columns = [(sum(e), APoly(rank, {e: Q(1)}))
+                   for e in monomials_up_to(rank, d)]
+    return [columns[max(v)][0]
+            for v in kernel(ring_conditions(p, ring, data, weyl, False)
+                            for _, p in columns)]
 
 
 def filtered_dimension(kind: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
                        rank: int, d: int) -> int:
-    """dim of the degree <= d part of I(a), J(a) or S(a)^W0."""
+    """dim of the degree <= d part of I(a), J(a) or S(a)^W0, counted by
+    ring_degrees over the Weyl group's kept basis of S(a)^W0."""
     return len(ring_degrees(kind, data, weyl, rank, d))

@@ -184,6 +184,26 @@ def poly_to_json(p: APoly, names: Sequence[str]) -> dict:
     return {"terms": terms}
 
 
+def conditions_to_json(conditions: Dict[tuple, ScalarLike]) -> list:
+    """Ring conditions (see rings.ring_conditions), sorted by key, each as
+    {"kind", "root" or "generator", "indices", "value"}: kind "W" names a
+    Weyl generator by its index, the others ("I", "J", "iso") an odd root
+    by its coordinates; indices are the key's remaining entries, tuples as
+    lists."""
+    out = []
+    for key in sorted(conditions):
+        kind, owner, *rest = key
+        row = {"kind": kind,
+               "indices": [list(x) if isinstance(x, tuple) else x for x in rest],
+               "value": scalar_to_string(conditions[key])}
+        if kind == "W":
+            row["generator"] = owner
+        else:
+            row["root"] = [scalar_to_string(x) for x in owner]
+        out.append(row)
+    return out
+
+
 def poly_from_json(data: dict, names: Sequence[str]) -> APoly:
     _expect_keys(data, ["terms"])
     pos = {n: i for i, n in enumerate(names)}

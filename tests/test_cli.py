@@ -115,6 +115,28 @@ def test_membership_command_positive(capsys):
     assert json.loads(out)["member"] is True
 
 
+@pytest.mark.parametrize("entry, ring, poly, violated", [
+    # a0^2/2 is W0-invariant on group-gl12, but its derivative along each
+    # isotropic root is not divisible by A_lam
+    ("group-gl12", "J", {"a0": 2},
+     '[{"indices":[1,[0,1,0]],"kind":"iso","root":["-1","0","1"],"value":"1"},'
+     '{"indices":[1,[0,1,0]],"kind":"iso","root":["-1","1","0"],"value":"1"}]'),
+    # a0^3/2 is odd, so the one Weyl generator of group-sl2 moves it
+    ("group-sl2", "I", {"a0": 3},
+     '[{"generator":0,"indices":[[3]],"kind":"W","value":"-1"}]'),
+], ids=["gl12-iso", "sl2-weyl"])
+def test_membership_prints_each_violated_condition_as_an_object(
+        capsys, entry, ring, poly, violated):
+    # the bytes of violated_conditions: kind, owning root or Weyl generator,
+    # the key's other indices as lists, and the value, sorted by key
+    arg = json.dumps({"terms": [{"exps": poly, "coeff": "1/2"}]})
+    code, out, _ = run(capsys, "membership", entry, "--poly", arg,
+                       "--ring", ring)
+    assert code == 1
+    assert f'"violated_conditions":{violated}' in out
+    assert json.loads(out)["member"] is False
+
+
 @pytest.mark.parametrize("exps, codes", [
     ({"a0": 64}, (0, 1)),
     ({"a0": 65}, (2,)),

@@ -166,6 +166,31 @@ def test_to_adapted_equals_the_solver_on_rational_vectors(data):
         assert type(c) is int or (type(c) is Q and c.denominator != 1)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_equals_the_product_of_factors_solved_one_by_one(data):
+    # word reads each factor of g off the context's scaled letters; here
+    # each factor is solved into the adapted basis on its own and the
+    # product is taken by uea.multiply.  Coefficients are Fractions of
+    # either sign, and one factor of the adapted algebra, which `superhc
+    # gamma` takes by name, sits at a drawn place in the word
+    ctx, _ = context_and_solver(data.draw(st.sampled_from(sorted(CATALOG))))
+    g, uea = ctx.pair.g, ctx.uea
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def vector(alg):
+        return SuperVector(alg, data.draw(st.dictionaries(
+            st.integers(0, alg.dim - 1), coeff, max_size=3)))
+
+    factors = [vector(g) for _ in range(data.draw(st.integers(0, 3)))]
+    factors.insert(data.draw(st.integers(0, len(factors))), vector(ctx.adapted))
+    want = uea.one()
+    for v in factors:
+        x = ctx.to_adapted(v) if v.alg is g else v
+        want = uea.multiply(want, uea.from_vector(x))
+    assert ctx.word(factors) == want
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_invariants_and_gamma_hold_fractions_or_quads(name):
     # straightening runs on ints where it can; the invariants, their

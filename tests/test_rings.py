@@ -349,15 +349,19 @@ def test_filtered_dimension_rank_one_q1():
 def test_ring_degrees_match_per_monomial_substitution(name):
     # the tables of monomial images the odd-root data and the Weyl group
     # keep, warm from one call to the next, against every monomial's
-    # conditions substituted on its own
-    analysis = CATALOG[name].build()
-    top = 8 if analysis.model is not None else 6
-    for ring, include_weyl in (("J", True), ("I", True), ("SW0", True),
-                               ("I", False)):
-        for d in range(top + 1):
-            args = (ring, analysis.data, analysis.weyl, analysis.rank, d,
-                    include_weyl)
-            assert ring_degrees(*args) == oracle_ring_degrees(*args), args
+    # conditions substituted on its own; degrees run up on one analysis and
+    # down on another, so that there every lower degree reads the prefix of
+    # the Weyl group's basis of S(a)^W0 kept at the top degree
+    analyses = [CATALOG[name].build() for _ in range(2)]
+    top = 8 if analyses[0].model is not None else 6
+    for analysis, degrees in zip(analyses,
+                                 (range(top + 1), range(top, -1, -1))):
+        for ring, include_weyl in (("J", True), ("I", True), ("SW0", True),
+                                   ("I", False)):
+            for d in degrees:
+                args = (ring, analysis.data, analysis.weyl, analysis.rank, d,
+                        include_weyl)
+                assert ring_degrees(*args) == oracle_ring_degrees(*args), args
 
 
 @lru_cache(maxsize=None)
@@ -401,9 +405,10 @@ def test_gamma_of_P5_stays_outside_J_through_the_tables():
 
 
 def tables(analysis):
-    """(row tables, image tables): the tables of condition rows and of
-    monomial images an analysis keeps for its rings."""
-    rows = [analysis.weyl._rows]
+    """(row tables, image tables): the tables of condition rows (with the
+    Weyl group's basis of S(a)^W0) and of monomial images an analysis keeps
+    for its rings."""
+    rows = [analysis.weyl._rows, analysis.weyl._basis]
     images = [s._table for s in analysis.weyl.generator_substitutions]
     for datum in analysis.data:
         rows += datum._rows.values()
@@ -418,13 +423,14 @@ def sizes(analysis):
 def test_tables_start_empty_and_belong_to_one_analysis():
     for name in sorted(CATALOG):
         first, second = CATALOG[name].build(), CATALOG[name].build()
-        # no condition rows yet; a substitution's table holds only the image
-        # of the constant monomial
+        # no condition rows and no basis of S(a)^W0 yet; a substitution's
+        # table holds only the image of the constant monomial
         rows, images = sizes(first)
         assert set(rows) == {0} and set(images) <= {1}
         for kind in ("I", "J", "SW0"):
             filtered_dimension(kind, first.data, first.weyl, first.rank, 4)
-        assert sizes(first)[0][0] and sizes(second) == [rows, images]
+        weyl_rows, weyl_basis = sizes(first)[0][:2]
+        assert weyl_rows and weyl_basis and sizes(second) == [rows, images]
         ids = {id(t) for kind in tables(first) for t in kind}
         assert not ids & {id(t) for kind in tables(second) for t in kind}
         # the oracle reads each polynomial whole and fills no table
@@ -535,6 +541,45 @@ def test_group_type_rings_are_the_polynomials_in_a_squared(name):
     basis = invariants_up_to_degree(ctx, CATALOG[name].default_degree)
     for v in basis.invariants:
         assert all(e[0] % 2 == 0 for e in ctx.hc_gamma(v).terms), v
+
+
+def partitions(n, largest=None):
+    """The partitions of n into parts of at most largest, as tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, largest), 0, -1)
+            for rest in partitions(n - k, k)]
+
+
+def test_group_gl12_rings_are_spanned_by_super_power_sums():
+    # group-gl12 has rank 3 and two isotropic odd roots.  Its J and I are
+    # the algebra generated by p_k = a0^k - (-a1)^k - (-a2)^k: each product
+    # p_lam with |lam| <= 6 lies in both rings, and the degree <= d parts of
+    # their span and of each ring have the dimension of the supersymmetric
+    # polynomials in (x | y1, y2), the number of partitions of size <= d in
+    # the (1|2)-hook, lam_2 <= 2
+    analysis = CATALOG["group-gl12"].build()
+    data, weyl, top = analysis.data, analysis.weyl, 6
+    a = [APoly.variable(3, i) for i in range(3)]
+    power_sums = [None] + [a[0] ** k - (-a[1]) ** k - (-a[2]) ** k
+                           for k in range(1, top + 1)]
+    column = {e: t for t, e in enumerate(monomials_up_to(3, top))}
+    products = []
+    for n in range(top + 1):
+        for lam in partitions(n):
+            p = APoly.const(3, Q(1))
+            for k in lam:
+                p = p * power_sums[k]
+            assert membership_J(p, data, weyl), lam
+            assert membership_I(p, data, weyl), lam
+            products.append({column[e]: c for e, c in p.terms.items()})
+        hook = sum(1 for m in range(n + 1) for lam in partitions(m)
+                   if len(lam) < 2 or lam[1] <= 2)
+        assert len(span_basis(products)) == hook, n
+        for ring in ("J", "I"):
+            assert filtered_dimension(ring, data, weyl, 3, n) == hook, (ring, n)
+    assert hook == 29
 
 
 def test_odd_root_datum_fields():
