@@ -166,23 +166,19 @@ class Substitution:
         return hit
 
 
+def monomials_of_degree(n: int, d: int) -> List[Expvec]:
+    """Exponent vectors of n variables and total degree d, in lex order."""
+    if n == 0:
+        return [()] if d == 0 else []
+    if n == 1:
+        return [(d,)]
+    return [(k,) + rest for k in range(d + 1)
+            for rest in monomials_of_degree(n - 1, d - k)]
+
+
 def monomials_up_to(n: int, d: int) -> List[Expvec]:
     """Exponent vectors of total degree <= d, ordered by degree then lex."""
-    out: List[Expvec] = []
-
-    def gen(prefix: Tuple[int, ...], remaining: int):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for k in range(remaining + 1):
-            gen(prefix + (k,), remaining - k)
-
-    result: List[Expvec] = []
-    for total in range(d + 1):
-        out = []
-        gen((), total)
-        result.extend(e for e in out if sum(e) == total)
-    return result
+    return [e for total in range(d + 1) for e in monomials_of_degree(n, total)]
 
 
 def change_to_basis(new_basis: Sequence[Sequence]) -> Substitution:

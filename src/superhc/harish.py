@@ -14,7 +14,8 @@ from math import lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .apoly import APoly, Substitution
-from .linalg import Echelon, Row, kernel, linear_solver
+from .linalg import (Echelon, Row, ScalarMatrix, kernel, linear_solver,
+                     nullspace)
 from .liesuper import SuperVector, change_basis
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Compact, Monomial, SymElement, UEA, UEAElement, accumulate,
@@ -351,10 +352,13 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     The diagonal letters of k act on monomials by weights, so they only
     select the weight-zero monomials, the only ones uea.monomials_up_to
     lists; the generators of k_generating_letters supply the rows.  The
-    columns are ad(y_x) y^m in the scaled basis of U(g), which are integral;
-    scaling the columns and rows of a matrix leaves its free columns, so
-    each kernel vector w, with a 1 at its free monomial f, is brought back
-    to PBW coordinates once and keeps that 1: v[m] = w[m] D^{len m - len f}.
+    columns are ad(y_x) y^m in the scaled basis of U(g), which are integral,
+    and each coefficient goes straight into the row of its (x, output
+    monomial); the order of the rows changes the cost of the elimination,
+    never its result.  Scaling the columns and rows of a matrix leaves its
+    free columns, so each kernel vector w, with a 1 at its free monomial f,
+    is brought back to PBW coordinates once and keeps that 1:
+    v[m] = w[m] D^{len m - len f}.
 
     Ordering contract, on which the per-degree rows of verify_exact_sequence
     rest: the invariants are the reduced-echelon kernel over the monomials
@@ -368,9 +372,12 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     uea = ctx.uea
     diagonal, generators = k_generating_letters(ctx)
     kept = uea.monomials_up_to(d, list(diagonal.values()))
-    kern = kernel({(x, mt): c for x in generators
-                   for mt, c in uea.scaled_adjoint(x, {m: 1}).items()}
-                  for m in kept)
+    rows: Dict[Tuple[int, Monomial], Row] = {}
+    for t, m in enumerate(kept):
+        for x in generators:
+            for mt, c in uea.scaled_adjoint(x, {m: 1}).items():
+                rows.setdefault((x, mt), {})[t] = c
+    kern = nullspace(ScalarMatrix(len(rows), len(kept), list(rows.values())))
     invariants = [uea.unscaled({kept[t]: c for t, c in coords.items()},
                                uea.word_divisor(kept[max(coords)]))
                   for coords in kern]

@@ -2,13 +2,13 @@
 
 A vector is a Row, a sparse dict from column to a nonzero scalar; every
 function here takes and returns vectors in that one form, with int or
-Fraction entries.  Every elimination goes through Echelon, which works
-fraction-free: rows are scaled once to primitive integer rows and
-eliminated over the integers, so pivots need not be 1.  A kernel vector
-is read straight off the integer rows, one Fraction per entry; the
-unit-pivot Fraction rows that a span basis or a solve needs are built once,
-after the last row is in (Echelon.unit_rows), and Echelon.reduce returns
-the exact residual.
+Fraction entries.  Every elimination goes through Echelon, which works in
+the integers only: a row is scaled once to integers, swept without
+division and made primitive once, when it is inserted, so pivots need not
+be 1; a column index tells each new pivot which stored rows to clear.
+Readers divide by the pivot as they read: a kernel vector or a span basis
+row is built with one Fraction per entry, and Echelon.reduce divides the
+residual once, by the scale of its sweep.
 No pivot thresholds, no rounding, ever.
 """
 
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 Q = Fraction
 Row = Dict[int, object]
@@ -118,116 +119,106 @@ class Echelon:
 
     Each stored row has its pivot at its leading column and no entry in any
     other pivot column (full RREF up to the scale of each row, kept
-    incrementally).  Each row is kept as a primitive integer row: ints with
-    no common factor and a positive pivot, which need not be 1.  unit_rows
-    turns them into the reduced echelon form itself, each row divided by its
-    pivot, once the elimination is over: when span_basis reads the rows or
-    when reduce is first called (a kernel basis reads the integer rows as
-    they are).  From then on (unit is set) every row is kept with a unit
-    pivot.
+    incrementally).  Rows stay in the integers from start to finish: each is
+    a primitive integer row, ints with no common factor and a positive
+    pivot, which need not be 1; a reader divides by the pivot when it reads
+    a row.  An incoming row is scaled to integers, swept without division,
+    and divided by its content once, when insert makes it primitive; a
+    stored row is divided by its content after each back-clear.
+
+    cols maps each column that is not a pivot to the pivots of the stored
+    rows holding it, so a new pivot clears only the rows that hold it.
     """
 
-    __slots__ = ("rows", "unit")
+    __slots__ = ("rows", "cols")
 
     def __init__(self):
         self.rows: Dict[int, Row] = {}
-        self.unit = False
+        self.cols: Dict[int, Set[int]] = {}
 
-    def _eliminate(self, r: Row, c, prow: Row) -> None:
-        """Clear column c of r with prow: r <- f*r - e*prow, f nonzero.
+    def _sweep(self, row: Row) -> Tuple[Row, int]:
+        """(r, s): r = s * (row minus its components along the stored rows),
+        an integer row, for a positive int s.
 
-        Over the integers f = p/g and e = a/g for a = r[c], p = prow[c] and
-        g = gcd(a, p), and r is then divided by its content; with a unit
-        pivot f = 1 and e = a.
-        """
-        a = r.pop(c)
-        if self.unit:
-            e = a
-        else:
-            p = prow[c]
-            g = gcd(a, p)
-            f, e = p // g, a // g
-            if f != 1:
-                for j in r:
-                    r[j] *= f
-        for j, x in prow.items():
-            if j != c:
-                w = e * x
-                # comparing finds a cancellation more cheaply than subtracting
-                if j not in r:
-                    r[j] = -w
-                elif r[j] != w:
-                    r[j] -= w
-                else:
-                    del r[j]
-        if not self.unit:
-            g = gcd(*r.values())
-            if g > 1:
-                for j in r:
-                    r[j] //= g
-
-    def _sweep(self, row: Row) -> Row:
-        """s * (row minus its components along the stored rows), for some
-        nonzero scalar s, which is 1 once the rows are unit.
-
-        The row is scaled to integers first.  Stored rows carry no
-        foreign pivot column, so one sweep over the pivots hit by row leaves
-        no pivot column behind.
+        The row is scaled to integers first and never divided.  Stored rows
+        carry no foreign pivot column, so one sweep over the pivots hit by
+        row leaves no pivot column behind.
         """
         # an explicit zero left in the copy could become a pivot
         r = {j: x for j, x in row.items() if x}
-        if not self.unit:
-            den = lcm(*(x.denominator for x in r.values()))
-            r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+        s = lcm(*(x.denominator for x in r.values()))
+        r = {j: x.numerator * (s // x.denominator) for j, x in r.items()}
         for c in [c for c in r if c in self.rows]:
-            self._eliminate(r, c, self.rows[c])
-        return r
+            s *= _clear(r, c, self.rows[c])
+        return r, s
 
     def reduce(self, row: Row) -> Row:
-        """row minus its components along the stored rows, as a new row.
-
-        The rows are made unit first (see unit_rows), which makes the sweep
-        exact: one vector is not worth the scaling to integers.
-        """
-        self.unit_rows()
-        return self._sweep(row)
+        """row minus its components along the stored rows, as a new row of
+        Fractions: one division per entry, by the scale of the sweep."""
+        r, s = self._sweep(row)
+        return {j: Q(x, s) for j, x in r.items()}
 
     def insert(self, row: Row) -> bool:
         """Add row to the span; False if it lay in the span already."""
-        r = self._sweep(row)
+        r, _ = self._sweep(row)
         if not r:
             return False
         lead = min(r)
-        if self.unit:
-            inv = Q(1) / r[lead]
-            r = {j: x * inv for j, x in r.items()}
-        else:
-            g = gcd(*r.values())
-            if r[lead] < 0:
-                g = -g
-            if g != 1:
-                r = {j: x // g for j, x in r.items()}
-        for prow in self.rows.values():
-            if lead in prow:
-                self._eliminate(prow, lead, r)
-        self.rows[lead] = r
+        g = gcd(*r.values())
+        if r[lead] < 0:
+            g = -g
+        if g != 1:
+            r = {j: x // g for j, x in r.items()}
+        rows, cols = self.rows, self.cols
+        held = [(j, cols.setdefault(j, set())) for j in r if j != lead]
+        for p in cols.pop(lead, ()):
+            prow = rows[p]
+            _clear(prow, lead, r)
+            # a cleared row's support changes only in r's columns
+            for j, holders in held:
+                if j in prow:
+                    holders.add(p)
+                else:
+                    holders.discard(p)
+            g = gcd(*prow.values())
+            if g > 1:
+                for j in prow:
+                    prow[j] //= g
+        for _, holders in held:
+            holders.add(lead)
+        rows[lead] = r
         return True
 
     def copy(self) -> "Echelon":
         """An independent Echelon of the same span, to grow on its own."""
         out = Echelon()
         out.rows = {c: dict(r) for c, r in self.rows.items()}
-        out.unit = self.unit
+        out.cols = {j: set(ps) for j, ps in self.cols.items()}
         return out
 
-    def unit_rows(self) -> Dict[int, Row]:
-        """The stored rows, each divided by its pivot entry; they are kept
-        with unit pivots from now on."""
-        if not self.unit:
-            self.rows = {c: {j: Q(x, r[c]) for j, x in r.items()}
-                         for c, r in self.rows.items()}
-            self.unit = True
-        return self.rows
+
+def _clear(r: Row, c, prow: Row) -> int:
+    """Clear column c of the integer row r with the primitive row prow, whose
+    entry p = prow[c] is positive: r <- f*r - e*prow, with f = p/g and
+    e = a/g for a = r[c] and g = gcd(a, p); returns f, which is positive."""
+    a = r.pop(c)
+    p = prow[c]
+    g = gcd(a, p)
+    f, e = p // g, a // g
+    if f != 1:
+        for j in r:
+            r[j] *= f
+    for j, x in prow.items():
+        if j != c:
+            w = e * x
+            # comparing finds a cancellation more cheaply than subtracting
+            if j not in r:
+                r[j] = -w
+            elif r[j] != w:
+                r[j] -= w
+            else:
+                del r[j]
+    return f
 
 
 def _insert_all(ech: Echelon, rows: List[Row]) -> Echelon:
@@ -269,16 +260,12 @@ def _kernel_basis(ech: Echelon, ncols: int) -> List[Row]:
     """The reduced echelon basis of the vectors on ncols columns that ech's
     rows annihilate (see nullspace).  Entry p of the vector of free column
     f is -rows[p][f] / rows[p][p], built as one Fraction from integer rows."""
-    rows = ech.rows
-    order = sorted(rows)
+    rows, cols = ech.rows, ech.cols
     basis = []
     for f in range(ncols):
         if f not in rows:
-            if ech.unit:
-                v: Row = {p: -rows[p][f] for p in order if f in rows[p]}
-            else:
-                v = {p: Q(-rows[p][f], rows[p][p]) for p in order
-                     if f in rows[p]}
+            v: Row = {p: Q(-rows[p][f], rows[p][p])
+                      for p in sorted(cols.get(f, ()))}
             v[f] = Q(1)
             basis.append(v)
     return basis
@@ -508,5 +495,6 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
 
 def span_basis(vectors: Iterable[Row]) -> List[Row]:
     """A deterministic echelon basis of the span of the given rows."""
-    pivots = _echelonise(list(vectors)).unit_rows()
-    return [{j: pivots[p][j] for j in sorted(pivots[p])} for p in sorted(pivots)]
+    rows = _echelonise(list(vectors)).rows
+    return [{j: Q(r[j], r[p]) for j in sorted(r)}
+            for p, r in sorted(rows.items())]

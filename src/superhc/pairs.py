@@ -11,10 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apoly import APoly, Expvec, Substitution, monomials_up_to
+from .apoly import APoly, Expvec, Substitution, monomials_of_degree
 from .linalg import (Row, ScalarMatrix, kernel, linear_solver,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
+from .scalars import vector_to_string
 
 Q = Fraction
 
@@ -232,7 +233,8 @@ def choose_positive_system(system: RestrictedRootSystem,
     for root in system.roots:
         v = _pair_lam_d(root.lam, direction)
         if v == 0:
-            raise DirectionOnWall(f"direction vanishes on root {root.lam}")
+            raise DirectionOnWall(f"direction vanishes on root "
+                                  f"{vector_to_string(root.lam)}")
         flags.append(v > 0)
     by_lam = {r.lam: f for r, f in zip(system.roots, flags)}
     for lam1, f1 in by_lam.items():
@@ -301,22 +303,20 @@ class WeylGroup:
     def invariant_basis(self, rank: int, d: int) -> List[Tuple[int, APoly]]:
         """A basis of the degree <= d part of S(a)^W0 as (degree, p) pairs,
         in non-decreasing degree: the reduced-echelon kernel of the
-        invariance rows over monomials_up_to(rank, d), each vector's degree
-        that of its last monomial.
+        invariance rows over monomials_up_to(rank, d).
 
-        The basis at the highest degree asked so far is kept, and a lower d
-        reads its prefix of degree <= d: the monomials of degree <= d are a
-        prefix of those of higher degree, and the reduced-echelon kernel over
-        a prefix of the columns is the part of the whole one that ends inside
-        it (see linalg.nullspace).  Callers must not mutate the result's
-        polynomials."""
-        if d > self._basis_degree:
-            monos = monomials_up_to(rank, d)
-            self._basis = [
-                (sum(monos[max(v)]),
-                 APoly(rank, {monos[t]: c for t, c in v.items()}))
-                for v in kernel(self.invariance_rows(e) for e in monos)]
-            self._basis_degree = d
+        W0 keeps the degree, so the invariance rows of a degree-e monomial
+        involve degree-e monomials only: that kernel is the kernels over each
+        degree's monomials, one after the other.  The basis is kept up to the
+        highest degree asked so far; a higher d adds one kernel per new
+        degree, and a lower d reads the prefix of degree <= d.  Callers must
+        not mutate the result's polynomials."""
+        for e in range(self._basis_degree + 1, d + 1):
+            monos = monomials_of_degree(rank, e)
+            self._basis.extend(
+                (e, APoly(rank, {monos[t]: c for t, c in v.items()}))
+                for v in kernel(self.invariance_rows(m) for m in monos))
+            self._basis_degree = e
         return [b for b in self._basis if b[0] <= d]
 
     def __len__(self):
@@ -328,7 +328,8 @@ def _reflection_matrix(system: RestrictedRootSystem, alpha: Functional
     pair = system.pair
     norm = pair.dual_pairing(alpha, alpha)
     if norm == 0:
-        raise PairError(f"even root {alpha} is isotropic; no reflection")
+        raise PairError(f"even root {vector_to_string(alpha)} is isotropic; "
+                        "no reflection")
     galpha = pair.coroot_coords(alpha)
     r = pair.rank
     rows = []

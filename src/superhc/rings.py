@@ -28,7 +28,7 @@ from .linalg import ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
-from .scalars import int_if_integral
+from .scalars import int_if_integral, vector_to_string
 
 Q = Fraction
 
@@ -104,7 +104,8 @@ def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
             continue
         lam = root.lam
         if root.m1 % 2:
-            raise InconsistentRelations(f"odd multiplicity of {lam} is odd")
+            raise InconsistentRelations(
+                f"odd multiplicity of {vector_to_string(lam)} is odd")
         q = root.m1 // 2
         c = pair.dual_pairing(lam, lam)
         A_coords = tuple(pair.coroot_coords(lam))

@@ -22,6 +22,12 @@ def int_if_integral(x):
 
 # -- canonical string form -------------------------------------------------
 
+def vector_to_string(v) -> str:
+    """A coordinate tuple as "(x, y, ...)", each entry by scalar_to_string;
+    for messages."""
+    return "(" + ", ".join(map(scalar_to_string, v)) + ")"
+
+
 def _frac_to_string(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)

@@ -218,6 +218,15 @@ def test_direction_of_the_wrong_length_is_a_usage_error(capsys, argv, given,
     assert f"length {given}" in err and f"rank {rank}" in err
 
 
+def test_direction_on_a_wall_names_the_root_in_scalar_strings(capsys):
+    # (0, 1) vanishes on the root (-1, 0); its coordinates print as scalar
+    # strings, not as Fraction reprs
+    code, out, err = run(capsys, "roots", "rank1-iso-q1", "--direction", "0,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: direction vanishes on root (-1, 0)\n"
+
+
 def test_seed_flag_after_subcommand(capsys):
     code, out1, _ = run(capsys, "verify", "rank1-iso-q1", "--degree", "2",
                         "--seed", "9")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import superhc.linalg as linalg
 from superhc.apoly import APoly, change_to_basis
 from superhc.builders import sl2
-from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
+from superhc.linalg import (CommutationFailure, Echelon, IrrationalSpectrum,
                             NotSemisimple, ScalarMatrix, char_poly, eigenspace,
                             kernel, linear_solver, nullspace, rank,
                             rational_roots, simultaneous_eigenspaces,
@@ -153,6 +154,93 @@ def test_integer_elimination_matches_fraction_gauss_jordan(case, coeffs, probe):
     ncols, rows = case
     probe = {j: x for j, x in probe.items() if x and j < ncols}
     _check_against_oracle(ncols, rows, coeffs[:len(rows)], probe)
+
+
+# entries far from 1, so that pivots other than +-1 are the rule
+WIDE = st.one_of(st.integers(-60, 60),
+                 st.builds(Q, st.integers(-60, 60),
+                           st.sampled_from([2, 3, 5, 9, 14])))
+
+
+@st.composite
+def long_sweeps(draw):
+    """(ncols, rows): dense rows of ints or Fractions, some of them integer
+    combinations of the others, in a drawn order; a row's sweep then passes
+    many pivots and a new pivot clears many stored rows."""
+    ncols = draw(st.integers(2, 10))
+    basis = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), WIDE,
+                                          min_size=ncols // 2, max_size=ncols),
+                          min_size=1, max_size=8))
+    rows = list(basis)
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(basis),
+                               max_size=len(basis)))
+        rows.append(_combination(coeffs, basis))
+    rows = [{j: x for j, x in r.items() if x} for r in rows]
+    return ncols, draw(st.permutations(rows))
+
+
+def _check_echelon(ech):
+    """Each stored row is a primitive int row with a positive pivot at its
+    leading column and no other pivot column, and cols, less its empty
+    sets, is the index rebuilt from the rows: each column that is not a
+    pivot -> the pivots of the rows holding it."""
+    index = {}
+    for p, r in ech.rows.items():
+        assert all(type(x) is int for x in r.values())
+        assert min(r) == p and r[p] > 0 and gcd(*r.values()) == 1
+        for j in r:
+            if j != p:
+                assert j not in ech.rows
+                index.setdefault(j, set()).add(p)
+    assert {j: ps for j, ps in ech.cols.items() if ps} == index
+    assert not set(ech.cols) & set(ech.rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(long_sweeps(), st.lists(st.dictionaries(st.integers(0, 11), WIDE,
+                                               min_size=1, max_size=12),
+                               min_size=1, max_size=3),
+       st.lists(st.integers(-4, 4), min_size=12, max_size=12))
+def test_echelon_index_and_rows_match_fraction_gauss_jordan(case, extra,
+                                                            coeffs):
+    # after every insert the rows, each divided by its pivot, are the
+    # oracle's reduced echelon rows, and the column index is the one
+    # rebuilt from the rows
+    ncols, rows = case
+    ech = Echelon()
+    independent = []
+    for t, row in enumerate(rows):
+        if ech.insert(row):
+            independent.append(row)
+        _check_echelon(ech)
+        assert {p: {j: Q(x, r[p]) for j, x in r.items()}
+                for p, r in ech.rows.items()} == gauss_jordan(rows[:t + 1])
+    # a copy grows on its own: new pivots clear the copy's rows only
+    before = ({p: dict(r) for p, r in ech.rows.items()},
+              {j: set(ps) for j, ps in ech.cols.items()})
+    other = ech.copy()
+    for row in extra:
+        other.insert({j: x for j, x in row.items() if x})
+        _check_echelon(other)
+    assert (ech.rows, ech.cols) == before
+    assert {p: {j: Q(x, r[p]) for j, x in r.items()}
+            for p, r in other.rows.items()} \
+        == gauss_jordan([*rows, *extra])
+    # the rows that grew the span are a basis; a solve over it reads the
+    # oracle's coordinates, inside the span and outside it
+    solve = linear_solver(independent)
+    v = _combination(coeffs, independent)
+    assert solve(v) == oracle_coordinates(independent, v) \
+        == {t: c for t, c in enumerate(coeffs[:len(independent)]) if c}
+    for probe in extra:
+        probe = {j: x for j, x in probe.items() if x and j < ncols}
+        want = oracle_coordinates(independent, probe)
+        if want is None:
+            with pytest.raises(ValueError):
+                solve(probe)
+        else:
+            assert solve(probe) == want
 
 
 def _assert_scalars(rows):

@@ -2,13 +2,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+from superhc.apoly import APoly, monomials_up_to
 from superhc.builders import double_with_flip, osp12, sl2
 from superhc.catalog import CATALOG
-from superhc.linalg import ScalarMatrix, solve_membership
+from superhc.linalg import ScalarMatrix, kernel, solve_membership
 from superhc.liesuper import LieSuperalgebra, theta_eigenspaces
 from superhc.pairs import (CentralizerTooLarge, DegenerateFormOnA,
                            DirectionOnWall, NotAbelian, NotInEvenP, PairError,
-                           SymmetricPair, build_pair,
+                           SymmetricPair, WeylGroup, build_pair,
                            choose_positive_system,
                            even_weyl_group, iwasawa_check, restricted_roots,
                            rho)
@@ -265,3 +266,21 @@ def test_theta_maps_root_space_to_opposite():
             for v in vs:
                 assert solve_membership(g.theta_apply(v).c, span) \
                     is not None
+
+
+def test_invariant_basis_grown_degree_by_degree_equals_one_call():
+    # the kept basis of S(a)^W0 grows by one kernel per new degree: asked in
+    # rising order it equals one call at d on a fresh Weyl group, and both
+    # equal the one reduced-echelon kernel over every monomial of degree <= d
+    for name in sorted(CATALOG):
+        analysis = CATALOG[name].build()
+        weyl, rank = analysis.weyl, analysis.rank
+        for d in range(9):
+            grown = weyl.invariant_basis(rank, d)
+            fresh = WeylGroup(weyl.elements, weyl.generators)
+            assert fresh.invariant_basis(rank, d) == grown, (name, d)
+            monos = monomials_up_to(rank, d)
+            whole = [(sum(monos[max(v)]),
+                      APoly(rank, {monos[t]: c for t, c in v.items()}))
+                     for v in kernel(weyl.invariance_rows(e) for e in monos)]
+            assert whole == grown, (name, d)

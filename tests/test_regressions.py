@@ -14,7 +14,7 @@ identity breaks, so any future drift is caught explicitly.
 from fractions import Fraction as Q
 
 from superhc.apoly import APoly
-from superhc.catalog import CATALOG, Analysis
+from superhc.catalog import CATALOG, Analysis, verify_main_theorem
 from superhc.rings import (ANISOTROPIC, build_rank_one_model, generators,
                            membership_J)
 from support import anticenter_product
@@ -37,6 +37,19 @@ def test_gamma_of_generators_q3():
     a = APoly.variable(1, 0)
     assert ctx.gamma_of_sym(p2) == a * a - APoly.const(1, Q(9))
     assert ctx.gamma_of_sym(p7) == anticenter_product(3)
+
+
+def test_verify_main_theorem_q3_degree_4():
+    # the q = 3 model (dim g = 34) at degree 4, about 0.5 s: the largest
+    # elimination tier-1 affords, with its dimensions frozen row by row
+    model = build_rank_one_model(3, ANISOTROPIC, Q(1))
+    report = verify_main_theorem(Analysis(model.pair, model=model), 4)
+    assert report["ok"]
+    rows = report["rows"]
+    for key in ("dim_image", "dim_J", "dim_I"):
+        assert [row[key] for row in rows] == [1, 1, 2, 2, 3], key
+    assert [row["dim_invariants"] for row in rows] == [1, 1, 3, 3, 8]
+    assert [row["dim_kernel"] for row in rows] == [0, 0, 1, 1, 5]
 
 
 def test_anticenter_product_membership():

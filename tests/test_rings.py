@@ -13,10 +13,10 @@ from superhc.liesuper import change_basis, verify_algebra
 from superhc.pairs import a_perp_in_p, even_weyl_group, restricted_roots
 from superhc.pbw import sym_adjoint, sym_adjoint_index, sym_multiply
 from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
-                           build_rank_one_model, coefficient_aNk,
-                           filtered_dimension, generators, membership_I,
-                           membership_J, odd_root_data, ring_conditions,
-                           ring_degrees)
+                           InconsistentRelations, build_rank_one_model,
+                           coefficient_aNk, filtered_dimension, generators,
+                           membership_I, membership_J, odd_root_data,
+                           ring_conditions, ring_degrees)
 from support import (adjoint, in_local_ring, oracle_ring_conditions,
                      oracle_ring_degrees, shift_by_substitute, substitute,
                      sym_monomials_up_to)
@@ -276,6 +276,19 @@ def test_membership_isotropic_spanning_set():
                 p = h0 ** k * al ** ell
                 assert in_local_ring("I", p, datum) \
                     == (ell >= min(k, q))
+
+
+def test_odd_multiplicity_names_the_root_in_scalar_strings():
+    # one odd root vector dropped from the positive odd root (1, 0) of
+    # rank1-iso-q1 leaves it with odd multiplicity 1; the message prints
+    # its coordinates as scalar strings, not as Fraction reprs
+    system = restricted_roots(build_rank_one_model(1, ISOTROPIC, Q(0)).pair)
+    root = next(r for r, pos in zip(system.roots, system.positive)
+                if r.m1 and pos)
+    del root.space1[1:]
+    with pytest.raises(InconsistentRelations) as err:
+        odd_root_data(system)
+    assert str(err.value) == "odd multiplicity of (1, 0) is odd"
 
 
 def test_isotropic_shift_stability():
