@@ -16,10 +16,10 @@ from .harish import (GeneratorsMissK, InvariantBasis, IwasawaContext,
                      verify_exact_sequence)
 from .liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                        MissingInvolution, SuperVector, centralizer,
-                       change_basis, theta_eigenspaces, verify_algebra)
+                       theta_eigenspaces, verify_algebra)
 from .linalg import (CommutationFailure, IrrationalSpectrum, NotSemisimple,
                      ScalarMatrix, kernel, nullspace, rank,
-                     simultaneous_eigenspaces, solve_membership)
+                     simultaneous_eigenspaces)
 from .pairs import (CentralizerTooLarge, DegenerateFormOnA, DirectionOnWall,
                     NotAbelian, NotInEvenP, RestrictedRootSystem,
                     SymmetricPair, WeylGroup, a_perp_in_p, build_pair,

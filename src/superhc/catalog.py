@@ -24,7 +24,8 @@ from .pairs import (PairError, SymmetricPair, build_pair,
                     centralizer_formula_holds, even_weyl_group,
                     restricted_roots)
 from .rings import (ANISOTROPIC, ISOTROPIC, RankOneModel, build_rank_one_model,
-                    membership_J, odd_root_data, ring_degrees)
+                    membership_J, odd_root_data, ring_conditions,
+                    ring_degrees)
 from .scalars import scalar_to_string
 
 Q = Fraction
@@ -96,15 +97,18 @@ class Analysis:
     """A pair with all derived data: roots, rho, Weyl group, U(g), membership.
 
     model is the rank-one model the pair was built from, if any; name is the
-    entry name that reports of this analysis carry.
+    entry name that reports of this analysis carry, and default_degree the
+    degree its reports take when none is asked.
     """
 
     def __init__(self, pair: SymmetricPair, direction: Optional[Sequence] = None,
                  a_names: Optional[Sequence[str]] = None,
-                 model: Optional[RankOneModel] = None, name: str = "explicit"):
+                 model: Optional[RankOneModel] = None, name: str = "explicit",
+                 default_degree: int = 3):
         self.pair = pair
         self.model = model
         self.name = name
+        self.default_degree = default_degree
         self.system = restricted_roots(pair, direction)
         self.weyl = even_weyl_group(self.system)
         self.ctx = IwasawaContext(pair, self.system)
@@ -128,6 +132,7 @@ class CatalogEntry:
     def build(self, direction: Optional[Sequence] = None) -> Analysis:
         analysis = self._build(direction)
         analysis.name = self.name
+        analysis.default_degree = self.default_degree
         return analysis
 
 
@@ -239,17 +244,13 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
     """Run the full pipeline and fill the per-degree verification report.
 
     entry is a catalog name or a built Analysis; degree defaults to the
-    catalog entry's default degree, or 3 for an Analysis.  Each ring column
-    is one kernel at the top degree (rings.ring_degrees); its row at degree
-    e counts the basis vectors of degree <= e.
+    analysis's default degree.  Each ring column is one kernel at the top
+    degree (rings.ring_degrees); its row at degree e counts the basis
+    vectors of degree <= e.
     """
-    if isinstance(entry, str):
-        analysis = CATALOG[entry].build()
-        default_degree = CATALOG[entry].default_degree
-    else:
-        analysis, default_degree = entry, 3
+    analysis = CATALOG[entry].build() if isinstance(entry, str) else entry
     if degree is None:
-        degree = default_degree
+        degree = analysis.default_degree
     weyl = analysis.weyl
     data = analysis.data
     r = analysis.rank
@@ -275,8 +276,9 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
         "seed": seed,
         "rows": rows,
         "flags": {
-            "weyl_invariance": all(w(p) == p for p in images
-                                   for w in weyl.substitutions),
+            # invariance under the generators of W0 is invariance under W0
+            "weyl_invariance": all(not ring_conditions(p, "SW0", data, weyl)
+                                   for p in images),
             "image_in_J": all(membership_J(p, data, weyl) for p in images),
             "kernel_vanishes": seq["kernel_maps_to_zero"],
             # gr J = I(a) is filtered: every row, not just the top one

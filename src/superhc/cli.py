@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .catalog import CATALOG, Analysis, roots_report, verify_main_theorem
 from .harish import invariants_up_to_degree
@@ -47,11 +47,10 @@ def _load_json_arg(arg: str):
         raise InputError(f"cannot read JSON: {exc}") from exc
 
 
-def _resolve_entry(name: str, direction) -> Tuple[Analysis, int]:
-    """The built Analysis of a catalog name or an explicit entry file, and
-    the entry's default degree."""
+def _resolve_entry(name: str, direction) -> Analysis:
+    """The built Analysis of a catalog name or an explicit entry file."""
     if name in CATALOG:
-        return CATALOG[name].build(direction), CATALOG[name].default_degree
+        return CATALOG[name].build(direction)
     try:
         data = _load_json_arg("@" + name if not name.startswith("@") else name)
     except InputError:
@@ -61,8 +60,8 @@ def _resolve_entry(name: str, direction) -> Tuple[Analysis, int]:
     violations = verify_algebra(g)
     if violations:
         raise InputError(f"algebra fails validation: {violations[:3]}")
-    return (Analysis(build_pair(g, a_vectors), direction, a_names=a_names,
-                     name=entry_name), default_degree)
+    return Analysis(build_pair(g, a_vectors), direction, a_names=a_names,
+                    name=entry_name, default_degree=default_degree)
 
 
 def _degree(args, default_degree: int) -> int:
@@ -104,15 +103,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    analysis, _ = _resolve_entry(args.entry, _parse_direction(args.direction))
+    analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
     sys.stdout.write(dumps_canonical(roots_report(analysis)))
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
-    analysis, default_degree = _resolve_entry(args.entry,
-                                              _parse_direction(args.direction))
-    degree = _degree(args, default_degree)
+    analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
+    degree = _degree(args, analysis.default_degree)
     basis = invariants_up_to_degree(analysis.ctx, degree)
     adapted = analysis.ctx.adapted
     out = {
@@ -132,7 +130,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    analysis, _ = _resolve_entry(args.entry, _parse_direction(args.direction))
+    analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
     terms = words_from_json(_load_json_arg(args.element))
     g = analysis.pair.g
     adapted = analysis.ctx.adapted
@@ -161,14 +159,14 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    analysis, _ = _resolve_entry(args.entry, _parse_direction(args.direction))
+    analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
     poly = poly_from_json(_load_json_arg(args.poly), analysis.a_names)
     if poly.degree() > MAX_POLY_DEGREE:
         raise InputError(f"membership takes polynomials of degree at most "
                          f"{MAX_POLY_DEGREE}, got {poly.degree()}")
     conditions = conditions_to_json(ring_conditions(
         poly, args.ring, analysis.data, analysis.weyl,
-        include_weyl=args.ring == "J" or not args.no_weyl))
+        include_weyl=not args.no_weyl))
     out = {
         "entry": analysis.name,
         "ring": args.ring,
@@ -183,9 +181,8 @@ def cmd_membership(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    analysis, default_degree = _resolve_entry(args.entry,
-                                              _parse_direction(args.direction))
-    degree = _degree(args, default_degree)
+    analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
+    degree = _degree(args, analysis.default_degree)
     seed = args.seed_local if getattr(args, "seed_local", None) is not None \
         else args.seed
     t0 = time.monotonic()
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON (or @file) exponent map over the a-basis")
             p.add_argument("--ring", choices=["I", "J"], required=True)
             p.add_argument("--no-weyl", action="store_true",
-                           help="for ring I: drop the Weyl-invariance condition")
+                           help="drop the Weyl-invariance conditions")
         if "timing" in extra:
             p.add_argument("--timing", action="store_true",
                            help="print wall time to stderr")

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from .apoly import APoly, Substitution
 from .linalg import (Echelon, Row, ScalarMatrix, kernel, linear_solver,
                      nullspace)
-from .liesuper import SuperVector, change_basis
+from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Compact, Monomial, SymElement, UEA, UEAElement, accumulate,
                   accumulate_compact, compact, supersymmetrise, sym_multiply,
@@ -44,6 +44,7 @@ class IwasawaContext:
     def __init__(self, pair: SymmetricPair, system: RestrictedRootSystem):
         self.pair = pair
         self.system = system
+        g = pair.g
         n_basis = system.n_basis()
         a_basis = pair.a_basis
         k_basis = pair.k_basis
@@ -53,15 +54,23 @@ class IwasawaContext:
             + [f"k{i}" for i in range(len(k_basis))]
         self.blocks = ["N"] * len(n_basis) + ["A"] * len(a_basis) \
             + ["K"] * len(k_basis)
-        self.adapted = change_basis(pair.g, vectors, names)
+        # the adapted coordinates of each basis letter of the original
+        # algebra, solved once: to_adapted is linear, and so is the bracket,
+        # so the adapted brackets are sums of these rows too
+        solve = linear_solver([v.c for v in vectors])
+        self._coords = [solve({i: Q(1)}) for i in range(g.dim)]
+        brackets = {}
+        for i, x in enumerate(vectors):
+            for j in range(i, g.dim):
+                out = g.bracket(x, vectors[j])
+                if out:
+                    brackets[(i, j)] = self._adapted_row(out.c)
+        self.adapted = LieSuperalgebra(names, [v.parity for v in vectors],
+                                       brackets)
         self.uea = UEA(self.adapted)
         self.rank = len(a_basis)
         self.lo_a, self.lo_k = len(n_basis), len(n_basis) + self.rank
         self._proj_memo: Dict[Monomial, Compact] = {}
-        # the adapted coordinates of each basis letter of the original
-        # algebra, solved once: to_adapted is linear
-        solve = linear_solver([v.c for v in vectors])
-        self._coords = [solve({i: Q(1)}) for i in range(pair.g.dim)]
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
         self.rho = self.rho_triple[0]
@@ -76,13 +85,17 @@ class IwasawaContext:
 
     # -- conversions ---------------------------------------------------------
     def to_adapted(self, v: SuperVector) -> SuperVector:
-        """v in the adapted basis, integral coordinates as ints: the sum of
-        v's coordinates times the table of its letters' coordinates."""
+        """v in the adapted basis, integral coordinates as ints."""
+        return SuperVector(self.adapted, self._adapted_row(v.c))
+
+    def _adapted_row(self, c: Row) -> Row:
+        """The adapted coordinates of the vector with coordinates c in the
+        original algebra, integral ones as ints: the sum of c's coordinates
+        times the table of its letters' coordinates."""
         out: Row = {}
-        for i, c in v.c.items():
-            accumulate(out, self._coords[i], c)
-        return SuperVector(self.adapted, {i: int_if_integral(out[i])
-                                          for i in sorted(out)})
+        for i, x in c.items():
+            accumulate(out, self._coords[i], x)
+        return {i: int_if_integral(out[i]) for i in sorted(out)}
 
     def k_indices(self) -> List[int]:
         return list(range(self.lo_k, self.adapted.dim))

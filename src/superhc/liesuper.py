@@ -18,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (ScalarMatrix, accumulate, eigenspace, kernel, linear_solver,
-                     rank)
+from .linalg import ScalarMatrix, accumulate, eigenspace, kernel, rank
 from .scalars import int_if_integral
 
 Q = Fraction
@@ -304,36 +303,3 @@ def centralizer(g: LieSuperalgebra, gens: Sequence[SuperVector],
     return [sum((within[t].scale(c) for t, c in coords.items()), g.zero())
             for coords in kern]
 
-
-def change_basis(g: LieSuperalgebra, vectors: Sequence[SuperVector],
-                 names: Sequence[str]) -> "LieSuperalgebra":
-    """Re-express g in a new homogeneous basis (same underlying algebra).
-
-    Recomputes structure constants, b and theta.  Used to pass to an
-    Iwasawa-adapted basis before building the enveloping algebra.
-    """
-    if len(vectors) != g.dim:
-        raise ValueError("new basis has wrong size")
-    par = []
-    for v in vectors:
-        p = v.parity
-        if p is None:
-            raise ValueError("new basis vectors must be parity homogeneous")
-        par.append(p)
-    solve = linear_solver([v.c for v in vectors])
-    brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            out = g.bracket(vectors[i], vectors[j])
-            if out:
-                brackets[(i, j)] = solve(out.c)
-    form = theta = None
-    if g.form is not None:
-        form = ScalarMatrix.from_rows(
-            [[g.b(vi, vj) for vj in vectors] for vi in vectors])
-    if g.theta is not None:
-        theta = ScalarMatrix(g.dim, g.dim)
-        for j, v in enumerate(vectors):
-            for i, x in solve(g.theta_apply(v).c).items():
-                theta.rows[i][j] = x
-    return LieSuperalgebra(names, par, brackets, form=form, theta=theta)

@@ -308,22 +308,6 @@ def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Row]:
     return _kernel_basis(ech, ms[0].ncols)
 
 
-def solve_membership(v: Dict[Hashable, object],
-                     basis: Sequence[Dict[Hashable, object]]) -> Optional[Row]:
-    """Coordinates of v in the span of basis, or None if v is not in it.
-
-    Vectors are sparse maps from any hashable coordinate to a scalar.  v is
-    in the span iff some vector of the kernel of the columns (basis | v)
-    ends at v's column (see nullspace); minus its other entries are then the
-    coordinates, absent on the basis vectors that are free.
-    """
-    k = len(basis)
-    for w in kernel([*basis, v]):
-        if max(w) == k:
-            return {j: -x for j, x in w.items() if j < k}
-    return None
-
-
 def linear_solver(basis: Sequence[Row]):
     """Return a function expressing rows in the given basis, as a row.
 
@@ -376,71 +360,49 @@ def char_poly(m: ScalarMatrix) -> List:
     return coeffs
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def rational_roots(coeffs: List) -> Optional[List[Tuple[Fraction, int]]]:
+    """The roots, with multiplicity, of a monic rational polynomial f that
+    splits over the rationals, or None if it does not.
 
-
-def rational_roots(coeffs: List) -> Tuple[List[Tuple[Fraction, int]], int]:
-    """All rational roots (with multiplicity) of a monic rational polynomial.
-
-    coeffs are [1, c1, ..., cn] in descending powers.  Returns the roots and
-    the degree of the unfactored remainder (0 iff the polynomial splits over
-    the rationals).
+    coeffs are [1, c1, ..., cn] in descending powers.  With L the lcm of
+    their denominators, S(y) = L^n f(y / L) is monic with integer
+    coefficients, so its rational roots are integers: L times f's.  If S
+    has real roots only, S is positive, increasing and convex above the
+    largest, so a Newton step from there never passes it, and nor does its
+    floor when that root is an integer.  The walk down from the Cauchy
+    bound 1 + max |coefficient| therefore meets every root of a split S,
+    largest first, and divides each out where it meets it.  A step at
+    which S < 0 or S' <= 0 has passed a root that is not an integer, or S
+    has roots off the real line: f does not split.  The roots are listed
+    by |numerator|, then denominator, a positive root before its negative.
     """
-    work = [Q(c) for c in coeffs]
-    roots: List[Tuple[Fraction, int]] = []
+    L = lcm(*(Q(c).denominator for c in coeffs))
+    s = [int(Q(c) * L ** k) for k, c in enumerate(coeffs)]
+    y = 1 + max(map(abs, s[1:]), default=0)
+    mult: Dict[int, int] = {}
+    while len(s) > 1:
+        quotient, value = _divide(s, y)
+        if not value:
+            s = quotient
+            mult[y] = mult.get(y, 0) + 1
+            continue
+        slope = _divide(quotient, y)[1]
+        if value < 0 or slope <= 0:
+            return None
+        # y - ceil(value / slope): the floor of the Newton step
+        y += -value // slope
+    roots = [(Q(y, L), m) for y, m in mult.items()]
+    return sorted(roots, key=lambda r: (abs(r[0].numerator), r[0].denominator,
+                                        r[0] < 0))
 
-    def strip_zero_roots(p):
-        mult = 0
-        while len(p) > 1 and p[-1] == 0:
-            p = p[:-1]
-            mult += 1
-        return p, mult
 
-    work, zmult = strip_zero_roots(work)
-    if zmult:
-        roots.append((Q(0), zmult))
-    while len(work) > 1:
-        scale = lcm(*[c.denominator for c in work]) if len(work) > 1 else 1
-        ints = [int(c * scale) for c in work]
-        lead, const = ints[0], ints[-1]
-        found = None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Q(p, q), Q(-p, q)):
-                    acc = Q(0)
-                    for c in work:
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        mult = 0
-        while True:
-            # synthetic division by (x - found)
-            out = [work[0]]
-            for c in work[1:]:
-                out.append(c + out[-1] * found)
-            if out[-1] != 0:
-                break
-            work = out[:-1]
-            mult += 1
-        roots.append((found, mult))
-    return roots, len(work) - 1
+def _divide(s: List[int], y: int) -> Tuple[List[int], int]:
+    """(quotient, remainder) of the polynomial s, in descending powers, by
+    x - y: the remainder is s(y), and the quotient's value at y is s'(y)."""
+    out = [s[0]]
+    for c in s[1:]:
+        out.append(c + out[-1] * y)
+    return out[:-1], out[-1]
 
 
 def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
@@ -469,12 +431,11 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
     # (values so far, echelon rows of the shifted matrices so far)
     blocks: List[Tuple[Tuple, Echelon]] = [((), Echelon())]
     for m in ms:
-        roots, remainder = rational_roots(char_poly(m))
-        if remainder:
+        roots = rational_roots(char_poly(m))
+        if roots is None:
             raise IrrationalSpectrum(
-                f"the eigenvalues are not rational: a factor of degree "
-                f"{remainder} of the characteristic polynomial has no "
-                f"rational root")
+                "the eigenvalues are not rational: the characteristic "
+                "polynomial does not split over the rationals")
         refined = []
         for prefix, ech in blocks:
             # the eigenspaces of m inside a block fill at most the block

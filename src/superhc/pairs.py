@@ -88,14 +88,12 @@ class SymmetricPair:
 def build_pair(g: LieSuperalgebra, a_vectors: Sequence[SuperVector]) -> SymmetricPair:
     """Validate an even Cartan subspace and assemble the pair."""
     k_basis, p_basis = theta_eigenspaces(g)
-    in_p = linear_solver([v.c for v in p_basis])
     for v in a_vectors:
         if v.parity != 0:
             raise NotInEvenP("a must consist of even vectors")
-        try:
-            in_p(v.c)
-        except ValueError:
-            raise NotInEvenP("a must lie in p") from None
+        # p is the -1 eigenspace of theta
+        if g.theta_apply(v) != -v:
+            raise NotInEvenP("a must lie in p")
     for i, x in enumerate(a_vectors):
         for y in a_vectors[i:]:
             if g.bracket(x, y):
@@ -271,13 +269,12 @@ def rho(system: RestrictedRootSystem) -> Tuple[Functional, Functional, Functiona
 
 class WeylGroup:
     """The even Weyl group as matrices acting on a*-coordinates, and the
-    action of each element and each generator on S(a) as a substitution."""
+    action of each generator on S(a) as a substitution."""
 
     def __init__(self, elements: List[Tuple[Tuple, ...]],
                  generators: List[Tuple[Tuple, ...]]):
         self.elements = elements
         self.generators = generators
-        self.substitutions = [Substitution.linear(w) for w in elements]
         self.generator_substitutions = [Substitution.linear(w)
                                         for w in generators]
         # the invariance conditions of each monomial (see invariance_rows)

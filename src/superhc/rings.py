@@ -180,17 +180,6 @@ def build_rank_one_model(q: int, iso: str, c=Q(1)) -> RankOneModel:
     return _build_aniso_model(q, c)
 
 
-def _set_bracket(brackets, parity, i, j, out: Dict[int, object]):
-    out = {k: v for k, v in out.items() if v}
-    if not out:
-        return
-    if i <= j:
-        brackets[(i, j)] = out
-    else:
-        sign = Q(1) if parity[i] and parity[j] else Q(-1)
-        brackets[(j, i)] = {k: sign * v for k, v in out.items()}
-
-
 def _build_aniso_model(q: int, c) -> RankOneModel:
     """osp(2|2q) on C^{2|2q} with basis (e0, e1 | u_1..u_q, ut_1..ut_q).
 
@@ -247,14 +236,13 @@ def _build_iso_model(q: int) -> RankOneModel:
     ih0, ial = idx["h0"], idx["Al"]
     for i in range(q):
         y, yt, z, zt = idx[f"y{i+1}"], idx[f"yt{i+1}"], idx[f"z{i+1}"], idx[f"zt{i+1}"]
-        _set_bracket(brackets, parity, ih0, y, {z: Q(1)})
-        _set_bracket(brackets, parity, ih0, z, {y: Q(1)})
-        _set_bracket(brackets, parity, ih0, yt, {zt: Q(1)})
-        _set_bracket(brackets, parity, ih0, zt, {yt: Q(1)})
-        for j in range(q):
-            zj, ztj = idx[f"z{j+1}"], idx[f"zt{j+1}"]
-            _set_bracket(brackets, parity, yt, zj, {ial: Q(1)} if i == j else {})
-            _set_bracket(brackets, parity, y, ztj, {ial: Q(-1)} if i == j else {})
+        # LieSuperalgebra reads each pair in the other order too
+        brackets[(ih0, y)] = {z: Q(1)}
+        brackets[(ih0, z)] = {y: Q(1)}
+        brackets[(ih0, yt)] = {zt: Q(1)}
+        brackets[(ih0, zt)] = {yt: Q(1)}
+        brackets[(yt, z)] = {ial: Q(1)}
+        brackets[(y, zt)] = {ial: Q(-1)}
     form = ScalarMatrix(dim, dim)
     form.rows[ih0][ial] = Q(1)
     form.rows[ial][ih0] = Q(1)

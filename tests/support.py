@@ -9,8 +9,9 @@ from superhc.apoly import APoly, monomials_up_to
 from superhc.builders import _gl_super, matrix_superalgebra
 from superhc.harish import (_ideal_part, invariants_up_to_degree,
                             k_generating_letters)
-from superhc.linalg import kernel, solve_membership, span_basis
-from superhc.liesuper import MixedAlgebras, SuperVector, centralizer
+from superhc.linalg import kernel, linear_solver, span_basis
+from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, SuperVector,
+                              centralizer)
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
 from superhc.rings import membership_conditions
@@ -43,6 +44,34 @@ def gauss_jordan(rows):
                             prow.pop(j, None)
         pivots[lead] = r
     return pivots
+
+
+def solve_membership(v, basis):
+    """Coordinates of v in the span of basis, or None if v is not in it.
+
+    Vectors are sparse maps from any hashable coordinate to a scalar.  v is
+    in the span iff some vector of the kernel of the columns (basis | v)
+    ends at v's column (see linalg.nullspace); minus its other entries are
+    then the coordinates, absent on the basis vectors that are free.
+    """
+    k = len(basis)
+    for w in kernel([*basis, v]):
+        if max(w) == k:
+            return {j: -x for j, x in w.items() if j < k}
+    return None
+
+
+def change_basis(g, vectors, names):
+    """g re-expressed in a new basis of parity-homogeneous vectors, with its
+    brackets only: no form and no involution."""
+    solve = linear_solver([v.c for v in vectors])
+    brackets = {}
+    for i, x in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            out = g.bracket(x, vectors[j])
+            if out:
+                brackets[(i, j)] = solve(out.c)
+    return LieSuperalgebra(names, [v.parity for v in vectors], brackets)
 
 
 def reduce_by(pivots, row):

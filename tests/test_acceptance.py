@@ -20,12 +20,12 @@ from superhc.catalog import CATALOG, verify_main_theorem
 from superhc.cli import main as cli_main
 from superhc.harish import invariants_up_to_degree
 from superhc.liesuper import centralizer, verify_algebra
-from superhc.linalg import solve_membership
 from superhc.pairs import iwasawa_check
 from superhc.rings import (OddRootDatum, filtered_dimension, generators,
                            membership_J)
 from superhc.serialization import algebra_to_json
 from support import (anticenter_product, in_local_ring, shift_by_substitute,
+                     solve_membership,
                      substitute)
 
 ENTRIES = ["rank1-aniso-q1", "rank1-aniso-q2", "rank1-iso-q1",

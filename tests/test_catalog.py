@@ -158,6 +158,15 @@ def test_direction_builds_the_analysis_once(monkeypatch):
     assert analysis.system.direction == (Q(1), Q(3), Q(9))
 
 
+@pytest.mark.parametrize("name", ["group-sl2", "group-gl12"])
+def test_name_and_built_analysis_take_the_same_default_degree(name):
+    # the entry's default degree is 4 on group-sl2 and 2 on group-gl12; the
+    # built Analysis carries it, as it carries the entry's name
+    report = verify_main_theorem(name)
+    assert report["degree"] == CATALOG[name].default_degree
+    assert verify_main_theorem(CATALOG[name].build()) == report
+
+
 def test_report_determinism():
     r1 = verify_main_theorem("rank1-iso-q1", degree=2, seed=5)
     r2 = verify_main_theorem("rank1-iso-q1", degree=2, seed=5)

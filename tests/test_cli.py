@@ -1,5 +1,8 @@
 import json
 import re
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
@@ -326,9 +329,47 @@ def test_malformed_explicit_entry_is_a_usage_error(tmp_path, capsys, command,
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     if entry is IRRATIONAL_A:
-        assert err == ("error: the eigenvalues are not rational: a factor of "
-                       "degree 4 of the characteristic polynomial has no "
-                       "rational root\n")
+        assert err == ("error: the eigenvalues are not rational: the "
+                       "characteristic polynomial does not split over the "
+                       "rationals\n")
+
+
+def test_large_eigenvalues_are_found_or_refused_at_once(tmp_path, capsys):
+    # a = 10^6 (h.l - h.r) has ad-eigenvalues 0 and +-2*10^6, and the
+    # irrational a of IRRATIONAL_A scaled by 10^6 has +-2*10^6 sqrt(2): a
+    # search that trial-divides the constant term runs for hours on either
+    c = 10 ** 6
+    scaled = [[str(c * int(x)) for x in v] for v in IRRATIONAL_A["a_basis"]]
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(_sl2_double_entry(
+        a_basis=[["0", str(c), "0", "0", str(-c), "0"]])), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "roots", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert [r["lambda"] for r in json.loads(out)["roots"]] == [
+        ["-2000000"], ["2000000"]]
+    path.write_text(json.dumps(_sl2_double_entry(a_basis=scaled)),
+                    encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "roots", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the eigenvalues are not rational")
+
+
+@pytest.mark.parametrize("ring", ["I", "J"])
+def test_no_weyl_drops_the_weyl_conditions_of_either_ring(capsys, ring):
+    # a0 is not W0-invariant on group-sl2, and meets every odd-root condition
+    poly = '{"terms":[{"exps":{"a0":1},"coeff":"1"}]}'
+    head = ('{"entry":"group-sl2","gated_roots":[],"member":%s,"poly":'
+            '{"terms":[{"coeff":"1","exps":{"a0":1}}]},"ring":"' + ring
+            + '","violated_conditions":%s}\n')
+    assert run(capsys, "membership", "group-sl2", "--ring", ring, "--poly",
+               poly, "--no-weyl") == (0, head % ("true", "[]"), "")
+    assert run(capsys, "membership", "group-sl2", "--ring", ring, "--poly",
+               poly) == (1, head % ("false", '[{"generator":0,"indices":'
+                                    '[[1]],"kind":"W","value":"-2"}]'), "")
 
 
 def _entry_file_of(name, tmp_path):
@@ -430,3 +471,26 @@ def test_sqrt_coefficient_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: bad scalar string") and \
         "Traceback" not in err
+
+
+def readme_examples():
+    """(argv, exit code) of each line of the sh block under "Examples:" in
+    README.md: continuation lines are joined, and each command ends in a
+    comment "# exit N"."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^Examples\b.*?```sh\n(.*?)```", text,
+                      re.MULTILINE | re.DOTALL).group(1)
+    out = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, code = re.fullmatch(r"(.*?)\s*# exit (\d)", line).groups()
+        words = shlex.split(command)
+        assert words[0] == "superhc"
+        out.append((words[1:], int(code)))
+    return out
+
+
+@pytest.mark.parametrize("argv, code", readme_examples())
+def test_readme_examples_run(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    json.loads(out)

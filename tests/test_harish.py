@@ -15,7 +15,8 @@ from superhc.harish import (GeneratorsMissK, OrderNotIwasawa, gr_restriction,
 from superhc.linalg import kernel, linear_solver, span_basis
 from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
-from superhc.rings import ANISOTROPIC, build_rank_one_model, generators
+from superhc.rings import (ANISOTROPIC, build_rank_one_model, generators,
+                           ring_conditions)
 from support import (adjoint, beta_of_vectors, gamma_preimage,
                      invariants_from_all_letters, oracle_adjoint,
                      shift_by_substitute)
@@ -110,7 +111,7 @@ def test_invariants_group_sl2_contains_casimir():
     for x in analysis.pair.k_basis:
         assert adjoint(ctx.uea, ctx.to_adapted(x), cas) == {}
     # membership of cas in the span of the computed invariants
-    from superhc.linalg import solve_membership
+    from support import solve_membership
     assert solve_membership(cas, basis.invariants) is not None
 
 
@@ -121,7 +122,7 @@ def test_invariants_rank_one_q1_contains_beta_p2():
     b2 = ctx.beta_from_g(generators(analysis.model)[0])
     for x in analysis.pair.k_basis:
         assert adjoint(ctx.uea, ctx.to_adapted(x), b2) == {}
-    from superhc.linalg import solve_membership
+    from support import solve_membership
     assert solve_membership(b2, basis.invariants) is not None
 
 
@@ -135,6 +136,22 @@ def test_to_adapted_gives_integral_coordinates_as_ints(name):
               for c in ctx.to_adapted(g.basis(i)).c.values()]
     assert any(type(c) is int for c in coords)
     assert not [c for c in coords if isinstance(c, Q) and c.denominator == 1]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_adapted_algebra_is_g_rebased(name):
+    # the context sums the adapted brackets from its table of letter
+    # coordinates: to_adapted is then a bracket isomorphism onto the adapted
+    # algebra, whose letters n, a, k keep the parities of their vectors
+    ctx = CATALOG[name].build().ctx
+    g, adapted = ctx.pair.g, ctx.adapted
+    vectors = [*ctx.system.n_basis(), *ctx.pair.a_basis, *ctx.pair.k_basis]
+    assert list(adapted.parity) == [v.parity for v in vectors]
+    letters = g.basis_vectors()
+    for x in letters:
+        for y in letters:
+            assert adapted.bracket(ctx.to_adapted(x), ctx.to_adapted(y)) \
+                == ctx.to_adapted(g.bracket(x, y)), (x, y)
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +296,7 @@ def test_verify_exact_sequence_rank_one_q1():
     # the image contains a^2 - q^2
     a = APoly.variable(1, 0)
     target = a * a - APoly.const(1, Q(1))
-    from superhc.linalg import solve_membership
+    from support import solve_membership
     assert solve_membership(target.terms, [p.terms for p in images]) is not None
 
 
@@ -297,13 +314,20 @@ def test_multiplicativity_on_random_invariant_pairs():
 
 
 def test_weyl_invariance_of_images():
+    # the action of every element of W0, against the generator rows that
+    # verify's weyl_invariance flag reads, on the images and on the images
+    # plus a0, which W0 does not fix
     for name in ["group-sl2", "group-osp12"]:
         analysis = CATALOG[name].build()
+        weyl, data = analysis.weyl, analysis.data
+        elements = [Substitution.linear(w) for w in weyl.elements]
         basis = invariants_up_to_degree(analysis.ctx, 2)
         for v in basis.invariants:
             p = analysis.ctx.hc_gamma(v)
-            for w in analysis.weyl.substitutions:
-                assert w(p) == p
+            for q, invariant in ((p, True),
+                                 (p + APoly.variable(analysis.rank, 0), False)):
+                assert all(w(q) == q for w in elements) is invariant
+                assert (not ring_conditions(q, "SW0", data, weyl)) is invariant
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -339,9 +339,10 @@ def test_library_names_every_definition_or_lists_it():
                                PUBLIC_API) == []
 
 
-# the tracer skips a target it cannot resolve, and its metric reads 0; this
-# one names code deleted on purpose
-STALE_TARGETS = {("superhc.harish", "filtered_subspace")}
+# the tracer skips a target it cannot resolve, and its metric reads 0; these
+# name code deleted on purpose
+STALE_TARGETS = {("superhc.harish", "filtered_subspace"),
+                 ("superhc.linalg", "solve_membership")}
 
 
 def tracer_targets():

@@ -12,9 +12,9 @@ from superhc.linalg import (CommutationFailure, Echelon, IrrationalSpectrum,
                             NotSemisimple, ScalarMatrix, char_poly, eigenspace,
                             kernel, linear_solver, nullspace, rank,
                             rational_roots, simultaneous_eigenspaces,
-                            solve_membership, span_basis)
+                            span_basis)
 from support import (apply, gauss_jordan, oracle_coordinates, oracle_nullspace,
-                     oracle_span_basis)
+                     oracle_span_basis, solve_membership)
 
 
 def _combination(coeffs, vectors):
@@ -414,14 +414,14 @@ def test_change_to_basis_rejects_a_singular_basis():
 
 def test_rational_roots_full_split():
     # (x-1)(x+2)^2 = x^3 + 3x^2 - 4
-    roots, remainder = rational_roots([Q(1), Q(3), Q(0), Q(-4)])
-    assert remainder == 0
+    roots = rational_roots([Q(1), Q(3), Q(0), Q(-4)])
     assert sorted(roots) == [(Q(-2), 2), (Q(1), 1)]
 
 
 def test_rational_roots_irrational_remainder():
-    roots, remainder = rational_roots([Q(1), Q(0), Q(-2)])  # x^2 - 2
-    assert roots == [] and remainder == 2
+    # x^2 - 2, and (x - 1)(x^2 - 2): a rational root does not make it split
+    assert rational_roots([Q(1), Q(0), Q(-2)]) is None
+    assert rational_roots([Q(1), Q(-1), Q(-2), Q(2)]) is None
 
 
 def test_simultaneous_eigenspaces_identity():

@@ -5,7 +5,7 @@ import pytest
 from superhc.apoly import APoly, monomials_up_to
 from superhc.builders import double_with_flip, osp12, sl2
 from superhc.catalog import CATALOG
-from superhc.linalg import ScalarMatrix, kernel, solve_membership
+from superhc.linalg import ScalarMatrix, kernel
 from superhc.liesuper import LieSuperalgebra, theta_eigenspaces
 from superhc.pairs import (CentralizerTooLarge, DegenerateFormOnA,
                            DirectionOnWall, NotAbelian, NotInEvenP, PairError,
@@ -14,7 +14,7 @@ from superhc.pairs import (CentralizerTooLarge, DegenerateFormOnA,
                            even_weyl_group, iwasawa_check, restricted_roots,
                            rho)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import apply, gl11, weyl_acts_on_functional
+from support import apply, gl11, solve_membership, weyl_acts_on_functional
 
 
 def group_pair(g0_maker, cartan="h"):

@@ -14,8 +14,7 @@ from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
 from superhc.serialization import uea_to_json
 from superhc.serialization import dumps_canonical
 from superhc.catalog import verify_main_theorem
-from superhc.liesuper import change_basis
-from support import (adjoint, derived_bracket, oracle_adjoint,
+from support import (adjoint, change_basis, derived_bracket, oracle_adjoint,
                      oracle_multiply, oracle_normal_form)
 
 

@@ -67,7 +67,7 @@ def test_component_of_a_L2_is_not_invariant():
     # a^3 + 2aW - (4/3)a, which the odd part of k does not annihilate;
     # this is the precise point where the stated generator-image identity
     # breaks down
-    from superhc.linalg import solve_membership
+    from support import solve_membership
     from superhc.pbw import sym_adjoint
     from support import sym_monomials_up_to
     analysis = CATALOG["rank1-aniso-q1"].build()
