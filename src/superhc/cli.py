@@ -183,8 +183,7 @@ def cmd_membership(args) -> int:
 def cmd_verify(args) -> int:
     analysis = _resolve_entry(args.entry, _parse_direction(args.direction))
     degree = _degree(args, analysis.default_degree)
-    seed = args.seed_local if getattr(args, "seed_local", None) is not None \
-        else args.seed
+    seed = args.seed_local if args.seed_local is not None else args.seed
     t0 = time.monotonic()
     report = verify_main_theorem(analysis, degree=degree, seed=seed)
     if args.timing:
@@ -215,14 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
             ("invariants", cmd_invariants, ["degree"]),
             ("gamma", cmd_gamma, ["element"]),
             ("membership", cmd_membership, ["poly", "ring"]),
-            ("verify", cmd_verify, ["degree", "timing"])]:
+            ("verify", cmd_verify, ["degree", "seed", "timing"])]:
         p = sub.add_parser(name)
         p.add_argument("entry", help="catalog entry name or explicit JSON file")
         p.add_argument("--direction", default=None,
                        help="comma-separated coordinates of the positivity "
                             "direction in a")
-        p.add_argument("--seed", type=int, default=None, dest="seed_local",
-                       help="seed for randomized property sampling")
+        if "seed" in extra:
+            p.add_argument("--seed", type=int, default=None, dest="seed_local",
+                           help="seed for randomized property sampling")
         if "degree" in extra:
             p.add_argument("--degree", type=int, default=None)
         if "element" in extra:

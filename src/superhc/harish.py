@@ -421,16 +421,15 @@ def verify_exact_sequence(ctx: IwasawaContext, basis: InvariantBasis,
     per degree e <= basis.degree, read off the basis order of
     invariants_up_to_degree: the degree <= e parts are spanned by the basis
     vectors of degree <= e, so Gamma of the degree <= e invariants is
-    spanned by the first n = dim_invariants images.  One kernel holds the
-    relations among all the images; those among the first n are spanned by
-    the relations whose largest key lies before n (see linalg.nullspace), so
-    dim_image is n minus their number.  The top-level dimensions are the
-    top row.
+    spanned by the first n = dim_invariants images, and dim_image is the
+    number of those that one Echelon, fed the images in order, takes in.
+    The top-level dimensions are the top row.
     """
     kernel_ok = all(not ctx.hc_gamma(v).terms for v in basis.companion)
     inv_degrees = [max(map(len, v), default=0) for v in basis.invariants]
     ker_degrees = [max(map(len, v), default=0) for v in basis.companion]
-    relation_ends = [max(v) for v in kernel(p.terms for p in images)]
+    span = Echelon()
+    independent = [span.insert(p.terms) for p in images]
     rows = []
     for e in range(basis.degree + 1):
         dim_inv = sum(1 for t in inv_degrees if t <= e)
@@ -438,7 +437,7 @@ def verify_exact_sequence(ctx: IwasawaContext, basis: InvariantBasis,
             "degree": e,
             "dim_invariants": dim_inv,
             "dim_kernel": sum(1 for t in ker_degrees if t <= e),
-            "dim_image": dim_inv - sum(1 for t in relation_ends if t < dim_inv),
+            "dim_image": sum(independent[:dim_inv]),
         })
     return {
         **rows[-1],

@@ -260,7 +260,7 @@ def verify_algebra(g: LieSuperalgebra) -> List[dict]:
                 sign = Q(-1) if par[i] * par[j] else Q(1)
                 if bij != sign * bmat.entry(j, i):
                     report.append({"check": "form-supersymmetric", "at": (i, j)})
-        if rank(bmat) != dim:
+        if rank(bmat.rows) != dim:
             report.append({"check": "form-nondegenerate", "at": ()})
         for i in range(dim):
             for j in range(dim):

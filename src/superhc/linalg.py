@@ -128,6 +128,8 @@ class Echelon:
 
     cols maps each column that is not a pivot to the pivots of the stored
     rows holding it, so a new pivot clears only the rows that hold it.
+    insert and reduce, and with them rank, take any hashable, totally
+    ordered column key; _kernel_basis needs the ints 0 ... n - 1.
     """
 
     __slots__ = ("rows", "cols")
@@ -238,8 +240,9 @@ def _echelonise(rows: List[Row]) -> Echelon:
     return _insert_all(Echelon(), rows)
 
 
-def rank(m: ScalarMatrix) -> int:
-    return len(_echelonise(m.rows).rows)
+def rank(rows: Iterable[Row]) -> int:
+    """The dimension of the span of sparse rows."""
+    return len(_echelonise(list(rows)).rows)
 
 
 def nullspace(m: ScalarMatrix) -> List[Row]:
@@ -276,8 +279,6 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Row]:
 
     Columns are sparse maps from any hashable output coordinate to a scalar
     and are consumed one at a time, so a generator never holds them all.
-    Rows are listed in repr order of their coordinates, which breaks the
-    ties of _echelonise's sparsest-first order.
     """
     rows: Dict[Hashable, Row] = {}
     ncols = 0
@@ -286,8 +287,7 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Row]:
             if x:
                 rows.setdefault(key, {})[j] = x
         ncols = j + 1
-    return nullspace(ScalarMatrix(len(rows), ncols,
-                                  [rows[k] for k in sorted(rows, key=repr)]))
+    return nullspace(ScalarMatrix(len(rows), ncols, list(rows.values())))
 
 
 def _shifted_rows(m: ScalarMatrix, ev) -> List[Row]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly, Expvec, Substitution, monomials_of_degree
-from .linalg import (Row, ScalarMatrix, kernel, linear_solver,
+from .linalg import (Row, ScalarMatrix, kernel, linear_solver, rank,
                      simultaneous_eigenspaces, span_basis)
 from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
 from .scalars import vector_to_string
@@ -395,7 +395,7 @@ def iwasawa_check(pair: SymmetricPair, system: RestrictedRootSystem,
     if k0 + dim_a + dim_n0 != g0 or k1 + dim_n1 != g1:
         report["violations"].append("dimension mismatch in k + a + n = g")
     stacked = pair.k_basis + pair.a_basis + n_basis
-    if len(span_basis(v.c for v in stacked)) != len(stacked):
+    if rank(v.c for v in stacked) != len(stacked):
         report["violations"].append("k, a, n are not transversal")
     if samples is None:
         samples = [g.zero()]
@@ -415,11 +415,12 @@ def iwasawa_check(pair: SymmetricPair, system: RestrictedRootSystem,
 
 
 def centralizer_formula_holds(pair: SymmetricPair, x: SuperVector) -> bool:
-    """dim z_{k1}(x) - dim z_{p1}(x) = dim k1 - dim p1 at x in p0."""
-    k1 = [v for v in pair.k_basis if v.parity == 1]
-    p1 = [v for v in pair.p_basis if v.parity == 1]
-    return len(centralizer(pair.g, [x], k1)) \
-        - len(centralizer(pair.g, [x], p1)) == len(k1) - len(p1)
+    """dim z_{k1}(x) - dim z_{p1}(x) = dim k1 - dim p1 at x in p0: ad x has
+    the same rank on k1 as on p1."""
+    def odd_rank(basis: List[SuperVector]) -> int:
+        return rank(pair.g.bracket(x, v).c for v in basis if v.parity)
+
+    return odd_rank(pair.k_basis) == odd_rank(pair.p_basis)
 
 
 def a_perp_in_p(pair: SymmetricPair) -> List[SuperVector]:

@@ -12,8 +12,8 @@ monomial's rows are computed once per input and kept by the owner of the
 map they come from: the W0-invariance rows by the WeylGroup, beside its
 generator substitutions, and each odd root's rows by its OddRootDatum,
 beside its coordinate change, in one table for "I" and one for "J".  Every
-ring but I without W0 lies in S(a)^W0, so its filtered dimensions are read
-over the basis of S(a)^W0 the WeylGroup keeps, with the odd-root rows only.
+ring but I without W0 lies in S(a)^W0, so its filtered dimensions are
+ranks of the odd-root rows over the basis of S(a)^W0 the WeylGroup keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .apoly import APoly, Expvec, change_to_basis, monomials_up_to
 from .builders import matrix_superalgebra, supercommutator
-from .linalg import ScalarMatrix, accumulate, kernel
+from .linalg import Echelon, ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
@@ -430,28 +430,28 @@ def ring_degrees(ring: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
     """The degree of each basis vector of the degree <= d part of a ring,
     the polynomials p with ring_conditions(p, ring, ...) = {}.
 
-    The basis is the kernel of the conditions over a list of polynomials
-    that runs by degree: with include_weyl, the basis of S(a)^W0 the Weyl
-    group keeps (WeylGroup.invariant_basis), so only the odd-root
-    conditions are left, and "SW0" is that basis itself; without it, the
-    monomials of monomials_up_to.  Either list's polynomials of degree
-    <= e are a prefix of it and span the degree <= e part of its span, and
-    each kernel vector's degree is that of its largest key, the last
-    polynomial it uses (see linalg.nullspace): so the degree <= e part of
-    the ring has dimension #{degrees <= e} for every e <= d.
+    The ring is read over a list of polynomials that runs by degree: with
+    include_weyl, the basis of S(a)^W0 the Weyl group keeps
+    (WeylGroup.invariant_basis), so only the odd-root conditions are left,
+    and "SW0" is that basis itself; without it, the monomials of
+    monomials_up_to.  The polynomials of degree <= e are a prefix of either
+    list and a basis of its degree <= e part, so the ring's degree <= e part
+    has dimension their number less the rank of their conditions: each
+    polynomial whose conditions lie in the span of the earlier ones' (one
+    Echelon, fed them in list order, refuses them) adds one in its degree.
     """
     if include_weyl:
         columns = weyl.invariant_basis(rank, d)
     else:
         columns = [(sum(e), APoly(rank, {e: Q(1)}))
                    for e in monomials_up_to(rank, d)]
-    return [columns[max(v)][0]
-            for v in kernel(ring_conditions(p, ring, data, weyl, False)
-                            for _, p in columns)]
+    span = Echelon()
+    return [e for e, p in columns
+            if not span.insert(ring_conditions(p, ring, data, weyl, False))]
 
 
 def filtered_dimension(kind: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
                        rank: int, d: int) -> int:
     """dim of the degree <= d part of I(a), J(a) or S(a)^W0, counted by
-    ring_degrees over the Weyl group's kept basis of S(a)^W0."""
+    ring_degrees as a rank over the Weyl group's basis of S(a)^W0."""
     return len(ring_degrees(kind, data, weyl, rank, d))

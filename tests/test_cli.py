@@ -239,6 +239,23 @@ def test_seed_flag_after_subcommand(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "group-sl2"],
+    ["invariants", "group-sl2"],
+    ["gamma", "rank1-aniso-q1",
+     "--element", '{"terms":[{"word":["a","a"],"coeff":"1"}]}'],
+    ["membership", "group-sl2", "--ring", "J",
+     "--poly", '{"terms":[{"exps":{"a0":1},"coeff":"1"}]}'],
+])
+def test_seed_is_an_option_of_verify_only(capsys, argv):
+    # only verify samples at random; the other subcommands take no --seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert main(argv) in (0, 1)
+
+
 def test_negative_degree_is_a_usage_error(capsys):
     for command in ("verify", "invariants"):
         code, out, err = run(capsys, command, "group-sl2", "--degree", "-1")

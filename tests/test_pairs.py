@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -6,11 +7,11 @@ from superhc.apoly import APoly, monomials_up_to
 from superhc.builders import double_with_flip, osp12, sl2
 from superhc.catalog import CATALOG
 from superhc.linalg import ScalarMatrix, kernel
-from superhc.liesuper import LieSuperalgebra, theta_eigenspaces
+from superhc.liesuper import LieSuperalgebra, centralizer, theta_eigenspaces
 from superhc.pairs import (CentralizerTooLarge, DegenerateFormOnA,
                            DirectionOnWall, NotAbelian, NotInEvenP, PairError,
                            SymmetricPair, WeylGroup, build_pair,
-                           choose_positive_system,
+                           centralizer_formula_holds, choose_positive_system,
                            even_weyl_group, iwasawa_check, restricted_roots,
                            rho)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
@@ -284,3 +285,26 @@ def test_invariant_basis_grown_degree_by_degree_equals_one_call():
                       APoly(rank, {monos[t]: c for t, c in v.items()}))
                      for v in kernel(weyl.invariance_rows(e) for e in monos)]
             assert whole == grown, (name, d)
+
+
+def test_centralizer_formula_holds_reads_the_centralizer_dimensions():
+    # the rank comparison against the dimension formula it stands for,
+    # counted by centralizer bases; x is a combination of two basis vectors
+    # of k + p, of either parity, so on the rank-one entries the formula
+    # fails for many draws and both verdicts are checked
+    verdicts = set()
+    for name in sorted(CATALOG):
+        pair = CATALOG[name].build().pair
+        g = pair.g
+        k1 = [v for v in pair.k_basis if v.parity]
+        p1 = [v for v in pair.p_basis if v.parity]
+        rng = random.Random(name)
+        for _ in range(60):
+            x = g.zero()
+            for v in rng.sample(pair.k_basis + pair.p_basis, 2):
+                x = x + v.scale(Q(rng.choice([1, -1, 2])))
+            want = len(centralizer(g, [x], k1)) \
+                - len(centralizer(g, [x], p1)) == len(k1) - len(p1)
+            assert centralizer_formula_holds(pair, x) == want, (name, x)
+            verdicts.add(want)
+    assert verdicts == {True, False}
