@@ -18,7 +18,7 @@ from .apoly import APoly
 from .harish import (InvariantBasis, IwasawaContext, invariants_up_to_degree,
                      verify_exact_sequence)
 from .linalg import linear_solver, rank as matrix_rank
-from .liesuper import LieSuperalgebra, SuperVector, centralizer
+from .liesuper import LieSuperalgebra, SuperVector, centralizer_dimension
 from .pairs import (PairError, SymmetricPair, build_pair,
                     centralizer_formula_holds, even_weyl_group,
                     restricted_roots)
@@ -73,10 +73,10 @@ def group_type_pair(g0: LieSuperalgebra, cartan_names: Sequence[str]
                     ) -> SymmetricPair:
     """(g0 + g0, flip) with a the antidiagonal of an even Cartan subalgebra."""
     cartan = [g0.basis(n) for n in cartan_names]
-    zc = centralizer(g0, cartan, g0.basis_vectors())
-    if len(zc) != len(cartan):
+    dim_zc = centralizer_dimension(g0, cartan, g0.basis_vectors())
+    if dim_zc != len(cartan):
         raise NotEvenType(
-            f"centraliser of the Cartan subalgebra has dimension {len(zc)}")
+            f"centraliser of the Cartan subalgebra has dimension {dim_zc}")
     # the doubled algebra's certificate is two copies of g0's
     verify_certificate(g0)
     g = builders.double_with_flip(g0)
@@ -243,7 +243,7 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
     """Run the full pipeline and fill the per-degree verification report.
 
     entry is a catalog name or a built Analysis; degree defaults to the
-    analysis's default degree.  Each ring column is one kernel at the top
+    analysis's default degree.  Each ring column is read once at the top
     degree (rings.ring_degrees); its row at degree e counts the basis
     vectors of degree <= e.
     """

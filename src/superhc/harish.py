@@ -71,6 +71,9 @@ class IwasawaContext:
         self.rank = len(a_basis)
         self.lo_a, self.lo_k = len(n_basis), len(n_basis) + self.rank
         self._proj_memo: Dict[Monomial, Compact] = {}
+        # the pure-a part of beta(m), an APoly, for each S(g) monomial m that
+        # gamma_of_sym has been asked (see there)
+        self._beta_table: Dict[Monomial, APoly] = {}
         # (rho, rho0, rho1), cross-checked once per context
         self.rho_triple = rho(system)
         self.rho = self.rho_triple[0]
@@ -153,7 +156,8 @@ class IwasawaContext:
                 continue
             if not all(lo <= i < hi for i in m):
                 raise OrderNotIwasawa("monomial escapes n U(g) + U(g) k")
-            accumulate(terms, {tuple(map(m.count, a_letters)): c})
+            # distinct pure-a PBW monomials have distinct exponent vectors
+            terms[tuple(map(m.count, a_letters))] = c
         return APoly(self.rank, terms)
 
     def project_word(self, word: Sequence[int]) -> UEAElement:
@@ -243,11 +247,15 @@ class IwasawaContext:
     def gamma_of_sym(self, p: SymElement) -> APoly:
         """Gamma(beta_from_g(p)) without forming beta_from_g(p).
 
-        The supersymmetrisation walk drops, after each partial product, the
-        monomials whose first letter is in n: they lie in n U(g), and stay
-        there whatever is multiplied on their right.  The last letter is
-        taken through project_word, as in gamma_of_product.  The walk runs in
-        the scaled basis, as beta_from_g does.
+        Gamma o beta is linear, so this is rho_shift of the sum of c_m times
+        the pure-a part of beta(m) over the terms c_m m of p.  That part is
+        computed once per S(g) monomial m, as m is first asked, and kept in
+        this context's table.  Its supersymmetrisation walk drops, after
+        each partial product, the monomials whose first letter is in n: they
+        lie in n U(g), and stay there whatever is multiplied on their right.
+        The last letter is taken through project_word, as in
+        gamma_of_product.  The walk runs in the scaled basis, as beta_from_g
+        does.
         """
         lo = self.lo_a
 
@@ -255,9 +263,18 @@ class IwasawaContext:
             return {m: c for m, c in self._times_letter(y, i).items()
                     if not (m and m[0] < lo)}
 
-        return self.hc_gamma(self.uea.unscaled(self._scaled_beta(
-            p, step,
-            lambda y, i: self._project_product(y, self._letters[i][0]))))
+        def last(y: UEAElement, i: int) -> UEAElement:
+            return self._project_product(y, self._letters[i][0])
+
+        table = self._beta_table
+        terms: Dict[Tuple[int, ...], object] = {}
+        for m, c in p.items():
+            part = table.get(m)
+            if part is None:
+                part = table[m] = self.project_to_a(self.uea.unscaled(
+                    self._scaled_beta({m: Q(1)}, step, last)))
+            accumulate(terms, part.terms, c)
+        return self.rho_shift(APoly(self.rank, terms))
 
 
 def _merge_prefix(prefix: Monomial, terms) -> UEAElement:

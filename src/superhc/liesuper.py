@@ -292,14 +292,27 @@ def theta_eigenspaces(g: LieSuperalgebra) -> Tuple[List[SuperVector], List[Super
     return k, p
 
 
-def centralizer(g: LieSuperalgebra, gens: Sequence[SuperVector],
-                within: Sequence[SuperVector]) -> List[SuperVector]:
-    """Basis of {y in span(within) : [s, y] = 0 for every s in gens}."""
+def _bracket_rows(g: LieSuperalgebra, gens: Sequence[SuperVector],
+                  within: Sequence[SuperVector]):
+    """One row per vector w of within: the coordinates of [s, w], keyed
+    (index of s, coordinate), for each s in gens."""
     for s in gens:
         if s.alg is not g:
             raise MixedAlgebras("centralizer generators from another algebra")
-    kern = kernel({(i, t): x for i, s in enumerate(gens)
-                   for t, x in g.bracket(s, w).c.items()} for w in within)
+    return ({(i, t): x for i, s in enumerate(gens)
+             for t, x in g.bracket(s, w).c.items()} for w in within)
+
+
+def centralizer(g: LieSuperalgebra, gens: Sequence[SuperVector],
+                within: Sequence[SuperVector]) -> List[SuperVector]:
+    """Basis of {y in span(within) : [s, y] = 0 for every s in gens}."""
+    kern = kernel(_bracket_rows(g, gens, within))
     return [sum((within[t].scale(c) for t, c in coords.items()), g.zero())
             for coords in kern]
 
+
+def centralizer_dimension(g: LieSuperalgebra, gens: Sequence[SuperVector],
+                          within: Sequence[SuperVector]) -> int:
+    """len(centralizer(g, gens, within)) for linearly independent within,
+    counted as len(within) less the rank of the brackets."""
+    return len(within) - rank(_bracket_rows(g, gens, within))

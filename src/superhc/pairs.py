@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .apoly import APoly, Expvec, Substitution, monomials_of_degree
 from .linalg import (Row, ScalarMatrix, kernel, linear_solver, rank,
                      simultaneous_eigenspaces, span_basis)
-from .liesuper import (LieSuperalgebra, SuperVector, centralizer, theta_eigenspaces)
+from .liesuper import (LieSuperalgebra, SuperVector, centralizer,
+                       centralizer_dimension, theta_eigenspaces)
 from .scalars import vector_to_string
 
 Q = Fraction
@@ -98,10 +99,10 @@ def build_pair(g: LieSuperalgebra, a_vectors: Sequence[SuperVector]) -> Symmetri
         for y in a_vectors[i:]:
             if g.bracket(x, y):
                 raise NotAbelian("a is not abelian")
-    zp = centralizer(g, list(a_vectors), p_basis)
-    if len(zp) != len(a_vectors):
+    dim_zp = centralizer_dimension(g, a_vectors, p_basis)
+    if dim_zp != len(a_vectors):
         raise CentralizerTooLarge(
-            f"z_p(a) has dimension {len(zp)}, a has dimension {len(a_vectors)}")
+            f"z_p(a) has dimension {dim_zp}, a has dimension {len(a_vectors)}")
     return SymmetricPair(g, k_basis, p_basis, list(a_vectors))
 
 
@@ -269,7 +270,11 @@ def rho(system: RestrictedRootSystem) -> Tuple[Functional, Functional, Functiona
 
 class WeylGroup:
     """The even Weyl group as matrices acting on a*-coordinates, and the
-    action of each generator on S(a) as a substitution."""
+    action of each generator on S(a) as a substitution.
+
+    It keeps what the rings of its pair read, each table filled on demand:
+    the invariance rows of each monomial, a basis of S(a)^W0, and the span
+    of each ring's conditions that rings.ring_degrees grows."""
 
     def __init__(self, elements: List[Tuple[Tuple, ...]],
                  generators: List[Tuple[Tuple, ...]]):
@@ -282,6 +287,11 @@ class WeylGroup:
         # a basis of S(a)^W0 at the highest degree asked (see invariant_basis)
         self._basis: List[Tuple[int, APoly]] = []
         self._basis_degree = -1
+        # rings.ring_degrees' span of each (ring, include_weyl, data): an
+        # Echelon of the column conditions, the degrees it refused, the
+        # highest degree inserted; data is a tuple of datums, hashed by
+        # identity, so every datum list gets its own span
+        self.ring_spans: Dict[Tuple, list] = {}
 
     def invariance_rows(self, e: Expvec) -> Dict:
         """The W0-invariance conditions of the monomial h^e: the coefficient

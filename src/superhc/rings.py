@@ -14,6 +14,8 @@ generator substitutions, and each odd root's rows by its OddRootDatum,
 beside its coordinate change, in one table for "I" and one for "J".  Every
 ring but I without W0 lies in S(a)^W0, so its filtered dimensions are
 ranks of the odd-root rows over the basis of S(a)^W0 the WeylGroup keeps.
+The WeylGroup also keeps each ring's span of those rows, grown by degree
+as queries ask for more, so a warm filtered dimension is a read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .apoly import APoly, Expvec, change_to_basis, monomials_up_to
+from .apoly import APoly, Expvec, change_to_basis, monomials_of_degree
 from .builders import matrix_superalgebra, supercommutator
 from .linalg import Echelon, ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
@@ -439,19 +441,34 @@ def ring_degrees(ring: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
     has dimension their number less the rank of their conditions: each
     polynomial whose conditions lie in the span of the earlier ones' (one
     Echelon, fed them in list order, refuses them) adds one in its degree.
+
+    That Echelon is kept in weyl.ring_spans, per (ring, include_weyl,
+    data), with the degrees it refused and the highest degree inserted: a
+    higher d inserts the polynomials of the new degrees only, and any d
+    reads the refused degrees up to d.
     """
-    if include_weyl:
-        columns = weyl.invariant_basis(rank, d)
-    else:
-        columns = [(sum(e), APoly(rank, {e: Q(1)}))
-                   for e in monomials_up_to(rank, d)]
-    span = Echelon()
-    return [e for e, p in columns
-            if not span.insert(ring_conditions(p, ring, data, weyl, False))]
+    key = (ring, include_weyl, tuple(data))
+    span = weyl.ring_spans.get(key)
+    if span is None:
+        span = weyl.ring_spans[key] = [Echelon(), [], -1]
+    echelon, refused, reached = span
+    if d > reached:
+        if include_weyl:
+            columns = [b for b in weyl.invariant_basis(rank, d)
+                       if b[0] > reached]
+        else:
+            columns = [(e, APoly(rank, {m: Q(1)}))
+                       for e in range(reached + 1, d + 1)
+                       for m in monomials_of_degree(rank, e)]
+        refused.extend(e for e, p in columns if not echelon.insert(
+            ring_conditions(p, ring, data, weyl, False)))
+        span[2] = d
+    return [e for e in refused if e <= d]
 
 
 def filtered_dimension(kind: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
                        rank: int, d: int) -> int:
     """dim of the degree <= d part of I(a), J(a) or S(a)^W0, counted by
-    ring_degrees as a rank over the Weyl group's basis of S(a)^W0."""
+    ring_degrees as a rank over the Weyl group's basis of S(a)^W0; a warm
+    query reads the span the Weyl group keeps for the ring."""
     return len(ring_degrees(kind, data, weyl, rank, d))

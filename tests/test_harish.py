@@ -504,6 +504,34 @@ def test_projected_gamma_of_sym_matches_full_supersymmetrisation(name):
     assert ctx.gamma_of_sym(p) == ctx.hc_gamma(ctx.beta_from_g(p))
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_gamma_of_sym_table_holds_the_monomials_asked(name):
+    # two polynomials sharing monomials, asked in both orders on two warm
+    # contexts, against the projection of the full supersymmetrisation on a
+    # third; the rank-one generators ride along in them
+    warm, other, cold = (CATALOG[name].build() for _ in range(3))
+    g = warm.pair.g
+    rng = random.Random(zlib.crc32(b"beta table:" + name.encode()))
+    monos = _oracle_monomials(g.parity, rng)
+    cut = len(monos) // 2
+    polys = [{m: Q(rng.randint(1, 3), rng.randint(1, 3)) for m in part}
+             for part in (monos[:cut + 3], monos[cut - 3:])]
+    assert set(polys[0]) & set(polys[1])
+    if warm.model is not None:
+        gens = generators(warm.model, kl=[(1, 1), (2, 1)]) \
+            if warm.model.iso_class != ANISOTROPIC else generators(warm.model)
+        accumulate(polys[0], gens[0])
+        accumulate(polys[1], gens[-1])
+    wants = [cold.ctx.hc_gamma(cold.ctx.beta_from_g(p)) for p in polys]
+    for analysis, order in ((warm, (0, 1)), (other, (1, 0))):
+        asked = set()
+        for i in order:
+            assert analysis.ctx.gamma_of_sym(polys[i]) == wants[i], i
+            asked |= set(polys[i])
+            assert set(analysis.ctx._beta_table) == asked
+    assert not cold.ctx._beta_table
+
+
 def test_uea_beta_matches_permutation_oracle_on_group_osp12():
     ctx = CATALOG["group-osp12"].build().ctx
     adapted = ctx.adapted

@@ -13,10 +13,11 @@ from superhc.liesuper import verify_algebra
 from superhc.pairs import a_perp_in_p, even_weyl_group, restricted_roots
 from superhc.pbw import sym_adjoint, sym_adjoint_index, sym_multiply
 from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
-                           InconsistentRelations, build_rank_one_model,
-                           coefficient_aNk, filtered_dimension, generators,
-                           membership_I, membership_J, odd_root_data,
-                           ring_conditions, ring_degrees)
+                           InconsistentRelations, OddRootDatum,
+                           build_rank_one_model, coefficient_aNk,
+                           filtered_dimension, generators, membership_I,
+                           membership_J, odd_root_data, ring_conditions,
+                           ring_degrees)
 from support import (adjoint, change_basis, in_local_ring,
                      oracle_ring_conditions,
                      oracle_ring_degrees, shift_by_substitute, substitute,
@@ -378,6 +379,51 @@ def test_ring_degrees_match_per_monomial_substitution(name):
                 assert ring_degrees(*args) == oracle_ring_degrees(*args), args
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_kept_ring_spans_answer_degrees_in_any_order(name):
+    # one analysis asked in a shuffled degree order, so its kept spans grow,
+    # are read below their top, and grow again; each answer against the
+    # oracle on a fresh analysis at the top degree, cut at d (its basis runs
+    # by degree); then the spans without W0 on the same Weyl group
+    analysis, fresh = CATALOG[name].build(), CATALOG[name].build()
+    top = 8 if analysis.model is not None else 6
+    order = (3, 0, 5, top, 2, top)
+    for ring, include_weyl in (("J", True), ("I", True), ("SW0", True),
+                               ("I", False), ("J", False)):
+        want = oracle_ring_degrees(ring, fresh.data, fresh.weyl, fresh.rank,
+                                   top, include_weyl)
+        for d in order:
+            got = ring_degrees(ring, analysis.data, analysis.weyl,
+                               analysis.rank, d, include_weyl)
+            assert got == [t for t in want if t <= d], (ring, include_weyl, d)
+            if include_weyl:
+                assert filtered_dimension(ring, analysis.data, analysis.weyl,
+                                          analysis.rank, d) == len(got)
+    assert len(analysis.weyl.ring_spans) == 5
+
+
+def test_a_hand_built_datum_list_gets_its_own_span():
+    # a wrong multiplicity on the Weyl group of a warm analysis: the bad
+    # list must not read the good data's span, nor the good list the bad
+    analysis, fresh = CATALOG["rank1-aniso-q1"].build(), \
+        CATALOG["rank1-aniso-q1"].build()
+
+    def bad(good):
+        return OddRootDatum(good.lam, good.q + 1, good.iso_class, good.c,
+                            good.A_coords, good.a_coords, good.h0_coords,
+                            good.a_perp, good.gated)
+
+    weyl = analysis.weyl
+    good_dim = filtered_dimension("J", analysis.data, weyl, 1, 6)
+    bad_data = [bad(analysis.data[0])]
+    bad_dim = filtered_dimension("J", bad_data, weyl, 1, 6)
+    assert bad_dim != good_dim
+    assert bad_dim == len(oracle_ring_degrees(
+        "J", [bad(fresh.data[0])], fresh.weyl, 1, 6))
+    assert filtered_dimension("J", analysis.data, weyl, 1, 6) == good_dim
+    assert len(weyl.ring_spans) == 2
+
+
 @lru_cache(maxsize=None)
 def built(name):
     """One analysis per entry, shared by the examples of a test, so that its
@@ -420,10 +466,13 @@ def test_gamma_of_P5_stays_outside_J_through_the_tables():
 
 def tables(analysis):
     """(row tables, image tables): the tables of condition rows (with the
-    Weyl group's basis of S(a)^W0) and of monomial images an analysis keeps
-    for its rings."""
-    rows = [analysis.weyl._rows, analysis.weyl._basis]
-    images = [s._table for s in analysis.weyl.generator_substitutions]
+    Weyl group's basis of S(a)^W0 and its spans of each ring's rows) and of
+    monomial images (with the context's Gamma o beta of S(g) monomials) an
+    analysis keeps."""
+    rows = [analysis.weyl._rows, analysis.weyl._basis,
+            analysis.weyl.ring_spans]
+    images = [analysis.ctx._beta_table]
+    images += [s._table for s in analysis.weyl.generator_substitutions]
     for datum in analysis.data:
         rows += datum._rows.values()
         images.append(datum.coordinate_change._table)
@@ -437,19 +486,26 @@ def sizes(analysis):
 def test_tables_start_empty_and_belong_to_one_analysis():
     for name in sorted(CATALOG):
         first, second = CATALOG[name].build(), CATALOG[name].build()
-        # no condition rows and no basis of S(a)^W0 yet; a substitution's
-        # table holds only the image of the constant monomial
+        # no condition rows, no basis of S(a)^W0, no ring span and no
+        # Gamma o beta yet; a substitution's table holds only the image of
+        # the constant monomial
         rows, images = sizes(first)
-        assert set(rows) == {0} and set(images) <= {1}
+        beta, *substitutions = images
+        assert set(rows) == {0} and beta == 0 and set(substitutions) <= {1}
         for kind in ("I", "J", "SW0"):
             filtered_dimension(kind, first.data, first.weyl, first.rank, 4)
-        weyl_rows, weyl_basis = sizes(first)[0][:2]
-        assert weyl_rows and weyl_basis and sizes(second) == [rows, images]
+        letters = {(i,): Q(1) for i in range(first.pair.g.dim)}
+        first.ctx.gamma_of_sym(letters)
+        (weyl_rows, weyl_basis, spans, *_), (beta, *_) = sizes(first)
+        assert weyl_rows and weyl_basis and spans == 3
+        assert beta == first.pair.g.dim
+        assert sizes(second) == [rows, images]
         ids = {id(t) for kind in tables(first) for t in kind}
         assert not ids & {id(t) for kind in tables(second) for t in kind}
-        # the oracle reads each polynomial whole and fills no table
+        # the oracles read each polynomial whole and fill no table
         for kind in ("I", "J", "SW0"):
             oracle_ring_degrees(kind, second.data, second.weyl, second.rank, 4)
+        second.ctx.hc_gamma(second.ctx.beta_from_g(letters))
         assert sizes(second) == [rows, images]
 
 
