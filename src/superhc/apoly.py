@@ -176,11 +176,6 @@ def monomials_of_degree(n: int, d: int) -> List[Expvec]:
             for rest in monomials_of_degree(n - 1, d - k)]
 
 
-def monomials_up_to(n: int, d: int) -> List[Expvec]:
-    """Exponent vectors of total degree <= d, ordered by degree then lex."""
-    return [e for total in range(d + 1) for e in monomials_of_degree(n, total)]
-
-
 def change_to_basis(new_basis: Sequence[Sequence]) -> Substitution:
     """The substitution rewriting variables into coordinates along a new
     basis of a.

@@ -22,7 +22,8 @@ from .rings import ring_conditions
 from .scalars import scalar_from_string, scalar_to_string
 from .serialization import (algebra_from_json, conditions_to_json,
                             dumps_canonical, entry_from_json, poly_from_json,
-                            poly_to_json, uea_to_json, words_from_json)
+                            poly_to_json, uea_to_json, words_from_json,
+                            write_canonical)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -113,6 +114,9 @@ def cmd_invariants(args) -> int:
     degree = _degree(args, analysis.default_degree)
     basis = invariants_up_to_degree(analysis.ctx, degree)
     adapted = analysis.ctx.adapted
+    # each invariant and companion is built as JSON objects, written and
+    # dropped in turn (write_canonical); everything else is computed before
+    # the first byte is written
     out = {
         "entry": analysis.name,
         "degree": degree,
@@ -120,12 +124,12 @@ def cmd_invariants(args) -> int:
         "blocks": analysis.ctx.blocks,
         "dim_invariants": len(basis.invariants),
         "dim_ideal_part": len(basis.companion),
-        "invariants": [uea_to_json(v) for v in basis.invariants],
-        "ideal_part": [uea_to_json(v) for v in basis.companion],
+        "invariants": map(uea_to_json, basis.invariants),
+        "ideal_part": map(uea_to_json, basis.companion),
         "gamma_images": [poly_to_json(analysis.ctx.hc_gamma(v), analysis.a_names)
                          for v in basis.invariants],
     }
-    sys.stdout.write(dumps_canonical(out))
+    write_canonical(sys.stdout, out)
     return EXIT_OK
 
 

@@ -310,7 +310,8 @@ class WeylGroup:
     def invariant_basis(self, rank: int, d: int) -> List[Tuple[int, APoly]]:
         """A basis of the degree <= d part of S(a)^W0 as (degree, p) pairs,
         in non-decreasing degree: the reduced-echelon kernel of the
-        invariance rows over monomials_up_to(rank, d).
+        invariance rows over the monomials of degree <= d, by degree then
+        lex.
 
         W0 keeps the degree, so the invariance rows of a degree-e monomial
         involve degree-e monomials only: that kernel is the kernels over each

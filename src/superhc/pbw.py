@@ -7,17 +7,24 @@ same encoding but multiply supercommutatively.  The straightening rule is
     x y = (-1)^{|x||y|} y x + [x, y]        (x > y in the basis order)
     xi xi = (1/2) [xi, xi]                  (xi odd)
 
-applied at the leftmost violation; memoisation of normal forms makes
-repeated products cheap.
+applied by insertion.  Every word the library straightens is a PBW
+monomial with one letter out of place: a letter appended (a product with a
+letter) or replaced (a term of the adjoint action).  That letter walks to
+its place (UEA._walk); each swap gives a Koszul sign and the words of the
+bracket, which again have one letter out of place and are one letter
+shorter, and an equal odd letter gives the half-square words instead.  Any
+other word is fed through the walk one letter at a time (UEA._feed).
 
-Memo contract: UEA._memo (and harish's projection memo, for pure-a parts)
-maps each word to its normal form in compact form: the flat tuple
+Memo contract: UEA._memo maps each word asked, and through the walk's
+recursion each shorter word met, to its normal form; the words of the
+asked length that a walk passes through are not kept.  (harish's
+projection memo keeps pure-a parts, rewritten at the leftmost violation.)
+A value is the normal form in compact form: the flat tuple
 (w1, c1, w2, c2, ...) of its words and nonzero coefficients, in the order
 a dict built by accumulate would hold them; a one-term normal form is the
 pair (w, c), a zero one ().  One to three terms take 56 to 88 bytes where
-a dict takes 224 (CPython 3.11), and a word that rewrites in one step with
-coefficient 1, a swap of supercommuting letters, shares the tuple of the
-word it rewrites to.  accumulate_compact adds a compact form into a dict.
+a dict takes 224 (CPython 3.11), and a PBW monomial's value shares the
+monomial's tuple.  accumulate_compact adds a compact form into a dict.
 Every public method returns a fresh dict, which the caller may mutate.
 
 Scalar contract: a UEA straightens in the scaled basis y_i = D x_i, where
@@ -128,7 +135,8 @@ class UEA:
         in the scaled basis.
 
         Returns the words, with integral coefficients, that sum to y^word in
-        U(g), or None when word is already a PBW monomial.
+        U(g), or None when word is already a PBW monomial.  harish's
+        projection and the rightmost oracle (_rightmost) straighten by it.
         """
         par = self.parity
         n = len(word)
@@ -148,36 +156,125 @@ class UEA:
                    for k, c in self._brackets.get((a, b), _EMPTY).items())
         return out
 
-    def _straighten(self, word: Monomial, strategy: str = "leftmost"
-                    ) -> Compact:
-        """The normal form of y^word in the scaled basis, in compact form;
-        leftmost normal forms are memoised."""
-        memo = strategy == "leftmost"
-        if memo:
-            hit = self._memo.get(word)
-            if hit is not None:
-                return hit
-        steps = self.rewrite(word, strategy)
-        if steps is None:
-            res: Compact = (word, 1)
-        elif len(steps) == 1 and steps[0][1] == 1:
-            # one step with coefficient 1, such as a swap of supercommuting
-            # letters: the same normal form, and the same tuple
-            res = self._straighten(steps[0][0], strategy)
+    def _straighten(self, word: Monomial) -> Compact:
+        """The normal form of y^word in the scaled basis, in compact form,
+        memoised: its letters are fed one by one through the walk."""
+        hit = self._memo.get(word)
+        if hit is None:
+            hit = self._memo[word] = self._feed(word)
+        return hit
+
+    def _placed(self, head: Monomial, k: int, tail: Monomial) -> Compact:
+        """_straighten of head + (k,) + tail, where head + tail is a PBW
+        monomial: the walk, memoised."""
+        word = head + (k,) + tail
+        hit = self._memo.get(word)
+        if hit is None:
+            hit = self._memo[word] = self._walk(word, len(head))
+        return hit
+
+    def _feed(self, word: Monomial) -> Compact:
+        """The normal form of y^word: its longest PBW prefix, times each
+        later letter in turn through the walk, unmemoised."""
+        par = self.parity
+        n, p = len(word), 1
+        while p < n and (word[p - 1] < word[p]
+                         or word[p - 1] == word[p] and not par[word[p]]):
+            p += 1
+        if p >= n:
+            return (word, 1)
+        if p == n - 1:
+            return self._walk(word, p)
+        acc: UEAElement = {word[:p]: 1}
+        for k in word[p:]:
+            grown: UEAElement = {}
+            for m, c in acc.items():
+                accumulate_compact(grown, self._walk(m + (k,), len(m)), c)
+            acc = grown
+        return compact(acc)
+
+    def _walk(self, word: Monomial, j: int) -> Compact:
+        """The normal form of y^word, in compact form, where word less its
+        letter k at j is a PBW monomial: k moves to its place.
+
+        Each swap past a letter l gives the Koszul sign and the words of
+        [l, k] (or [k, l]) in l and k's place, which again have one letter
+        out of place and are one letter shorter; meeting an equal odd
+        letter gives the half-square words instead, and ends the walk.  The
+        shorter words go through _placed, so the memo holds them, never the
+        words of this length the walk passes through.  The terms are summed
+        as rewriting at the only violation would: the end of the walk, then
+        the swaps' words from the last swap back to the first.
+        """
+        head, k, tail = word[:j], word[j], word[j + 1:]
+        par = self.parity
+        odd = par[k]
+        brackets = self._brackets
+        swaps = []  # (sign, head, [l, k] or [k, l], tail) per swap
+        sign, squares = 1, None
+        # k moves left past each greater letter (or an equal odd one) ...
+        while head and (head[-1] > k or head[-1] == k and odd):
+            l = head[-1]
+            head = head[:-1]
+            if l == k:
+                squares = self._half_square[k]
+                break
+            out = brackets.get((l, k))
+            if out:
+                swaps.append((sign, head, out, tail))
+            if odd and par[l]:
+                sign = -sign
+            tail = (l,) + tail
+        # ... or right past each smaller one; never both, as head + tail is
+        # a PBW monomial
+        while squares is None and tail and (tail[0] < k
+                                            or tail[0] == k and odd):
+            r = tail[0]
+            tail = tail[1:]
+            if r == k:
+                squares = self._half_square[k]
+                break
+            out = brackets.get((k, r))
+            if out:
+                swaps.append((sign, head, out, tail))
+            if odd and par[r]:
+                sign = -sign
+            head = head + (r,)
+        if squares is None and not swaps:
+            # a PBW monomial shares the tuple of the word when k stayed
+            return (word, 1) if len(head) == j else (head + (k,) + tail, sign)
+        acc: UEAElement = {}
+        if squares is None:
+            acc[head + (k,) + tail] = sign
         else:
-            acc: UEAElement = {}
-            for w, c in steps:
-                accumulate_compact(acc, self._straighten(w, strategy), c)
-            res = compact(acc)
-        if memo:
-            self._memo[word] = res
-        return res
+            for h, c in squares.items():
+                accumulate_compact(acc, self._placed(head, h, tail), sign * c)
+        for s, u, out, v in reversed(swaps):
+            for b, c in out.items():
+                accumulate_compact(acc, self._placed(u, b, v), s * c)
+        return compact(acc)
+
+    def _rightmost(self, word: Monomial) -> UEAElement:
+        """The normal form of y^word in the scaled basis, rewritten at the
+        rightmost violation and not memoised: the oracle for the walk."""
+        steps = self.rewrite(word, "rightmost")
+        if steps is None:
+            return {word: 1}
+        acc: UEAElement = {}
+        for w, c in steps:
+            accumulate(acc, self._rightmost(w), c)
+        return acc
 
     def normal_form_word(self, word: Iterable[int], strategy: str = "leftmost"
                          ) -> UEAElement:
+        """The normal form of the word x^word.  With strategy "leftmost",
+        the default, the word goes through the memoised walk (_straighten);
+        with any other it is rewritten at its rightmost violation,
+        unmemoised (_rightmost), the oracle for the walk."""
         word = tuple(word)
-        return self.unscaled(uncompact(self._straighten(word, strategy)),
-                             self.word_divisor(word))
+        y = uncompact(self._straighten(word)) if strategy == "leftmost" \
+            else self._rightmost(word)
+        return self.unscaled(y, self.word_divisor(word))
 
     def normal_form(self, factors: Sequence[Tuple[UEAElement, int]]
                     ) -> UEAElement:
@@ -228,8 +325,8 @@ class UEA:
             for j, letter in enumerate(m):
                 head, tail = m[:j], m[j + 1:]
                 for k, b in brackets.get((i, letter), _EMPTY).items():
-                    accumulate_compact(
-                        acc, self._straighten(head + (k,) + tail), sign * b)
+                    accumulate_compact(acc, self._placed(head, k, tail),
+                                       sign * b)
                 if pi and par[letter]:
                     sign = -sign
         return acc

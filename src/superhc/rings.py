@@ -435,12 +435,13 @@ def ring_degrees(ring: str, data: Sequence[OddRootDatum], weyl: WeylGroup,
     The ring is read over a list of polynomials that runs by degree: with
     include_weyl, the basis of S(a)^W0 the Weyl group keeps
     (WeylGroup.invariant_basis), so only the odd-root conditions are left,
-    and "SW0" is that basis itself; without it, the monomials of
-    monomials_up_to.  The polynomials of degree <= e are a prefix of either
-    list and a basis of its degree <= e part, so the ring's degree <= e part
-    has dimension their number less the rank of their conditions: each
-    polynomial whose conditions lie in the span of the earlier ones' (one
-    Echelon, fed them in list order, refuses them) adds one in its degree.
+    and "SW0" is that basis itself; without it, the monomials of each
+    degree in turn (monomials_of_degree).  The polynomials of degree <= e
+    are a prefix of either list and a basis of its degree <= e part, so the
+    ring's degree <= e part has dimension their number less the rank of
+    their conditions: each polynomial whose conditions lie in the span of
+    the earlier ones' (one Echelon, fed them in list order, refuses them)
+    adds one in its degree.
 
     That Echelon is kept in weyl.ring_spans, per (ring, include_weyl,
     data), with the degrees it refused and the highest degree inserted: a

@@ -9,7 +9,7 @@ and usable in golden tests.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .apoly import APoly
 from .linalg import ScalarMatrix
@@ -221,5 +221,28 @@ def poly_from_json(data: dict, names: Sequence[str]) -> APoly:
     return out
 
 
+# sorted keys, no spaces: the settings of every output
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _CANONICAL.encode(obj) + "\n"
+
+
+def write_canonical(out: TextIO, report: dict) -> None:
+    """Write dumps_canonical(report) to out, where a value of report may be
+    an iterator: it is written as a JSON array, one item encoded at a time,
+    so that only one item is held as objects at once."""
+    encode = _CANONICAL.encode
+    out.write("{")
+    for n, key in enumerate(sorted(report)):
+        out.write(("," if n else "") + encode(key) + ":")
+        value = report[key]
+        if not isinstance(value, Iterator):
+            out.write(encode(value))
+            continue
+        out.write("[")
+        for t, item in enumerate(value):
+            out.write(("," if t else "") + encode(item))
+        out.write("]")
+    out.write("}\n")

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 
-from superhc.apoly import APoly, monomials_up_to
+from superhc.apoly import APoly, monomials_of_degree
 from superhc.builders import _gl_super, matrix_superalgebra
 from superhc.harish import (_ideal_part, invariants_up_to_degree,
                             k_generating_letters)
@@ -161,6 +161,12 @@ def oracle_ring_conditions(p, ring, data, weyl, include_weyl=True):
                 substitute(x, images)
             out.update(membership_conditions(p, stand_in, ring))
     return out
+
+
+def monomials_up_to(n, d):
+    """Exponent vectors of n variables and total degree <= d, ordered by
+    degree then lex."""
+    return [e for total in range(d + 1) for e in monomials_of_degree(n, total)]
 
 
 def oracle_ring_degrees(ring, data, weyl, rank, d, include_weyl=True):

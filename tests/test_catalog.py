@@ -8,11 +8,11 @@ from superhc.catalog import (CATALOG, NoCertificate, NotEvenType,
                              group_type_pair, roots_report,
                              verify_certificate, verify_main_theorem)
 from superhc.pairs import restricted_roots
-from superhc.apoly import APoly, monomials_up_to
+from superhc.apoly import APoly
 from superhc.linalg import kernel
 from superhc.rings import filtered_dimension, OddRootDatum, ring_conditions
 from superhc.serialization import dumps_canonical
-from support import gl11
+from support import gl11, monomials_up_to
 
 
 def test_group_type_sl2_roots():

@@ -10,7 +10,9 @@ from superhc.builders import sl2
 from superhc.catalog import CATALOG
 from superhc.cli import main
 from superhc.scalars import scalar_to_string
-from superhc.serialization import algebra_to_json
+from superhc.harish import invariants_up_to_degree
+from superhc.serialization import (algebra_to_json, dumps_canonical,
+                                   poly_to_json, uea_to_json)
 
 
 def run(capsys, *argv):
@@ -177,6 +179,30 @@ def test_invariants_command(capsys):
     assert data["dim_invariants"] == 3
     assert data["dim_ideal_part"] == 1
     assert len(data["invariants"]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_invariants_report_is_the_whole_report_dumped(capsys, name):
+    """The report written one invariant at a time has the bytes of
+    dumps_canonical of the whole report, built as one dict."""
+    code, out, _ = run(capsys, "invariants", name)
+    analysis = CATALOG[name].build()
+    ctx = analysis.ctx
+    basis = invariants_up_to_degree(ctx, analysis.default_degree)
+    want = {
+        "entry": analysis.name,
+        "degree": analysis.default_degree,
+        "adapted_basis": list(ctx.adapted.names),
+        "blocks": ctx.blocks,
+        "dim_invariants": len(basis.invariants),
+        "dim_ideal_part": len(basis.companion),
+        "invariants": [uea_to_json(v) for v in basis.invariants],
+        "ideal_part": [uea_to_json(v) for v in basis.companion],
+        "gamma_images": [poly_to_json(ctx.hc_gamma(v), analysis.a_names)
+                         for v in basis.invariants],
+    }
+    assert code == 0
+    assert out == dumps_canonical(want)
 
 
 def test_explicit_entry_via_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superhc.apoly import APoly, monomials_up_to
+from superhc.apoly import APoly
 from superhc.builders import double_with_flip, osp12, sl2
 from superhc.catalog import CATALOG
 from superhc.linalg import ScalarMatrix, kernel
@@ -15,7 +15,8 @@ from superhc.pairs import (CentralizerTooLarge, DegenerateFormOnA,
                            even_weyl_group, iwasawa_check, restricted_roots,
                            rho)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import apply, gl11, solve_membership, weyl_acts_on_functional
+from support import (apply, gl11, monomials_up_to, solve_membership,
+                     weyl_acts_on_functional)
 
 
 def group_pair(g0_maker, cartan="h"):

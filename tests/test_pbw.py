@@ -448,7 +448,7 @@ def test_memo_values_are_compact_normal_forms(name):
             assert not (projected and w and lo <= w[0] < hi), w
         # spot-check the content against the unmemoised straightening
         for w in list(memo)[::max(1, len(memo) // 40)]:
-            want = uncompact(uea._straighten(w, "rightmost"))
+            want = uea._rightmost(w)
             if projected:
                 want = {m: c for m, c in want.items()
                         if all(lo <= i < hi for i in m)}
@@ -471,3 +471,50 @@ def test_public_results_are_fresh_dicts(name):
             first[(99,)] = 7
             first.pop((), None)
             assert call(word) == want, (call.__name__, word)
+
+
+# -- the straightening walk ------------------------------------------------------
+
+def _one_letter_out_of_place(uea, weights, top):
+    """(head, k, tail) for each word of length <= top that is a weight-zero
+    PBW monomial with one letter appended or replaced."""
+    out = set()
+    for m in uea.monomials_up_to(top, weights):
+        for k in range(uea.dim):
+            if len(m) < top:
+                out.add((m, k, ()))
+            for j in range(len(m)):
+                out.add((m[:j], k, m[j + 1:]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_walk_matches_the_rightmost_and_fraction_oracles(name):
+    """Every word with one letter out of place, as the adjoint action and
+    the products with a letter ask them, through the walk on a fresh UEA."""
+    ctx = CATALOG[name].build().ctx
+    uea, g = ctx.uea, ctx.adapted
+    diagonal, _ = k_generating_letters(ctx)
+    for head, k, tail in _one_letter_out_of_place(
+            uea, list(diagonal.values()), 4):
+        w = head + (k,) + tail
+        got = uea.unscaled(uncompact(uea._placed(head, k, tail)),
+                           uea.word_divisor(w))
+        assert got == uea.normal_form_word(w, "rightmost"), w
+        assert got == oracle_normal_form(g, w), w
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_walk_memoises_the_asked_word_and_shorter_ones(name):
+    """A letter that moves two places left (appended) or right (replaced):
+    the memo holds the word asked and words shorter than it, never the
+    one-swap neighbour the walk passes through."""
+    uea = CATALOG[name].build().ctx.uea
+    for word, neighbour, straighten in [
+            ((1, 2, 0), (1, 0, 2), lambda: uea.normal_form_word((1, 2, 0))),
+            ((2, 0, 1), (0, 2, 1), lambda: uea._placed((), 2, (0, 1)))]:
+        uea._memo.clear()
+        straighten()
+        assert word in uea._memo and neighbour not in uea._memo, word
+        assert all(len(w) < len(word) for w in uea._memo if w != word), word
+        assert uncompact(uea._memo[word]) == uea._rightmost(word), word

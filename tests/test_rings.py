@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superhc.apoly import APoly, Substitution, monomials_up_to
+from superhc.apoly import APoly, Substitution
 from superhc.catalog import CATALOG
 from superhc.harish import gr_restriction, invariants_up_to_degree
 from superhc.linalg import accumulate, kernel, span_basis
@@ -18,7 +18,7 @@ from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
                            filtered_dimension, generators, membership_I,
                            membership_J, odd_root_data, ring_conditions,
                            ring_degrees)
-from support import (adjoint, change_basis, in_local_ring,
+from support import (adjoint, change_basis, in_local_ring, monomials_up_to,
                      oracle_ring_conditions,
                      oracle_ring_degrees, shift_by_substitute, substitute,
                      sym_monomials_up_to)

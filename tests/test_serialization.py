@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 from fractions import Fraction as Q
 
@@ -7,7 +10,8 @@ from superhc.liesuper import verify_algebra
 from superhc.scalars import scalar_to_string
 from superhc.serialization import (SchemaError, algebra_from_json,
                                    algebra_to_json, dumps_canonical,
-                                   poly_from_json, poly_to_json, uea_to_json)
+                                   poly_from_json, poly_to_json, uea_to_json,
+                                   write_canonical)
 
 
 def test_algebra_roundtrip_with_form_theta_and_certificate():
@@ -81,3 +85,20 @@ def test_int_coefficients_print_like_fractions():
 def test_dumps_canonical_is_stable():
     payload = {"b": 1, "a": [2, {"y": 0, "x": 1}]}
     assert dumps_canonical(payload) == '{"a":[2,{"x":1,"y":0}],"b":1}\n'
+
+
+@pytest.mark.parametrize("report", [
+    {},
+    {"b": 1, "a": [2, {"y": 0, "x": 1}]},
+    {"z": [], "y": [[]], "x": [{"b": "\u00e9", "a": None}], "w": "s"},
+])
+def test_write_canonical_writes_dumps_canonical(report):
+    """Every value given whole, and each list given as an iterator, one
+    item at a time: the same bytes as dumps_canonical, which are those of
+    json.dumps with sorted keys and no spaces."""
+    want = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert dumps_canonical(report) == want
+    for lazy in (lambda v: v, lambda v: iter(v) if isinstance(v, list) else v):
+        out = io.StringIO()
+        write_canonical(out, {k: lazy(v) for k, v in report.items()})
+        assert out.getvalue() == want
