@@ -5,11 +5,18 @@ explicit sparse matrices (here, and for the anisotropic rank-one models of
 rings.py), so closure and the Jacobi identity hold by construction
 and the full validation scan acts as a regression test rather than an act
 of faith.
+
+Scalars going in are ints where they can be: unit matrices, theta and the
+declared decompositions hold ints, and supercommutators are summed in the
+integers, each matrix scaled to integers once.  The structure constants
+are what linalg's solver returns, Fractions, which LieSuperalgebra reads
+as ints where integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ScalarMatrix, accumulate, linear_solver
@@ -23,13 +30,45 @@ def supercommutator(x: ScalarMatrix, y: ScalarMatrix, both_odd: bool
     """[x, y] = xy - (-1)^{|x||y|} yx of two homogeneous supermatrices."""
     out = x.mul(y)
     for i, row in enumerate(y.mul(x).rows):
-        accumulate(out.rows[i], row, Q(1) if both_odd else Q(-1))
+        accumulate(out.rows[i], row, 1 if both_odd else -1)
     return out
 
 
+def _integral_rows(m: ScalarMatrix) -> Tuple[List[Dict[int, int]], int]:
+    """(rows, s): the rows of m times s, all ints, for s the lcm of the
+    denominators of its entries."""
+    s = lcm(*(x.denominator for row in m.rows for x in row.values()))
+    return [{j: x.numerator * (s // x.denominator) for j, x in row.items()}
+            for row in m.rows], s
+
+
+def _flat_supercommutator(x: Tuple[List[Dict[int, int]], int],
+                          y: Tuple[List[Dict[int, int]], int], n: int,
+                          both_odd: bool) -> Dict[int, object]:
+    """supercommutator of two n x n matrices given by _integral_rows,
+    flattened, entry (i, j) at i * n + j: summed in the integers straight
+    from the sparse rows, and each entry divided once by the two scales."""
+    (xr, sx), (yr, sy) = x, y
+    out: Dict[int, object] = {}
+    for left, right, sign in ((xr, yr, 1), (yr, xr, 1 if both_odd else -1)):
+        for i, row in enumerate(left):
+            base = i * n
+            for k, a in row.items():
+                a *= sign
+                for j, b in right[k].items():
+                    key = base + j
+                    w = out.get(key, 0) + a * b
+                    if w:
+                        out[key] = w
+                    else:
+                        del out[key]
+    s = sx * sy
+    return out if s == 1 else {key: Q(w, s) for key, w in out.items()}
+
+
 def _supertrace_of_product(x: ScalarMatrix, y: ScalarMatrix,
-                           space_parity: Sequence[int]) -> Fraction:
-    s = Q(0)
+                           space_parity: Sequence[int]):
+    s = 0
     for i, row in enumerate(x.rows):
         for k, a in row.items():
             b = y.rows[k].get(i)
@@ -53,14 +92,16 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence,
                 for j, x in row.items()}
 
     solve = linear_solver([flat(m) for m in mats])
+    integral = [_integral_rows(m) for m in mats]
     brackets: Dict[Tuple[int, int], Dict[int, object]] = {}
     n = len(mats)
     for i in range(n):
         for j in range(i, n):
-            br = supercommutator(mats[i], mats[j],
-                                 bool(parities[i] and parities[j]))
+            br = _flat_supercommutator(integral[i], integral[j],
+                                       mats[i].ncols,
+                                       bool(parities[i] and parities[j]))
             try:
-                out = solve(flat(br))
+                out = solve(br)
             except ValueError:
                 raise ValueError(f"matrices do not close under bracket at ({i},{j})"
                                  ) from None
@@ -73,7 +114,7 @@ def matrix_superalgebra(names: Sequence[str], mats: Sequence,
 
 def _unit(n: int, i: int, j: int) -> ScalarMatrix:
     m = ScalarMatrix(n, n)
-    m.rows[i][j] = Q(1)
+    m.rows[i][j] = 1
     return m
 
 
@@ -115,11 +156,11 @@ def gl12() -> LieSuperalgebra:
     """gl(1|2) with its supertrace form; centre is the identity matrix."""
     names, mats, par, sp = _gl_super(1, 2)
     g = matrix_superalgebra(names, mats, par, sp)
-    ident = g.vector({"E00": Q(1), "E11": Q(1), "E22": Q(1)})
+    ident = g.vector({"E00": 1, "E11": 1, "E22": 1})
     sl_basis = [g.basis("E01"), g.basis("E02"), g.basis("E10"), g.basis("E20"),
                 g.basis("E12"), g.basis("E21"),
-                g.vector({"E11": Q(1), "E22": Q(-1)}),
-                g.vector({"E00": Q(1), "E11": Q(1)})]
+                g.vector({"E11": 1, "E22": -1}),
+                g.vector({"E00": 1, "E11": 1})]
     g.decomposition = {"center": [ident], "ideals": [sl_basis]}
     return g
 
@@ -142,8 +183,8 @@ def double_with_flip(g0: LieSuperalgebra) -> LieSuperalgebra:
                 form.rows[i + n][j + n] = v
     theta = ScalarMatrix(2 * n, 2 * n)
     for i in range(n):
-        theta.rows[i][i + n] = Q(1)
-        theta.rows[i + n][i] = Q(1)
+        theta.rows[i][i + n] = 1
+        theta.rows[i + n][i] = 1
     g = LieSuperalgebra(names, par, brackets, form=form, theta=theta)
     if g0.decomposition is not None:
         def left(v: SuperVector) -> SuperVector:

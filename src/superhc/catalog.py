@@ -209,7 +209,7 @@ def random_p0_vector(analysis: Analysis, rng: random.Random) -> SuperVector:
     v = g.zero()
     for w in analysis.pair.p_basis:
         if w.parity == 0:
-            v = v + w.scale(Q(rng.randint(-3, 3)))
+            v = v + w.scale(rng.randint(-3, 3))
     return v
 
 
@@ -222,18 +222,27 @@ def centdim_check(analysis: Analysis, rng: random.Random) -> bool:
 
 
 def multiplicativity_check(analysis: Analysis, basis: InvariantBasis,
-                           images: Sequence[APoly], rng: random.Random) -> bool:
-    """Gamma(D D') = Gamma(D) Gamma(D') on sampled invariant pairs, where
-    images[t] is Gamma of basis.invariants[t]."""
+                           rng: random.Random) -> bool:
+    """Gamma(D D') = Gamma(D) Gamma(D') on sampled invariant pairs, checked
+    on the pure-a parts before the rho shift: the shift is a translation, a
+    ring automorphism of S(a), so it keeps a product exactly when the
+    unshifted parts do."""
     ctx = analysis.ctx
     invariants = basis.invariants
     if not invariants:
         return True
+    parts: Dict[int, APoly] = {}
+
+    def part(s: int) -> APoly:
+        if s not in parts:
+            parts[s] = ctx.project_to_a(invariants[s])
+        return parts[s]
+
     for _ in range(SAMPLES):
         s = rng.randrange(len(invariants))
         t = rng.randrange(len(invariants))
-        if ctx.gamma_of_product(invariants[s], invariants[t]) \
-                != images[s] * images[t]:
+        if ctx.project_product_to_a(invariants[s], invariants[t]) \
+                != part(s) * part(t):
             return False
     return True
 
@@ -266,7 +275,7 @@ def verify_main_theorem(entry, degree: Optional[int] = None,
                     for col, degs in degrees.items()})
 
     rng = random.Random(seed)
-    mult_ok = multiplicativity_check(analysis, basis, images, rng)
+    mult_ok = multiplicativity_check(analysis, basis, rng)
     cent_ok = centdim_check(analysis, rng)
 
     report = {

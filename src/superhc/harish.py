@@ -211,16 +211,18 @@ class IwasawaContext:
         """The rho-shifted projection: Gamma(u)(mu) = u_a(mu + rho)."""
         return self.rho_shift(self.project_to_a(u))
 
-    def gamma_of_product(self, u: UEAElement, v: UEAElement) -> APoly:
-        """Gamma(u v) without forming u v.
+    def project_product_to_a(self, u: UEAElement, v: UEAElement) -> APoly:
+        """The pure-a part of u v without forming u v.
 
         Left monomials starting in n lie in n U(g) and right monomials ending
         in k lie in U(g) k, so those pairs are skipped; every other pair is
         straightened by project_word, which keeps only the pure-a part.
+        Gamma(u v) is its rho shift.
         """
         uea = self.uea
         (y, s), (z, t) = uea.scaled(u), uea.scaled(v)
-        return self.hc_gamma(uea.unscaled(self._project_product(y, z), s * t))
+        return self.project_to_a(
+            uea.unscaled(self._project_product(y, z), s * t))
 
     def _project_product(self, y: UEAElement, z: UEAElement) -> UEAElement:
         """The pure-a part of y z, in scaled coordinates.  The leading a
@@ -254,7 +256,7 @@ class IwasawaContext:
         each partial product, the monomials whose first letter is in n: they
         lie in n U(g), and stay there whatever is multiplied on their right.
         The last letter is taken through project_word, as in
-        gamma_of_product.  The walk runs in the scaled basis, as beta_from_g
+        project_product_to_a.  The walk runs in the scaled basis, as beta_from_g
         does.
         """
         lo = self.lo_a

@@ -5,20 +5,26 @@ sparse table of brackets, an optional invariant form b and an optional even
 involution theta.  Validation (verify_algebra) reports every violated axiom
 instead of raising, so defective input can be diagnosed in one pass.
 
-Scalar contract: scalars are rational.  The brackets dict keeps the scalars
-it was given, while bracket_indices returns each integral coefficient as an
-int and every other one as a Fraction, so brackets of integral vectors sum
-ints.  U(g) does not straighten on these constants directly: pbw.UEA
-rescales the basis by their common denominator, where every constant is
-integral.  An int equals, hashes and prints like the equal Fraction.
+Scalar contract: scalars are rational, ints or Fractions.  A basis vector
+holds the int 1.  The brackets dict keeps the scalars it was given, while
+bracket_indices returns each integral coefficient as an int and every
+other one as a Fraction.  bracket sums in the integers: it scales both
+vectors to integers once, sums int products against the table times the
+common denominator of its constants, and divides each output coordinate
+once, so brackets of integral vectors on an integral table are ints.
+U(g) does not straighten on these constants directly: pbw.UEA rescales
+the basis by their common denominator, where every constant is integral.
+An int equals, hashes and prints like the equal Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScalarMatrix, accumulate, eigenspace, kernel, rank
+from .linalg import (ScalarMatrix, accumulate, eigenspace, integral_row,
+                     kernel, rank)
 from .scalars import int_if_integral
 
 Q = Fraction
@@ -113,6 +119,13 @@ class LieSuperalgebra:
             key: {k: v for k, v in out.items() if v}
             for key, out in brackets.items()}
         self._table = _two_sided(self.brackets, self.parity)
+        # the table times the lcm of its denominators, all ints, for bracket
+        self._scale = lcm(*(v.denominator for out in self._table.values()
+                            for v in out.values()))
+        self._integral = self._table if self._scale == 1 else {
+            key: {k: v.numerator * (self._scale // v.denominator)
+                  for k, v in out.items()}
+            for key, out in self._table.items()}
         self.form = form
         self.theta = theta
         self.decomposition: Optional[dict] = None
@@ -123,7 +136,7 @@ class LieSuperalgebra:
     # -- basic access -------------------------------------------------------
     def basis(self, key) -> SuperVector:
         i = key if isinstance(key, int) else self._index[key]
-        return SuperVector(self, {i: Q(1)})
+        return SuperVector(self, {i: 1})
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -148,12 +161,23 @@ class LieSuperalgebra:
         return self._table.get((i, j), _EMPTY)
 
     def bracket(self, x: SuperVector, y: SuperVector) -> SuperVector:
+        """[x, y], summed in the integers: x and y are scaled to integers
+        once, their products run against the integral table, and each output
+        coordinate is divided once by the product of the three scales."""
         if x.alg is not self or y.alg is not self:
             raise MixedAlgebras("bracket of vectors from another algebra")
+        xs, sx = integral_row(x.c)
+        ys, sy = integral_row(y.c)
+        table = self._integral
         acc: Dict[int, object] = {}
-        for i, xi in x.c.items():
-            for j, yj in y.c.items():
-                accumulate(acc, self.bracket_indices(i, j), xi * yj)
+        for i, xi in xs.items():
+            for j, yj in ys.items():
+                out = table.get((i, j))
+                if out:
+                    accumulate(acc, out, xi * yj)
+        s = sx * sy * self._scale
+        if s != 1:
+            acc = {k: Q(v, s) for k, v in acc.items()}
         return SuperVector(self, acc)
 
     # -- form and involution -------------------------------------------------

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 A vector is a Row, a sparse dict from column to a nonzero scalar; every
-function here takes and returns vectors in that one form, with int or
-Fraction entries.  Every elimination goes through Echelon, which works in
+function here takes and returns vectors in that one form.  Inputs may hold
+ints and Fractions, and ScalarMatrix keeps the ints it is given; what an
+elimination returns (kernels, span bases, solutions, eigenvalues) holds
+Fractions only.  Every elimination goes through Echelon, which works in
 the integers only: a row is scaled once to integers, swept without
 division and made primitive once, when it is inserted, so pivots need not
 be 1; a column index tells each new pivot which stored rows to clear.
@@ -18,6 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import (Dict, Hashable, Iterable, List, Optional, Sequence, Set,
                     Tuple)
+
+from .scalars import int_if_integral
 
 Q = Fraction
 Row = Dict[int, object]
@@ -58,6 +62,12 @@ def accumulate(acc: dict, other: dict, coeff=None) -> None:
         acc[k] = w
 
 
+def integral_row(row: Row) -> Tuple[Row, int]:
+    """(r, s): row times s, all ints, for s the lcm of its denominators."""
+    s = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (s // x.denominator) for j, x in row.items()}, s
+
+
 class ScalarMatrix:
     """A rows x cols matrix with exact scalar entries, stored sparsely."""
 
@@ -78,14 +88,14 @@ class ScalarMatrix:
                 raise ValueError("ragged matrix data")
             for j, x in enumerate(row):
                 if x:
-                    m.rows[i][j] = Q(x) if isinstance(x, int) else x
+                    m.rows[i][j] = x
         return m
 
     @classmethod
     def identity(cls, n: int) -> "ScalarMatrix":
         m = cls(n, n)
         for i in range(n):
-            m.rows[i][i] = Q(1)
+            m.rows[i][i] = 1
         return m
 
     def entry(self, i: int, j: int):
@@ -147,9 +157,7 @@ class Echelon:
         row leaves no pivot column behind.
         """
         # an explicit zero left in the copy could become a pivot
-        r = {j: x for j, x in row.items() if x}
-        s = lcm(*(x.denominator for x in r.values()))
-        r = {j: x.numerator * (s // x.denominator) for j, x in r.items()}
+        r, s = integral_row({j: x for j, x in row.items() if x})
         for c in [c for c in r if c in self.rows]:
             s *= _clear(r, c, self.rows[c])
         return r, s
@@ -165,6 +173,12 @@ class Echelon:
         r, _ = self._sweep(row)
         if not r:
             return False
+        self._store(r)
+        return True
+
+    def _store(self, r: Row) -> None:
+        """Store the nonzero swept integer row r (see _sweep), made
+        primitive, and clear its pivot from the stored rows."""
         lead = min(r)
         g = gcd(*r.values())
         if r[lead] < 0:
@@ -189,7 +203,6 @@ class Echelon:
         for _, holders in held:
             holders.add(lead)
         rows[lead] = r
-        return True
 
     def copy(self) -> "Echelon":
         """An independent Echelon of the same span, to grow on its own."""
@@ -291,8 +304,9 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Row]:
 
 
 def _shifted_rows(m: ScalarMatrix, ev) -> List[Row]:
-    """The rows of m - ev * I."""
+    """The rows of m - ev * I, an integral ev as an int."""
     rows = [dict(row) for row in m.rows]
+    ev = int_if_integral(ev)
     if ev:
         for i, r in enumerate(rows):
             r[i] = r.get(i, 0) - ev
@@ -321,7 +335,7 @@ def linear_solver(basis: Sequence[Row]):
     rows: List[Row] = []
     for t, b in enumerate(basis):
         r = dict(b)
-        r[n + t] = Q(1)
+        r[n + t] = 1
         rows.append(r)
     ech = _echelonise(rows)
     if any(p >= n for p in ech.rows):
@@ -340,24 +354,29 @@ def linear_solver(basis: Sequence[Row]):
     return solve
 
 
-def char_poly(m: ScalarMatrix) -> List:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] (monic, desc).
+def _minimal_polynomial(m: ScalarMatrix) -> List:
+    """The minimal polynomial of a square m, monic, as [1, c1, ..., ck] in
+    descending powers.
 
-    Faddeev-LeVerrier; exact over the scalar ring.
+    The powers I, m, m^2, ... are flattened, entry (i, j) at column
+    i n + j, and inserted into one Echelon, power k tagged with a 1 at
+    column n^2 + k.  The first power whose sweep leaves nothing below n^2
+    is a combination of the lower ones: what is left, s (x^k - sum c_j x^j)
+    read in the tag columns, is the minimal polynomial up to the scale s.
     """
     n = m.nrows
-    if n != m.ncols:
-        raise ValueError("not square")
-    coeffs = [Q(1)]
-    mk = ScalarMatrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m.mul(mk)
-        ck = -sum((row[i] for i, row in enumerate(mk.rows) if i in row), Q(0)) / k
-        coeffs.append(ck)
-        if k < n and ck:
-            for i, row in enumerate(mk.rows):
-                accumulate(row, {i: ck})
-    return coeffs
+    top = n * n
+    ech = Echelon()
+    power, k = ScalarMatrix.identity(n), 0
+    while True:
+        row = {i * n + j: x for i, r in enumerate(power.rows)
+               for j, x in r.items()}
+        row[top + k] = 1
+        r, _ = ech._sweep(row)
+        if min(r) >= top:
+            return [Q(r.get(top + j, 0), r[top + k]) for j in range(k, -1, -1)]
+        ech._store(r)
+        power, k = m.mul(power), k + 1
 
 
 def rational_roots(coeffs: List) -> Optional[List[Tuple[Fraction, int]]]:
@@ -415,8 +434,11 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
     slowest.  Each basis is the kernel of the stacked family, every matrix
     shifted by its value; a block keeps the echelon rows of its prefix, so
     each value tried on it adds only the rows of the next shifted matrix.
-    Raises CommutationFailure, IrrationalSpectrum or NotSemisimple when the
-    decomposition does not exist over the scalars.
+    Each matrix's values are the roots of its minimal polynomial, which
+    has the characteristic polynomial's irreducible factors and so splits
+    over the rationals exactly when that does.  Raises CommutationFailure,
+    IrrationalSpectrum or NotSemisimple when the decomposition does not
+    exist over the scalars.
     """
     if not ms:
         raise ValueError("empty matrix list")
@@ -431,7 +453,7 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
     # (values so far, echelon rows of the shifted matrices so far)
     blocks: List[Tuple[Tuple, Echelon]] = [((), Echelon())]
     for m in ms:
-        roots = rational_roots(char_poly(m))
+        roots = rational_roots(_minimal_polynomial(m))
         if roots is None:
             raise IrrationalSpectrum(
                 "the eigenvalues are not rational: the characteristic "

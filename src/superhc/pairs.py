@@ -344,7 +344,7 @@ def _reflection_matrix(system: RestrictedRootSystem, alpha: Functional
     for i in range(r):
         row = []
         for j in range(r):
-            v = (Q(1) if i == j else Q(0)) - 2 * alpha[i] * galpha[j] / norm
+            v = (Q(1) if i == j else Q(0)) - Q(2 * alpha[i] * galpha[j], norm)
             row.append(v)
         rows.append(tuple(row))
     return tuple(rows)

@@ -112,7 +112,9 @@ class UEA:
             return u, 1
         top = max(map(len, u), default=0)
         s = lcm(*(c.denominator for c in u.values())) * scale ** top
-        return {m: int_if_integral(c * (s // scale ** len(m)))
+        # s / scale^k is a multiple of every denominator
+        per = [s // scale ** k for k in range(top + 1)]
+        return {m: c.numerator * (per[len(m)] // c.denominator)
                 for m, c in u.items()}, s
 
     def unscaled(self, y: UEAElement, s: int = 1) -> UEAElement:

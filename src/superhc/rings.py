@@ -126,7 +126,7 @@ def odd_root_data(system: RestrictedRootSystem) -> List[OddRootDatum]:
 
         if c != 0:
             iso = ANISOTROPIC
-            a_coords = tuple(x / c for x in A_coords)
+            a_coords = tuple(Q(x, c) for x in A_coords)
             h0_coords = None
             perp = kernel({0: x} for x in lam)
         else:
@@ -195,7 +195,7 @@ def _build_aniso_model(q: int, c) -> RankOneModel:
     def mat(entries: Dict[Tuple[int, int], object]) -> ScalarMatrix:
         m = ScalarMatrix(n, n)
         for (r, col), x in entries.items():
-            m.rows[r][col] = Q(x)
+            m.rows[r][col] = x
         return m
 
     v = [mat({(2 + i, 0): 1, (2 + i, 1): 1, (0, 2 + q + i): 1, (1, 2 + q + i): 1})
@@ -222,7 +222,7 @@ def _build_aniso_model(q: int, c) -> RankOneModel:
                                          for row in g.form.rows])
     g.theta = ScalarMatrix(g.dim, g.dim)
     for i, name in enumerate(g.names):
-        g.theta.rows[i][i] = Q(-1) if name == "a" or name[0] == "w" else Q(1)
+        g.theta.rows[i][i] = -1 if name == "a" or name[0] == "w" else 1
     g.decomposition = {"center": [], "ideals": [g.basis_vectors()]}
     pair = build_pair(g, [g.basis("a")])
     return RankOneModel(g, q, ANISOTROPIC, c, pair)

@@ -2,14 +2,16 @@
 
 import copy
 from fractions import Fraction as Q
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from superhc.apoly import APoly, monomials_of_degree
 from superhc.builders import _gl_super, matrix_superalgebra
 from superhc.harish import (_ideal_part, invariants_up_to_degree,
                             k_generating_letters)
-from superhc.linalg import kernel, linear_solver, span_basis
+from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
+                            NotSemisimple, ScalarMatrix, eigenspace, kernel,
+                            linear_solver, rational_roots, span_basis)
 from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, SuperVector,
                               centralizer)
 from superhc.pairs import a_perp_in_p
@@ -201,6 +203,49 @@ def p_dims(pair):
     """(even, odd) dimensions of p."""
     ev = sum(1 for v in pair.p_basis if v.parity == 0)
     return ev, len(pair.p_basis) - ev
+
+
+def char_poly(m):
+    """Characteristic polynomial coefficients [1, c1, ..., cn] (monic,
+    descending powers), by Faddeev-LeVerrier: n matrix products."""
+    n = m.nrows
+    if n != m.ncols:
+        raise ValueError("not square")
+    coeffs = [Q(1)]
+    mk = ScalarMatrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m.mul(mk)
+        ck = -sum((row[i] for i, row in enumerate(mk.rows) if i in row), Q(0)) / k
+        coeffs.append(ck)
+        if k < n and ck:
+            for i, row in enumerate(mk.rows):
+                accumulate(row, {i: ck})
+    return coeffs
+
+
+def oracle_simultaneous_eigenspaces(ms):
+    """linalg.simultaneous_eigenspaces read off characteristic polynomials:
+    every tuple of their rational roots, the first matrix's varying slowest,
+    with its joint eigenspace if that is nonzero; the same exceptions and
+    messages."""
+    n = ms[0].nrows
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            if ms[i].mul(ms[j]) != ms[j].mul(ms[i]):
+                raise CommutationFailure(f"matrices {i} and {j} do not commute")
+    spectra = []
+    for m in ms:
+        roots = rational_roots(char_poly(m))
+        if roots is None:
+            raise IrrationalSpectrum(
+                "the eigenvalues are not rational: the characteristic "
+                "polynomial does not split over the rationals")
+        spectra.append([ev for ev, _ in roots])
+    out = [(values, basis) for values in product(*spectra)
+           if (basis := eigenspace(ms, values))]
+    if sum(len(b) for _, b in out) != n:
+        raise NotSemisimple("eigenvectors do not span; matrix not semisimple")
+    return out
 
 
 def apply(m, vec):

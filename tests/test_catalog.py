@@ -1,3 +1,5 @@
+import numbers
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -8,8 +10,10 @@ from superhc.catalog import (CATALOG, NoCertificate, NotEvenType,
                              group_type_pair, roots_report,
                              verify_certificate, verify_main_theorem)
 from superhc.pairs import restricted_roots
-from superhc.apoly import APoly
-from superhc.linalg import kernel
+from superhc.apoly import APoly, Substitution
+from superhc.harish import invariants_up_to_degree
+from superhc.linalg import ScalarMatrix, kernel
+from superhc.liesuper import SuperVector
 from superhc.rings import filtered_dimension, OddRootDatum, ring_conditions
 from superhc.serialization import dumps_canonical
 from support import gl11, monomials_up_to
@@ -220,3 +224,92 @@ def test_built_analysis_reports_carry_the_entry_name():
     assert verify_main_theorem(analysis, degree=1)["entry"] == "group-sl2"
     flipped = CATALOG["rank1-iso-q1"].build(direction=(Q(-1), Q(0)))
     assert flipped.name == "rank1-iso-q1"
+
+
+def _scalar_leaves(x):
+    """Every number held by x, walking containers and the package's value
+    types; a type the walk does not know fails loudly."""
+    if x is None or isinstance(x, str):
+        return
+    if isinstance(x, numbers.Number):
+        yield x
+    elif isinstance(x, dict):
+        for k, v in x.items():
+            yield from _scalar_leaves(k)
+            yield from _scalar_leaves(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _scalar_leaves(v)
+    elif isinstance(x, SuperVector):
+        yield from _scalar_leaves(x.c)
+    elif isinstance(x, ScalarMatrix):
+        yield from _scalar_leaves(x.rows)
+    elif isinstance(x, APoly):
+        yield from _scalar_leaves(x.terms)
+    elif isinstance(x, Substitution):
+        yield from _scalar_leaves(x.images)
+        yield from _scalar_leaves(x._table)
+    else:
+        raise TypeError(f"no walk for {type(x).__name__}")
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_no_float_reaches_an_analysis(name):
+    # ints flow where Fractions did, and an int divided by an int is a
+    # float: every scalar an analysis holds after a verify is exact
+    an = CATALOG[name].build()
+    verify_main_theorem(an)
+    ctx, g, system = an.ctx, an.pair.g, an.system
+    held = {
+        "roots": [(r.lam, r.space0, r.space1) for r in system.roots],
+        "m": system.m_basis,
+        "direction": system.direction,
+        "pair": (an.pair.k_basis, an.pair.p_basis, an.pair.a_basis,
+                 an.pair.a_gram),
+        "rho": ctx.rho_triple,
+        "rho_shift": ctx.rho_shift,
+        "weyl": (an.weyl.elements, an.weyl.generators,
+                 an.weyl.generator_substitutions),
+        "odd roots": [(d.lam, d.key, d.c, d.A_coords, d.a_coords,
+                       d.h0_coords, d.a_perp, d.coordinate_change)
+                      for d in an.data],
+        "form": g.form,
+        "theta": g.theta,
+        "brackets": [(alg.brackets, alg._table)
+                     for alg in (g, ctx.adapted)],
+        "letters": ctx._letters,
+        "images": [ctx.hc_gamma(v) for v in
+                   invariants_up_to_degree(ctx, an.default_degree).invariants],
+    }
+    for part, value in held.items():
+        kinds = {type(x) for x in _scalar_leaves(value)}
+        assert kinds <= {int, Q}, (part, kinds)
+    assert held["images"] and held["letters"]
+
+
+@pytest.mark.parametrize("name", ["group-sl2", "rank1-aniso-q1"])
+def test_multiplicativity_sample_catches_a_planted_product_term(
+        monkeypatch, name):
+    an = CATALOG[name].build()
+    assert verify_main_theorem(an)["flags"]["multiplicativity_sample"]
+    product = an.ctx.project_product_to_a
+    extra = APoly.variable(an.rank, 0)
+    monkeypatch.setattr(an.ctx, "project_product_to_a",
+                        lambda u, v: product(u, v) + extra)
+    assert verify_main_theorem(an)["flags"]["multiplicativity_sample"] \
+        is False
+
+
+@pytest.mark.parametrize("name", ["group-sl2", "rank1-aniso-q1"])
+def test_multiplicativity_sample_catches_a_planted_invariant_term(
+        monkeypatch, name):
+    an = CATALOG[name].build()
+    invariants = invariants_up_to_degree(an.ctx, an.default_degree).invariants
+    # the first invariant the seed-0 sample draws
+    target = invariants[random.Random(0).randrange(len(invariants))]
+    project = an.ctx.project_to_a
+    extra = APoly.variable(an.rank, 0)
+    monkeypatch.setattr(an.ctx, "project_to_a", lambda u: project(u) + extra
+                        if u == target else project(u))
+    assert verify_main_theorem(an, seed=0)["flags"][
+        "multiplicativity_sample"] is False

@@ -4,9 +4,10 @@ from fractions import Fraction as Q
 import pytest
 
 from superhc.builders import double_with_flip, gl12, osp12, sl2
+from superhc.catalog import CATALOG
 from superhc.linalg import ScalarMatrix
 from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
-                              MissingInvolution, centralizer,
+                              MissingInvolution, SuperVector, centralizer,
                               theta_eigenspaces, verify_algebra)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
 from support import derived_and_center, p_dims, solve_membership
@@ -28,6 +29,37 @@ def catalog_algebras():
 def test_full_axiom_scan(name):
     g = catalog_algebras()[name]
     assert verify_algebra(g) == []
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_bracket_is_the_bilinear_fraction_sum(name):
+    # bracket sums in the integers; the oracle sums Fractions over every
+    # pair of coordinates.  The entry's algebra (the doubled one for group
+    # type), the algebra it doubles, and the Iwasawa-adapted algebra, whose
+    # constants need not be integral
+    an = CATALOG[name].build()
+    algebras = [an.pair.g, an.ctx.adapted]
+    if name.startswith("group-"):
+        algebras.append(catalog_algebras()[name[len("group-"):]])
+    rng = random.Random(name)
+
+    def scalar():
+        x = rng.randint(-4, 4)
+        return x if rng.random() < 0.5 else Q(x, rng.randint(1, 6))
+
+    for g in algebras:
+        for _ in range(30):
+            x, y = ({i: scalar() for i in rng.sample(
+                range(g.dim), rng.randint(0, min(4, g.dim)))}
+                for _ in range(2))
+            want = {}
+            for i, xi in x.items():
+                for j, yj in y.items():
+                    for k, c in g.bracket_indices(i, j).items():
+                        want[k] = want.get(k, Q(0)) + Q(xi) * Q(yj) * Q(c)
+            got = g.bracket(SuperVector(g, x), SuperVector(g, y))
+            assert got.c == {k: v for k, v in want.items() if v}
+            assert all(type(v) in (int, Q) for v in got.c.values())
 
 
 def test_planted_antisymmetry_defect_is_reported():

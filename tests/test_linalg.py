@@ -9,11 +9,11 @@ import superhc.linalg as linalg
 from superhc.apoly import APoly, change_to_basis
 from superhc.builders import sl2
 from superhc.linalg import (CommutationFailure, Echelon, IrrationalSpectrum,
-                            NotSemisimple, ScalarMatrix, char_poly, eigenspace,
-                            kernel, linear_solver, nullspace, rank,
-                            rational_roots, simultaneous_eigenspaces,
-                            span_basis)
-from support import (apply, gauss_jordan, oracle_coordinates, oracle_nullspace,
+                            NotSemisimple, ScalarMatrix, eigenspace, kernel,
+                            linear_solver, nullspace, rank, rational_roots,
+                            simultaneous_eigenspaces, span_basis)
+from support import (apply, char_poly, gauss_jordan, oracle_coordinates,
+                     oracle_nullspace, oracle_simultaneous_eigenspaces,
                      oracle_span_basis, solve_membership)
 
 
@@ -546,3 +546,40 @@ def test_simultaneous_eigenspaces_conjugated_diagonal_family():
             for v in basis:
                 for m, ev in zip(ms, values):
                     assert apply(m, v) == _scaled(ev, v)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_simultaneous_eigenspaces_match_the_char_poly_oracle(data):
+    # a conjugated family of diagonal matrices, or one whose first matrix
+    # carries a Jordan block or the block of x^2 - 2 on its first two
+    # coordinates, where every matrix is scalar, so the family commutes
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(
+        ["diagonal", "jordan", "irrational"] if n > 1 else ["diagonal"]))
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    diags = [[data.draw(values) for _ in range(n)]
+             for _ in range(data.draw(st.integers(1, 3)))]
+    ms = [ScalarMatrix.from_rows(
+        [[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        for d in diags]
+    if kind != "diagonal":
+        for d, m in zip(diags, ms):
+            m.rows[1] = {1: d[0]} if d[0] else {}
+        c = diags[0][0]
+        block = [[c, 1], [0, c]] if kind == "jordan" else [[c, 2], [1, c]]
+        for i, row in enumerate(block):
+            ms[0].rows[i].update((j, x) for j, x in enumerate(row) if x)
+    p, p_inv = _unimodular(n, random.Random(data.draw(st.integers(0, 999))))
+    ms = [p.mul(m).mul(p_inv) for m in ms]
+    try:
+        want = oracle_simultaneous_eigenspaces(ms)
+    except (IrrationalSpectrum, NotSemisimple) as exc:
+        assert type(exc) is {"jordan": NotSemisimple,
+                             "irrational": IrrationalSpectrum}[kind]
+        with pytest.raises(type(exc)) as got:
+            simultaneous_eigenspaces(ms)
+        assert str(got.value) == str(exc)
+    else:
+        assert kind == "diagonal"
+        assert simultaneous_eigenspaces(ms) == want

@@ -4,8 +4,9 @@ perfbench/reference.json holds the SHA-256 of the stdout of every verify and
 invariants job the benchmark runs, and the membership verdicts on the
 rank-one generator images.  A change that alters those bytes or verdicts fails here, in the
 ordinary test run, instead of only in the benchmark's correctness check.
-The file is only read.  One stretch job past the benchmark's ladders,
-rank1-aniso-q2 at degree 6, is pinned by its own hash here.  So is every
+The file is only read.  Two stretch jobs past the benchmark's ladders,
+rank1-aniso-q2 at degree 6 through invariants and through verify, are
+pinned by their own hashes here.  So is every
 word of the gamma-session pool, the output of `superhc gamma` on it, and
 every filtered dimension the gamma session asks for.
 """
@@ -62,6 +63,20 @@ def test_invariants_stretch_stdout_rank1_aniso_q2_6(capsys):
         == "c705307a2372192ca1224add49f635895a221733b4b907a4041ed5a198743fd5"
     report = json.loads(out)
     assert (len(report["invariants"]), len(report["ideal_part"])) == (20, 15)
+
+
+def test_verify_stretch_stdout_rank1_aniso_q2_6(capsys):
+    # no benchmark job reaches degree 6; its multiplicativity sample
+    # multiplies degree-6 invariants.  It exits 1 while image_in_J fails at
+    # q = 2 (ROADMAP item 1); the hash is of the stdout that comparing the
+    # rho-shifted products produced
+    code = main(["verify", "rank1-aniso-q2", "--degree", "6", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == "5408223b848e0b6f5e2e6c561047b0eec1e901900c841e939cacb8bc03287ce9"
+    flags = json.loads(out)["flags"]
+    assert [flag for flag, ok in flags.items() if not ok] == ["image_in_J"]
 
 
 def test_membership_verdicts_match_reference():
