@@ -14,8 +14,8 @@ from math import lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .apoly import APoly, Substitution
-from .linalg import (Echelon, Row, ScalarMatrix, kernel, linear_solver,
-                     nullspace)
+from .linalg import (Echelon, Row, ScalarMatrix, integral_row, kernel,
+                     linear_solver, nullspace)
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
 from .pbw import (Compact, Monomial, SymElement, UEA, UEAElement, accumulate,
@@ -58,13 +58,18 @@ class IwasawaContext:
         # algebra, solved once: to_adapted is linear, and so is the bracket,
         # so the adapted brackets are sums of these rows too
         solve = linear_solver([v.c for v in vectors])
-        self._coords = [solve({i: Q(1)}) for i in range(g.dim)]
+        self._coords = [{j: int_if_integral(x) for j, x in solve({i: 1}).items()}
+                        for i in range(g.dim)]
+        # each vector scaled to integers once, y_i = s_i v_i, so that
+        # [v_i, v_j] = [y_i, y_j] / (s_i s_j) brackets ints only
+        scaled = [integral_row(v.c) for v in vectors]
+        ys = [SuperVector(g, y) for y, _ in scaled]
         brackets = {}
-        for i, x in enumerate(vectors):
-            for j in range(i, g.dim):
-                out = g.bracket(x, vectors[j])
+        for i, (_, s) in enumerate(scaled):
+            for j, out in enumerate(g.bracket_each(ys[i], ys[i:]), start=i):
                 if out:
-                    brackets[(i, j)] = self._adapted_row(out.c)
+                    brackets[(i, j)] = self._adapted_row(out.c,
+                                                         s * scaled[j][1])
         self.adapted = LieSuperalgebra(names, [v.parity for v in vectors],
                                        brackets)
         self.uea = UEA(self.adapted)
@@ -91,13 +96,16 @@ class IwasawaContext:
         """v in the adapted basis, integral coordinates as ints."""
         return SuperVector(self.adapted, self._adapted_row(v.c))
 
-    def _adapted_row(self, c: Row) -> Row:
-        """The adapted coordinates of the vector with coordinates c in the
-        original algebra, integral ones as ints: the sum of c's coordinates
-        times the table of its letters' coordinates."""
+    def _adapted_row(self, c: Row, s: int = 1) -> Row:
+        """The adapted coordinates of the vector with coordinates c / s in
+        the original algebra, integral ones as ints: the sum of c's
+        coordinates times the table of its letters' coordinates, divided
+        by s."""
         out: Row = {}
         for i, x in c.items():
             accumulate(out, self._coords[i], x)
+        if s != 1:
+            out = {i: Q(x, s) for i, x in out.items()}
         return {i: int_if_integral(out[i]) for i in sorted(out)}
 
     def k_indices(self) -> List[int]:

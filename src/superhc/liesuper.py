@@ -8,10 +8,12 @@ instead of raising, so defective input can be diagnosed in one pass.
 Scalar contract: scalars are rational, ints or Fractions.  A basis vector
 holds the int 1.  The brackets dict keeps the scalars it was given, while
 bracket_indices returns each integral coefficient as an int and every
-other one as a Fraction.  bracket sums in the integers: it scales both
-vectors to integers once, sums int products against the table times the
-common denominator of its constants, and divides each output coordinate
-once, so brackets of integral vectors on an integral table are ints.
+other one as a Fraction.  bracket_each brackets one vector against a list
+in the integers: it scales each vector to integers once, sums int
+products against the table times the common denominator of its
+constants, and divides each output coordinate once, so brackets of
+integral vectors on an integral table are ints; bracket is its one-pair
+case.
 U(g) does not straighten on these constants directly: pbw.UEA rescales
 the basis by their common denominator, where every constant is integral.
 An int equals, hashes and prints like the equal Fraction.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import (ScalarMatrix, accumulate, eigenspace, integral_row,
                      kernel, rank)
@@ -161,24 +163,36 @@ class LieSuperalgebra:
         return self._table.get((i, j), _EMPTY)
 
     def bracket(self, x: SuperVector, y: SuperVector) -> SuperVector:
-        """[x, y], summed in the integers: x and y are scaled to integers
-        once, their products run against the integral table, and each output
-        coordinate is divided once by the product of the three scales."""
-        if x.alg is not self or y.alg is not self:
+        """[x, y]: the one-pair case of bracket_each."""
+        return self.bracket_each(x, (y,))[0]
+
+    def bracket_each(self, x: SuperVector, ys: Iterable[SuperVector]
+                     ) -> List[SuperVector]:
+        """[x, y] for each y of ys, summed in the integers: x and each y are
+        scaled to integers once (a vector of ints as it is), their products
+        run against the integral table, and each output coordinate is
+        divided once by the product of the three scales."""
+        if x.alg is not self:
             raise MixedAlgebras("bracket of vectors from another algebra")
         xs, sx = integral_row(x.c)
-        ys, sy = integral_row(y.c)
+        sx *= self._scale
         table = self._integral
-        acc: Dict[int, object] = {}
-        for i, xi in xs.items():
-            for j, yj in ys.items():
-                out = table.get((i, j))
-                if out:
-                    accumulate(acc, out, xi * yj)
-        s = sx * sy * self._scale
-        if s != 1:
-            acc = {k: Q(v, s) for k, v in acc.items()}
-        return SuperVector(self, acc)
+        outs = []
+        for y in ys:
+            if y.alg is not self:
+                raise MixedAlgebras("bracket of vectors from another algebra")
+            yr, sy = integral_row(y.c)
+            acc: Dict[int, object] = {}
+            for i, xi in xs.items():
+                for j, yj in yr.items():
+                    out = table.get((i, j))
+                    if out:
+                        accumulate(acc, out, xi * yj)
+            s = sx * sy
+            if s != 1:
+                acc = {k: Q(v, s) for k, v in acc.items()}
+            outs.append(SuperVector(self, acc))
+        return outs
 
     # -- form and involution -------------------------------------------------
     def b(self, x: SuperVector, y: SuperVector):
@@ -205,8 +219,8 @@ class LieSuperalgebra:
 
     def ad_matrix(self, x: SuperVector) -> ScalarMatrix:
         m = ScalarMatrix(self.dim, self.dim)
-        for j in range(self.dim):
-            for i, a in self.bracket(x, self.basis(j)).c.items():
+        for j, out in enumerate(self.bracket_each(x, self.basis_vectors())):
+            for i, a in out.c.items():
                 m.rows[i][j] = a
         return m
 
@@ -323,8 +337,9 @@ def _bracket_rows(g: LieSuperalgebra, gens: Sequence[SuperVector],
     for s in gens:
         if s.alg is not g:
             raise MixedAlgebras("centralizer generators from another algebra")
-    return ({(i, t): x for i, s in enumerate(gens)
-             for t, x in g.bracket(s, w).c.items()} for w in within)
+    outs = [g.bracket_each(s, within) for s in gens]
+    return ({(i, t): x for i, out in enumerate(outs)
+             for t, x in out[w].c.items()} for w in range(len(within)))
 
 
 def centralizer(g: LieSuperalgebra, gens: Sequence[SuperVector],

@@ -5,9 +5,10 @@ function here takes and returns vectors in that one form.  Inputs may hold
 ints and Fractions, and ScalarMatrix keeps the ints it is given; what an
 elimination returns (kernels, span bases, solutions, eigenvalues) holds
 Fractions only.  Every elimination goes through Echelon, which works in
-the integers only: a row is scaled once to integers, swept without
-division and made primitive once, when it is inserted, so pivots need not
-be 1; a column index tells each new pivot which stored rows to clear.
+the integers only: a row is scaled once to integers (a row of ints
+enters as it is), swept without division and made primitive once, when
+it is inserted, so pivots need not be 1; a column index tells each new
+pivot which stored rows to clear.
 Readers divide by the pivot as they read: a kernel vector or a span basis
 row is built with one Fraction per entry, and Echelon.reduce divides the
 residual once, by the scale of its sweep.
@@ -63,9 +64,16 @@ def accumulate(acc: dict, other: dict, coeff=None) -> None:
 
 
 def integral_row(row: Row) -> Tuple[Row, int]:
-    """(r, s): row times s, all ints, for s the lcm of its denominators."""
+    """(r, s): row times s, all ints, for s the lcm of its denominators.
+
+    r is a new dict without row's zeros.  A row of ints is copied as it is,
+    with s = 1 and no lcm; any other row is scaled once.
+    """
+    if {int}.issuperset(map(type, row.values())):
+        return {j: x for j, x in row.items() if x}, 1
     s = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (s // x.denominator) for j, x in row.items()}, s
+    return {j: x.numerator * (s // x.denominator)
+            for j, x in row.items() if x}, s
 
 
 class ScalarMatrix:
@@ -132,9 +140,10 @@ class Echelon:
     incrementally).  Rows stay in the integers from start to finish: each is
     a primitive integer row, ints with no common factor and a positive
     pivot, which need not be 1; a reader divides by the pivot when it reads
-    a row.  An incoming row is scaled to integers, swept without division,
-    and divided by its content once, when insert makes it primitive; a
-    stored row is divided by its content after each back-clear.
+    a row.  An incoming row is scaled to integers (a row of ints is only
+    copied), swept without division, and divided by its content once, when
+    insert makes it primitive; a stored row is divided by its content after
+    each back-clear.
 
     cols maps each column that is not a pivot to the pivots of the stored
     rows holding it, so a new pivot clears only the rows that hold it.
@@ -156,8 +165,9 @@ class Echelon:
         carry no foreign pivot column, so one sweep over the pivots hit by
         row leaves no pivot column behind.
         """
-        # an explicit zero left in the copy could become a pivot
-        r, s = integral_row({j: x for j, x in row.items() if x})
+        # a new dict, since _clear works in place, and without zeros, since
+        # an explicit zero left in it could become a pivot
+        r, s = integral_row(row)
         for c in [c for c in r if c in self.rows]:
             s *= _clear(r, c, self.rows[c])
         return r, s

@@ -429,7 +429,8 @@ def centralizer_formula_holds(pair: SymmetricPair, x: SuperVector) -> bool:
     """dim z_{k1}(x) - dim z_{p1}(x) = dim k1 - dim p1 at x in p0: ad x has
     the same rank on k1 as on p1."""
     def odd_rank(basis: List[SuperVector]) -> int:
-        return rank(pair.g.bracket(x, v).c for v in basis if v.parity)
+        odd = [v for v in basis if v.parity]
+        return rank(out.c for out in pair.g.bracket_each(x, odd))
 
     return odd_rank(pair.k_basis) == odd_rank(pair.p_basis)
 

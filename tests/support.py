@@ -76,6 +76,20 @@ def change_basis(g, vectors, names):
     return LieSuperalgebra(names, [v.parity for v in vectors], brackets)
 
 
+def adapted_brackets_pairwise(ctx):
+    """The bracket table of ctx.adapted built pair by pair: g.bracket of
+    each pair i <= j of the vectors n < a < k, then to_adapted."""
+    g = ctx.pair.g
+    vectors = [*ctx.system.n_basis(), *ctx.pair.a_basis, *ctx.pair.k_basis]
+    brackets = {}
+    for i, x in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            out = g.bracket(x, vectors[j])
+            if out:
+                brackets[(i, j)] = ctx.to_adapted(out).c
+    return brackets
+
+
 def reduce_by(pivots, row):
     """row minus its components along unit-pivot reduced echelon rows."""
     r = {j: x for j, x in row.items() if x}

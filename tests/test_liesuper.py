@@ -5,12 +5,15 @@ import pytest
 
 from superhc.builders import double_with_flip, gl12, osp12, sl2
 from superhc.catalog import CATALOG
+from superhc.harish import IwasawaContext
 from superhc.linalg import ScalarMatrix
 from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                               MissingInvolution, SuperVector, centralizer,
                               theta_eigenspaces, verify_algebra)
+from superhc.pairs import build_pair, restricted_roots
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import derived_and_center, p_dims, solve_membership
+from support import (adapted_brackets_pairwise, derived_and_center, p_dims,
+                     solve_membership)
 
 
 def catalog_algebras():
@@ -47,19 +50,48 @@ def test_bracket_is_the_bilinear_fraction_sum(name):
         x = rng.randint(-4, 4)
         return x if rng.random() < 0.5 else Q(x, rng.randint(1, 6))
 
+    def vector(g):
+        return SuperVector(g, {i: scalar() for i in rng.sample(
+            range(g.dim), rng.randint(0, min(4, g.dim)))})
+
+    def bilinear_sum(g, x, y):
+        want = {}
+        for i, xi in x.c.items():
+            for j, yj in y.c.items():
+                for k, c in g.bracket_indices(i, j).items():
+                    want[k] = want.get(k, Q(0)) + Q(xi) * Q(yj) * Q(c)
+        return {k: v for k, v in want.items() if v}
+
     for g in algebras:
         for _ in range(30):
-            x, y = ({i: scalar() for i in rng.sample(
-                range(g.dim), rng.randint(0, min(4, g.dim)))}
-                for _ in range(2))
-            want = {}
-            for i, xi in x.items():
-                for j, yj in y.items():
-                    for k, c in g.bracket_indices(i, j).items():
-                        want[k] = want.get(k, Q(0)) + Q(xi) * Q(yj) * Q(c)
-            got = g.bracket(SuperVector(g, x), SuperVector(g, y))
-            assert got.c == {k: v for k, v in want.items() if v}
-            assert all(type(v) in (int, Q) for v in got.c.values())
+            # bracket_each scales x once for the whole list and each y once;
+            # bracket is its one-pair case
+            x, ys = vector(g), [vector(g) for _ in range(rng.randint(0, 4))]
+            got = g.bracket_each(x, ys)
+            assert [v.c for v in got] == [bilinear_sum(g, x, y) for y in ys]
+            assert all(type(v) in (int, Q) for out in got
+                       for v in out.c.values())
+            for y, out in zip(ys, got):
+                assert g.bracket(x, y) == out
+
+
+@pytest.mark.parametrize("a_scale", [1, Q(1, 3)])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_adapted_brackets_are_the_pairwise_brackets_rebased(name, a_scale):
+    # IwasawaContext scales each adapted basis vector once and brackets the
+    # scaled vectors; the oracle brackets each pair i <= j of the vectors
+    # and rebases the result.  Every catalog vector is integral, so a is
+    # also taken a third as long: its vectors then scale by 3
+    pair = CATALOG[name].build().pair
+    if a_scale != 1:
+        pair = build_pair(pair.g, [v.scale(a_scale) for v in pair.a_basis])
+    ctx = IwasawaContext(pair, restricted_roots(pair))
+    want = adapted_brackets_pairwise(ctx)
+    assert ctx.adapted.brackets == want
+    for key, out in want.items():
+        assert list(ctx.adapted.brackets[key]) == list(out), key
+        for k, v in ctx.adapted.brackets[key].items():
+            assert type(v) is (int if v.denominator == 1 else Q), (key, k, v)
 
 
 def test_planted_antisymmetry_defect_is_reported():

@@ -256,6 +256,36 @@ def test_echelon_index_and_rows_match_fraction_gauss_jordan(case, extra,
             assert solve(probe) == want
 
 
+INT_ROWS = st.lists(st.dictionaries(st.integers(0, 7), st.integers(-4, 4),
+                                    max_size=8), max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(INT_ROWS, INT_ROWS)
+def test_int_rows_enter_as_the_equal_fraction_rows(rows, probes):
+    # a row of ints is only copied, with no lcm, and a Fraction row is
+    # scaled: both must store the same rows and index, and give the same
+    # verdicts and residuals.  The drawn rows hold explicit zeros, which
+    # must not become pivots, and the caller's dict must survive insert
+    # and reduce, which clear a copy in place
+    ints, fracs = Echelon(), Echelon()
+
+    def as_fractions(row):
+        return {j: Q(x) for j, x in row.items()}
+
+    for row in rows:
+        kept = dict(row)
+        assert ints.insert(row) == fracs.insert(as_fractions(row))
+        assert row == kept
+        assert (ints.rows, ints.cols) == (fracs.rows, fracs.cols)
+    for probe in [*rows, *probes]:
+        kept = dict(probe)
+        got = ints.reduce(probe)
+        assert got == fracs.reduce(as_fractions(probe))
+        assert all(type(x) is Q for x in got.values())
+        assert probe == kept
+
+
 def _assert_scalars(rows):
     for r in rows:
         for x in r.values():
