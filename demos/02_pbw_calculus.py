@@ -61,11 +61,13 @@ def main():
     print("  defect =", show(u, defect))
 
     rng = random.Random(1)
-    print("\nconfluence: leftmost and rightmost reduction agree on 200 words:",
-          all(u.normal_form_word(w) == u.normal_form_word(w, "rightmost")
-              for w in (tuple(rng.randrange(g.dim)
-                              for _ in range(rng.randint(0, 5)))
-                        for _ in range(200))))
+    words = [tuple(rng.randrange(g.dim) for _ in range(rng.randint(0, 5)))
+             for _ in range(200)]
+    print("\nassociativity: on 200 words, split anywhere, the product of the"
+          " two parts' normal forms is the word's normal form:",
+          all(u.multiply(u.normal_form_word(w[:j]), u.normal_form_word(w[j:]))
+              == u.normal_form_word(w)
+              for w in words for j in range(len(w) + 1)))
 
 
 if __name__ == "__main__":

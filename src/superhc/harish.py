@@ -18,9 +18,8 @@ from .linalg import (Echelon, Row, ScalarMatrix, integral_row, kernel,
                      linear_solver, nullspace)
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
-from .pbw import (Compact, Monomial, SymElement, UEA, UEAElement, accumulate,
-                  accumulate_compact, compact, supersymmetrise, sym_multiply,
-                  uncompact)
+from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
+                  supersymmetrise, sym_multiply, times_last)
 from .scalars import int_if_integral
 
 Q = Fraction
@@ -75,7 +74,6 @@ class IwasawaContext:
         self.uea = UEA(self.adapted)
         self.rank = len(a_basis)
         self.lo_a, self.lo_k = len(n_basis), len(n_basis) + self.rank
-        self._proj_memo: Dict[Monomial, Compact] = {}
         # the pure-a part of beta(m), an APoly, for each S(g) monomial m that
         # gamma_of_sym has been asked (see there)
         self._beta_table: Dict[Monomial, APoly] = {}
@@ -136,22 +134,35 @@ class IwasawaContext:
 
     def beta_from_g(self, p: SymElement) -> UEAElement:
         """Supersymmetrisation of an S(g) element over the original basis."""
-        return self.uea.unscaled(self._scaled_beta(p, self._times_letter))
+        times = self._times_letter
+        return self.uea.unscaled(times_last(self._beta_ends(p, times), times))
 
-    def _scaled_beta(self, p: SymElement, step, last=None) -> UEAElement:
+    def _beta_ends(self, p: SymElement, step):
         """supersymmetrise over the letters of the original algebra, in the
         scaled basis: each monomial's coefficient is divided by the product
-        of its letters' divisors, so that step and last multiply by the
-        integral y of each letter."""
+        of its letters' divisors, so that step, and the product with each
+        last letter, multiply by the integral y of each letter."""
         letters = self._letters
         p = {m: c * Q(1, prod(letters[i][1] for i in m)) for m, c in p.items()}
-        return supersymmetrise(p, self.pair.g.parity, self.uea.one(), step,
-                               last)
+        return supersymmetrise(p, self.pair.g.parity, self.uea.one(), step)
 
     def _times_letter(self, y: UEAElement, i: int) -> UEAElement:
         """y times letter i of the original algebra, in scaled coordinates,
         up to that letter's divisor."""
         return self.uea.scaled_product(y, self._letters[i][0])
+
+    def _times_letter_past_n(self, y: UEAElement, i: int) -> UEAElement:
+        """_times_letter less the monomials whose first letter is in n: they
+        lie in n U(g), and stay there whatever is multiplied on their
+        right."""
+        lo = self.lo_a
+        return {m: c for m, c in self._times_letter(y, i).items()
+                if not (m and m[0] < lo)}
+
+    def _project_times_letter(self, y: UEAElement, i: int) -> UEAElement:
+        """The pure-a part of y times letter i of the original algebra, in
+        scaled coordinates, up to that letter's divisor."""
+        return self._project_product(y, self._letters[i][0])
 
     # -- the projection and its shift ----------------------------------------
     def project_to_a(self, u: UEAElement) -> APoly:
@@ -168,21 +179,6 @@ class IwasawaContext:
             terms[tuple(map(m.count, a_letters))] = c
         return APoly(self.rank, terms)
 
-    def project_word(self, word: Sequence[int]) -> UEAElement:
-        """The pure-a part of y^word in the scaled basis of U(g) (see pbw),
-        straightening only what can reach it.
-
-        In the order n < a < k a word whose first letter is in n lies in
-        n U(g), and one whose last letter is in k lies in U(g) k; both project
-        to 0, so they are dropped at every step, and a PBW monomial that is
-        not dropped is pure a.  Leading a letters factor out: U(a) is
-        commutative and a normalises n, so the pure-a part of a Y is a times
-        that of Y.  They are merged into each monomial of the rest's part,
-        and only the rest is memoised, in pbw's compact form.  The result is
-        a fresh dict.
-        """
-        return uncompact(self._project(tuple(word)))
-
     def _a_prefix(self, word: Monomial) -> int:
         """The number of leading a letters of word."""
         lo, hi = self.lo_a, self.lo_k
@@ -191,30 +187,6 @@ class IwasawaContext:
             p += 1
         return p
 
-    def _project(self, word: Monomial) -> Compact:
-        """The pure-a part of y^word in compact form; memoised for words with
-        no leading a letter."""
-        hit = self._proj_memo.get(word)
-        if hit is not None:
-            return hit
-        p = self._a_prefix(word)
-        if p:
-            return compact(_merge_prefix(
-                word[:p], uncompact(self._project(word[p:])).items()))
-        if word and (word[0] < self.lo_a or word[-1] >= self.lo_k):
-            res: Compact = ()
-        else:
-            steps = self.uea.rewrite(word)
-            if steps is None:
-                res = (word, 1)
-            else:
-                acc: UEAElement = {}
-                for w, c in steps:
-                    accumulate_compact(acc, self._project(w), c)
-                res = compact(acc)
-        self._proj_memo[word] = res
-        return res
-
     def hc_gamma(self, u: UEAElement) -> APoly:
         """The rho-shifted projection: Gamma(u)(mu) = u_a(mu + rho)."""
         return self.rho_shift(self.project_to_a(u))
@@ -222,10 +194,12 @@ class IwasawaContext:
     def project_product_to_a(self, u: UEAElement, v: UEAElement) -> APoly:
         """The pure-a part of u v without forming u v.
 
-        Left monomials starting in n lie in n U(g) and right monomials ending
-        in k lie in U(g) k, so those pairs are skipped; every other pair is
-        straightened by project_word, which keeps only the pure-a part.
-        Gamma(u v) is its rho shift.
+        u and v are in PBW normal form.  Left monomials starting in n lie in
+        n U(g) and right monomials ending in k lie in U(g) k, so both are
+        skipped.  What is left of a left monomial after its leading a
+        letters is a word K of k letters, and for x in k, x w = ad(x)(w) +-
+        w x, so y^K v' is ad(y_K1) ... ad(y_KI)(v') modulo U(g) k, v' the
+        kept part of v (see _project_product).  Gamma(u v) is its rho shift.
         """
         uea = self.uea
         (y, s), (z, t) = uea.scaled(u), uea.scaled(v)
@@ -233,25 +207,43 @@ class IwasawaContext:
             uea.unscaled(self._project_product(y, z), s * t))
 
     def _project_product(self, y: UEAElement, z: UEAElement) -> UEAElement:
-        """The pure-a part of y z, in scaled coordinates.  The leading a
-        letters of each left monomial are split off once and merged into
-        each monomial of its row's part."""
+        """The pure-a part of y z, in scaled coordinates, y and z in normal
+        form.
+
+        A left monomial that does not start in n is a word A of a letters,
+        then a word K of k letters.  A right monomial that does not end in
+        k holds no k letter; call their sum z'.  y^K z' is
+        ad(y_K1) ... ad(y_KI)(z') modulo U(g) k, as x w - ad(x)(w) is
+        +- w x for x in k, and ad(k) maps U(g) k into itself; so each
+        image drops its monomials that hold a k letter, and the images are
+        kept by suffix of K for this call only.  The pure-a part of y^A X
+        is A times that of X: U(a) is commutative and a normalises n.
+        Leading a letters are merged into each monomial of the part.
+        """
         lo, hi = self.lo_a, self.lo_k
-        right = [(m, c) for m, c in z.items() if not (m and m[-1] >= hi)]
+        uea = self.uea
+        # ad(y_K1) ... ad(y_KI)(z') less its monomials holding a k letter,
+        # for each suffix K met, built from the suffix one letter shorter
+        images = {(): {m: c for m, c in z.items() if not (m and m[-1] >= hi)}}
+
+        def image(word: Monomial) -> UEAElement:
+            hit = images.get(word)
+            if hit is None:
+                hit = images[word] = {
+                    m: c for m, c in uea.scaled_adjoint(
+                        word[0], image(word[1:])).items()
+                    if not (m and m[-1] >= hi)}
+            return hit
+
         acc: UEAElement = {}
         for m1, c1 in y.items():
             if m1 and m1[0] < lo:
                 continue
             p = self._a_prefix(m1)
-            if not p:
-                for m2, c2 in right:
-                    accumulate_compact(acc, self._project(m1 + m2), c1 * c2)
-                continue
-            rest = m1[p:]
-            part: UEAElement = {}
-            for m2, c2 in right:
-                accumulate_compact(part, self._project(rest + m2), c2)
-            accumulate(acc, _merge_prefix(m1[:p], part.items()), c1)
+            part = {m: c for m, c in image(m1[p:]).items()
+                    if not (m and m[0] < lo)}
+            accumulate(acc, _merge_prefix(m1[:p], part.items()) if p else part,
+                       c1)
         return acc
 
     def gamma_of_sym(self, p: SymElement) -> APoly:
@@ -263,26 +255,19 @@ class IwasawaContext:
         this context's table.  Its supersymmetrisation walk drops, after
         each partial product, the monomials whose first letter is in n: they
         lie in n U(g), and stay there whatever is multiplied on their right.
-        The last letter is taken through project_word, as in
-        project_product_to_a.  The walk runs in the scaled basis, as beta_from_g
-        does.
+        The sum of the products that each last letter ends is taken times
+        that letter through _project_product, once per letter, as in
+        project_product_to_a.  The walk runs in the scaled basis, as
+        beta_from_g does.
         """
-        lo = self.lo_a
-
-        def step(y: UEAElement, i: int) -> UEAElement:
-            return {m: c for m, c in self._times_letter(y, i).items()
-                    if not (m and m[0] < lo)}
-
-        def last(y: UEAElement, i: int) -> UEAElement:
-            return self._project_product(y, self._letters[i][0])
-
         table = self._beta_table
         terms: Dict[Tuple[int, ...], object] = {}
         for m, c in p.items():
             part = table.get(m)
             if part is None:
+                ends = self._beta_ends({m: Q(1)}, self._times_letter_past_n)
                 part = table[m] = self.project_to_a(self.uea.unscaled(
-                    self._scaled_beta({m: Q(1)}, step, last)))
+                    times_last(ends, self._project_times_letter)))
             accumulate(terms, part.terms, c)
         return self.rho_shift(APoly(self.rank, terms))
 

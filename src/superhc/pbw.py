@@ -17,8 +17,9 @@ other word is fed through the walk one letter at a time (UEA._feed).
 
 Memo contract: UEA._memo maps each word asked, and through the walk's
 recursion each shorter word met, to its normal form; the words of the
-asked length that a walk passes through are not kept.  (harish's
-projection memo keeps pure-a parts, rewritten at the leftmost violation.)
+asked length that a walk passes through are not kept.  It is the only
+memo of straightening: harish's projection onto U(a) goes through the
+adjoint action, so through the walk, and keeps nothing past one call.
 A value is the normal form in compact form: the flat tuple
 (w1, c1, w2, c2, ...) of its words and nonzero coefficients, in the order
 a dict built by accumulate would hold them; a one-term normal form is the
@@ -30,8 +31,8 @@ Every public method returns a fresh dict, which the caller may mutate.
 Scalar contract: a UEA straightens in the scaled basis y_i = D x_i, where
 D (UEA.scale) is the least common denominator of the structure constants
 and of the halved odd squares.  There [y_a, y_b] = D [x_a, x_b] and
-y_i y_i = (D/2) [x_i, x_i] have integral constants, so the memo, rewrite
-and every scaled product hold ints.
+y_i y_i = (D/2) [x_i, x_i] have integral constants, so the memo and every
+scaled product hold ints.
 The public methods take and return PBW coordinates, those of the x^m: a
 scaled element is a pair (y, s) standing for y / s in the y^m, and
 x^m = D^{-len m} y^m converts at the boundary (UEA.scaled, UEA.unscaled).
@@ -131,33 +132,6 @@ class UEA:
         return self.scale ** len(word)
 
     # -- straightening ------------------------------------------------------
-    def rewrite(self, word: Monomial, strategy: str = "leftmost"
-                ) -> Optional[List[Tuple[Monomial, object]]]:
-        """One straightening step at the first violation the strategy meets,
-        in the scaled basis.
-
-        Returns the words, with integral coefficients, that sum to y^word in
-        U(g), or None when word is already a PBW monomial.  harish's
-        projection and the rightmost oracle (_rightmost) straighten by it.
-        """
-        par = self.parity
-        n = len(word)
-        idx = range(n - 1) if strategy == "leftmost" else range(n - 2, -1, -1)
-        for pos in idx:
-            a, b = word[pos], word[pos + 1]
-            if a > b or (a == b and par[a]):
-                break
-        else:
-            return None
-        head, tail = word[:pos], word[pos + 2:]
-        if a == b:
-            return [(head + (k,) + tail, c)
-                    for k, c in self._half_square[a].items()]
-        out = [(head + (b, a) + tail, -1 if par[a] and par[b] else 1)]
-        out.extend((head + (k,) + tail, c)
-                   for k, c in self._brackets.get((a, b), _EMPTY).items())
-        return out
-
     def _straighten(self, word: Monomial) -> Compact:
         """The normal form of y^word in the scaled basis, in compact form,
         memoised: its letters are fed one by one through the walk."""
@@ -256,27 +230,12 @@ class UEA:
                 accumulate_compact(acc, self._placed(u, b, v), s * c)
         return compact(acc)
 
-    def _rightmost(self, word: Monomial) -> UEAElement:
-        """The normal form of y^word in the scaled basis, rewritten at the
-        rightmost violation and not memoised: the oracle for the walk."""
-        steps = self.rewrite(word, "rightmost")
-        if steps is None:
-            return {word: 1}
-        acc: UEAElement = {}
-        for w, c in steps:
-            accumulate(acc, self._rightmost(w), c)
-        return acc
-
-    def normal_form_word(self, word: Iterable[int], strategy: str = "leftmost"
-                         ) -> UEAElement:
-        """The normal form of the word x^word.  With strategy "leftmost",
-        the default, the word goes through the memoised walk (_straighten);
-        with any other it is rewritten at its rightmost violation,
-        unmemoised (_rightmost), the oracle for the walk."""
+    def normal_form_word(self, word: Iterable[int]) -> UEAElement:
+        """The normal form of the word x^word, through the memoised walk
+        (_straighten)."""
         word = tuple(word)
-        y = uncompact(self._straighten(word)) if strategy == "leftmost" \
-            else self._rightmost(word)
-        return self.unscaled(y, self.word_divisor(word))
+        return self.unscaled(uncompact(self._straighten(word)),
+                             self.word_divisor(word))
 
     def normal_form(self, factors: Sequence[Tuple[UEAElement, int]]
                     ) -> UEAElement:
@@ -338,9 +297,13 @@ class UEA:
         """The PBW section of S(g) -> U(g): Koszul-averaged products, taken
         in the scaled basis, where x_i = y_i / D."""
         p = {m: c * Q(1, self.word_divisor(m)) for m, c in p.items()}
-        return self.unscaled(supersymmetrise(
-            p, self.parity, self.one(),
-            lambda y, i: self.scaled_product(y, {(i,): 1})))
+        times = self._times_letter
+        return self.unscaled(times_last(
+            supersymmetrise(p, self.parity, self.one(), times), times))
+
+    def _times_letter(self, y: UEAElement, i: int) -> UEAElement:
+        """y y_i in scaled coordinates."""
+        return self.scaled_product(y, {(i,): 1})
 
     # -- monomials ------------------------------------------------------------
     def monomials_up_to(self, d: int, weights: Sequence[Sequence] = ()
@@ -378,36 +341,43 @@ class UEA:
 
 
 def supersymmetrise(p: SymElement, parity: Sequence[int], one: UEAElement,
-                    step: Callable[[UEAElement, int], UEAElement],
-                    last: Optional[Callable] = None) -> UEAElement:
-    """Koszul-averaged products of the letters of each monomial of p.
+                    step: Callable[[UEAElement, int], UEAElement]
+                    ) -> Dict[Optional[int], UEAElement]:
+    """Koszul-averaged products of the letters of each monomial of p, each
+    stopped before its last letter: for each last letter i, the signed and
+    weighted sum of the products that i ends.  times_last multiplies each
+    sum by its letter, and a caller that reads only part of the result can
+    compute only that part of these products.  The empty monomial's term
+    sits under None.
 
     step(u, i) is the partial product u times letter i, of parity
-    parity[i], starting from one; last(u, i), step by default, is the
-    product with the last letter, so a caller that reads only part of the
-    result can prune after each step and compute only that part at the end.
-    Only the distinct arrangements of a monomial's letters are walked: each
-    stands for prod(mult!) of the n! permutations, all with the same Koszul
-    sign (repeated letters are even, as odd squares vanish in S(g)), and
-    arrangements sharing a prefix share its partial product.
+    parity[i], starting from one.  Only the distinct arrangements of a
+    monomial's letters are walked: each stands for prod(mult!) of the n!
+    permutations, all with the same Koszul sign (repeated letters are even,
+    as odd squares vanish in S(g)), and arrangements sharing a prefix share
+    its partial product.  The monomial's weight multiplies each of its sums
+    once.
     """
-    if last is None:
-        last = step
-    acc: UEAElement = {}
+    acc: Dict[Optional[int], UEAElement] = {}
     for m, c in p.items():
         counts = Counter(m)
         if any(parity[i] and k > 1 for i, k in counts.items()):
             continue  # an odd square: the signed orderings cancel
         weight = c * Q(prod(map(factorial, counts.values())), factorial(len(m)))
+        if not m:
+            accumulate(acc.setdefault(None, {}), one, weight)
+            continue
         letters = sorted(counts)
+        ends: Dict[int, UEAElement] = {}
 
         def walk(prefix: UEAElement, sign, todo: int, odd_left: List[int]):
-            if not todo:
-                accumulate(acc, prefix, sign * weight)
-                return
             for i in letters:
                 if not counts[i]:
                     continue
+                if todo == 1:
+                    # i is the one letter left, and no odd letter follows it
+                    accumulate(ends.setdefault(i, {}), prefix, sign)
+                    return
                 counts[i] -= 1
                 s, rest = sign, odd_left
                 if parity[i]:
@@ -417,11 +387,23 @@ def supersymmetrise(p: SymElement, parity: Sequence[int], one: UEAElement,
                     if pos % 2:
                         s = -s
                     rest = odd_left[:pos] + odd_left[pos + 1:]
-                walk((last if todo == 1 else step)(prefix, i), s, todo - 1,
-                     rest)
+                walk(step(prefix, i), s, todo - 1, rest)
                 counts[i] += 1
 
         walk(one, 1, len(m), [i for i in m if parity[i]])
+        for i, u in ends.items():
+            accumulate(acc.setdefault(i, {}), u, weight)
+    return acc
+
+
+def times_last(ends: Dict[Optional[int], UEAElement],
+               times: Callable[[UEAElement, int], UEAElement]) -> UEAElement:
+    """The sum of times(u, i) over the sums u and last letters i of
+    supersymmetrise, plus its term under None."""
+    acc = dict(ends.get(None, _EMPTY))
+    for i, u in ends.items():
+        if i is not None:
+            accumulate(acc, times(u, i))
     return acc
 
 

@@ -422,6 +422,47 @@ def oracle_normal_form(alg, word):
     return {w: c for w, c in out.items() if c}
 
 
+def rewrite(uea, word):
+    """One straightening step at the rightmost violation of word, in uea's
+    scaled basis and with its integral bracket tables: the words, with
+    their coefficients, that sum to y^word in U(g), or None when word is
+    already a PBW monomial."""
+    par = uea.parity
+    for pos in range(len(word) - 2, -1, -1):
+        a, b = word[pos], word[pos + 1]
+        if a > b or (a == b and par[a]):
+            break
+    else:
+        return None
+    head, tail = word[:pos], word[pos + 2:]
+    if a == b:
+        return [(head + (k,) + tail, c)
+                for k, c in uea._half_square[a].items()]
+    out = [(head + (b, a) + tail, -1 if par[a] and par[b] else 1)]
+    out.extend((head + (k,) + tail, c)
+               for k, c in uea._brackets.get((a, b), {}).items())
+    return out
+
+
+def rightmost(uea, word):
+    """The normal form of y^word in uea's scaled basis, rewritten at the
+    rightmost violation (rewrite) and not memoised: the oracle for the
+    walk."""
+    steps = rewrite(uea, word)
+    if steps is None:
+        return {word: 1}
+    acc = {}
+    for w, c in steps:
+        accumulate(acc, rightmost(uea, w), c)
+    return acc
+
+
+def rightmost_normal_form(uea, word):
+    """rightmost in PBW coordinates: the oracle for UEA.normal_form_word."""
+    word = tuple(word)
+    return uea.unscaled(rightmost(uea, word), uea.word_divisor(word))
+
+
 def adjoint(uea, x, u):
     """ad(x) u for a homogeneous vector x of uea's algebra, letter by letter
     through UEA.adjoint_index."""

@@ -271,8 +271,6 @@ def test_no_dead_definitions():
 # The definitions in src that no library file names, each with the reason
 # it stays in src rather than in tests/support.py.
 PUBLIC_API = {
-    "harish.IwasawaContext.project_word":
-        "Gamma's projection of one word, the pure-a part of its normal form",
     "harish.gr_restriction":
         "the paper's gr map S(p) -> S(a), checked against S(p)^k in test_rings",
     "serialization.algebra_to_json":

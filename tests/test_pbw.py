@@ -15,7 +15,8 @@ from superhc.serialization import uea_to_json
 from superhc.serialization import dumps_canonical
 from superhc.catalog import verify_main_theorem
 from support import (adjoint, change_basis, derived_bracket, oracle_adjoint,
-                     oracle_multiply, oracle_normal_form)
+                     oracle_multiply, oracle_normal_form, rightmost,
+                     rightmost_normal_form)
 
 
 def random_element(uea, rng, max_len=3, terms=3):
@@ -96,7 +97,7 @@ def test_confluence_200_words():
     rng = random.Random(6)
     for _ in range(200):
         w = tuple(rng.randrange(g.dim) for _ in range(rng.randint(0, 5)))
-        assert u.normal_form_word(w) == u.normal_form_word(w, strategy="rightmost")
+        assert u.normal_form_word(w) == rightmost_normal_form(u, w)
 
 
 def test_beta_degree_one_and_even_square():
@@ -304,17 +305,18 @@ def _combination(g, rng):
 
 
 def _check_against_oracles(g, rng, project=None):
-    """normal_form_word (both strategies), multiply, normal_form and
-    adjoint_index of a fresh UEA on g against the Fraction-only oracles;
-    project(uea, word, want) checks more of each word and its normal form."""
+    """normal_form_word, multiply, normal_form and adjoint_index of a fresh
+    UEA on g against the Fraction-only oracles, and normal_form_word against
+    the rightmost oracle; project(word, want) checks more of each word and
+    its normal form."""
     uea = UEA(g)
     for _ in range(100):
         word = _random_word(g.parity, rng)
         want = oracle_normal_form(g, word)
         assert uea.normal_form_word(word) == want, word
-        assert uea.normal_form_word(word, strategy="rightmost") == want, word
+        assert rightmost_normal_form(uea, word) == want, word
         if project is not None:
-            project(uea, word, want)
+            project(word, want)
     monomials = uea.monomials_up_to(3)
     for _ in range(30):
         i = rng.randrange(g.dim)
@@ -350,12 +352,16 @@ def _check_against_oracles(g, rng, project=None):
 @pytest.mark.parametrize("name", STRAIGHTENING)
 def test_straightening_matches_the_fraction_oracle(name):
     ctx = _analysis(name).ctx
-    lo, hi = ctx.lo_a, ctx.lo_k
+    g = ctx.adapted
 
-    def project(uea, word, want):
-        assert uea.unscaled(ctx.project_word(word),
-                            uea.word_divisor(word)) == {
-            m: c for m, c in want.items() if all(lo <= i < hi for i in m)}, word
+    def project(word, want):
+        # the word split at each place: the pure-a part of the product of
+        # the two parts' normal forms is that of the word's
+        for j in range(len(word) + 1):
+            u, v = (oracle_normal_form(g, part)
+                    for part in (word[:j], word[j:]))
+            assert ctx.project_product_to_a(u, v) == ctx.project_to_a(want), \
+                (word, j)
 
     _check_against_oracles(ctx.adapted, random.Random(f"straighten:{name}"),
                            project)
@@ -406,7 +412,7 @@ def test_scale_of_the_catalog_algebras():
 @lru_cache(maxsize=None)
 def _warm_context(name):
     """The entry's context after verify at degree 2 and eight random words,
-    so that both memos hold entries; tests only read it."""
+    so that the memo holds entries; tests only read it."""
     analysis = CATALOG[name].build()
     ctx = analysis.ctx
     verify_main_theorem(analysis, degree=2)
@@ -421,55 +427,54 @@ def _warm_context(name):
 def test_memos_hold_ints_after_verify_and_words(name):
     ctx = _warm_context(name)
     uea = ctx.uea
-    assert uea._memo and ctx._proj_memo
-    for memo in (uea._memo, ctx._proj_memo):
-        for w, nf in memo.items():
-            # the coefficients of the compact form (w1, c1, w2, c2, ...)
-            assert all(type(c) is int for c in nf[1::2]), w
+    assert uea._memo
+    for w, nf in uea._memo.items():
+        # the coefficients of the compact form (w1, c1, w2, c2, ...)
+        assert all(type(c) is int for c in nf[1::2]), w
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_memo_values_are_compact_normal_forms(name):
     """Every memo value is the flat tuple (w1, c1, w2, c2, ...) of words and
     nonzero coefficients with no repeated word, and holds the word's normal
-    form (its pure-a part for the projection memo)."""
-    ctx = _warm_context(name)
-    uea = ctx.uea
-    lo, hi = ctx.lo_a, ctx.lo_k
-    for memo, projected in ((uea._memo, False), (ctx._proj_memo, True)):
-        for w, nf in memo.items():
-            assert type(nf) is tuple and len(nf) % 2 == 0, (w, nf)
-            words, coeffs = nf[::2], nf[1::2]
-            assert all(type(m) is tuple and all(type(i) is int for i in m)
-                       for m in words), (w, nf)
-            assert len(set(words)) == len(words), (w, nf)
-            assert all(coeffs), (w, nf)
-            # the projection memo keeps no word with a leading a letter
-            assert not (projected and w and lo <= w[0] < hi), w
-        # spot-check the content against the unmemoised straightening
-        for w in list(memo)[::max(1, len(memo) // 40)]:
-            want = uea._rightmost(w)
-            if projected:
-                want = {m: c for m, c in want.items()
-                        if all(lo <= i < hi for i in m)}
-            assert uncompact(memo[w]) == want, w
+    form."""
+    uea = _warm_context(name).uea
+    memo = uea._memo
+    for w, nf in memo.items():
+        assert type(nf) is tuple and len(nf) % 2 == 0, (w, nf)
+        words, coeffs = nf[::2], nf[1::2]
+        assert all(type(m) is tuple and all(type(i) is int for i in m)
+                   for m in words), (w, nf)
+        assert len(set(words)) == len(words), (w, nf)
+        assert all(coeffs), (w, nf)
+    # spot-check the content against the unmemoised straightening
+    for w in list(memo)[::max(1, len(memo) // 40)]:
+        assert uncompact(memo[w]) == rightmost(uea, w), w
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_public_results_are_fresh_dicts(name):
-    # a caller that mutates a result must not change the next one: both
-    # memos hold their own values, never the dicts they hand out
+    # a caller that mutates a result must not change the next one: the
+    # memo holds its own values, never the dicts it hands out, and the
+    # projection of a product keeps nothing past its call
     ctx = CATALOG[name].build().ctx
     uea = ctx.uea
     top = uea.dim - 1
     words = [(), (0,), (top, 0), (0, top), (ctx.lo_a, top, 0),
              (top, ctx.lo_a), (ctx.lo_a, ctx.lo_a)]
-    for call in (uea.normal_form_word, ctx.project_word):
+
+    def project(word):
+        # the pure-a part of the word's first letter times the rest
+        return ctx.project_product_to_a(uea.normal_form_word(word[:1]),
+                                        uea.normal_form_word(word[1:])).terms
+
+    for call in (uea.normal_form_word, project):
         for word in words:
             first = call(word)
             want = dict(first)
             first[(99,)] = 7
             first.pop((), None)
+            first.pop((0,) * ctx.rank, None)
             assert call(word) == want, (call.__name__, word)
 
 
@@ -500,7 +505,7 @@ def test_walk_matches_the_rightmost_and_fraction_oracles(name):
         w = head + (k,) + tail
         got = uea.unscaled(uncompact(uea._placed(head, k, tail)),
                            uea.word_divisor(w))
-        assert got == uea.normal_form_word(w, "rightmost"), w
+        assert got == rightmost_normal_form(uea, w), w
         assert got == oracle_normal_form(g, w), w
 
 
@@ -517,4 +522,4 @@ def test_walk_memoises_the_asked_word_and_shorter_ones(name):
         straighten()
         assert word in uea._memo and neighbour not in uea._memo, word
         assert all(len(w) < len(word) for w in uea._memo if w != word), word
-        assert uncompact(uea._memo[word]) == uea._rightmost(word), word
+        assert uncompact(uea._memo[word]) == rightmost(uea, word), word
