@@ -14,7 +14,7 @@ from math import lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .apoly import APoly, Substitution
-from .linalg import (Echelon, Row, ScalarMatrix, integral_row, kernel,
+from .linalg import (Echelon, Row, ScalarMatrix, integral_row,
                      linear_solver, nullspace)
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
@@ -380,10 +380,12 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     columns are ad(y_x) y^m in the scaled basis of U(g), which are integral,
     and each coefficient goes straight into the row of its (x, output
     monomial); the order of the rows changes the cost of the elimination,
-    never its result.  Scaling the columns and rows of a matrix leaves its
-    free columns, so each kernel vector w, with a 1 at its free monomial f,
-    is brought back to PBW coordinates once and keeps that 1:
-    v[m] = w[m] D^{len m - len f}.
+    never its result.  No walk of a higher degree reads the words of degree
+    d, so the adjoint of a monomial of degree d keeps none of them in the
+    memo (UEA.scaled_adjoint with keep false).
+
+    Both bases are read off the one integer Echelon of the system, whose
+    rows are dropped first (see _bases).
 
     Ordering contract, on which the per-degree rows of verify_exact_sequence
     rest: the invariants are the reduced-echelon kernel over the monomials
@@ -399,30 +401,75 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     kept = uea.monomials_up_to(d, list(diagonal.values()))
     rows: Dict[Tuple[int, Monomial], Row] = {}
     for t, m in enumerate(kept):
+        keep = len(m) < d
         for x in generators:
-            for mt, c in uea.scaled_adjoint(x, {m: 1}).items():
+            for mt, c in uea.scaled_adjoint(x, {m: 1}, keep).items():
                 rows.setdefault((x, mt), {})[t] = c
-    kern = nullspace(ScalarMatrix(len(rows), len(kept), list(rows.values())))
-    invariants = [uea.unscaled({kept[t]: c for t, c in coords.items()},
-                               uea.word_divisor(kept[max(coords)]))
-                  for coords in kern]
-    companion = _ideal_part(ctx, invariants)
-    return InvariantBasis(d, invariants, companion)
+    # among rows of one length, the one whose last column comes later
+    # first, which cuts fill-in: insert_all's stable sort by length keeps
+    # this order among ties
+    system = sorted(rows.values(), key=max, reverse=True)
+    del rows
+    ech = Echelon().insert_all(system)
+    del system
+    return InvariantBasis(d, *_bases(ctx, kept, ech, d))
 
 
-def _ideal_part(ctx: IwasawaContext, invariants: List[UEAElement]
-                ) -> List[UEAElement]:
-    """Combinations of the invariants supported on monomials with a k index."""
-    lo_k = ctx.lo_k
-    out = []
-    for coords in kernel({m: c for m, c in inv.items()
-                          if not any(i >= lo_k for i in m)}
-                         for inv in invariants):
+def _bases(ctx: IwasawaContext, kept: List[Monomial], ech: Echelon, d: int
+           ) -> Tuple[List[UEAElement], List[UEAElement]]:
+    """(invariants, companion) read off ech, the Echelon of the system over
+    the columns kept, with one Fraction per entry.
+
+    Scaling the columns and rows of a matrix leaves its free columns, so
+    the kernel vector of free column f, a 1 at f and -r_p[f] / r_p[p] at
+    each pivot p holding f, is brought back to PBW coordinates keeping
+    that 1: the invariant v_f holds -r_p[f] / (r_p[p] D^{len f - len p})
+    at p.  So sum_f c_f v_f, for coordinates c over the free columns, holds
+    c_f at f and -sum_f c_f r_p[f] D^{d - len f} / (r_p[p] D^{d - len p})
+    at p: one integer sum once the c_f share a denominator, divided once.
+    It has no monomial without a k index exactly when c_f = 0 at each such
+    free f, and the sum above is 0 at each such pivot p; these conditions
+    are p's row, all of whose other entries are free columns, scaled
+    column-wise by D^{d - len f}.  Their kernel, over the invariants in
+    order, gives the companion's coordinates.
+    """
+    pivots, cols = ech.rows, ech.cols
+    # D^{d - len m} for the monomial m of each column
+    powers = [ctx.uea.scale ** (d - len(m)) for m in kept]
+    free = [f for f in range(len(kept)) if f not in pivots]
+
+    def combination(coords: Row) -> UEAElement:
+        """sum_t coords[t] v_{free[t]}."""
+        den = lcm(*(c.denominator for c in coords.values()))
+        scaled = {free[t]: c.numerator * (den // c.denominator)
+                  * powers[free[t]] for t, c in coords.items()}
         elem: UEAElement = {}
+        for p in sorted(set().union(*(cols.get(f, ()) for f in scaled))):
+            r = pivots[p]
+            num = sum(x * r[f] for f, x in scaled.items() if f in r)
+            if num:
+                elem[kept[p]] = Q(-num, den * r[p] * powers[p])
         for t, c in coords.items():
-            accumulate(elem, invariants[t], c)
-        out.append(elem)
-    return out
+            elem[kept[free[t]]] = c
+        return elem
+
+    lo_k = ctx.lo_k
+    index = {f: t for t, f in enumerate(free)}
+    conditions: List[Row] = []
+    for j, m in enumerate(kept):
+        if m and m[-1] >= lo_k:
+            continue
+        if j in pivots:
+            row = {index[f]: x * powers[f]
+                   for f, x in pivots[j].items() if f != j}
+        else:
+            row = {index[j]: 1}
+        if row:
+            conditions.append(row)
+    invariants = [combination({t: Q(1)}) for t in range(len(free))]
+    companion = [combination(c) for c in nullspace(
+        ScalarMatrix(len(conditions), len(free), conditions))]
+    return invariants, companion
 
 
 def verify_exact_sequence(ctx: IwasawaContext, basis: InvariantBasis,

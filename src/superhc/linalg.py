@@ -214,6 +214,18 @@ class Echelon:
             holders.add(lead)
         rows[lead] = r
 
+    def insert_all(self, rows: List[Row]) -> "Echelon":
+        """Grow the span by sparse rows; returns self.
+
+        Rows are taken sparsest first (a stable sort, so ties keep the
+        caller's order): the reduced echelon form for a fixed column order
+        does not depend on the row order, but fill-in, and with it the
+        cost, does.
+        """
+        for r in sorted(rows, key=len):
+            self.insert(r)
+        return self
+
     def copy(self) -> "Echelon":
         """An independent Echelon of the same span, to grow on its own."""
         out = Echelon()
@@ -246,21 +258,9 @@ def _clear(r: Row, c, prow: Row) -> int:
     return f
 
 
-def _insert_all(ech: Echelon, rows: List[Row]) -> Echelon:
-    """Grow ech by the span of sparse rows; returns ech.
-
-    Rows are taken sparsest first (a stable sort, so ties keep the caller's
-    order): the reduced echelon form for a fixed column order does not
-    depend on the row order, but fill-in, and with it the cost, does.
-    """
-    for r in sorted(rows, key=len):
-        ech.insert(r)
-    return ech
-
-
 def _echelonise(rows: List[Row]) -> Echelon:
     """The reduced echelon form of the span of sparse rows."""
-    return _insert_all(Echelon(), rows)
+    return Echelon().insert_all(rows)
 
 
 def rank(rows: Iterable[Row]) -> int:
@@ -328,7 +328,7 @@ def eigenspace(ms: Sequence[ScalarMatrix], values: Sequence) -> List[Row]:
     the kernel of the stacked matrices m - ev * I."""
     ech = Echelon()
     for m, ev in zip(ms, values):
-        _insert_all(ech, _shifted_rows(m, ev))
+        ech.insert_all(_shifted_rows(m, ev))
     return _kernel_basis(ech, ms[0].ncols)
 
 
@@ -475,7 +475,7 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
             for ev, _mult in roots:
                 if not room:
                     break
-                sub = _insert_all(ech.copy(), _shifted_rows(m, ev))
+                sub = ech.copy().insert_all(_shifted_rows(m, ev))
                 if len(sub.rows) < n:
                     refined.append((prefix + (ev,), sub))
                     room -= n - len(sub.rows)

@@ -17,9 +17,14 @@ other word is fed through the walk one letter at a time (UEA._feed).
 
 Memo contract: UEA._memo maps each word asked, and through the walk's
 recursion each shorter word met, to its normal form; the words of the
-asked length that a walk passes through are not kept.  It is the only
-memo of straightening: harish's projection onto U(a) goes through the
-adjoint action, so through the walk, and keeps nothing past one call.
+asked length that a walk passes through are not kept.  A walk through
+UEA._walk_into adds its word's normal form straight into a sum and keeps
+that word nowhere, only the shorter words it meets: the adjoint action
+walks so when no later walk reads the words of its length
+(UEA.scaled_adjoint with keep false, as the invariants take it at their
+top degree).  It is the only memo of straightening: harish's
+projection onto U(a) goes through the adjoint action, so through the
+walk, and keeps nothing past one call.
 A value is the normal form in compact form: the flat tuple
 (w1, c1, w2, c2, ...) of its words and nonzero coefficients, in the order
 a dict built by accumulate would hold them; a one-term normal form is the
@@ -171,23 +176,33 @@ class UEA:
 
     def _walk(self, word: Monomial, j: int) -> Compact:
         """The normal form of y^word, in compact form, where word less its
-        letter k at j is a PBW monomial: k moves to its place.
+        letter at j is a PBW monomial: _walk_into on an empty sum."""
+        acc: UEAElement = {}
+        self._walk_into(acc, word, j, 1)
+        return compact(acc)
+
+    def _walk_into(self, acc: UEAElement, word: Monomial, j: int,
+                   coeff) -> None:
+        """acc += coeff y^word in normal form, where word less its letter k
+        at j is a PBW monomial: k moves to its place.
 
         Each swap past a letter l gives the Koszul sign and the words of
         [l, k] (or [k, l]) in l and k's place, which again have one letter
         out of place and are one letter shorter; meeting an equal odd
         letter gives the half-square words instead, and ends the walk.  The
-        shorter words go through _placed, so the memo holds them, never the
-        words of this length the walk passes through.  The terms are summed
-        as rewriting at the only violation would: the end of the walk, then
-        the swaps' words from the last swap back to the first.
+        shorter words go through _placed, so the memo holds them, never
+        word or the words of its length the walk passes through.  The terms
+        are added as rewriting at the only violation would: the end of the
+        walk, then the swaps' words from the last swap back to the first.
+        When k stays at j the end of the walk is word itself, its tuple
+        shared.
         """
         head, k, tail = word[:j], word[j], word[j + 1:]
         par = self.parity
         odd = par[k]
         brackets = self._brackets
         swaps = []  # (sign, head, [l, k] or [k, l], tail) per swap
-        sign, squares = 1, None
+        sign, squares = coeff, None
         # k moves left past each greater letter (or an equal odd one) ...
         while head and (head[-1] > k or head[-1] == k and odd):
             l = head[-1]
@@ -216,19 +231,20 @@ class UEA:
             if odd and par[r]:
                 sign = -sign
             head = head + (r,)
-        if squares is None and not swaps:
-            # a PBW monomial shares the tuple of the word when k stayed
-            return (word, 1) if len(head) == j else (head + (k,) + tail, sign)
-        acc: UEAElement = {}
         if squares is None:
-            acc[head + (k,) + tail] = sign
+            end = word if len(head) == j else head + (k,) + tail
+            if end in acc:
+                sign += acc[end]
+                if not sign:
+                    del acc[end]
+            if sign:
+                acc[end] = sign
         else:
             for h, c in squares.items():
                 accumulate_compact(acc, self._placed(head, h, tail), sign * c)
         for s, u, out, v in reversed(swaps):
             for b, c in out.items():
                 accumulate_compact(acc, self._placed(u, b, v), s * c)
-        return compact(acc)
 
     def normal_form_word(self, word: Iterable[int]) -> UEAElement:
         """The normal form of the word x^word, through the memoised walk
@@ -266,7 +282,8 @@ class UEA:
         y, s = self.scaled(u)
         return self.unscaled(self.scaled_adjoint(i, y), self.scale * s)
 
-    def scaled_adjoint(self, i: int, y: UEAElement) -> UEAElement:
+    def scaled_adjoint(self, i: int, y: UEAElement, keep: bool = True
+                       ) -> UEAElement:
         """ad(y_i) y in scaled coordinates, with ad(y_i) acting on each word
         as a superderivation:
 
@@ -275,19 +292,26 @@ class UEA:
 
         Each term is one word of the same length with a single letter out of
         place, where the commutator x m - (-1)^{|x||m|} m x straightens two
-        longer words whose top-degree parts cancel.
+        longer words whose top-degree parts cancel.  Each word goes through
+        _placed, so the memo keeps it; with keep false it is walked
+        straight into the sum (_walk_into) and kept nowhere, and only the
+        shorter words its walk meets reach the memo.
         """
         acc: UEAElement = {}
         par = self.parity
         pi = par[i]
         brackets = self._brackets
+        placed, walk_into = self._placed, self._walk_into
         for m, c in y.items():
             sign = c
             for j, letter in enumerate(m):
                 head, tail = m[:j], m[j + 1:]
                 for k, b in brackets.get((i, letter), _EMPTY).items():
-                    accumulate_compact(acc, self._placed(head, k, tail),
-                                       sign * b)
+                    if keep:
+                        accumulate_compact(acc, placed(head, k, tail),
+                                           sign * b)
+                    else:
+                        walk_into(acc, head + (k,) + tail, j, sign * b)
                 if pi and par[letter]:
                     sign = -sign
         return acc

@@ -7,8 +7,7 @@ from math import factorial
 
 from superhc.apoly import APoly, monomials_of_degree
 from superhc.builders import _gl_super, matrix_superalgebra
-from superhc.harish import (_ideal_part, invariants_up_to_degree,
-                            k_generating_letters)
+from superhc.harish import invariants_up_to_degree, k_generating_letters
 from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
                             NotSemisimple, ScalarMatrix, eigenspace, kernel,
                             linear_solver, rational_roots, span_basis)
@@ -314,7 +313,25 @@ def invariants_from_all_letters(ctx, d):
     kern = kernel({(x, mt): c for x in letters for mt, c in ad(x, m).items()}
                   for m in kept)
     invariants = [{kept[t]: c for t, c in coords.items()} for coords in kern]
-    return invariants, _ideal_part(ctx, invariants)
+    return invariants, ideal_part(ctx, invariants)
+
+
+def ideal_part(ctx, invariants):
+    """Combinations of the invariants supported on monomials with a k index,
+    as the reduced-echelon kernel of the invariants restricted to the
+    monomials without one, each summed from the invariants themselves: the
+    oracle for the companion basis, which invariants_up_to_degree reads
+    off its Echelon."""
+    lo_k = ctx.lo_k
+    out = []
+    for coords in kernel({m: c for m, c in inv.items()
+                          if not any(i >= lo_k for i in m)}
+                         for inv in invariants):
+        elem = {}
+        for t, c in coords.items():
+            accumulate(elem, invariants[t], c)
+        out.append(elem)
+    return out
 
 
 def shift_by_substitute(p, values):

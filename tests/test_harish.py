@@ -17,7 +17,7 @@ from superhc.liesuper import SuperVector
 from superhc.pbw import accumulate
 from superhc.rings import (ANISOTROPIC, build_rank_one_model, generators,
                            ring_conditions)
-from support import (adjoint, beta_of_vectors, gamma_preimage,
+from support import (adjoint, beta_of_vectors, gamma_preimage, ideal_part,
                      invariants_from_all_letters, oracle_adjoint,
                      shift_by_substitute)
 
@@ -362,6 +362,21 @@ def test_generator_rows_match_all_letter_rows(name):
                                                         entry.default_degree)
     assert basis.invariants == invariants
     assert basis.companion == companion
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_bases_read_off_the_echelon_match_the_oracles(name):
+    """One degree past the default: the invariants equal the all-letter
+    kernel, and the companion the kernel of the invariants restricted to
+    the monomials without a k index, summed from the invariants."""
+    entry = CATALOG[name]
+    ctx = entry.build().ctx
+    d = entry.default_degree + 1
+    basis = invariants_up_to_degree(ctx, d)
+    invariants, companion = invariants_from_all_letters(ctx, d)
+    assert basis.invariants == invariants
+    assert basis.companion == companion
+    assert basis.companion == ideal_part(ctx, basis.invariants)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

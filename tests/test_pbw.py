@@ -7,7 +7,7 @@ import pytest
 
 from superhc.builders import osp12, sl2
 from superhc.catalog import CATALOG, Analysis
-from superhc.harish import k_generating_letters
+from superhc.harish import invariants_up_to_degree, k_generating_letters
 from superhc.pbw import (UEA, accumulate, sym_adjoint, sym_multiply,
                          uncompact)
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
@@ -523,3 +523,34 @@ def test_walk_memoises_the_asked_word_and_shorter_ones(name):
         assert word in uea._memo and neighbour not in uea._memo, word
         assert all(len(w) < len(word) for w in uea._memo if w != word), word
         assert uncompact(uea._memo[word]) == rightmost(uea, word), word
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_unkept_adjoint_matches_the_memoised_one(name):
+    """ad(y_i) of every weight-zero monomial of the top degree, walked
+    straight into the sum (keep false), has the terms the memoised adjoint
+    gives, and leaves no word of that degree in the memo."""
+    entry = CATALOG[name]
+    top = entry.default_degree
+    ctx = entry.build().ctx
+    uea = ctx.uea
+    weights = list(k_generating_letters(ctx)[0].values())
+    monomials = [m for m in uea.monomials_up_to(top, weights)
+                 if len(m) == top]
+    assert monomials
+    unkept = {(i, m): uea.scaled_adjoint(i, {m: 1}, keep=False)
+              for m in monomials for i in range(uea.dim)}
+    assert uea._memo
+    assert all(len(w) < top for w in uea._memo)
+    for (i, m), terms in unkept.items():
+        assert terms == uea.scaled_adjoint(i, {m: 1}), (i, m)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_solve_keeps_no_word_of_the_top_degree(name):
+    entry = CATALOG[name]
+    ctx = entry.build().ctx
+    d = entry.default_degree
+    invariants_up_to_degree(ctx, d)
+    assert ctx.uea._memo
+    assert all(len(w) < d for w in ctx.uea._memo)
