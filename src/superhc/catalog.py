@@ -158,6 +158,9 @@ for entry in [
     CatalogEntry("rank1-aniso-q2",
                  "rank-one model, anisotropic odd root, q=2, c=1",
                  3, _rank_one_entry(2, ANISOTROPIC)),
+    CatalogEntry("rank1-aniso-q3",
+                 "rank-one model, anisotropic odd root, q=3, c=1",
+                 3, _rank_one_entry(3, ANISOTROPIC)),
     CatalogEntry("rank1-iso-q1",
                  "rank-one model, isotropic odd root, q=1",
                  3, _rank_one_entry(1, ISOTROPIC)),

@@ -317,6 +317,13 @@ def _diagonal_weights(alg, k_idx: List[int]):
     return diag, others
 
 
+def _weight(diagonal: Dict[int, List], x: int) -> Tuple:
+    """The weight of letter x: its ad-eigenvalue under each diagonal letter,
+    scaled as in _diagonal_weights (by a positive int per diagonal letter,
+    which keeps sums and lexicographic signs)."""
+    return tuple(w[x] for w in diagonal.values())
+
+
 def _close(alg, span: Echelon, elems: List[SuperVector],
            letters: Sequence[int]) -> None:
     """Grow elems, a basis of the span, to the subalgebra generated by elems
@@ -330,40 +337,93 @@ def _close(alg, span: Echelon, elems: List[SuperVector],
             todo.extend(alg.bracket(v, w).c for w in elems)
 
 
-def _k_generators(alg, diag: List[int], others: List[int]) -> List[int]:
-    """The letters of others, odd first, outside the subalgebra generated by
-    diag and the letters kept before them.
+def _is_partner(alg, diagonal: Dict[int, List], e: int, f: int) -> bool:
+    """Whether (e, f, [e, f]) spans an sl2 whose h = [e, f] lies in the span
+    of the diagonal letters and acts on e by a nonzero alpha(h), with e and f
+    even and of opposite weights."""
+    if alg.parity[e] or alg.parity[f] \
+            or any(a + b for a, b in zip(_weight(diagonal, e),
+                                         _weight(diagonal, f))):
+        return False
+    h = alg.bracket(alg.basis(e), alg.basis(f))
+    return all(i in diagonal for i in h.c) \
+        and bool(alg.bracket(h, alg.basis(e)))
 
-    D is k-invariant iff ad x D = 0 for x in a generating set of k, because
-    ad is a homomorphism; the weight filter already imposes the diagonal
-    letters, so invariants need adjoint rows only for these.
+
+def _k_generators(alg, diagonal: Dict[int, List], others: List[int]
+                  ) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """(generators, partners): the letters of others that get adjoint rows,
+    and pairs (e, f) of a generator e and a letter f that needs none, since
+    (e, f, [e, f]) is an sl2 and a weight-zero vector killed by ad(e) is
+    killed by ad(f) (see k_generating_letters).
+
+    For each even e of simple positive weight alpha (lexicographically
+    positive, not the sum of two positive even weights), the first even f
+    that makes (e, f, [e, f]) an sl2 as _is_partner says is e's partner.
+    Then the other letters, odd first and by weight descending, are kept
+    where they grow the subalgebra generated by the diagonal letters, the
+    generators and the partners.
     """
+    weight = {x: _weight(diagonal, x) for x in others}
+    order = sorted(others, key=lambda x: (-alg.parity[x],
+                                          [-c for c in weight[x]]))
+    positive = {weight[x] for x in others if not alg.parity[x]
+                and weight[x] > (0,) * len(diagonal)}
+    simple = positive - {tuple(map(sum, zip(a, b)))
+                         for a in positive for b in positive}
+    generators: List[int] = []
+    partners: List[Tuple[int, int]] = []
+    for e in order:
+        if weight[e] in simple:
+            f = next((f for f in order if _is_partner(alg, diagonal, e, f)),
+                     None)
+            if f is not None:
+                generators.append(e)
+                partners.append((e, f))
     span = Echelon()
     elems: List[SuperVector] = []
-    _close(alg, span, elems, diag)
-    kept: List[int] = []
-    for x in sorted(others, key=lambda i: -alg.parity[i]):
+    _close(alg, span, elems, [*diagonal, *generators,
+                              *(f for _, f in partners)])
+    for x in order:
         dim = len(elems)
         _close(alg, span, elems, [x])
         if len(elems) > dim:
-            kept.append(x)
-    return kept
+            generators.append(x)
+    return generators, partners
 
 
 def k_generating_letters(ctx: IwasawaContext
                          ) -> Tuple[Dict[int, List], List[int]]:
     """(diagonal, generators): the ad-weights of the k letters acting
-    diagonally (see _diagonal_weights), and the other letters that together
-    with them generate k (see _k_generators).
+    diagonally (see _diagonal_weights), and the letters whose adjoint rows,
+    on the weight-zero part of U(g), cut out the k-invariants (see
+    _k_generators).
 
-    Raises GeneratorsMissK if the bracket closure of these letters is a
-    proper subalgebra of k.
+    Why no other letter needs rows.  Each diagonal letter kills a vector v
+    of weight zero.  For a partner pair (e, f), h = [e, f] lies in the span
+    of the diagonal letters with alpha(h) != 0, so (e, f, 2h / alpha(h)) is
+    an sl2-triple acting on the finite-dimensional U_d(g), and h kills v.
+    If ad(e) v = 0, then ad(e) ad(f) v = ad(h) v = 0, so ad(f) v is killed
+    by e and has weight -2 under 2h / alpha(h); in a finite-dimensional
+    sl2-module such a vector has a weight n >= 0, so ad(f) v = 0.  The
+    letters killing v span a subalgebra, which holds the diagonal letters,
+    the generators and the partners; the certificate below is that these
+    generate k.  Only even triples are used: nothing here asks that
+    k-modules be completely reducible.
+
+    Raises GeneratorsMissK unless each partner pair is such an sl2 with e a
+    generator, and these letters generate k.
     """
     alg = ctx.adapted
     diagonal, others = _diagonal_weights(alg, ctx.k_indices())
-    generators = _k_generators(alg, list(diagonal), others)
+    generators, partners = _k_generators(alg, diagonal, others)
+    for e, f in partners:
+        if e not in generators or not _is_partner(alg, diagonal, e, f):
+            raise GeneratorsMissK(f"{alg.names[e]}, {alg.names[f]} is not "
+                                  f"an sl2 pair with a generator")
     closure: List[SuperVector] = []
-    _close(alg, Echelon(), closure, [*diagonal, *generators])
+    _close(alg, Echelon(), closure,
+           [*diagonal, *generators, *(f for _, f in partners)])
     dim_k = alg.dim - ctx.lo_k
     if len(closure) != dim_k:
         raise GeneratorsMissK(f"letters generate {len(closure)} of "
@@ -372,17 +432,23 @@ def k_generating_letters(ctx: IwasawaContext
 
 
 def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
-    """Solve ad(x) D = 0 for generators x of k, over PBW monomials <= d.
+    """Solve ad(x) D = 0 for the generators x of k, over PBW monomials <= d.
 
     The diagonal letters of k act on monomials by weights, so they only
     select the weight-zero monomials, the only ones uea.monomials_up_to
-    lists; the generators of k_generating_letters supply the rows.  The
-    columns are ad(y_x) y^m in the scaled basis of U(g), which are integral,
-    and each coefficient goes straight into the row of its (x, output
-    monomial); the order of the rows changes the cost of the elimination,
-    never its result.  No walk of a higher degree reads the words of degree
-    d, so the adjoint of a monomial of degree d keeps none of them in the
-    memo (UEA.scaled_adjoint with keep false).
+    lists; the generators of k_generating_letters supply the rows.  On
+    weight-zero vectors the partner f of an sl2 generator e kills whatever
+    e kills, and the diagonal letters, generators and partners generate k,
+    so the kernel of these rows is the k-invariants (see
+    k_generating_letters).  The columns are ad(y_x) y^m in the scaled basis
+    of U(g), which are integral, and each coefficient goes straight into
+    the row of its (x, output monomial).  The rows are inserted latest
+    leading column first, sparsest first among rows of one leading column:
+    a new pivot then lies left of the stored ones and seldom lands in a
+    stored row.  The order changes the cost of the elimination, never its
+    result.  No walk of a higher degree reads the words of degree d, so
+    the adjoint of a monomial of degree d keeps none of them in the memo
+    (UEA.scaled_adjoint with keep false).
 
     Both bases are read off the one integer Echelon of the system, whose
     rows are dropped first (see _bases).
@@ -405,12 +471,11 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
         for x in generators:
             for mt, c in uea.scaled_adjoint(x, {m: 1}, keep).items():
                 rows.setdefault((x, mt), {})[t] = c
-    # among rows of one length, the one whose last column comes later
-    # first, which cuts fill-in: insert_all's stable sort by length keeps
-    # this order among ties
-    system = sorted(rows.values(), key=max, reverse=True)
+    system = sorted(rows.values(), key=lambda r: (-min(r), len(r)))
     del rows
-    ech = Echelon().insert_all(system)
+    ech = Echelon()
+    for r in system:
+        ech.insert(r)
     del system
     return InvariantBasis(d, *_bases(ctx, kept, ech, d))
 

@@ -17,6 +17,17 @@ from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
 from superhc.rings import membership_conditions
 
+# The oracles that straighten every word up to a length, or supersymmetrise
+# a generator of S(g)^k, cap that degree for the largest catalog entry
+# (dim g = 34), so that it adds seconds, not tens of seconds, to tier-1:
+# the same check at a lower degree.
+ORACLE_DEGREE_CAP = {"rank1-aniso-q3": 3}
+
+
+def oracle_degree(name, degree):
+    """degree, capped for the entry name as ORACLE_DEGREE_CAP says."""
+    return min(degree, ORACLE_DEGREE_CAP.get(name, degree))
+
 
 def gauss_jordan(rows):
     """The reduced echelon rows of the span of sparse rows, keyed by pivot.

@@ -435,14 +435,19 @@ def _entry_file_of(name, tmp_path):
     return str(path)
 
 
+# rank1-aniso-q3 comes last, so that the ids of the rows before it (argv0,
+# argv1, ...) stay those they had before it joined the catalog
 @pytest.mark.parametrize("name, argv", [
-    (name, argv) for name in CATALOG
+    (name, argv) for name in CATALOG if name != "rank1-aniso-q3"
     for argv in ([["roots"], ["invariants", "--degree", "2"], ["verify"]]
                  if name.startswith("group-") else [["verify"]])] + [
-    (name, argv) for name in CATALOG if name.startswith("rank1-")
+    (name, argv) for name in CATALOG
+    if name.startswith("rank1-") and name != "rank1-aniso-q3"
     for argv in [["roots"], ["invariants", "--degree", "2"]]] + [
     ("rank1-iso-q1", ["membership", "--ring", "J", "--poly",
-                      '{"terms":[{"exps":{"h0":1},"coeff":"1"}]}'])])
+                      '{"terms":[{"exps":{"h0":1},"coeff":"1"}]}'])] + [
+    ("rank1-aniso-q3", argv)
+    for argv in [["verify"], ["roots"], ["invariants", "--degree", "2"]]])
 def test_entry_file_of_a_catalog_entry_reports_the_same(tmp_path, capsys,
                                                          name, argv):
     path = _entry_file_of(name, tmp_path)

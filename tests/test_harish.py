@@ -2,6 +2,7 @@ import random
 import zlib
 from fractions import Fraction as Q
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +14,13 @@ from superhc.harish import (GeneratorsMissK, OrderNotIwasawa, gr_restriction,
                             invariants_up_to_degree, k_generating_letters,
                             verify_exact_sequence)
 from superhc.linalg import kernel, linear_solver, span_basis
-from superhc.liesuper import SuperVector
+from superhc.liesuper import LieSuperalgebra, SuperVector, verify_algebra
 from superhc.pbw import accumulate
 from superhc.rings import (ANISOTROPIC, build_rank_one_model, generators,
                            ring_conditions)
 from support import (adjoint, beta_of_vectors, gamma_preimage, ideal_part,
                      invariants_from_all_letters, oracle_adjoint,
-                     shift_by_substitute)
+                     oracle_degree, shift_by_substitute)
 
 
 def test_project_unit_and_pure_a():
@@ -390,14 +391,23 @@ def test_every_letter_of_k_kills_the_invariants(name):
             assert oracle_adjoint(ctx.adapted, y, v) == {}, (y, v)
 
 
+def _letters_of_k(ctx):
+    """(diagonal, generators, partners) as k_generating_letters picks them."""
+    alg = ctx.adapted
+    diagonal, others = harish._diagonal_weights(alg, ctx.k_indices())
+    return (diagonal, *harish._k_generators(alg, diagonal, others))
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_diagonal_letters_and_generators_generate_k(name):
-    # dense oracle: bracket the span with itself until its rank stops growing
+    # dense oracle: bracket the span of the diagonal letters, the generators
+    # and their sl2 partners with itself until its rank stops growing
     ctx = CATALOG[name].build().ctx
     alg = ctx.adapted
     k = set(ctx.k_indices())
-    diagonal, k_gens = k_generating_letters(ctx)
-    letters = [*diagonal, *k_gens]
+    diagonal, k_gens, partners = _letters_of_k(ctx)
+    assert k_generating_letters(ctx) == (diagonal, k_gens)
+    letters = [*diagonal, *k_gens, *(f for _, f in partners)]
     assert set(letters) <= k and len(set(letters)) == len(letters)
     span = span_basis([alg.basis(x).c for x in letters])
     while True:
@@ -412,17 +422,112 @@ def test_diagonal_letters_and_generators_generate_k(name):
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
+def test_each_partner_spans_an_sl2_with_its_generator(name):
+    """e is a generator, e and f are even of opposite weights, h = [e, f]
+    lies in the span of the diagonal letters and [h, e] = alpha(h) e with
+    alpha(h) != 0: read off the bracket, not through harish._is_partner."""
+    ctx = CATALOG[name].build().ctx
+    alg = ctx.adapted
+    diagonal, k_gens, partners = _letters_of_k(ctx)
+    # every entry with a diagonal letter has an even root in k
+    assert bool(partners) == bool(diagonal)
+    for e, f in partners:
+        assert e in k_gens and f not in k_gens
+        assert alg.parity[e] == alg.parity[f] == 0
+        for t in diagonal:
+            te = alg.bracket(alg.basis(t), alg.basis(e)).c
+            tf = alg.bracket(alg.basis(t), alg.basis(f)).c
+            assert set(te) <= {e} and set(tf) <= {f}
+            assert te.get(e, 0) == -tf.get(f, 0)
+        h = alg.bracket(alg.basis(e), alg.basis(f))
+        assert set(h.c) <= set(diagonal)
+        assert set(alg.bracket(h, alg.basis(e)).c) == {e}
+
+
+def test_generators_chosen():
+    # the raising letter of each even simple root, then the letters that
+    # still grow the closure, odd first
+    chosen = {}
+    for name in sorted(CATALOG):
+        ctx = CATALOG[name].build().ctx
+        chosen[name] = [ctx.adapted.names[x]
+                        for x in k_generating_letters(ctx)[1]]
+    assert chosen == {
+        "group-gl12": ["k5", "k2", "k3"], "group-osp12": ["k0", "k3"],
+        "group-sl2": ["k0"], "rank1-aniso-q1": ["k2", "k4"],
+        "rank1-aniso-q2": ["k5", "k9", "k12"],
+        "rank1-aniso-q3": ["k9", "k13", "k20", "k24"],
+        "rank1-iso-q1": ["k0", "k1"]}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_generating_set_missing_a_letter_raises(name, monkeypatch):
     # without its last generator the letters generate a proper subalgebra,
-    # whose annihilator would hold extra "invariants"
+    # whose annihilator would hold extra "invariants", or the last generator
+    # is the raising letter of a partner
     ctx = CATALOG[name].build().ctx
     chosen = harish._k_generators
     monkeypatch.setattr(harish, "_k_generators",
-                        lambda *args: chosen(*args)[:-1])
+                        lambda *args: (chosen(*args)[0][:-1],
+                                       chosen(*args)[1]))
     with pytest.raises(GeneratorsMissK):
         k_generating_letters(ctx)
     with pytest.raises(GeneratorsMissK):
         invariants_up_to_degree(ctx, 1)
+
+
+@pytest.mark.parametrize("name", ["group-gl12", "group-osp12", "group-sl2",
+                                  "rank1-aniso-q1", "rank1-aniso-q2",
+                                  "rank1-aniso-q3"])
+def test_partner_without_its_raising_letter_raises(name, monkeypatch):
+    # on every entry but group-sl2 the other generators still generate the
+    # raising letter, so the closure is all of k and only the pair check
+    # sees it
+    ctx = CATALOG[name].build().ctx
+    chosen = harish._k_generators
+
+    def planted(*args):
+        gens, partners = chosen(*args)
+        e = partners[0][0]
+        return [x for x in gens if x != e], partners
+
+    monkeypatch.setattr(harish, "_k_generators", planted)
+    with pytest.raises(GeneratorsMissK):
+        k_generating_letters(ctx)
+
+
+def _planted_k(names, brackets):
+    """A context whose k is the whole even Lie algebra of these brackets."""
+    alg = LieSuperalgebra(names, [0] * len(names), brackets)
+    assert verify_algebra(alg) == []
+    return SimpleNamespace(adapted=alg, lo_k=0,
+                           k_indices=lambda: list(range(alg.dim)))
+
+
+@pytest.mark.parametrize("case", ["alpha(h) = 0", "h outside span(t)"])
+def test_partner_that_is_no_sl2_raises(case, monkeypatch):
+    """Planted pairs (e, f), each letter even, of opposite weights, with
+    the closure of all letters equal to k; only the pair check refuses."""
+    if case == "alpha(h) = 0":
+        # t1 and t2 are diagonal, [e, f] = t2 is central: alpha(t2) = 0
+        ctx = _planted_k(["t1", "t2", "e", "f"],
+                         {(0, 2): {2: 1}, (0, 3): {3: -1}, (2, 3): {1: 1}})
+    else:
+        # gl(2) in the basis t = E11 + E22, e = E12, f = E21 and
+        # s = E11 - E22 + E12: only t is diagonal, and [e, f] = s - e
+        ctx = _planted_k(["t", "e", "f", "s"],
+                         {(1, 2): {3: 1, 1: -1}, (1, 3): {1: -2},
+                          (2, 3): {2: 2, 3: -1, 1: 1}})
+    diagonal, others = harish._diagonal_weights(ctx.adapted, ctx.k_indices())
+    e, f = ctx.adapted.index("e"), ctx.adapted.index("f")
+    assert set(diagonal) == ({0, 1} if case == "alpha(h) = 0" else {0})
+    # unplanted, the pair is refused and e and f both get rows
+    assert harish._k_generators(ctx.adapted, diagonal, others) == ([e, f], [])
+    k_generating_letters(ctx)
+    monkeypatch.setattr(harish, "_k_generators",
+                        lambda *args: ([e], [(e, f)]))
+    with pytest.raises(GeneratorsMissK):
+        k_generating_letters(ctx)
 
 
 def test_invariants_at_stretch_degree_group_osp12_8():
@@ -535,6 +640,8 @@ def test_gamma_of_sym_table_holds_the_monomials_asked(name):
     if warm.model is not None:
         gens = generators(warm.model, kl=[(1, 1), (2, 1)]) \
             if warm.model.iso_class != ANISOTROPIC else generators(warm.model)
+        top = oracle_degree(name, float("inf"))
+        gens = [p for p in gens if max(map(len, p)) <= top]
         accumulate(polys[0], gens[0])
         accumulate(polys[1], gens[-1])
     wants = [cold.ctx.hc_gamma(cold.ctx.beta_from_g(p)) for p in polys]

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from superhc.builders import osp12, sl2
-from superhc.catalog import CATALOG, Analysis
+from superhc.catalog import CATALOG
 from superhc.harish import invariants_up_to_degree, k_generating_letters
 from superhc.pbw import (UEA, accumulate, sym_adjoint, sym_multiply,
                          uncompact)
@@ -15,8 +15,8 @@ from superhc.serialization import uea_to_json
 from superhc.serialization import dumps_canonical
 from superhc.catalog import verify_main_theorem
 from support import (adjoint, change_basis, derived_bracket, oracle_adjoint,
-                     oracle_multiply, oracle_normal_form, rightmost,
-                     rightmost_normal_form)
+                     oracle_degree, oracle_multiply, oracle_normal_form,
+                     rightmost, rightmost_normal_form)
 
 
 def random_element(uea, rng, max_len=3, terms=3):
@@ -258,14 +258,11 @@ def test_weighted_monomials_are_the_weight_zero_ones():
 
 # -- straightening against the Fraction-only oracle ----------------------------
 
-STRAIGHTENING = sorted(CATALOG) + ["rank1-aniso-q3"]
+STRAIGHTENING = sorted(CATALOG)
 
 
 @lru_cache(maxsize=None)
 def _analysis(name):
-    if name == "rank1-aniso-q3":
-        model = build_rank_one_model(3, ANISOTROPIC)
-        return Analysis(model.pair, a_names=["a"], model=model)
     return CATALOG[name].build()
 
 
@@ -406,7 +403,7 @@ def test_scale_of_the_catalog_algebras():
     scales = {name: CATALOG[name].build().ctx.uea.scale for name in CATALOG}
     assert scales == {"group-gl12": 2, "group-osp12": 2, "group-sl2": 2,
                       "rank1-aniso-q1": 2, "rank1-aniso-q2": 2,
-                      "rank1-iso-q1": 1}
+                      "rank1-aniso-q3": 2, "rank1-iso-q1": 1}
 
 
 @lru_cache(maxsize=None)
@@ -501,7 +498,7 @@ def test_walk_matches_the_rightmost_and_fraction_oracles(name):
     uea, g = ctx.uea, ctx.adapted
     diagonal, _ = k_generating_letters(ctx)
     for head, k, tail in _one_letter_out_of_place(
-            uea, list(diagonal.values()), 4):
+            uea, list(diagonal.values()), oracle_degree(name, 4)):
         w = head + (k,) + tail
         got = uea.unscaled(uncompact(uea._placed(head, k, tail)),
                            uea.word_divisor(w))
