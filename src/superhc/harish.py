@@ -18,7 +18,7 @@ from .linalg import (Echelon, Row, ScalarMatrix, integral_row,
                      linear_solver, nullspace)
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
-from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
+from .pbw import (Monomial, SymElement, UEA, UEAElement, _ratio, accumulate,
                   supersymmetrise, sym_multiply, times_last)
 from .scalars import int_if_integral
 
@@ -281,7 +281,10 @@ def _merge_prefix(prefix: Monomial, terms) -> UEAElement:
 # -- invariants ----------------------------------------------------------------
 
 class InvariantBasis:
-    """Bases of the k-invariants and of their right-ideal part, by degree."""
+    """Bases of the k-invariants and of their right-ideal part, by degree,
+    as elements of U(g) in PBW coordinates: each coefficient an int where
+    integral and a Fraction otherwise, as pbw's normal forms hold them
+    (see _bases for the order of each basis and of its monomials)."""
 
     def __init__(self, degree: int, invariants: List[UEAElement],
                  companion: List[UEAElement]):
@@ -483,18 +486,22 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
 def _bases(ctx: IwasawaContext, kept: List[Monomial], ech: Echelon, d: int
            ) -> Tuple[List[UEAElement], List[UEAElement]]:
     """(invariants, companion) read off ech, the Echelon of the system over
-    the columns kept, with one Fraction per entry.
+    the columns kept, each coefficient an int where integral and one
+    Fraction otherwise (pbw._ratio).
 
     Scaling the columns and rows of a matrix leaves its free columns, so
     the kernel vector of free column f, a 1 at f and -r_p[f] / r_p[p] at
     each pivot p holding f, is brought back to PBW coordinates keeping
-    that 1: the invariant v_f holds -r_p[f] / (r_p[p] D^{len f - len p})
-    at p.  So sum_f c_f v_f, for coordinates c over the free columns, holds
-    c_f at f and -sum_f c_f r_p[f] D^{d - len f} / (r_p[p] D^{d - len p})
-    at p: one integer sum once the c_f share a denominator, divided once.
-    It has no monomial without a k index exactly when c_f = 0 at each such
-    free f, and the sum above is 0 at each such pivot p; these conditions
-    are p's row, all of whose other entries are free columns, scaled
+    that 1: the invariant v_f holds -r_p[f] D^{d - len f} / (r_p[p]
+    D^{d - len p}) at p, built once per entry, for the pivots p of
+    ech.cols[f] in ascending order (so in the order of kept), then 1 at f.
+    So sum_f c_f v_f, for coordinates c over the free columns, holds c_f
+    at f and -sum_f c_f r_p[f] D^{d - len f} / (r_p[p] D^{d - len p}) at
+    p: once the c_f share a denominator, each x_f r_p[f] is added to p's
+    integer sum by walking cols[f], and each sum is divided once.  It has
+    no monomial without a k index exactly when c_f = 0 at each such free
+    f, and the sum above is 0 at each such pivot p; these conditions are
+    p's row, all of whose other entries are free columns, scaled
     column-wise by D^{d - len f}.  Their kernel, over the invariants in
     order, gives the companion's coordinates.
     """
@@ -503,20 +510,15 @@ def _bases(ctx: IwasawaContext, kept: List[Monomial], ech: Echelon, d: int
     powers = [ctx.uea.scale ** (d - len(m)) for m in kept]
     free = [f for f in range(len(kept)) if f not in pivots]
 
-    def combination(coords: Row) -> UEAElement:
-        """sum_t coords[t] v_{free[t]}."""
-        den = lcm(*(c.denominator for c in coords.values()))
-        scaled = {free[t]: c.numerator * (den // c.denominator)
-                  * powers[free[t]] for t, c in coords.items()}
+    invariants: List[UEAElement] = []
+    for f in free:
+        x = -powers[f]
         elem: UEAElement = {}
-        for p in sorted(set().union(*(cols.get(f, ()) for f in scaled))):
+        for p in sorted(cols.get(f, ())):
             r = pivots[p]
-            num = sum(x * r[f] for f, x in scaled.items() if f in r)
-            if num:
-                elem[kept[p]] = Q(-num, den * r[p] * powers[p])
-        for t, c in coords.items():
-            elem[kept[free[t]]] = c
-        return elem
+            elem[kept[p]] = _ratio(r[f], x, r[p] * powers[p])
+        elem[kept[f]] = 1
+        invariants.append(elem)
 
     lo_k = ctx.lo_k
     index = {f: t for t, f in enumerate(free)}
@@ -531,9 +533,24 @@ def _bases(ctx: IwasawaContext, kept: List[Monomial], ech: Echelon, d: int
             row = {index[j]: 1}
         if row:
             conditions.append(row)
-    invariants = [combination({t: Q(1)}) for t in range(len(free))]
-    companion = [combination(c) for c in nullspace(
-        ScalarMatrix(len(conditions), len(free), conditions))]
+    companion: List[UEAElement] = []
+    for coords in nullspace(ScalarMatrix(len(conditions), len(free),
+                                         conditions)):
+        den = lcm(*(c.denominator for c in coords.values()))
+        sums: Dict[int, int] = {}
+        for t, c in coords.items():
+            f = free[t]
+            x = c.numerator * (den // c.denominator) * powers[f]
+            for p in cols.get(f, ()):
+                sums[p] = sums.get(p, 0) + x * pivots[p][f]
+        elem = {}
+        for p in sorted(sums):
+            if sums[p]:
+                elem[kept[p]] = _ratio(-sums[p], 1, den * pivots[p][p]
+                                       * powers[p])
+        for t, c in coords.items():
+            elem[kept[free[t]]] = int_if_integral(c)
+        companion.append(elem)
     return invariants, companion
 
 

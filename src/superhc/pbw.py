@@ -47,6 +47,7 @@ int equals, hashes and prints (scalar_to_string) like the equal Fraction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -336,30 +337,42 @@ class UEA:
         sum(w[i] for i in m) == 0 for every w in weights (all of them when
         there are no weights), ordered by degree then lex.
 
-        Each prefix carries its weight down the recursion, and the last
-        letter is looked up among the letters of the opposite weight.
+        Each prefix carries its weight down the recursion, which ends two
+        letters early: the last two letters are a PBW pair (i, j), i <= j
+        and i < j when i is odd, looked up in a table of the pairs of each
+        summed weight, listed in (i, j) order, from the first pair with
+        i >= start (bisected).  A monomial of one letter is looked up among
+        the letters of weight zero.
         """
         par = self.parity
         dim = self.dim
-        # the weight letter i adds, and the letters of each weight in order
+        # the weight letter i adds
         step = [tuple(w[i] for w in weights) for i in range(dim)]
-        by_weight: Dict[tuple, List[int]] = {}
+        zero = tuple(0 for _ in weights)
+        # the PBW pairs of each summed weight, in (i, j) order
+        pairs: Dict[tuple, List[Monomial]] = {}
         for i in range(dim):
-            by_weight.setdefault(step[i], []).append(i)
+            for j in range(i + 1 if par[i] else i, dim):
+                summed = tuple(x + y for x, y in zip(step[i], step[j]))
+                pairs.setdefault(summed, []).append((i, j))
 
         def gen(prefix: Monomial, start: int, length: int, weight: tuple):
-            if length == 1:
-                out.extend(prefix + (i,) for i in
-                           by_weight.get(tuple(-x for x in weight), ())
-                           if i >= start)
+            if length == 2:
+                ps = pairs.get(tuple(-x for x in weight))
+                if ps:
+                    # (start,) sorts after each (i, j) with i < start and
+                    # before each (start, j)
+                    out.extend(prefix + p for p in
+                               ps[bisect_left(ps, (start,)):])
                 return
             for i in range(start, dim):
                 gen(prefix + (i,), i + 1 if par[i] else i, length - 1,
                     tuple(x + y for x, y in zip(weight, step[i])))
 
-        zero = tuple(0 for _ in weights)
         out: List[Monomial] = [()] if d >= 0 else []
-        for length in range(1, d + 1):
+        if d >= 1:
+            out.extend((i,) for i in range(dim) if step[i] == zero)
+        for length in range(2, d + 1):
             gen((), 0, length, zero)
         return out
 

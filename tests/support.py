@@ -10,7 +10,7 @@ from superhc.builders import _gl_super, matrix_superalgebra
 from superhc.harish import invariants_up_to_degree, k_generating_letters
 from superhc.linalg import (CommutationFailure, IrrationalSpectrum,
                             NotSemisimple, ScalarMatrix, eigenspace, kernel,
-                            linear_solver, rational_roots, span_basis)
+                            linear_solver, rank, rational_roots, span_basis)
 from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, SuperVector,
                               centralizer)
 from superhc.pairs import a_perp_in_p
@@ -223,6 +223,22 @@ def sym_monomials_up_to(parity, indices, d):
     return out
 
 
+def oracle_monomials_up_to(parity, d, weights=()):
+    """The PBW monomials of degree <= d in the letters 0 ... len(parity) - 1
+    (weakly increasing, odd letters distinct) with sum(w[i] for i in m) == 0
+    for every w in weights, sorted by (length, lex): every multiset of each
+    length from combinations_with_replacement, filtered.  The oracle for
+    UEA.monomials_up_to."""
+    out = []
+    for length in range(d + 1):
+        for m in combinations_with_replacement(range(len(parity)), length):
+            if any(parity[i] and m.count(i) > 1 for i in m):
+                continue
+            if all(sum((w[i] for i in m), Q(0)) == 0 for w in weights):
+                out.append(m)
+    return sorted(out, key=lambda m: (len(m), m))
+
+
 def p_dims(pair):
     """(even, odd) dimensions of p."""
     ev = sum(1 for v in pair.p_basis if v.parity == 0)
@@ -310,10 +326,8 @@ def invariants_from_all_letters(ctx, d):
     uea = UEA(ctx.adapted)
     par = uea.parity
     diagonal, _ = k_generating_letters(ctx)
-    weights = diagonal.values()
     letters = [x for x in ctx.k_indices() if x not in diagonal]
-    kept = [m for m in uea.monomials_up_to(d)
-            if all(sum((w[i] for i in m), Q(0)) == 0 for w in weights)]
+    kept = oracle_monomials_up_to(par, d, diagonal.values())
 
     def ad(x, m):
         acc = dict(uea.normal_form_word((x,) + m))
@@ -559,3 +573,79 @@ def gl11():
 def in_local_ring(ring, p, datum):
     """p lies in the local ring ("I" or "J") of the odd root of datum."""
     return not membership_conditions(p, datum, ring)
+
+
+def oracle_verify_algebra(g):
+    """liesuper.verify_algebra bracketing basis vectors through
+    LieSuperalgebra.bracket and the form through LieSuperalgebra.b, one
+    triple or pair at a time: the same report, entries in the same order."""
+    report = []
+    dim, par = g.dim, g.parity
+
+    for (i, j), out in g.brackets.items():
+        want = (par[i] + par[j]) % 2
+        for k, v in out.items():
+            if v and par[k] != want:
+                report.append({"check": "bracket-parity", "at": (i, j, k)})
+        if i == j and par[i] == 0 and any(out.values()):
+            report.append({"check": "antisymmetry", "at": (i, i)})
+        if i != j and (j, i) in g.brackets and i < j:
+            sign = -1 if par[i] * par[j] == 0 else 1
+            mirror = {k: sign * v for k, v in g.brackets[(j, i)].items() if v}
+            if mirror != {k: v for k, v in out.items() if v}:
+                report.append({"check": "antisymmetry", "at": (j, i)})
+
+    basis = g.basis_vectors()
+    for i in range(dim):
+        for j in range(dim):
+            bij = g.bracket(basis[i], basis[j])
+            for k in range(dim):
+                lhs = g.bracket(basis[i], g.bracket(basis[j], basis[k]))
+                rhs = g.bracket(bij, basis[k])
+                sgn = Q(-1) if par[i] * par[j] else Q(1)
+                rhs = rhs + g.bracket(basis[j], g.bracket(basis[i], basis[k])).scale(sgn)
+                if lhs != rhs:
+                    report.append({"check": "jacobi", "at": (i, j, k)})
+
+    if g.theta is not None:
+        t = g.theta
+        if t.mul(t) != ScalarMatrix.identity(dim):
+            report.append({"check": "theta-involution", "at": ()})
+        for j in range(dim):
+            col_par = {par[i] for i in range(dim) if t.rows[i].get(j)}
+            if col_par - {par[j]}:
+                report.append({"check": "theta-even", "at": (j,)})
+        for i in range(dim):
+            for j in range(dim):
+                lhs = g.theta_apply(g.bracket(basis[i], basis[j]))
+                rhs = g.bracket(g.theta_apply(basis[i]), g.theta_apply(basis[j]))
+                if lhs != rhs:
+                    report.append({"check": "theta-automorphism", "at": (i, j)})
+
+    if g.form is not None:
+        bmat = g.form
+        for i in range(dim):
+            for j in range(dim):
+                bij = bmat.entry(i, j)
+                if par[i] != par[j] and bij:
+                    report.append({"check": "form-even", "at": (i, j)})
+                sign = Q(-1) if par[i] * par[j] else Q(1)
+                if bij != sign * bmat.entry(j, i):
+                    report.append({"check": "form-supersymmetric", "at": (i, j)})
+        if rank(bmat.rows) != dim:
+            report.append({"check": "form-nondegenerate", "at": ()})
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    lhs = g.b(g.bracket(basis[i], basis[j]), basis[k])
+                    rhs = g.b(basis[i], g.bracket(basis[j], basis[k]))
+                    if lhs != rhs:
+                        report.append({"check": "form-invariant", "at": (i, j, k)})
+        if g.theta is not None:
+            for i in range(dim):
+                for j in range(dim):
+                    if g.b(g.theta_apply(basis[i]), g.theta_apply(basis[j])) \
+                            != bmat.entry(i, j):
+                        report.append({"check": "form-theta-invariant", "at": (i, j)})
+
+    return report

@@ -211,17 +211,22 @@ def test_word_equals_the_product_of_factors_solved_one_by_one(data):
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_invariants_and_gamma_hold_fractions_or_quads(name):
-    # straightening runs on ints where it can; the invariants, their
-    # companion basis and Gamma of each invariant or straightened word are
-    # results, and hold Fractions only, as the results of linalg do
+    # straightening runs on ints where it can; the invariants and their
+    # companion basis are elements of U(g), and hold ints where integral
+    # and non-integral Fractions otherwise, as pbw's normal forms do; Gamma
+    # of each invariant or straightened word is a result, and holds
+    # Fractions only, as the results of linalg do
     ctx = CATALOG[name].build().ctx
     basis = invariants_up_to_degree(ctx, 3)
     assert basis.companion
     words = [ctx.uea.normal_form_word(m[::-1])
              for m in ctx.uea.monomials_up_to(3)]
-    values = [c for v in basis.invariants + basis.companion for c in v.values()]
-    values += [c for v in basis.invariants + words
-               for c in ctx.hc_gamma(v).terms.values()]
+    elements = [c for v in basis.invariants + basis.companion
+                for c in v.values()]
+    assert all(type(c) is int or type(c) is Q and c.denominator != 1
+               for c in elements), {type(c) for c in elements}
+    values = [c for v in basis.invariants + words
+              for c in ctx.hc_gamma(v).terms.values()]
     assert values
     assert all(isinstance(c, Q) for c in values), \
         {type(c) for c in values}
@@ -369,7 +374,8 @@ def test_generator_rows_match_all_letter_rows(name):
 def test_bases_read_off_the_echelon_match_the_oracles(name):
     """One degree past the default: the invariants equal the all-letter
     kernel, and the companion the kernel of the invariants restricted to
-    the monomials without a k index, summed from the invariants."""
+    the monomials without a k index, summed from the invariants; each
+    coefficient is an int or a non-integral Fraction."""
     entry = CATALOG[name]
     ctx = entry.build().ctx
     d = entry.default_degree + 1
@@ -378,6 +384,9 @@ def test_bases_read_off_the_echelon_match_the_oracles(name):
     assert basis.invariants == invariants
     assert basis.companion == companion
     assert basis.companion == ideal_part(ctx, basis.invariants)
+    # ints where integral, as pbw's normal forms hold them
+    assert all(type(c) is int or type(c) is Q and c.denominator != 1
+               for v in basis.invariants + basis.companion for c in v.values())
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -12,8 +12,8 @@ from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, MissingForm,
                               theta_eigenspaces, verify_algebra)
 from superhc.pairs import build_pair, restricted_roots
 from superhc.rings import ANISOTROPIC, ISOTROPIC, build_rank_one_model
-from support import (adapted_brackets_pairwise, derived_and_center, p_dims,
-                     solve_membership)
+from support import (adapted_brackets_pairwise, derived_and_center,
+                     oracle_verify_algebra, p_dims, solve_membership)
 
 
 def catalog_algebras():
@@ -94,22 +94,111 @@ def test_adapted_brackets_are_the_pairwise_brackets_rebased(name, a_scale):
             assert type(v) is (int if v.denominator == 1 else Q), (key, k, v)
 
 
-def test_planted_antisymmetry_defect_is_reported():
+def _planted_antisymmetry():
     # [e,f] = h together with [f,e] = h violates antisymmetry at (f,e)
-    g = LieSuperalgebra(
+    return LieSuperalgebra(
         ["e", "h", "f"], [0, 0, 0],
         {(0, 2): {1: Q(1)}, (2, 0): {1: Q(1)},
          (1, 0): {0: Q(2)}, (1, 2): {2: Q(-2)}})
+
+
+def _planted_jacobi(half=False):
+    # [h, f] = 2f where sl2 has -2f; with half, [e, f] = h / 2 as well, so
+    # that the table's scale is 2
+    return LieSuperalgebra(
+        ["e", "h", "f"], [0, 0, 0],
+        {(0, 2): {1: Q(1, 2) if half else Q(1)}, (1, 0): {0: Q(2)},
+         (1, 2): {2: Q(2)}})
+
+
+def _planted_theta_involution():
+    # a map that is -id on the odd part and zero on the even part fails
+    # the involution axiom
+    g = osp12()
+    t = ScalarMatrix(5, 5)
+    for i in range(5):
+        if g.parity[i]:
+            t.rows[i][i] = Q(-1)
+    g.theta = t
+    return g
+
+
+def _matrix(rows):
+    m = ScalarMatrix(len(rows), len(rows))
+    for i, row in enumerate(rows):
+        m.rows[i] = {j: Q(x) for j, x in enumerate(row) if x}
+    return m
+
+
+def _planted_theta_automorphism():
+    # e -> e, h -> -h, f -> f is an even involution of sl2, but
+    # theta [e, f] = -h while [theta e, theta f] = h
+    g = sl2()
+    g.theta = _matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    return g
+
+
+def _planted_form():
+    # the Chevalley involution e <-> f, h -> -h is an automorphism, but
+    # the form diag(1, 1, 2) is neither invariant nor theta-invariant
+    g = sl2()
+    g.form = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    g.theta = _matrix([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+    return g
+
+
+def _planted_odd_jacobi():
+    # osp(1|2) with [x, x] doubled: the Jacobi identity fails on triples
+    # with odd letters, and its form is no longer invariant
+    g = osp12()
+    brackets = {key: dict(out) for key, out in g.brackets.items()}
+    brackets[(3, 3)] = {k: 2 * v for k, v in brackets[(3, 3)].items()}
+    return LieSuperalgebra(g.names, g.parity, brackets, g.form, g.theta)
+
+
+PLANTED = {
+    "antisymmetry": (_planted_antisymmetry, "antisymmetry"),
+    "jacobi": (_planted_jacobi, "jacobi"),
+    "jacobi-half": (lambda: _planted_jacobi(half=True), "jacobi"),
+    "theta-involution": (_planted_theta_involution, "theta-involution"),
+    "theta-automorphism": (_planted_theta_automorphism, "theta-automorphism"),
+    "form-invariant": (_planted_form, "form-invariant"),
+    "form-theta-invariant": (_planted_form, "form-theta-invariant"),
+    "odd-jacobi": (_planted_odd_jacobi, "jacobi"),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+def test_planted_defect_report_matches_the_bracket_oracle(name):
+    # the scan sums table rows; the oracle brackets basis vectors one
+    # triple at a time.  Same entries, in the same order
+    build, check = PLANTED[name]
+    g = build()
     report = verify_algebra(g)
+    assert report == oracle_verify_algebra(g)
+    assert any(v["check"] == check for v in report)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_report_matches_the_bracket_oracle(name):
+    # the entry's algebra, the algebra a group entry doubles, and the
+    # Iwasawa-adapted algebra, whose table need not be integral
+    an = CATALOG[name].build()
+    algebras = [an.pair.g, an.ctx.adapted]
+    if name.startswith("group-"):
+        algebras.append(catalog_algebras()[name[len("group-"):]])
+    for g in algebras:
+        assert verify_algebra(g) == oracle_verify_algebra(g) == []
+
+
+def test_planted_antisymmetry_defect_is_reported():
+    report = verify_algebra(_planted_antisymmetry())
     assert any(v["check"] == "antisymmetry" and v["at"] == (2, 0)
                for v in report)
 
 
 def test_planted_jacobi_defect_is_reported():
-    g = LieSuperalgebra(
-        ["e", "h", "f"], [0, 0, 0],
-        {(0, 2): {1: Q(1)}, (1, 0): {0: Q(2)}, (1, 2): {2: Q(2)}})
-    report = verify_algebra(g)
+    report = verify_algebra(_planted_jacobi())
     assert any(v["check"] == "jacobi" for v in report)
 
 
@@ -168,15 +257,7 @@ def test_theta_eigenspaces_group_type():
 
 
 def test_degenerate_theta_rejected_at_validation():
-    # a map that is -id on the odd part and zero on the even part fails
-    # the involution axiom
-    g = osp12()
-    t = ScalarMatrix(5, 5)
-    for i in range(5):
-        if g.parity[i]:
-            t.rows[i][i] = Q(-1)
-    g.theta = t
-    report = verify_algebra(g)
+    report = verify_algebra(_planted_theta_involution())
     assert any(v["check"] == "theta-involution" for v in report)
 
 

@@ -15,8 +15,8 @@ from superhc.serialization import uea_to_json
 from superhc.serialization import dumps_canonical
 from superhc.catalog import verify_main_theorem
 from support import (adjoint, change_basis, derived_bracket, oracle_adjoint,
-                     oracle_degree, oracle_multiply, oracle_normal_form,
-                     rightmost, rightmost_normal_form)
+                     oracle_degree, oracle_monomials_up_to, oracle_multiply,
+                     oracle_normal_form, rightmost, rightmost_normal_form)
 
 
 def random_element(uea, rng, max_len=3, terms=3):
@@ -254,6 +254,21 @@ def test_weighted_monomials_are_the_weight_zero_ones():
                                for w in weights)]
                 assert uea.monomials_up_to(d, weights) == want, (name, d)
     assert UEA(sl2()).monomials_up_to(-1, [[1, 0, -1]]) == []
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_monomials_match_the_combinations_oracle(name):
+    # one degree past the default, with the diagonal weights of k and with
+    # none: the recursion that ends on a table of letter pairs against
+    # every multiset of letters, filtered and sorted
+    entry = CATALOG[name]
+    ctx = entry.build().ctx
+    uea = ctx.uea
+    d = entry.default_degree + 1
+    weights = list(k_generating_letters(ctx)[0].values())
+    assert uea.monomials_up_to(d, weights) \
+        == oracle_monomials_up_to(uea.parity, d, weights)
+    assert uea.monomials_up_to(d) == oracle_monomials_up_to(uea.parity, d)
 
 
 # -- straightening against the Fraction-only oracle ----------------------------

@@ -6,7 +6,8 @@ rank-one generator images.  A change that alters those bytes or verdicts fails h
 ordinary test run, instead of only in the benchmark's correctness check.
 The file is only read.  Two stretch jobs past the benchmark's ladders,
 rank1-aniso-q2 at degree 6 through invariants and through verify, are
-pinned by their own hashes here.  So is every
+pinned by their own hashes here, and so are `superhc invariants` of
+group-gl12 and rank1-aniso-q3 at degree 5.  So is every
 word of the gamma-session pool, the output of `superhc gamma` on it, and
 every filtered dimension the gamma session asks for.
 """
@@ -63,6 +64,24 @@ def test_invariants_stretch_stdout_rank1_aniso_q2_6(capsys):
         == "c705307a2372192ca1224add49f635895a221733b4b907a4041ed5a198743fd5"
     report = json.loads(out)
     assert (len(report["invariants"]), len(report["ideal_part"])) == (20, 15)
+
+
+@pytest.mark.parametrize("entry, sha256", [
+    ("group-gl12",
+     "f456f25272695041063ffa67030c460ef4948688884bc51944c4f4787b7c6f65"),
+    ("rank1-aniso-q3",
+     "e49e2d53866345019ba7028bafe32fa568a0822fda77aa38ebdd0fc6acea5b3a"),
+])
+def test_invariants_stretch_stdout_at_degree_5(capsys, entry, sha256):
+    # one degree past the top of the group-gl12 ladder, and the largest
+    # entry, whose weight-zero monomials run longest; the hashes are of
+    # the stdout that reading each basis off the echelon with one Fraction
+    # per coefficient, and listing the monomials one letter at a time,
+    # produced
+    code = main(["invariants", entry, "--degree", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_verify_stretch_stdout_rank1_aniso_q2_6(capsys):
