@@ -114,7 +114,7 @@ def cmd_invariants(args) -> int:
     degree = _degree(args, analysis.default_degree)
     basis = invariants_up_to_degree(analysis.ctx, degree)
     adapted = analysis.ctx.adapted
-    # each invariant and companion is built as JSON objects, written and
+    # each invariant and companion is built as JSON text, written and
     # dropped in turn (write_canonical); everything else is computed before
     # the first byte is written
     out = {

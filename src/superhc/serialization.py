@@ -171,9 +171,31 @@ def words_from_json(data: dict) -> List[Tuple[List[str], ScalarLike]]:
     return terms
 
 
-def uea_to_json(u: UEAElement) -> list:
-    return [{"monomial": list(m), "coeff": scalar_to_string(u[m])}
-            for m in sorted(u, key=lambda m: (len(m), m))]
+class Canonical:
+    """JSON text already in canonical form, held as .text.  dumps_canonical
+    and write_canonical copy it as it is where it is the object, a value of
+    the report or an item of a list there; it is not a str, so anywhere
+    else the encoder raises TypeError rather than write it as a string."""
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def uea_to_json(u: UEAElement) -> Canonical:
+    """u as canonical JSON text: the array of {"coeff", "monomial"} objects,
+    one per term, by (length, lex) of the monomials.  No object is built
+    and no key sorted per term: one encoder call writes the monomials,
+    "[[0,1],[2]]", and their texts are the pieces between "],[", each
+    joined to its coefficient's string with the keys in sorted order.
+    Only dumps_canonical and write_canonical take the result."""
+    monomials = sorted(sorted(u), key=len)
+    if not monomials:
+        return Canonical("[]")
+    letters = _CANONICAL.encode(monomials)[2:-2].split("],[")
+    return Canonical('[{"coeff":"' + ']},{"coeff":"'.join([
+        scalar_to_string(u[m]) + '","monomial":[' + text
+        for m, text in zip(monomials, letters)]) + "]}]")
 
 
 def poly_to_json(p: APoly, names: Sequence[str]) -> dict:
@@ -225,24 +247,53 @@ def poly_from_json(data: dict, names: Sequence[str]) -> APoly:
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def _holds_text(value) -> bool:
+    """Whether value is Canonical text or a list with Canonical items."""
+    return type(value) is Canonical \
+        or type(value) is list and Canonical in map(type, value)
+
+
+def _encode(value) -> str:
+    """value as canonical JSON text: Canonical text as it is, a list holding
+    some item by item, anything else one call of the encoder."""
+    if type(value) is Canonical:
+        return value.text
+    if _holds_text(value):
+        return "[" + ",".join(map(_encode, value)) + "]"
+    return _CANONICAL.encode(value)
+
+
+def _pieces(report: dict) -> Iterator[str]:
+    """The text of report and a newline, in pieces: one per key and value,
+    sorted by key, each value through _encode; an iterator value is
+    written as a JSON array, one piece per item, drawn as it is written."""
+    encode = _CANONICAL.encode
+    yield "{"
+    for n, key in enumerate(sorted(report)):
+        yield ("," if n else "") + encode(key) + ":"
+        value = report[key]
+        if not isinstance(value, Iterator):
+            yield _encode(value)
+            continue
+        yield "["
+        for t, item in enumerate(value):
+            yield ("," if t else "") + _encode(item)
+        yield "]"
+    yield "}\n"
+
+
 def dumps_canonical(obj) -> str:
-    return _CANONICAL.encode(obj) + "\n"
+    """obj as canonical JSON text and a newline: sorted keys, no spaces.
+    Canonical text is copied as it is where it is obj, a value of a dict obj
+    or an item of a list value (_pieces); an obj holding none is one call
+    of the encoder."""
+    if type(obj) is dict and any(map(_holds_text, obj.values())):
+        return "".join(_pieces(obj))
+    return _encode(obj) + "\n"
 
 
 def write_canonical(out: TextIO, report: dict) -> None:
     """Write dumps_canonical(report) to out, where a value of report may be
     an iterator: it is written as a JSON array, one item encoded at a time,
-    so that only one item is held as objects at once."""
-    encode = _CANONICAL.encode
-    out.write("{")
-    for n, key in enumerate(sorted(report)):
-        out.write(("," if n else "") + encode(key) + ":")
-        value = report[key]
-        if not isinstance(value, Iterator):
-            out.write(encode(value))
-            continue
-        out.write("[")
-        for t, item in enumerate(value):
-            out.write(("," if t else "") + encode(item))
-        out.write("]")
-    out.write("}\n")
+    so that only one item is held at once (_pieces)."""
+    out.writelines(_pieces(report))

@@ -16,6 +16,7 @@ from superhc.liesuper import (LieSuperalgebra, MixedAlgebras, SuperVector,
 from superhc.pairs import a_perp_in_p
 from superhc.pbw import UEA, accumulate
 from superhc.rings import membership_conditions
+from superhc.scalars import scalar_to_string
 
 # The oracles that straighten every word up to a length, or supersymmetrise
 # a generator of S(g)^k, cap that degree for the largest catalog entry
@@ -537,6 +538,14 @@ def oracle_multiply(alg, u, v):
         for m2, c2 in v.items():
             accumulate(acc, oracle_normal_form(alg, m1 + m2), c1 * c2)
     return acc
+
+
+def uea_objects(u):
+    """u in the element schema as JSON objects: one {"monomial", "coeff"}
+    dict per term, by (length, lex) of the monomials.  The oracle for
+    serialization.uea_to_json."""
+    return [{"monomial": list(m), "coeff": scalar_to_string(u[m])}
+            for m in sorted(u, key=lambda m: (len(m), m))]
 
 
 def gamma_preimage(ctx, target, d):
