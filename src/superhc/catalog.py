@@ -48,9 +48,8 @@ def verify_certificate(g: LieSuperalgebra) -> None:
     center, ideals = dec["center"], dec["ideals"]
     basis = g.basis_vectors()
     for v in center:
-        for x in basis:
-            if g.bracket(x, v):
-                raise NoCertificate("declared central element is not central")
+        if any(g.bracket_each(v, basis)):
+            raise NoCertificate("declared central element is not central")
     all_vecs = list(center) + [v for ideal in ideals for v in ideal]
     if matrix_rank(v.c for v in all_vecs) != len(all_vecs) \
             or len(all_vecs) != g.dim:
@@ -58,9 +57,9 @@ def verify_certificate(g: LieSuperalgebra) -> None:
     for ideal in ideals:
         solve = linear_solver([v.c for v in ideal])
         for x in basis:
-            for v in ideal:
+            for out in g.bracket_each(x, ideal):
                 try:
-                    solve(g.bracket(x, v).c)
+                    solve(out.c)
                 except ValueError:
                     raise NoCertificate("declared ideal is not an ideal") from None
         if g.form is not None:

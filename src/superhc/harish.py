@@ -18,9 +18,9 @@ from .linalg import (Echelon, Row, ScalarMatrix, integral_row,
                      linear_solver, nullspace)
 from .liesuper import LieSuperalgebra, SuperVector
 from .pairs import (RestrictedRootSystem, SymmetricPair, a_perp_in_p, rho)
-from .pbw import (Monomial, SymElement, UEA, UEAElement, _ratio, accumulate,
+from .pbw import (Monomial, SymElement, UEA, UEAElement, accumulate,
                   supersymmetrise, sym_multiply, times_last)
-from .scalars import int_if_integral
+from .scalars import int_if_integral, ratio
 
 Q = Fraction
 
@@ -54,11 +54,11 @@ class IwasawaContext:
         self.blocks = ["N"] * len(n_basis) + ["A"] * len(a_basis) \
             + ["K"] * len(k_basis)
         # the adapted coordinates of each basis letter of the original
-        # algebra, solved once: to_adapted is linear, and so is the bracket,
-        # so the adapted brackets are sums of these rows too
+        # algebra, solved once, ints where integral: a change of basis is
+        # linear, and so is the bracket, so the adapted brackets are sums
+        # of these rows too
         solve = linear_solver([v.c for v in vectors])
-        self._coords = [{j: int_if_integral(x) for j, x in solve({i: 1}).items()}
-                        for i in range(g.dim)]
+        self._coords = [solve({i: 1}) for i in range(g.dim)]
         # each vector scaled to integers once, y_i = s_i v_i, so that
         # [v_i, v_j] = [y_i, y_j] / (s_i s_j) brackets ints only
         scaled = [integral_row(v.c) for v in vectors]
@@ -85,15 +85,12 @@ class IwasawaContext:
             [APoly.variable(self.rank, i) + APoly.const(self.rank, x)
              for i, x in enumerate(self.rho)])
         # each basis letter of the original algebra as a scaled element
-        # (y, s) of U(g): the letter is y / s
-        self._letters = [self.uea.scaled(self.uea.from_vector(
-            self.to_adapted(pair.g.basis(i)))) for i in range(pair.g.dim)]
+        # (y, s) of U(g), read off its adapted coordinates: the letter is
+        # y / s
+        self._letters = [self.uea.scaled({(j,): c for j, c in row.items()})
+                         for row in self._coords]
 
     # -- conversions ---------------------------------------------------------
-    def to_adapted(self, v: SuperVector) -> SuperVector:
-        """v in the adapted basis, integral coordinates as ints."""
-        return SuperVector(self.adapted, self._adapted_row(v.c))
-
     def _adapted_row(self, c: Row, s: int = 1) -> Row:
         """The adapted coordinates of the vector with coordinates c / s in
         the original algebra, integral ones as ints: the sum of c's
@@ -331,13 +328,13 @@ def _close(alg, span: Echelon, elems: List[SuperVector],
            letters: Sequence[int]) -> None:
     """Grow elems, a basis of the span, to the subalgebra generated by elems
     and letters; span keeps the echelon form of elems."""
-    todo: List[Row] = [{x: Q(1)} for x in letters]
+    todo: List[Row] = [{x: 1} for x in letters]
     while todo:
         r = todo.pop()
         if span.insert(r):
             v = SuperVector(alg, r)
             elems.append(v)
-            todo.extend(alg.bracket(v, w).c for w in elems)
+            todo.extend(out.c for out in alg.bracket_each(v, elems))
 
 
 def _is_partner(alg, diagonal: Dict[int, List], e: int, f: int) -> bool:
@@ -468,14 +465,21 @@ def invariants_up_to_degree(ctx: IwasawaContext, d: int) -> InvariantBasis:
     uea = ctx.uea
     diagonal, generators = k_generating_letters(ctx)
     kept = uea.monomials_up_to(d, list(diagonal.values()))
-    rows: Dict[Tuple[int, Monomial], Row] = {}
+    # one row per output monomial for each generator, and every row in the
+    # order it first appears
+    by_generator = [(x, {}) for x in generators]
+    system: List[Row] = []
     for t, m in enumerate(kept):
         keep = len(m) < d
-        for x in generators:
+        for x, rows in by_generator:
             for mt, c in uea.scaled_adjoint(x, {m: 1}, keep).items():
-                rows.setdefault((x, mt), {})[t] = c
-    system = sorted(rows.values(), key=lambda r: (-min(r), len(r)))
-    del rows
+                row = rows.get(mt)
+                if row is None:
+                    row = rows[mt] = {}
+                    system.append(row)
+                row[t] = c
+    del by_generator
+    system.sort(key=lambda r: (-min(r), len(r)))
     ech = Echelon()
     for r in system:
         ech.insert(r)
@@ -487,7 +491,7 @@ def _bases(ctx: IwasawaContext, kept: List[Monomial], ech: Echelon, d: int
            ) -> Tuple[List[UEAElement], List[UEAElement]]:
     """(invariants, companion) read off ech, the Echelon of the system over
     the columns kept, each coefficient an int where integral and one
-    Fraction otherwise (pbw._ratio).
+    Fraction otherwise (scalars.ratio).
 
     Scaling the columns and rows of a matrix leaves its free columns, so
     the kernel vector of free column f, a 1 at f and -r_p[f] / r_p[p] at
@@ -516,7 +520,7 @@ def _bases(ctx: IwasawaContext, kept: List[Monomial], ech: Echelon, d: int
         elem: UEAElement = {}
         for p in sorted(cols.get(f, ())):
             r = pivots[p]
-            elem[kept[p]] = _ratio(r[f], x, r[p] * powers[p])
+            elem[kept[p]] = ratio(r[f], x, r[p] * powers[p])
         elem[kept[f]] = 1
         invariants.append(elem)
 
@@ -546,10 +550,10 @@ def _bases(ctx: IwasawaContext, kept: List[Monomial], ech: Echelon, d: int
         elem = {}
         for p in sorted(sums):
             if sums[p]:
-                elem[kept[p]] = _ratio(-sums[p], 1, den * pivots[p][p]
+                elem[kept[p]] = ratio(-sums[p], 1, den * pivots[p][p]
                                        * powers[p])
         for t, c in coords.items():
-            elem[kept[free[t]]] = int_if_integral(c)
+            elem[kept[free[t]]] = c
         companion.append(elem)
     return invariants, companion
 

@@ -8,14 +8,16 @@ instead of raising, so defective input can be diagnosed in one pass.
 Scalar contract: scalars are rational, ints or Fractions.  A basis vector
 holds the int 1.  The brackets dict keeps the scalars it was given, while
 bracket_indices returns each integral coefficient as an int and every
-other one as a Fraction.  bracket_each brackets one vector against a list
-in the integers: it scales each vector to integers once, sums int
-products against the table times the common denominator of its
-constants, and divides each output coordinate once, so brackets of
-integral vectors on an integral table are ints; bracket is its one-pair
-case.
+other one as a Fraction.  bracket_each, the one bracket routine,
+brackets one vector against a list in the integers: it reads the
+coefficients of a vector of ints as they are and scales any other vector
+to integers once, sums int products against the table times the common
+denominator of its constants, and divides each output coordinate once,
+an int where that is exact; so brackets of integral vectors on an
+integral table are ints, and bracket is its one-pair case.
 U(g) does not straighten on these constants directly: pbw.UEA rescales
-the basis by their common denominator, where every constant is integral.
+the basis by their common denominator, where every constant is integral,
+and reads the two-sided table as it is when that denominator is 1.
 An int equals, hashes and prints like the equal Fraction.
 """
 
@@ -27,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import (ScalarMatrix, accumulate, eigenspace, integral_row,
                      kernel, rank)
-from .scalars import int_if_integral
+from .scalars import int_if_integral, ratio
 
 Q = Fraction
 
@@ -169,19 +171,20 @@ class LieSuperalgebra:
     def bracket_each(self, x: SuperVector, ys: Iterable[SuperVector]
                      ) -> List[SuperVector]:
         """[x, y] for each y of ys, summed in the integers: x and each y are
-        scaled to integers once (a vector of ints as it is), their products
-        run against the integral table, and each output coordinate is
-        divided once by the product of the three scales."""
+        scaled to integers once (a vector of ints is read as it is), their
+        products run against the integral table, and each output
+        coordinate is divided once by the product of the three scales, an
+        int where that is exact."""
         if x.alg is not self:
             raise MixedAlgebras("bracket of vectors from another algebra")
-        xs, sx = integral_row(x.c)
+        xs, sx = _integral(x.c)
         sx *= self._scale
         table = self._integral
         outs = []
         for y in ys:
             if y.alg is not self:
                 raise MixedAlgebras("bracket of vectors from another algebra")
-            yr, sy = integral_row(y.c)
+            yr, sy = _integral(y.c)
             acc: Dict[int, object] = {}
             for i, xi in xs.items():
                 for j, yj in yr.items():
@@ -190,7 +193,7 @@ class LieSuperalgebra:
                         accumulate(acc, out, xi * yj)
             s = sx * sy
             if s != 1:
-                acc = {k: Q(v, s) for k, v in acc.items()}
+                acc = {k: ratio(v, 1, s) for k, v in acc.items()}
             outs.append(SuperVector(self, acc))
         return outs
 
@@ -226,6 +229,14 @@ class LieSuperalgebra:
 
 
 _EMPTY: Dict[int, object] = {}
+
+
+def _integral(c: Dict[int, object]) -> Tuple[Dict[int, object], int]:
+    """integral_row of a vector's coefficients, which hold no zeros: those
+    of a vector of ints are read as they are, not copied."""
+    if {int}.issuperset(map(type, c.values())):
+        return c, 1
+    return integral_row(c)
 
 
 def _two_sided(brackets, parity) -> Dict[Tuple[int, int], Dict[int, object]]:
@@ -355,8 +366,8 @@ def theta_eigenspaces(g: LieSuperalgebra) -> Tuple[List[SuperVector], List[Super
     """(k, p): the +1 and -1 eigenspaces of theta, as echelon bases."""
     if g.theta is None:
         raise MissingInvolution("theta_eigenspaces needs an involution")
-    k = [SuperVector(g, v) for v in eigenspace([g.theta], [Q(1)])]
-    p = [SuperVector(g, v) for v in eigenspace([g.theta], [Q(-1)])]
+    k = [SuperVector(g, v) for v in eigenspace([g.theta], [1])]
+    p = [SuperVector(g, v) for v in eigenspace([g.theta], [-1])]
     if len(k) + len(p) != g.dim:
         raise ValueError("theta is not diagonalisable with eigenvalues +-1")
     return k, p

@@ -3,15 +3,16 @@
 A vector is a Row, a sparse dict from column to a nonzero scalar; every
 function here takes and returns vectors in that one form.  Inputs may hold
 ints and Fractions, and ScalarMatrix keeps the ints it is given; what an
-elimination returns (kernels, span bases, solutions, eigenvalues) holds
-Fractions only.  Every elimination goes through Echelon, which works in
-the integers only: a row is scaled once to integers (a row of ints
-enters as it is), swept without division and made primitive once, when
-it is inserted, so pivots need not be 1; a column index tells each new
-pivot which stored rows to clear.
-Readers divide by the pivot as they read: a kernel vector or a span basis
-row is built with one Fraction per entry, and Echelon.reduce divides the
-residual once, by the scale of its sweep.
+elimination returns (kernels, span bases, solutions, eigenvalues) holds an
+int where the value is integral and one Fraction otherwise, never a float.
+Every elimination goes through Echelon, which works in the integers only:
+a row is scaled once to integers (a row of ints enters as it is), swept
+without division and made primitive once, when it is inserted, so pivots
+need not be 1; a column index tells each new pivot which stored rows to
+clear.
+Readers divide by the pivot as they read (scalars.ratio): a kernel vector
+or a span basis row is built with one division per entry, and
+Echelon.reduce divides the residual once, by the scale of its sweep.
 No pivot thresholds, no rounding, ever.
 """
 
@@ -22,7 +23,7 @@ from math import gcd, lcm
 from typing import (Dict, Hashable, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from .scalars import int_if_integral
+from .scalars import ratio
 
 Q = Fraction
 Row = Dict[int, object]
@@ -173,10 +174,13 @@ class Echelon:
         return r, s
 
     def reduce(self, row: Row) -> Row:
-        """row minus its components along the stored rows, as a new row of
-        Fractions: one division per entry, by the scale of the sweep."""
+        """row minus its components along the stored rows, as a new row:
+        one division per entry, by the scale of the sweep, an int where it
+        is exact."""
         r, s = self._sweep(row)
-        return {j: Q(x, s) for j, x in r.items()}
+        if s == 1:
+            return r
+        return {j: ratio(x, 1, s) for j, x in r.items()}
 
     def insert(self, row: Row) -> bool:
         """Add row to the span; False if it lay in the span already."""
@@ -285,14 +289,15 @@ def nullspace(m: ScalarMatrix) -> List[Row]:
 def _kernel_basis(ech: Echelon, ncols: int) -> List[Row]:
     """The reduced echelon basis of the vectors on ncols columns that ech's
     rows annihilate (see nullspace).  Entry p of the vector of free column
-    f is -rows[p][f] / rows[p][p], built as one Fraction from integer rows."""
+    f is -rows[p][f] / rows[p][p], built once from integer rows: an int
+    where the pivot divides it, else one Fraction; the entry at f is 1."""
     rows, cols = ech.rows, ech.cols
     basis = []
     for f in range(ncols):
         if f not in rows:
-            v: Row = {p: Q(-rows[p][f], rows[p][p])
+            v: Row = {p: ratio(-rows[p][f], 1, rows[p][p])
                       for p in sorted(cols.get(f, ()))}
-            v[f] = Q(1)
+            v[f] = 1
             basis.append(v)
     return basis
 
@@ -314,9 +319,8 @@ def kernel(columns: Iterable[Dict[Hashable, object]]) -> List[Row]:
 
 
 def _shifted_rows(m: ScalarMatrix, ev) -> List[Row]:
-    """The rows of m - ev * I, an integral ev as an int."""
+    """The rows of m - ev * I."""
     rows = [dict(row) for row in m.rows]
-    ev = int_if_integral(ev)
     if ev:
         for i, r in enumerate(rows):
             r[i] = r.get(i, 0) - ev
@@ -384,7 +388,8 @@ def _minimal_polynomial(m: ScalarMatrix) -> List:
         row[top + k] = 1
         r, _ = ech._sweep(row)
         if min(r) >= top:
-            return [Q(r.get(top + j, 0), r[top + k]) for j in range(k, -1, -1)]
+            return [ratio(r.get(top + j, 0), 1, r[top + k])
+                    for j in range(k, -1, -1)]
         ech._store(r)
         power, k = m.mul(power), k + 1
 
@@ -403,7 +408,8 @@ def rational_roots(coeffs: List) -> Optional[List[Tuple[Fraction, int]]]:
     largest first, and divides each out where it meets it.  A step at
     which S < 0 or S' <= 0 has passed a root that is not an integer, or S
     has roots off the real line: f does not split.  The roots are listed
-    by |numerator|, then denominator, a positive root before its negative.
+    by |numerator|, then denominator, a positive root before its negative;
+    each is an int where it is integral, else one Fraction.
     """
     L = lcm(*(Q(c).denominator for c in coeffs))
     s = [int(Q(c) * L ** k) for k, c in enumerate(coeffs)]
@@ -420,7 +426,7 @@ def rational_roots(coeffs: List) -> Optional[List[Tuple[Fraction, int]]]:
             return None
         # y - ceil(value / slope): the floor of the Newton step
         y += -value // slope
-    roots = [(Q(y, L), m) for y, m in mult.items()]
+    roots = [(ratio(y, 1, L), m) for y, m in mult.items()]
     return sorted(roots, key=lambda r: (abs(r[0].numerator), r[0].denominator,
                                         r[0] < 0))
 
@@ -487,7 +493,8 @@ def simultaneous_eigenspaces(ms: Sequence[ScalarMatrix]
 
 
 def span_basis(vectors: Iterable[Row]) -> List[Row]:
-    """A deterministic echelon basis of the span of the given rows."""
+    """A deterministic echelon basis of the span of the given rows: each
+    row divided by its pivot, an int where that is exact."""
     rows = _echelonise(list(vectors)).rows
-    return [{j: Q(r[j], r[p]) for j in sorted(r)}
+    return [{j: ratio(r[j], 1, r[p]) for j in sorted(r)}
             for p, r in sorted(rows.items())]

@@ -96,9 +96,8 @@ def build_pair(g: LieSuperalgebra, a_vectors: Sequence[SuperVector]) -> Symmetri
         if g.theta_apply(v) != -v:
             raise NotInEvenP("a must lie in p")
     for i, x in enumerate(a_vectors):
-        for y in a_vectors[i:]:
-            if g.bracket(x, y):
-                raise NotAbelian("a is not abelian")
+        if any(g.bracket_each(x, a_vectors[i:])):
+            raise NotAbelian("a is not abelian")
     dim_zp = centralizer_dimension(g, a_vectors, p_basis)
     if dim_zp != len(a_vectors):
         raise CentralizerTooLarge(
@@ -258,8 +257,8 @@ def rho(system: RestrictedRootSystem) -> Tuple[Functional, Functional, Functiona
         pars = [v.parity for v in n]
         for i, h in enumerate(system.pair.a_basis):
             s = Q(0)
-            for j, v in enumerate(n):
-                c = solve(g.bracket(h, v).c).get(j, Q(0))
+            for j, out in enumerate(g.bracket_each(h, n)):
+                c = solve(out.c).get(j, 0)
                 s = s + (c if pars[j] == 0 else -c)
             if Q(1, 2) * s != rho_mult[i]:
                 raise PairError("rho from multiplicities disagrees with supertrace")

@@ -9,20 +9,22 @@ same encoding but multiply supercommutatively.  The straightening rule is
 
 applied by insertion.  Every word the library straightens is a PBW
 monomial with one letter out of place: a letter appended (a product with a
-letter) or replaced (a term of the adjoint action).  That letter walks to
-its place (UEA._walk); each swap gives a Koszul sign and the words of the
-bracket, which again have one letter out of place and are one letter
-shorter, and an equal odd letter gives the half-square words instead.  Any
-other word is fed through the walk one letter at a time (UEA._feed).
+letter) or replaced (a term of the adjoint action).  The one walk,
+UEA._walk, takes such a word in pieces (head, k, tail), head + tail a PBW
+monomial, and adds its normal form into a sum as the letter k walks to
+its place; each swap gives a Koszul sign and the words of the bracket,
+which again have one letter out of place and are one letter shorter, and
+an equal odd letter gives the half-square words instead.  Any other word
+is fed through the walk one letter at a time (UEA._feed).
 
 Memo contract: UEA._memo maps each word asked, and through the walk's
 recursion each shorter word met, to its normal form; the words of the
-asked length that a walk passes through are not kept.  A walk through
-UEA._walk_into adds its word's normal form straight into a sum and keeps
-that word nowhere, only the shorter words it meets: the adjoint action
-walks so when no later walk reads the words of its length
-(UEA.scaled_adjoint with keep false, as the invariants take it at their
-top degree).  It is the only memo of straightening: harish's
+asked length that a walk passes through are not kept.  The adjoint action
+cuts a monomial at each letter whose bracket with y_i is nonzero and,
+when no later walk reads the words of its length (UEA.scaled_adjoint with
+keep false, as the invariants take it at their top degree), walks the
+pieces straight into its sum, keeping that word nowhere, only the shorter
+words its walk meets.  It is the only memo of straightening: harish's
 projection onto U(a) goes through the adjoint action, so through the
 walk, and keeps nothing past one call.
 A value is the normal form in compact form: the flat tuple
@@ -56,7 +58,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .liesuper import LieSuperalgebra, MixedAlgebras, SuperVector
 from .linalg import accumulate
-from .scalars import int_if_integral
+from .scalars import int_if_integral, ratio
 
 Q = Fraction
 
@@ -77,19 +79,25 @@ class UEA:
         self.alg = alg
         self.parity = alg.parity
         self.dim = alg.dim
-        pairs = {(i, j): out for i in range(alg.dim) for j in range(alg.dim)
-                 if (out := alg.bracket_indices(i, j))}
+        # every pair's bracket, integral constants as ints (the algebra's
+        # two-sided table: callers must not mutate it)
+        table = alg._table
         # xi xi = (1/2) [xi, xi] for each odd letter xi
-        halves = {i: {k: c * Q(1, 2) for k, c in pairs.get((i, i), {}).items()}
+        halves = {i: {k: ratio(c, 1, 2)
+                      for k, c in table.get((i, i), _EMPTY).items()}
                   for i in range(alg.dim) if alg.parity[i]}
-        self.scale = lcm(*{c.denominator
-                           for out in [*pairs.values(), *halves.values()]
-                           for c in out.values()})
-        # the same constants in the scaled basis, all integral
-        self._brackets = {key: self._scale_constants(out)
-                          for key, out in pairs.items()}
-        self._half_square = {i: self._scale_constants(out)
-                             for i, out in halves.items()}
+        # the lcm of the table's denominators, and of the halves'
+        self.scale = lcm(alg._scale, *(c.denominator for out in halves.values()
+                                       for c in out.values()))
+        # the same constants in the scaled basis, all integral: with scale
+        # 1 the table as it is
+        if self.scale == 1:
+            self._brackets, self._half_square = table, halves
+        else:
+            self._brackets = {key: self._scale_constants(out)
+                              for key, out in table.items()}
+            self._half_square = {i: self._scale_constants(out)
+                                 for i, out in halves.items()}
         self._memo: Dict[Monomial, Compact] = {}
 
     def _scale_constants(self, out: Dict[int, object]) -> Dict[int, object]:
@@ -131,7 +139,7 @@ class UEA:
         if scale == 1 and s == 1:
             return y
         powers = [scale ** k for k in range(max(map(len, y), default=0) + 1)]
-        return {m: _ratio(c, powers[len(m)], s) for m, c in y.items()}
+        return {m: ratio(c, powers[len(m)], s) for m, c in y.items()}
 
     def word_divisor(self, word: Monomial) -> int:
         """s with y^word = s x^word."""
@@ -148,11 +156,13 @@ class UEA:
 
     def _placed(self, head: Monomial, k: int, tail: Monomial) -> Compact:
         """_straighten of head + (k,) + tail, where head + tail is a PBW
-        monomial: the walk, memoised."""
+        monomial: the walk from these pieces, memoised."""
         word = head + (k,) + tail
         hit = self._memo.get(word)
         if hit is None:
-            hit = self._memo[word] = self._walk(word, len(head))
+            acc: UEAElement = {}
+            self._walk(acc, head, k, tail, 1, word)
+            hit = self._memo[word] = compact(acc)
         return hit
 
     def _feed(self, word: Monomial) -> Compact:
@@ -165,45 +175,44 @@ class UEA:
             p += 1
         if p >= n:
             return (word, 1)
+        acc: UEAElement = {}
         if p == n - 1:
-            return self._walk(word, p)
-        acc: UEAElement = {word[:p]: 1}
+            self._walk(acc, word[:p], word[p], (), 1, word)
+            return compact(acc)
+        acc[word[:p]] = 1
         for k in word[p:]:
             grown: UEAElement = {}
             for m, c in acc.items():
-                accumulate_compact(grown, self._walk(m + (k,), len(m)), c)
+                part: UEAElement = {}
+                self._walk(part, m, k, (), 1)
+                accumulate(grown, part, c)
             acc = grown
         return compact(acc)
 
-    def _walk(self, word: Monomial, j: int) -> Compact:
-        """The normal form of y^word, in compact form, where word less its
-        letter at j is a PBW monomial: _walk_into on an empty sum."""
-        acc: UEAElement = {}
-        self._walk_into(acc, word, j, 1)
-        return compact(acc)
+    def _walk(self, acc: UEAElement, head: Monomial, k: int, tail: Monomial,
+              coeff, word: Optional[Monomial] = None) -> None:
+        """acc += coeff y^(head + (k,) + tail) in normal form, where head +
+        tail is a PBW monomial: k moves to its place.
 
-    def _walk_into(self, acc: UEAElement, word: Monomial, j: int,
-                   coeff) -> None:
-        """acc += coeff y^word in normal form, where word less its letter k
-        at j is a PBW monomial: k moves to its place.
-
-        Each swap past a letter l gives the Koszul sign and the words of
-        [l, k] (or [k, l]) in l and k's place, which again have one letter
-        out of place and are one letter shorter; meeting an equal odd
-        letter gives the half-square words instead, and ends the walk.  The
-        shorter words go through _placed, so the memo holds them, never
-        word or the words of its length the walk passes through.  The terms
-        are added as rewriting at the only violation would: the end of the
-        walk, then the swaps' words from the last swap back to the first.
-        When k stays at j the end of the walk is word itself, its tuple
-        shared.
+        The word comes in pieces, as the adjoint action and _placed cut it,
+        and is never sliced again.  Each swap past a letter l gives the
+        Koszul sign and the words of [l, k] (or [k, l]) in l and k's
+        place, which again have one letter out of place and are one letter
+        shorter; meeting an equal odd letter gives the half-square words
+        instead, and ends the walk.  The shorter words go through _placed,
+        so the memo holds them, never the walked word or the words of its
+        length the walk passes through.  The terms are added as rewriting
+        at the only violation would: the end of the walk, then the swaps'
+        words from the last swap back to the first.  When k stays in place
+        the end of the walk is word, if given (the caller's tuple of the
+        same word, shared), else the pieces joined.
         """
-        head, k, tail = word[:j], word[j], word[j + 1:]
         par = self.parity
         odd = par[k]
         brackets = self._brackets
         swaps = []  # (sign, head, [l, k] or [k, l], tail) per swap
         sign, squares = coeff, None
+        at = len(head)
         # k moves left past each greater letter (or an equal odd one) ...
         while head and (head[-1] > k or head[-1] == k and odd):
             l = head[-1]
@@ -233,7 +242,8 @@ class UEA:
                 sign = -sign
             head = head + (r,)
         if squares is None:
-            end = word if len(head) == j else head + (k,) + tail
+            end = word if word is not None and len(head) == at \
+                else head + (k,) + tail
             if end in acc:
                 sign += acc[end]
                 if not sign:
@@ -293,26 +303,30 @@ class UEA:
 
         Each term is one word of the same length with a single letter out of
         place, where the commutator x m - (-1)^{|x||m|} m x straightens two
-        longer words whose top-degree parts cancel.  Each word goes through
-        _placed, so the memo keeps it; with keep false it is walked
-        straight into the sum (_walk_into) and kept nowhere, and only the
-        shorter words its walk meets reach the memo.
+        longer words whose top-degree parts cancel.  A monomial is cut only
+        at a letter whose bracket with y_i is nonzero, and each term goes
+        to the walk as those pieces (head, k, tail).  Through _placed the
+        memo keeps it; with keep false it is walked straight into the sum
+        and kept nowhere, and only the shorter words its walk meets reach
+        the memo.
         """
         acc: UEAElement = {}
         par = self.parity
         pi = par[i]
         brackets = self._brackets
-        placed, walk_into = self._placed, self._walk_into
+        placed, walk = self._placed, self._walk
         for m, c in y.items():
             sign = c
             for j, letter in enumerate(m):
-                head, tail = m[:j], m[j + 1:]
-                for k, b in brackets.get((i, letter), _EMPTY).items():
-                    if keep:
-                        accumulate_compact(acc, placed(head, k, tail),
-                                           sign * b)
-                    else:
-                        walk_into(acc, head + (k,) + tail, j, sign * b)
+                out = brackets.get((i, letter))
+                if out:
+                    head, tail = m[:j], m[j + 1:]
+                    for k, b in out.items():
+                        if keep:
+                            accumulate_compact(acc, placed(head, k, tail),
+                                               sign * b)
+                        else:
+                            walk(acc, head, k, tail, sign * b)
                 if pi and par[letter]:
                     sign = -sign
         return acc
@@ -476,17 +490,6 @@ def accumulate_compact(acc: UEAElement, nf: Compact, coeff) -> None:
                 del acc[k]
                 continue
         acc[k] = w
-
-
-def _ratio(c, num: int, den: int):
-    """c num / den, built once: an int when c is an int and den divides
-    c num."""
-    if num == den:
-        return c
-    if type(c) is int:
-        q, r = divmod(c * num, den)
-        return Q(c * num, den) if r else q
-    return Q(c.numerator * num, c.denominator * den)
 
 
 # -- the supercommutative algebra S(g) ---------------------------------------

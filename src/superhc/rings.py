@@ -30,7 +30,7 @@ from .linalg import Echelon, ScalarMatrix, accumulate, kernel
 from .liesuper import LieSuperalgebra
 from .pairs import RestrictedRootSystem, SymmetricPair, WeylGroup, build_pair
 from .pbw import SymElement, sym_adjoint, sym_multiply, sym_power
-from .scalars import int_if_integral, vector_to_string
+from .scalars import vector_to_string
 
 Q = Fraction
 
@@ -51,7 +51,7 @@ class InconsistentRelations(ValueError):
 class OddRootDatum:
     """Everything the membership tests need to know about one odd root."""
 
-    __slots__ = ("lam", "key", "q", "iso_class", "c", "a_coords", "A_coords",
+    __slots__ = ("lam", "q", "iso_class", "c", "a_coords", "A_coords",
                  "h0_coords", "a_perp", "gated", "rank", "coordinate_change",
                  "_rows")
 
@@ -59,10 +59,9 @@ class OddRootDatum:
                  A_coords: Tuple, a_coords: Optional[Tuple],
                  h0_coords: Optional[Tuple], a_perp: List[Tuple],
                  gated: bool):
+        # ints where integral, as the eigenvalue readers return them: the
+        # root in each condition key
         self.lam = lam
-        # lam with ints where integral: the root in each condition key, so
-        # that keys hash without hashing a Fraction
-        self.key = tuple(int_if_integral(x) for x in lam)
         self.q = q
         self.iso_class = iso_class
         self.c = c
@@ -380,19 +379,19 @@ def membership_conditions(p: APoly, datum: OddRootDatum, ring: str) -> Dict:
             adapted = datum.coordinate_change(deriv)
             for e, c in adapted.terms.items():
                 if e[0] < j:
-                    out[("iso", datum.key, j, e)] = c
+                    out[("iso", datum.lam, j, e)] = c
         return out
     adapted = datum.coordinate_change(p)
     if ring == "I":
         for e, c in adapted.terms.items():
             if e[0] % 2 == 1 and e[0] < 2 * datum.q + 1:
-                out[("I", datum.key, e)] = c
+                out[("I", datum.lam, e)] = c
     else:
         for perp, coeffs in _group_by_perp(adapted).items():
             _, B = _even_odd_split(coeffs, datum.q)
             for t, c in B.items():
                 if t < datum.q:
-                    out[("J", datum.key, perp, t)] = c
+                    out[("J", datum.lam, perp, t)] = c
     return out
 
 

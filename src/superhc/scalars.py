@@ -20,6 +20,17 @@ def int_if_integral(x):
     return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
+def ratio(c, num: int, den: int):
+    """c num / den, built once: an int when c is an int and den divides
+    c num, else one Fraction."""
+    if num == den:
+        return c
+    if type(c) is int:
+        q, r = divmod(c * num, den)
+        return Fraction(c * num, den) if r else q
+    return Fraction(c.numerator * num, c.denominator * den)
+
+
 # -- canonical string form -------------------------------------------------
 
 def vector_to_string(v) -> str:

@@ -87,6 +87,13 @@ def change_basis(g, vectors, names):
     return LieSuperalgebra(names, [v.parity for v in vectors], brackets)
 
 
+def to_adapted(ctx, v):
+    """The vector v of ctx's original algebra in its adapted basis, summed
+    from the context's table of letter coordinates; integral coordinates
+    as ints."""
+    return SuperVector(ctx.adapted, ctx._adapted_row(v.c))
+
+
 def adapted_brackets_pairwise(ctx):
     """The bracket table of ctx.adapted built pair by pair: g.bracket of
     each pair i <= j of the vectors n < a < k, then to_adapted."""
@@ -97,7 +104,7 @@ def adapted_brackets_pairwise(ctx):
         for j in range(i, len(vectors)):
             out = g.bracket(x, vectors[j])
             if out:
-                brackets[(i, j)] = ctx.to_adapted(out).c
+                brackets[(i, j)] = to_adapted(ctx, out).c
     return brackets
 
 

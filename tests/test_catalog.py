@@ -270,7 +270,7 @@ def test_no_float_reaches_an_analysis(name):
         "rho_shift": ctx.rho_shift,
         "weyl": (an.weyl.elements, an.weyl.generators,
                  an.weyl.generator_substitutions),
-        "odd roots": [(d.lam, d.key, d.c, d.A_coords, d.a_coords,
+        "odd roots": [(d.lam, d.c, d.A_coords, d.a_coords,
                        d.h0_coords, d.a_perp, d.coordinate_change)
                       for d in an.data],
         "form": g.form,

@@ -20,7 +20,7 @@ from superhc.rings import (ANISOTROPIC, build_rank_one_model, generators,
                            ring_conditions)
 from support import (adjoint, beta_of_vectors, gamma_preimage, ideal_part,
                      invariants_from_all_letters, oracle_adjoint,
-                     oracle_degree, shift_by_substitute)
+                     oracle_degree, shift_by_substitute, to_adapted)
 
 
 def test_project_unit_and_pure_a():
@@ -110,7 +110,7 @@ def test_invariants_group_sl2_contains_casimir():
         cas[m] = cas.get(m, Q(0)) + Q(1, 2) * c
     cas = {m: c for m, c in cas.items() if c}
     for x in analysis.pair.k_basis:
-        assert adjoint(ctx.uea, ctx.to_adapted(x), cas) == {}
+        assert adjoint(ctx.uea, to_adapted(ctx, x), cas) == {}
     # membership of cas in the span of the computed invariants
     from support import solve_membership
     assert solve_membership(cas, basis.invariants) is not None
@@ -122,7 +122,7 @@ def test_invariants_rank_one_q1_contains_beta_p2():
     basis = invariants_up_to_degree(ctx, 2)
     b2 = ctx.beta_from_g(generators(analysis.model)[0])
     for x in analysis.pair.k_basis:
-        assert adjoint(ctx.uea, ctx.to_adapted(x), b2) == {}
+        assert adjoint(ctx.uea, to_adapted(ctx, x), b2) == {}
     from support import solve_membership
     assert solve_membership(b2, basis.invariants) is not None
 
@@ -134,9 +134,14 @@ def test_to_adapted_gives_integral_coordinates_as_ints(name):
     ctx = CATALOG[name].build().ctx
     g = ctx.pair.g
     coords = [c for i in range(g.dim)
-              for c in ctx.to_adapted(g.basis(i)).c.values()]
+              for c in to_adapted(ctx, g.basis(i)).c.values()]
     assert any(type(c) is int for c in coords)
     assert not [c for c in coords if isinstance(c, Q) and c.denominator == 1]
+    # the letters are read off the context's table of coordinates: each is
+    # its basis letter's adapted vector, scaled
+    uea = ctx.uea
+    assert ctx._letters == [uea.scaled(uea.from_vector(to_adapted(ctx, v)))
+                            for v in g.basis_vectors()]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -151,8 +156,8 @@ def test_adapted_algebra_is_g_rebased(name):
     letters = g.basis_vectors()
     for x in letters:
         for y in letters:
-            assert adapted.bracket(ctx.to_adapted(x), ctx.to_adapted(y)) \
-                == ctx.to_adapted(g.bracket(x, y)), (x, y)
+            assert adapted.bracket(to_adapted(ctx, x), to_adapted(ctx, y)) \
+                == to_adapted(ctx, g.bracket(x, y)), (x, y)
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +182,7 @@ def test_to_adapted_equals_the_solver_on_rational_vectors(data):
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         max_size=dim))
     v = SuperVector(ctx.pair.g, coeffs)
-    got = ctx.to_adapted(v)
+    got = to_adapted(ctx, v)
     assert got.alg is ctx.adapted
     assert got.c == solve(v.c)
     for c in got.c.values():
@@ -204,7 +209,7 @@ def test_word_equals_the_product_of_factors_solved_one_by_one(data):
     factors.insert(data.draw(st.integers(0, len(factors))), vector(ctx.adapted))
     want = uea.one()
     for v in factors:
-        x = ctx.to_adapted(v) if v.alg is g else v
+        x = to_adapted(ctx, v) if v.alg is g else v
         want = uea.multiply(want, uea.from_vector(x))
     assert ctx.word(factors) == want
 

@@ -14,7 +14,7 @@ from superhc.linalg import (CommutationFailure, Echelon, IrrationalSpectrum,
                             simultaneous_eigenspaces, span_basis)
 from support import (apply, char_poly, gauss_jordan, oracle_coordinates,
                      oracle_nullspace, oracle_simultaneous_eigenspaces,
-                     oracle_span_basis, solve_membership)
+                     oracle_span_basis, reduce_by, solve_membership)
 
 
 def _combination(coeffs, vectors):
@@ -265,9 +265,10 @@ INT_ROWS = st.lists(st.dictionaries(st.integers(0, 7), st.integers(-4, 4),
 def test_int_rows_enter_as_the_equal_fraction_rows(rows, probes):
     # a row of ints is only copied, with no lcm, and a Fraction row is
     # scaled: both must store the same rows and index, and give the same
-    # verdicts and residuals.  The drawn rows hold explicit zeros, which
-    # must not become pivots, and the caller's dict must survive insert
-    # and reduce, which clear a copy in place
+    # verdicts and residuals, equal to the plain Gauss-Jordan oracle's.
+    # The drawn rows hold explicit zeros, which must not become pivots,
+    # and the caller's dict must survive insert and reduce, which clear a
+    # copy in place
     ints, fracs = Echelon(), Echelon()
 
     def as_fractions(row):
@@ -281,31 +282,61 @@ def test_int_rows_enter_as_the_equal_fraction_rows(rows, probes):
     for probe in [*rows, *probes]:
         kept = dict(probe)
         got = ints.reduce(probe)
-        assert got == fracs.reduce(as_fractions(probe))
-        assert all(type(x) is Q for x in got.values())
+        assert got == fracs.reduce(as_fractions(probe)) \
+            == reduce_by(gauss_jordan(rows), probe)
         assert probe == kept
 
 
 def _assert_scalars(rows):
+    # an int where the value is integral, else a Fraction that is not
     for r in rows:
         for x in r.values():
-            assert isinstance(x, Q), (type(x), x)
+            assert type(x) is int or type(x) is Q and x.denominator > 1, \
+                (type(x), x)
 
 
-def test_results_are_fractions_or_quads_never_ints():
-    # integer rows hold ints inside Echelon; none may leak out, and no
-    # division of ints may become a float
+def test_results_are_ints_where_integral_never_floats():
+    # integer rows hold ints inside Echelon; each reader divides by a pivot
+    # or a scale once, and no division of ints may become a float.  The
+    # rows are chosen so that every reader meets both an exact and an
+    # inexact division, and the values are the oracles'
     rows = [{0: 2, 1: 4, 3: 6}, {1: 3, 2: 9}, {0: 4, 2: 5, 3: 7}]
-    _assert_scalars(nullspace(ScalarMatrix(len(rows), 4, rows)))
-    _assert_scalars(kernel({i: r[j] for i, r in enumerate(rows) if j in r}
-                           for j in range(4)))
-    _assert_scalars(span_basis(rows))
+    wide = ScalarMatrix(1, 3, [{0: 2, 1: 4, 2: 3}])
+    assert nullspace(wide) == [{0: -2, 1: 1}, {0: Q(-3, 2), 2: 1}]
+    for m in [ScalarMatrix(len(rows), 4, rows), wide]:
+        ns = nullspace(m)
+        assert ns == oracle_nullspace(m.rows, m.ncols)
+        _assert_scalars(ns)
+    kern = kernel({i: r[j] for i, r in enumerate(rows) if j in r}
+                  for j in range(4))
+    assert kern == oracle_nullspace(rows, 4)
+    _assert_scalars(kern)
+    basis = span_basis(rows)
+    assert basis == oracle_span_basis(rows)
+    _assert_scalars(basis)
     solve = linear_solver(rows)
-    _assert_scalars([solve(_combination([3, 5], rows[:2]))])
-    _assert_scalars([solve(dict(rows[1]))])
+    for v, want in [(_combination([3, 5], rows[:2]), {0: 3, 1: 5}),
+                    (dict(rows[1]), {1: 1}),
+                    ({0: 1, 1: 2, 3: 3}, {0: Q(1, 2)})]:
+        got = solve(v)
+        assert got == want == oracle_coordinates(rows, v)
+        _assert_scalars([got])
     m = ScalarMatrix(3, 3, [{0: 2, 1: 1}, {1: 2}, {2: 3}])
-    _assert_scalars(eigenspace([m], [2]))
-    _assert_scalars(eigenspace([m], [3]))
+    half = ScalarMatrix(2, 2, [{0: 1, 1: 1}, {0: 2}])
+    for ms, ev, want in [(m, 2, [{0: 1}]), (m, 3, [{2: 1}]),
+                         (half, 2, [{0: 1, 1: 1}]),
+                         (half, -1, [{0: Q(-1, 2), 1: 1}])]:
+        space = eigenspace([ms], [ev])
+        assert space == want
+        _assert_scalars(space)
+    blocks = simultaneous_eigenspaces([half])
+    assert blocks == [((-1,), [{0: Q(-1, 2), 1: 1}]), ((2,), [{0: 1, 1: 1}])]
+    for values, space in blocks:
+        assert [type(ev) for ev in values] == [int]
+        _assert_scalars(space)
+    roots = rational_roots([1, Q(-1, 2), Q(-1, 2)])
+    assert roots == [(1, 1), (Q(-1, 2), 1)]
+    assert [type(r) for r, _ in roots] == [int, Q]
 
 
 def test_solve_membership_trivial_cases():

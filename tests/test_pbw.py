@@ -559,6 +559,29 @@ def test_unkept_adjoint_matches_the_memoised_one(name):
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
+def test_unkept_adjoint_matches_the_oracle(name):
+    """ad(e_i) of every weight-zero monomial of the top default degree
+    (capped as ORACLE_DEGREE_CAP says), walked from its pieces straight
+    into the sum (keep false) and converted as adjoint_index converts it,
+    against oracle_adjoint, which straightens e_i m and m e_i at the
+    leftmost violation over Fractions and shares no walk with it."""
+    entry = CATALOG[name]
+    top = oracle_degree(name, entry.default_degree)
+    ctx = entry.build().ctx
+    uea = ctx.uea
+    weights = list(k_generating_letters(ctx)[0].values())
+    monomials = [m for m in uea.monomials_up_to(top, weights)
+                 if len(m) == top]
+    assert monomials
+    for m in monomials:
+        y, s = uea.scaled({m: 1})
+        for i in range(uea.dim):
+            got = uea.unscaled(uea.scaled_adjoint(i, y, keep=False),
+                               uea.scale * s)
+            assert got == oracle_adjoint(ctx.adapted, i, {m: 1}), (i, m)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_solve_keeps_no_word_of_the_top_degree(name):
     entry = CATALOG[name]
     ctx = entry.build().ctx

@@ -7,7 +7,8 @@ ordinary test run, instead of only in the benchmark's correctness check.
 The file is only read.  Two stretch jobs past the benchmark's ladders,
 rank1-aniso-q2 at degree 6 through invariants and through verify, are
 pinned by their own hashes here, and so are `superhc invariants` of
-group-gl12 and rank1-aniso-q3 at degree 5.  So is every
+group-gl12 and rank1-aniso-q3 at degree 5, and `superhc roots` of
+every entry and of two chosen directions.  So is every
 word of the gamma-session pool, the output of `superhc gamma` on it, and
 every filtered dimension the gamma session asks for.
 """
@@ -96,6 +97,45 @@ def test_verify_stretch_stdout_rank1_aniso_q2_6(capsys):
         == "5408223b848e0b6f5e2e6c561047b0eec1e901900c841e939cacb8bc03287ce9"
     flags = json.loads(out)["flags"]
     assert [flag for flag, ok in flags.items() if not ok] == ["image_in_J"]
+
+
+# the stdout of `superhc roots`: the build's own report (roots, m0/m1,
+# isotropy, q, gating, the rho triple, dim m and |W0|), for every catalog
+# entry and for two chosen positive systems; the hashes are of the stdout
+# that the Fraction-valued eigenspace and span readers produced
+ROOTS_SHA256 = {
+    ("rank1-aniso-q1",):
+        "724be5311670fac7a2452bb14d30bbbf5f473824c9cbd9547ac9084807aa8704",
+    ("rank1-aniso-q2",):
+        "81cef644ba35c1941c31d94668dab6a728de28ab7c6356193febf6bcfbea1f1c",
+    ("rank1-aniso-q3",):
+        "b0c45512199faa32331e00beec522c3e23ba2d13ac784e371a681b70215e998b",
+    ("rank1-iso-q1",):
+        "1e3772198a04f8434591f69d0d1a9f868052783fa9c8e31be446da5988630f56",
+    ("group-sl2",):
+        "53d743c45c31352adf68389198693cb360c6a328b276fbf90b8cc86b78c1aaec",
+    ("group-osp12",):
+        "1418d47dde60f29842a027a27915b8a7f31cb29c0bb8c6480c6a364c8d29df20",
+    ("group-gl12",):
+        "5cc4ba3adb4c1263a5dccd63b81be8c78e74d80d5ce6cde197667527631e8067",
+    ("group-gl12", "--direction", "1,2,3"):
+        "566bab3829d1dcdbea048762a4c3ede10fc8868c0510a93631414cd09f35d198",
+    ("rank1-iso-q1", "--direction", "1,3"):
+        "48c8165d01b30e010c2a8174600b5fd6cccbb03d26136d54ba3a2a24359e1eb5",
+}
+
+
+def test_roots_pins_every_catalog_entry():
+    assert {args[0] for args in ROOTS_SHA256} == set(CATALOG)
+
+
+@pytest.mark.parametrize("args", sorted(ROOTS_SHA256))
+def test_roots_stdout_matches_pinned_hash(capsys, args):
+    code = main(["roots", *args])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == ROOTS_SHA256[args]
 
 
 def test_membership_verdicts_match_reference():

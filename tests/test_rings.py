@@ -21,7 +21,7 @@ from superhc.rings import (ANISOTROPIC, ISOTROPIC, BadIsoClass,
 from support import (adjoint, change_basis, in_local_ring, monomials_up_to,
                      oracle_ring_conditions,
                      oracle_ring_degrees, shift_by_substitute, substitute,
-                     sym_monomials_up_to)
+                     sym_monomials_up_to, to_adapted)
 
 
 def aniso_datum(q):
@@ -204,8 +204,8 @@ def test_adjoint_annihilates_p2_in_enveloping_algebra():
     ctx = analysis.ctx
     g = analysis.pair.g
     b2 = ctx.beta_from_g(generators(analysis.model)[0])
-    assert adjoint(ctx.uea, ctx.to_adapted(g.basis("v1")), b2) == {}
-    assert adjoint(ctx.uea, ctx.to_adapted(g.basis("vt1")), b2) == {}
+    assert adjoint(ctx.uea, to_adapted(ctx, g.basis("v1")), b2) == {}
+    assert adjoint(ctx.uea, to_adapted(ctx, g.basis("vt1")), b2) == {}
 
 
 # -- membership -----------------------------------------------------------------
